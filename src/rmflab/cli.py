@@ -219,8 +219,11 @@ def cmd_rmf_ratio(args):
     cfg = _cfg_from_args(args)
     f, filt = _function_from_args(args)
     p = _parse_exponent(args.p)
-    ratio = maximal_mod.rmf_ratio(f, filt, p, cfg, args.truncation)
+    fnorm = maximal_mod.lp_norm(f, p, f.base)
+    if fnorm == 0:
+        raise ValueError("RMF ratio of the zero function is undefined")
     rows, _, rad = _maximal_rows(f, filt, cfg, args.truncation)
+    ratio = maximal_mod.lp_norm(rad.pointwise, p, f.base) / fnorm
     payload = {
         "subcommand": "rmf-ratio",
         "p": p,

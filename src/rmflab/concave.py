@@ -31,7 +31,7 @@ from .filtration import (
 )
 from .martingale import SimpleMartingale
 from .rademacher import EnumConfig
-from .rbound import HILBERT_EXACT, OPTIMIZED, optimized_scalar_lower, rbound_hilbert_exact
+from .rbound import HILBERT_EXACT, OPTIMIZED, atomwise_rbound
 from .spaces import Space, Vector, norm_of
 
 _MAX_GRID_EXPONENT = 22
@@ -52,18 +52,14 @@ class UValue:
 def _set_rbound_lower(rows: np.ndarray, space: Space, cfg: EnumConfig) -> tuple[float, str]:
     """Deterministic lower R-bound of a set given as row vectors.
 
-    Rows are deduplicated by sorted order so that equal sets always
-    produce identical values regardless of presentation.
+    Repeated rows are dropped, keeping first occurrences in order, so the
+    value depends on the order in which distinct rows are presented but
+    not on repeats.
     """
     if rows.size == 0:
         return 0.0, HILBERT_EXACT if space.is_hilbert else OPTIMIZED
-    distinct = np.unique(rows, axis=0)
-    if space.is_hilbert:
-        return rbound_hilbert_exact(distinct, space), HILBERT_EXACT
-    vectors = [Vector(r, space) for r in distinct]
-    mode = "exhaustive" if len(vectors) <= 6 else "chain"
-    lo, _ = optimized_scalar_lower(vectors, 2.0, 1, cfg, selection_mode=mode)
-    return lo, OPTIMIZED
+    lower, _, mode = atomwise_rbound(rows[:, None, :], space, cfg)
+    return float(lower[0]), mode
 
 
 def u_value(
@@ -281,18 +277,14 @@ def expected_u_along(
         else np.empty((0, space.total_dim))
     )
     stack = x.values_stack()[skip_first:]
-    last = stack[-1]
-    finest = x.filtration.levels[-1]
-    masses = x.base.masses
+    n_atoms = x.base.n_atoms
+    paths = np.concatenate(
+        [stack, np.broadcast_to(set_rows[:, None, :], (len(set_rows), n_atoms, space.total_dim))]
+    )
+    r_lower, _, _ = atomwise_rbound(paths, space, cfg)
     total = 0.0
-    cache: dict[int, float] = {}
-    for atom in range(x.base.n_atoms):
-        b = int(finest.block_of[atom])
-        if b not in cache:
-            rows = np.vstack([stack[:, atom, :], set_rows])
-            r_lower, _ = _set_rbound_lower(rows, space, cfg)
-            cache[b] = r_lower**p - c * norm_of(last[atom], space) ** p
-        total += masses[atom] * cache[b]
+    for atom, mass in enumerate(x.base.masses):
+        total += mass * (float(r_lower[atom]) ** p - c * norm_of(stack[-1, atom], space) ** p)
     return total
 
 

@@ -452,7 +452,8 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
             if children.size == 2:
                 parent = (b, int(children[0]), int(children[1]))
                 break
-        assert parent is not None
+        if parent is None:
+            raise AssertionError(f"level {j} splits no block of level {j - 1}")
         b, c1, c2 = parent
         tilde_b = tilde_map[b]
         in_c1 = np.flatnonzero(nxt.block_of == c1)
@@ -609,7 +610,8 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
             if children.size == 2:
                 parent = (b, int(children[0]), int(children[1]))
                 break
-        assert parent is not None
+        if parent is None:
+            raise AssertionError(f"level {j} splits no block of level {j - 1}")
         b, c1, c2 = parent
         pm = prev.block_masses()[b]
         cm = nxt.block_masses()
@@ -682,7 +684,8 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
             span = int(Fraction(float(filt.space.masses[a])) * n_out)
             pullback[out_atoms[pos : pos + span]] = a
             pos += span
-        assert pos == out_atoms.size
+        if pos != out_atoms.size:
+            raise AssertionError(f"block {bb} maps onto {pos} of {out_atoms.size} grid atoms")
 
     return BooleanIsomorphism(
         grid, k_out, Filtration(tuple(out_levels)), dyadic_levels, pullback

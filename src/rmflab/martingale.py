@@ -26,7 +26,7 @@ from .filtration import (
     random_haar_filtration,
 )
 from .rademacher import EnumConfig
-from .rbound import HILBERT_EXACT, OPTIMIZED, optimized_scalar_lower
+from .rbound import HILBERT_EXACT, atomwise_rbound
 from .spaces import Space, Vector, dual_exponent, norms_of
 
 INF_TIME = np.iinfo(np.int64).max
@@ -296,28 +296,9 @@ def prefix_rbounds(x: SimpleMartingale, cfg: EnumConfig | None = None) -> np.nda
     if cfg is None:
         cfg = EnumConfig()
     stack = x.values_stack()[1:]
-    n_steps, n_atoms = stack.shape[0], stack.shape[1]
-    if x.space.is_hilbert:
-        norms = np.stack([norms_of(s, x.space) for s in stack])
-        return np.maximum.accumulate(norms, axis=0)
-    out = np.empty((n_steps, n_atoms))
-    finest = x.filtration.levels[-1]
-    cache: dict[int, np.ndarray] = {}
-    for a in range(n_atoms):
-        b = int(finest.block_of[a])
-        if b not in cache:
-            col = np.empty(n_steps)
-            for j in range(1, n_steps + 1):
-                vals = stack[:j, a, :]
-                keep = np.ones(j, dtype=bool)
-                keep[1:] = np.any(vals[1:] != vals[:-1], axis=1)
-                vectors = [Vector(row, x.space) for row in vals[keep]]
-                mode = "exhaustive" if len(vectors) <= 6 else "chain"
-                col[j - 1], _ = optimized_scalar_lower(
-                    vectors, 2.0, 1, cfg, selection_mode=mode
-                )
-            cache[b] = col
-        out[:, a] = cache[b]
+    out = np.empty(stack.shape[:2])
+    for j in range(stack.shape[0]):
+        out[j] = atomwise_rbound(stack[: j + 1], x.space, cfg)[0]
     return out
 
 
@@ -364,28 +345,9 @@ def maximal_stars(
     if cfg is None:
         cfg = EnumConfig()
     stack = x.values_stack()[1:] if x.n_steps >= 1 else x.values_stack()
-    norms = np.stack([norms_of(s, x.space) for s in stack])
-    star = np.max(norms, axis=0)
-    if x.space.is_hilbert:
-        return MartingaleStars(star, star.copy(), star.copy(), HILBERT_EXACT, x.lp_bound(p), p)
-    n_atoms = x.base.n_atoms
-    lower = np.empty(n_atoms)
-    upper = np.empty(n_atoms)
-    finest = x.filtration.levels[-1]
-    cache: dict[int, tuple[float, float]] = {}
-    for a in range(n_atoms):
-        b = int(finest.block_of[a])
-        if b not in cache:
-            vals = stack[:, a, :]
-            keep = np.ones(vals.shape[0], dtype=bool)
-            keep[1:] = np.any(vals[1:] != vals[:-1], axis=1)
-            distinct = vals[keep]
-            vectors = [Vector(row, x.space) for row in distinct]
-            mode = "exhaustive" if len(vectors) <= 6 else "chain"
-            lo, _ = optimized_scalar_lower(vectors, 2.0, 1, cfg, selection_mode=mode)
-            cache[b] = (lo, float(np.sum(norms_of(distinct, x.space))))
-        lower[a], upper[a] = cache[b]
-    return MartingaleStars(star, lower, upper, OPTIMIZED, x.lp_bound(p), p)
+    star = np.max(np.stack([norms_of(s, x.space) for s in stack]), axis=0)
+    lower, upper, mode = atomwise_rbound(stack, x.space, cfg)
+    return MartingaleStars(star, lower, upper, mode, x.lp_bound(p), p)
 
 
 def _shift_levels(x: SimpleMartingale, constant: np.ndarray) -> SimpleMartingale:
@@ -501,7 +463,8 @@ def gundy_decompose(x: SimpleMartingale, lam: float) -> GundyParts:
             x_l1=x_l1,
             lam=lam,
         )
-    assert certs.within_constants(), "decomposition certificates violated"
+    if not certs.within_constants():
+        raise AssertionError("decomposition certificates violated")
     return GundyParts(g, h, b, lam, sigma, certs)
 
 
@@ -585,7 +548,6 @@ def good_lambda_experiment(
 
     if prefixes is None:
         prefixes = prefix_rbounds(x, cfg)
-    mode = HILBERT_EXACT if x.space.is_hilbert else OPTIMIZED
     n = x.n_steps
     n_atoms = x.base.n_atoms
 
@@ -627,26 +589,9 @@ def good_lambda_experiment(
 
     lhs_event = (x_rstar > beta * lam) & (x_star <= delta * lam)
     threshold = (beta - 2 * delta - 1) * lam
-    if x.space.is_hilbert:
-        violations = int(np.sum(lhs_event & ~(t_star > threshold)))
-    else:
-        # the transform R-star is only needed on the event atoms
-        violations = 0
-        finest = x.filtration.levels[-1]
-        cache: dict[int, float] = {}
-        for a in np.flatnonzero(lhs_event):
-            b = int(finest.block_of[a])
-            if b not in cache:
-                vals = t_stack[:, a, :]
-                keep = np.ones(vals.shape[0], dtype=bool)
-                keep[1:] = np.any(vals[1:] != vals[:-1], axis=1)
-                vectors = [Vector(row, x.space) for row in vals[keep]]
-                sel = "exhaustive" if len(vectors) <= 6 else "chain"
-                cache[b], _ = optimized_scalar_lower(
-                    vectors, 2.0, 1, cfg, selection_mode=sel
-                )
-            if not cache[b] > threshold:
-                violations += 1
+    # the transform R-star is only needed on the event atoms
+    t_rstar, _, mode = atomwise_rbound(t_stack, x.space, cfg, atoms=np.flatnonzero(lhs_event))
+    violations = int(np.sum(lhs_event & ~(t_rstar > threshold)))
 
     cap = 4 * delta * lam * (tau1.values < INF_TIME).astype(float)
     slack = float(np.max(t_star - cap))

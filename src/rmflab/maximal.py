@@ -24,7 +24,7 @@ from .filtration import (
     conditional_expectation,
 )
 from .rademacher import EnumConfig
-from .rbound import HILBERT_EXACT, OPTIMIZED, optimized_scalar_lower
+from .rbound import HILBERT_EXACT, atomwise_rbound
 from .spaces import Vector, lp_space, norms_of
 
 DEFAULT_NORM_EXPONENTS = (1.0, 2.0, math.inf)
@@ -98,7 +98,6 @@ def rademacher_maximal(
     truncation: int | None = None,
     atom_indices=None,
     rbound_p: float = 2.0,
-    multiplicity: int = 1,
     norm_exponents=DEFAULT_NORM_EXPONENTS,
 ) -> MaximalReport:
     """R-bound of { E_j f(xi) : j } at each atom.
@@ -106,51 +105,19 @@ def rademacher_maximal(
     Hilbert ranges at moment 2 collapse to the Doob maximal function
     (exact mode).  Otherwise each atom's value is the searched lower
     bracket of the scalar-coefficient R-bound of its conditional
-    expectations, deduplicated, with the singleton floor making the
-    result always at least the Doob value.  ``atom_indices`` restricts
-    the computation (other atoms report NaN and no Lp norms are taken).
+    expectations, with the singleton floor making the result always at
+    least the Doob value.  ``atom_indices`` restricts the computation
+    (other atoms report NaN and no Lp norms are taken).
     """
     if cfg is None:
         cfg = EnumConfig()
-    if f.space.is_hilbert and rbound_p == 2:
-        report = doob_maximal(f, filt, truncation, norm_exponents)
-        if atom_indices is not None:
-            mask = np.full(f.base.n_atoms, np.nan)
-            mask[list(atom_indices)] = report.pointwise[list(atom_indices)]
-            return MaximalReport(mask, {}, HILBERT_EXACT, truncation, mask.copy())
-        return report
-
     stack = _ce_stack(f, filt, truncation)
-    n_atoms = f.base.n_atoms
-    finest = filt.levels[stack.shape[0] - 1]
-    atoms = range(n_atoms) if atom_indices is None else list(atom_indices)
-
-    lower = np.full(n_atoms, np.nan)
-    upper = np.full(n_atoms, np.nan)
-    block_cache: dict[int, tuple[float, float]] = {}
-    for a in atoms:
-        b = int(finest.block_of[a])
-        if b not in block_cache:
-            vals = stack[:, a, :]
-            # consecutive duplicates (levels that did not refine at this
-            # atom) do not change the R-bound of the set
-            keep = np.ones(vals.shape[0], dtype=bool)
-            keep[1:] = np.any(vals[1:] != vals[:-1], axis=1)
-            distinct = vals[keep]
-            vectors = [Vector(row, f.space) for row in distinct]
-            mode = "exhaustive" if len(vectors) <= 6 else "chain"
-            lo, _ = optimized_scalar_lower(
-                vectors, rbound_p, multiplicity, cfg, selection_mode=mode
-            )
-            up = float(np.sum(norms_of(distinct, f.space)))
-            block_cache[b] = (lo, up)
-        lower[a], upper[a] = block_cache[b]
-
+    lower, upper, mode = atomwise_rbound(stack, f.space, cfg, rbound_p, atom_indices)
     if atom_indices is None:
         lp = {p: lp_norm(lower, p, f.base) for p in norm_exponents}
     else:
         lp = {}
-    return MaximalReport(lower, lp, OPTIMIZED, truncation, upper)
+    return MaximalReport(lower, lp, mode, truncation, upper)
 
 
 def rmf_ratio(

@@ -155,7 +155,8 @@ def optimized_scalar_lower(
         if val > best + 1e-12:
             best = val
             best_wit = SelectionWitness(tuple(sel), lam[0])
-    assert best_wit is not None
+    if best_wit is None:
+        raise AssertionError("no selection produced a finite ratio")
     return best, best_wit
 
 
@@ -187,6 +188,49 @@ def rbound_scalar(
     lower, wit = optimized_scalar_lower(vectors, p, multiplicity, cfg, warm_start)
     upper = float(np.sum(member_norms))
     return RBoundBracket(lower, upper, wit, OPTIMIZED, p)
+
+
+def atomwise_rbound(
+    stack: np.ndarray,
+    space: Space,
+    cfg: EnumConfig,
+    p: float = 2.0,
+    atoms=None,
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Bracket of R({stack[j, a] : j}) at each atom a of a (levels, atoms, dim) stack.
+
+    On a Hilbert space at p = 2 both sides are exactly the largest norm
+    over levels.  Otherwise an atom's repeated rows are dropped (first
+    occurrences kept in order), the lower side is searched exhaustively
+    for up to 6 distinct rows and over chain prefixes beyond, and the
+    upper side is the sum of the distinct norms; equal row sets are
+    searched once per call.  Atoms outside ``atoms`` hold NaN.
+    """
+    n_atoms = stack.shape[1]
+    if space.is_hilbert and p == 2:
+        # level by level, so no temporary the size of the stack is made
+        peak = np.max(np.stack([norms_of(level, space) for level in stack]), axis=0)
+        if atoms is not None:
+            outside = np.ones(n_atoms, dtype=bool)
+            outside[list(atoms)] = False
+            peak[outside] = np.nan
+        return peak, peak.copy(), HILBERT_EXACT
+
+    lower = np.full(n_atoms, np.nan)
+    upper = np.full(n_atoms, np.nan)
+    memo: dict[bytes, tuple[float, float]] = {}
+    for a in range(n_atoms) if atoms is None else atoms:
+        col = stack[:, a, :]
+        same = np.all(col[:, None, :] == col[None, :, :], axis=2)
+        distinct = col[~np.any(np.tril(same, -1), axis=1)]
+        key = distinct.tobytes()
+        if key not in memo:
+            vectors = [Vector(row, space) for row in distinct]
+            mode = "exhaustive" if len(vectors) <= 6 else "chain"
+            lo, _ = optimized_scalar_lower(vectors, p, 1, cfg, selection_mode=mode)
+            memo[key] = (lo, float(np.sum(norms_of(distinct, space))))
+        lower[a], upper[a] = memo[key]
+    return lower, upper, OPTIMIZED
 
 
 def rbound_hilbert_exact(values: np.ndarray, space: Space) -> float:
@@ -265,7 +309,8 @@ def rbound_operator(
         if val > best + 1e-12:
             best = val
             best_wit = SelectionWitness(tuple(sel), xs)
-    assert best_wit is not None
+    if best_wit is None:
+        raise AssertionError("no selection produced a finite ratio")
     upper = float(np.sum(op_norms))
     return RBoundBracket(min(best, upper), upper, best_wit, OPTIMIZED, p)
 

@@ -16,9 +16,6 @@ LP = "lp"
 SCHATTEN = "schatten"
 HILBERT_OP = "hilbert_op"
 
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
-
 
 @dataclass(frozen=True)
 class Space:
@@ -121,55 +118,19 @@ def dual_exponent(p: float) -> float:
 
 
 def singular_values(mat: np.ndarray, return_right_vectors: bool = False):
-    """Singular values of a real matrix by one-sided Jacobi iteration.
+    """Singular values of a real matrix, sorted descending.
 
-    Deterministic and dependency-free; rotations are applied to column
-    pairs in a fixed sweep order until all columns are orthogonal to
-    relative tolerance 1e-12.  Values are returned sorted descending.
-    When ``return_right_vectors`` is set, the orthogonal matrix of right
-    singular vectors (columns, same order) is returned as well.
+    When ``return_right_vectors`` is set, the matching right singular
+    vectors are returned as well, as the columns of a
+    (cols, min(rows, cols)) array in the same order.
     """
-    a = np.array(mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    transposed = a.shape[0] < a.shape[1]
-    if transposed:
-        a = a.T
-    n = a.shape[1]
-    v = np.eye(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci, cj = a[:, i], a[:, j]
-                alpha = ci @ ci
-                beta = cj @ cj
-                gamma = ci @ cj
-                if abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha * beta):
-                    continue
-                off = max(off, abs(gamma))
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                a[:, [i, j]] = a[:, [i, j]] @ np.array([[c, s], [-s, c]])
-                v[:, [i, j]] = v[:, [i, j]] @ np.array([[c, s], [-s, c]])
-        if off == 0.0:
-            break
-    sv = np.sqrt(np.sum(a * a, axis=0))
-    order = np.argsort(-sv)
-    sv = sv[order]
     if not return_right_vectors:
-        return sv
-    v = v[:, order]
-    if transposed:
-        # right singular vectors of the original matrix are the (normalized)
-        # rotated columns of its transpose
-        u = np.zeros_like(a)
-        nz = sv > 0
-        u[:, nz] = a[:, order][:, nz] / sv[nz]
-        return sv, u
-    return sv, v
+        return np.linalg.svd(a, compute_uv=False)
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    return sv, vt.T
 
 
 def norm(v: Vector) -> float:
@@ -184,27 +145,29 @@ def norm_of(coords: np.ndarray, space: Space) -> float:
         raise ValueError("coordinate length does not match space dimension")
     if space.kind == LP:
         return _lp(x, space.p)
-    sv = singular_values(x.reshape(space.rows, space.cols))
-    if space.kind == SCHATTEN:
-        return _lp(sv, space.p)
-    return float(sv[0])
+    return float(norms_of(x, space)[0])
 
 
 def norms_of(values: np.ndarray, space: Space) -> np.ndarray:
-    """Row-wise norms of a (n, total_dim) array; vectorized for lp spaces."""
+    """Row-wise norms of a (n, total_dim) array.
+
+    Matrix spaces take the singular values of all rows in one batched SVD.
+    """
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 1:
         vals = vals[None, :]
-    if space.kind == LP:
-        p = space.p
-        if p == math.inf:
-            return np.max(np.abs(vals), axis=1)
-        if p == 2:
-            return np.sqrt(np.sum(vals * vals, axis=1))
-        if p == 1:
-            return np.sum(np.abs(vals), axis=1)
-        return np.sum(np.abs(vals) ** p, axis=1) ** (1.0 / p)
-    return np.array([norm_of(row, space) for row in vals])
+    if space.kind != LP:
+        vals = np.linalg.svd(vals.reshape(-1, space.rows, space.cols), compute_uv=False)
+        if space.kind == HILBERT_OP:
+            return vals[:, 0]
+    p = space.p
+    if p == math.inf:
+        return np.max(np.abs(vals), axis=1)
+    if p == 2:
+        return np.sqrt(np.sum(vals * vals, axis=1))
+    if p == 1:
+        return np.sum(np.abs(vals), axis=1)
+    return np.sum(np.abs(vals) ** p, axis=1) ** (1.0 / p)
 
 
 def _lp(x: np.ndarray, p: float) -> float:

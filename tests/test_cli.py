@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from rmflab import rbound
 from rmflab.cli import main
+
+L1_PLANE = '{"kind":"lp","p":1,"dim":2}'
 
 
 def run(capsys, *argv):
@@ -165,6 +168,24 @@ class TestMaximalCommands:
         payload = json.loads(out)
         assert payload["ratio"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_rmf_ratio_searches_each_atom_column_once(self, capsys, monkeypatch):
+        searched = []
+        search = rbound.optimized_scalar_lower
+
+        def counting(vectors, *args, **kwargs):
+            searched.append(np.stack([v.coords for v in vectors]).tobytes())
+            return search(vectors, *args, **kwargs)
+
+        monkeypatch.setattr(rbound, "optimized_scalar_lower", counting)
+        code, _, _ = run(
+            capsys, "rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2",
+            "--seed", "5", "--restarts", "2",
+        )
+        assert code == 0
+        # the finest level of a dyadic grid is its atoms, so each of the
+        # 4 atoms has a column of its own
+        assert len(searched) == len(set(searched)) == 4
+
 
 class TestReduce:
     def test_trace_fields(self, capsys):
@@ -309,6 +330,14 @@ class TestDeterminism:
                 "typecotype", "--kind", "cotype", "--space",
                 '{"kind":"lp","p":"inf","dim":2}', "--exponent", "2",
                 "--count", "2", "--seed", "23",
+            ),
+            (
+                "maximal", "--space", L1_PLANE, "--grid-exponent", "2",
+                "--seed", "23", "--restarts", "2",
+            ),
+            (
+                "rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2",
+                "--seed", "23", "--restarts", "2",
             ),
         ],
     )

@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rmflab
 
 from rmflab.filtration import (
     AtomicMeasureSpace,
@@ -336,6 +343,27 @@ class TestGundy:
         parts = gundy_decompose(x, lam)
         assert parts.certificates.h_variation > 0
         assert parts.certificates.within_constants()
+
+    def test_violated_certificates_raise_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            from rmflab import martingale as m
+            from rmflab.spaces import lp_space
+
+            m.GundyCertificates.within_constants = lambda self: False
+            x = m.random_haar_martingale(lp_space(2, 2), 3, 3, seed=1)
+            try:
+                m.gundy_decompose(x, 1.0)
+            except AssertionError:
+                raise SystemExit(0)
+            raise SystemExit(3)
+            """
+        )
+        src = str(Path(rmflab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
 
     def test_non_standard_haar_rejected(self):
         x = dyadic_martingale(lp_space(2, 2), 2, 73)

@@ -9,14 +9,21 @@ from rmflab.rademacher import EnumConfig
 from rmflab.rbound import (
     RBoundBracket,
     SelectionWitness,
+    atomwise_rbound,
     rbound_certify_grid,
     rbound_hilbert_exact,
     rbound_operator,
     rbound_scalar,
 )
+from rmflab.filtration import conditional_expectation, make_dyadic_filtration, random_step_function
+from rmflab.maximal import doob_maximal
 from rmflab.spaces import Vector, hilbert_op_space, lp_space, norm
 
 FAST = EnumConfig(seed=2, restarts=6)
+
+
+def ce_stack(f, filt):
+    return np.stack([conditional_expectation(f, part).values for part in filt.levels])
 
 
 def basis(space):
@@ -211,3 +218,32 @@ class TestOperator:
         br = rbound_operator([t], 2, cfg=FAST)
         assert isinstance(br.witness, SelectionWitness)
         assert br.witness.indices == (0,)
+
+
+class TestAtomwise:
+    def test_non_consecutive_repeat_changes_nothing(self):
+        rng = np.random.default_rng(8)
+        a, b, c = rng.standard_normal((3, 2))
+        with_repeat = np.stack([a, b, a, c])[:, None, :]
+        plain = np.stack([a, b, c])[:, None, :]
+        space = lp_space(1, 2)
+        lo1, up1, mode = atomwise_rbound(with_repeat, space, FAST)
+        lo2, up2, _ = atomwise_rbound(plain, space, FAST)
+        assert mode == "optimized"
+        assert lo1[0] == lo2[0] and up1[0] == up2[0]
+
+    def test_hilbert_equals_doob_exactly(self):
+        base, filt = make_dyadic_filtration(4)
+        f = random_step_function(base, lp_space(2, 3), 5)
+        lower, upper, mode = atomwise_rbound(ce_stack(f, filt), f.space, FAST)
+        doob = doob_maximal(f, filt).pointwise
+        assert mode == "hilbert_exact"
+        assert np.array_equal(lower, doob) and np.array_equal(upper, doob)
+
+    def test_outside_atoms_is_nan(self):
+        base, filt = make_dyadic_filtration(2)
+        for space in (lp_space(1, 2), lp_space(2, 2)):
+            f = random_step_function(base, space, 6)
+            lower, upper, _ = atomwise_rbound(ce_stack(f, filt), space, FAST, atoms=[1, 2])
+            assert np.isnan(lower[[0, 3]]).all() and np.isnan(upper[[0, 3]]).all()
+            assert np.isfinite(lower[[1, 2]]).all() and (lower[[1, 2]] <= upper[[1, 2]]).all()

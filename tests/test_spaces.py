@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,12 @@ class TestJacobiSVD:
         # A v_i has length sigma_i
         for i in range(3):
             assert np.linalg.norm(m @ v[:, i]) == pytest.approx(sv[i], abs=1e-10)
+
+    def test_tiny_entry_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sv = singular_values([[1.0, 1e-310], [0.0, 0.0]])
+        np.testing.assert_allclose(sv, [1.0, 0.0], atol=1e-300)
 
     def test_right_vectors_wide_matrix(self):
         rng = np.random.default_rng(6)
