@@ -37,7 +37,7 @@ from .filtration import (
     random_step_function,
 )
 from .rademacher import EnumConfig, rademacher_moment, type_cotype_estimate
-from .rbound import rbound_certify_grid, rbound_scalar
+from .rbound import HILBERT_EXACT, rbound_certify_grid, rbound_scalar
 from .schemas import SchemaViolation, validate
 from .spaces import Vector, space_from_json
 
@@ -130,8 +130,12 @@ def _function_from_args(args):
 
 
 def _maximal_rows(f, filt, cfg, truncation=None):
-    doob = maximal_mod.doob_maximal(f, filt, truncation)
     rad = maximal_mod.rademacher_maximal(f, filt, cfg, truncation)
+    # in exact mode the Rademacher report is the Doob one, bit for bit
+    if rad.mode == HILBERT_EXACT:
+        doob = rad
+    else:
+        doob = maximal_mod.doob_maximal(f, filt, truncation)
     rows = []
     for a in range(f.base.n_atoms):
         rows.append(

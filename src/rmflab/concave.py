@@ -232,14 +232,11 @@ def extend_standard_haar(x: SimpleMartingale, extra_steps: int) -> SimpleMarting
     base = x.base
     for _ in range(extra_steps):
         cur = parts[-1]
-        target = None
-        for b, atoms in enumerate(cur.blocks()):
-            if atoms.size >= 2 and atoms.size % 2 == 0:
-                target = (b, atoms)
-                break
-        if target is None:
+        sizes = np.bincount(cur.block_of)
+        even = np.flatnonzero((sizes >= 2) & (sizes % 2 == 0))
+        if even.size == 0:
             raise ValueError("no block can be split into equal halves")
-        b, atoms = target
+        atoms = np.flatnonzero(cur.block_of == even[0])
         labels = cur.block_of.copy()
         labels[atoms[atoms.size // 2 :]] = cur.n_blocks
         parts.append(Partition(labels, base))

@@ -72,14 +72,13 @@ class AtomicMeasureSpace:
         return hash(self.masses.tobytes())
 
 
-def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    out = np.empty(labels.size, dtype=np.int64)
-    seen: dict[int, int] = {}
-    for i, b in enumerate(labels.tolist()):
-        if b not in seen:
-            seen[b] = len(seen)
-        out[i] = seen[b]
-    return out
+def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels renumbered by first occurrence, and each block's first atom."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[order] = np.arange(first.size)
+    return rank[inverse], first[order]
 
 
 @dataclass(frozen=True)
@@ -92,22 +91,52 @@ class Partition:
 
     block_of: np.ndarray = field(repr=False)
     space: AtomicMeasureSpace
+    _first_atoms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = np.asarray(self.block_of, dtype=np.int64).ravel()
         if labels.size != self.space.n_atoms:
             raise ValueError("label count must match atom count")
-        object.__setattr__(self, "block_of", _canonical_labels(labels))
+        block_of, first_atoms = _canonical_labels(labels)
+        object.__setattr__(self, "block_of", block_of)
+        object.__setattr__(self, "_first_atoms", first_atoms)
 
     @property
     def n_blocks(self) -> int:
-        return int(self.block_of.max()) + 1
+        return int(self._first_atoms.size)
 
     def blocks(self) -> list[np.ndarray]:
         return [np.flatnonzero(self.block_of == b) for b in range(self.n_blocks)]
 
+    def first_atoms(self) -> np.ndarray:
+        """Index of the first atom of each block, in block order."""
+        return self._first_atoms
+
+    def block_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Sums over each block of per-atom reals (atoms,) or rows (atoms, dim)."""
+        nb = self.n_blocks
+        if weights.ndim == 1:
+            return np.bincount(self.block_of, weights=weights, minlength=nb)
+        return np.stack(
+            [np.bincount(self.block_of, weights=w, minlength=nb) for w in weights.T], axis=1
+        )
+
+    def block_extremes(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Largest and smallest of per-atom reals over each block."""
+        vals = np.asarray(values, dtype=float)
+        hi = np.full(self.n_blocks, -np.inf)
+        lo = np.full(self.n_blocks, np.inf)
+        np.maximum.at(hi, self.block_of, vals)
+        np.minimum.at(lo, self.block_of, vals)
+        return hi, lo
+
+    def is_measurable(self, values) -> bool:
+        """True iff per-atom reals are exactly constant on every block."""
+        hi, lo = self.block_extremes(values)
+        return bool(np.array_equal(hi, lo))
+
     def block_masses(self) -> np.ndarray:
-        return np.bincount(self.block_of, weights=self.space.masses, minlength=self.n_blocks)
+        return self.block_sums(self.space.masses)
 
     def __eq__(self, other):
         return (
@@ -128,13 +157,34 @@ def atom_partition(space: AtomicMeasureSpace) -> Partition:
     return Partition(np.arange(space.n_atoms, dtype=np.int64), space)
 
 
+def block_parents(fine: Partition, coarse: Partition) -> np.ndarray:
+    """Block of ``coarse`` holding the first atom of each block of ``fine``.
+
+    When ``fine`` refines ``coarse`` this is the block holding all of it.
+    """
+    return coarse.block_of[fine.first_atoms()]
+
+
 def is_refinement(fine: Partition, coarse: Partition) -> bool:
     """True iff every block of ``fine`` lies inside one block of ``coarse``."""
     if fine.space != coarse.space:
         raise ValueError("partitions live on different spaces")
-    pairs = {(int(f), int(c)) for f, c in zip(fine.block_of, coarse.block_of)}
-    fine_ids = [f for f, _ in pairs]
-    return len(fine_ids) == len(set(fine_ids))
+    return bool(np.array_equal(block_parents(fine, coarse)[fine.block_of], coarse.block_of))
+
+
+def split_blocks(
+    prev: Partition, nxt: Partition
+) -> tuple[np.ndarray, tuple[int, int, int] | None]:
+    """Parent in ``prev`` of each block of its refinement ``nxt``, plus
+    (parent, child1, child2) for the first block of ``prev`` that splits
+    into exactly two (None when none does)."""
+    parents = block_parents(nxt, prev)
+    two_way = np.flatnonzero(np.bincount(parents) == 2)
+    if two_way.size == 0:
+        return parents, None
+    b = int(two_way[0])
+    c1, c2 = np.flatnonzero(parents == b)
+    return parents, (b, int(c1), int(c2))
 
 
 @dataclass(frozen=True)
@@ -201,12 +251,8 @@ def conditional_expectation(f: StepFunction, pi: Partition) -> StepFunction:
     """
     if pi.space != f.base:
         raise ValueError("partition and function live on different spaces")
-    masses = f.base.masses
-    nb = pi.n_blocks
-    weighted = np.zeros((nb, f.values.shape[1]))
-    np.add.at(weighted, pi.block_of, masses[:, None] * f.values)
-    block_mass = pi.block_masses()
-    averages = weighted / block_mass[:, None]
+    weighted = pi.block_sums(f.base.masses[:, None] * f.values)
+    averages = weighted / pi.block_masses()[:, None]
     return StepFunction(averages[pi.block_of], f.space, f.base)
 
 
@@ -216,8 +262,7 @@ def make_dyadic_filtration(k: int) -> tuple[AtomicMeasureSpace, Filtration]:
         raise ValueError("grid exponent must be >= 1")
     n = 1 << k
     space = AtomicMeasureSpace(np.full(n, 2.0**-k))
-    idx = np.arange(n)
-    levels = [Partition(idx >> (k - j), space) for j in range(k + 1)]
+    levels = [dyadic_partition(space, j, k) for j in range(k + 1)]
     return space, Filtration(tuple(levels))
 
 
@@ -229,14 +274,13 @@ def dyadic_partition(space: AtomicMeasureSpace, level: int, k: int) -> Partition
     return Partition(idx >> (k - level), space)
 
 
-def _is_dyadic_ratio(child_mass: float, parent_mass: float) -> bool:
-    ratio = Fraction(child_mass) / Fraction(parent_mass)
-    d = ratio.denominator
-    return d & (d - 1) == 0
-
-
 def _split_ratio(child_mass: float, parent_mass: float) -> Fraction:
     return Fraction(child_mass) / Fraction(parent_mass)
+
+
+def _is_dyadic_ratio(child_mass: float, parent_mass: float) -> bool:
+    d = _split_ratio(child_mass, parent_mass).denominator
+    return d & (d - 1) == 0
 
 
 def random_haar_filtration(
@@ -308,26 +352,16 @@ def random_haar_filtration(
 def haar_splits(filt: Filtration) -> list[tuple[float, float, float]]:
     """(parent, child1, child2) masses per level of a Haar filtration.
 
-    Raises if any transition is not a single two-way split.
+    Raises if any transition is not a single two-way split.  Levels
+    refine their predecessors, so one more block means exactly that.
     """
     out = []
     for prev, nxt in zip(filt.levels, filt.levels[1:]):
         if nxt.n_blocks != prev.n_blocks + 1:
             raise ValueError("not a Haar filtration: block count must grow by one")
-        split_parent = None
-        for b, atoms in enumerate(prev.blocks()):
-            children = np.unique(nxt.block_of[atoms])
-            if children.size == 1:
-                continue
-            if children.size != 2 or split_parent is not None:
-                raise ValueError("not a Haar filtration: exactly one block may split")
-            split_parent = (b, children)
-        if split_parent is None:
-            raise ValueError("not a Haar filtration: a level did not refine")
-        b, children = split_parent
-        pm = float(prev.block_masses()[b])
+        _, (b, c1, c2) = split_blocks(prev, nxt)
         cm = nxt.block_masses()
-        out.append((pm, float(cm[children[0]]), float(cm[children[1]])))
+        out.append((float(prev.block_masses()[b]), float(cm[c1]), float(cm[c2])))
     return out
 
 
@@ -373,18 +407,15 @@ def haar_embed(filt: Filtration) -> tuple[Filtration, list[int]]:
     index_map: list[int] = []
     for lvl in filt.levels:
         cur = out[-1]
+        parents = block_parents(lvl, cur)
+        # children grouped by parent in block order; all but each group's
+        # last child are carved off one at a time
+        order = np.argsort(parents, kind="stable")
+        carved = order[:-1][parents[order[1:]] == parents[order[:-1]]]
         work = cur.block_of.copy()
-        next_label = int(work.max()) + 1
-        for b in range(cur.n_blocks):
-            atoms = np.flatnonzero(cur.block_of == b)
-            children = sorted(np.unique(lvl.block_of[atoms]).tolist())
-            if len(children) <= 1:
-                continue
-            for child in children[:-1]:
-                carve = atoms[lvl.block_of[atoms] == child]
-                work[carve] = next_label
-                next_label += 1
-                out.append(Partition(work.copy(), base))
+        for next_label, child in enumerate(carved, start=cur.n_blocks):
+            work[lvl.block_of == child] = next_label
+            out.append(Partition(work.copy(), base))
         index_map.append(len(out) - 1)
     return Filtration(tuple(out)), index_map
 
@@ -439,27 +470,21 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
         )
     budget = eps / (n_levels + 1)
 
-    # tilde_map[input block id at current level] -> sorted atom indices
-    tilde_map: dict[int, np.ndarray] = {0: np.arange(filt.space.n_atoms)}
+    masses = filt.space.masses
+    # tilde[atom] = input block id (at the current level) of the
+    # approximating block holding the atom
+    tilde = np.zeros(filt.space.n_atoms, dtype=np.int64)
     out_levels = [trivial_partition(filt.space)]
-    symdiffs: list[list[float]] = [[0.0]]
+    symdiffs = [np.zeros(1)]
 
     for j in range(1, n_levels + 1):
         prev, nxt = filt.levels[j - 1], filt.levels[j]
-        parent = None
-        for b, atoms in enumerate(prev.blocks()):
-            children = np.unique(nxt.block_of[atoms])
-            if children.size == 2:
-                parent = (b, int(children[0]), int(children[1]))
-                break
-        if parent is None:
-            raise AssertionError(f"level {j} splits no block of level {j - 1}")
-        b, c1, c2 = parent
-        tilde_b = tilde_map[b]
-        in_c1 = np.flatnonzero(nxt.block_of == c1)
+        parents, (b, c1, c2) = split_blocks(prev, nxt)
+        tilde_b = np.flatnonzero(tilde == b)
+        in_c1 = nxt.block_of[tilde_b] == c1
         s = tilde_b.size
         odd = s >> (s & -s).bit_length() - 1
-        i0 = int(np.isin(tilde_b, in_c1).sum())
+        i0 = int(in_c1.sum())
         lo = ((max(i0, 1) + odd - 1) // odd) * odd
         candidates = [
             i
@@ -480,42 +505,28 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
             return (i & -i).bit_length() + ((s - i) & -(s - i)).bit_length()
 
         i = max(candidates, key=lambda c: (valuations(c), -c))
-        inside = tilde_b[np.isin(tilde_b, in_c1)]
-        rest = tilde_b[~np.isin(tilde_b, in_c1)]
-        in_parent = np.isin(rest, np.flatnonzero(prev.block_of == b))
+        rest = tilde_b[~in_c1]
+        in_parent = prev.block_of[rest] == b
         # prefer junk atoms (outside the true parent) as filler so that the
         # complementary block keeps as much of B'' as possible
         filler = np.concatenate([rest[~in_parent], rest[in_parent]])
-        tilde_c1 = np.sort(np.concatenate([inside, filler[: i - i0]]))
-        tilde_c2 = np.sort(filler[i - i0 :])
 
-        new_map = {}
-        for bb in range(nxt.n_blocks):
-            if bb == c1:
-                new_map[bb] = tilde_c1
-            elif bb == c2:
-                new_map[bb] = tilde_c2
-            else:
-                # unchanged blocks keep their atoms; find them through prev
-                src = prev.block_of[np.flatnonzero(nxt.block_of == bb)[0]]
-                new_map[bb] = tilde_map[int(src)]
-        tilde_map = new_map
+        # unchanged blocks keep their parent's atoms under the new block id
+        relabel = np.empty(prev.n_blocks, dtype=np.int64)
+        relabel[parents] = np.arange(nxt.n_blocks)
+        tilde = relabel[tilde]
+        tilde[tilde_b] = c2
+        tilde[tilde_b[in_c1]] = c1
+        tilde[filler[: i - i0]] = c1
+        out_levels.append(Partition(tilde, filt.space))
 
-        labels = np.empty(filt.space.n_atoms, dtype=np.int64)
-        for bb, atoms in tilde_map.items():
-            labels[atoms] = bb
-        out_levels.append(Partition(labels, filt.space))
+        # mass of the atoms each block gains or loses; equal atom masses
+        # make these sums exact in any order
+        off = np.where(tilde != nxt.block_of, masses, 0.0)
+        nb = nxt.n_blocks
+        symdiffs.append(np.bincount(nxt.block_of, off, nb) + np.bincount(tilde, off, nb))
 
-        diffs = []
-        for bb in range(nxt.n_blocks):
-            true_atoms = np.flatnonzero(nxt.block_of == bb)
-            sym = np.setxor1d(true_atoms, tilde_map[bb])
-            diffs.append(float(np.sum(filt.space.masses[sym])))
-        symdiffs.append(diffs)
-
-    return DyadicHaarApproximation(
-        Filtration(tuple(out_levels)), [np.array(d) for d in symdiffs]
-    )
+    return DyadicHaarApproximation(Filtration(tuple(out_levels)), symdiffs)
 
 
 def perturb_last_split(filt: Filtration) -> Filtration:
@@ -528,15 +539,10 @@ def perturb_last_split(filt: Filtration) -> Filtration:
     if len(filt.levels) < 2:
         return filt
     prev, last = filt.levels[-2], filt.levels[-1]
-    parent = None
-    for b, atoms in enumerate(prev.blocks()):
-        children = np.unique(last.block_of[atoms])
-        if children.size == 2:
-            parent = (int(children[0]), int(children[1]))
-            break
-    if parent is None:
+    _, split = split_blocks(prev, last)
+    if split is None:
         return filt
-    c1, c2 = parent
+    _, c1, c2 = split
     atoms_c1 = np.flatnonzero(last.block_of == c1)
     atoms_c2 = np.flatnonzero(last.block_of == c2)
     labels = last.block_of.copy()
@@ -604,15 +610,7 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
     dyadic_levels = [0]
     for j in range(1, len(filt.levels)):
         prev, nxt = filt.levels[j - 1], filt.levels[j]
-        parent = None
-        for b, atoms in enumerate(prev.blocks()):
-            children = np.unique(nxt.block_of[atoms])
-            if children.size == 2:
-                parent = (b, int(children[0]), int(children[1]))
-                break
-        if parent is None:
-            raise AssertionError(f"level {j} splits no block of level {j - 1}")
-        b, c1, c2 = parent
+        parents, (b, c1, c2) = split_blocks(prev, nxt)
         pm = prev.block_masses()[b]
         cm = nxt.block_masses()
         ratio = _split_ratio(float(cm[c1]), float(pm))
@@ -631,16 +629,8 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
                 first.append((pos, pos + m * sub))
                 rest.append((pos + m * sub, pos + width))
                 pos += width
-        new_regions = {}
-        for bb in range(nxt.n_blocks):
-            if bb == c1:
-                new_regions[bb] = first
-            elif bb == c2:
-                new_regions[bb] = rest
-            else:
-                src = prev.block_of[np.flatnonzero(nxt.block_of == bb)[0]]
-                new_regions[bb] = regions[int(src)]
-        regions = new_regions
+        regions = {bb: regions[int(src)] for bb, src in enumerate(parents)}
+        regions[c1], regions[c2] = first, rest
         k_cur += r
         dyadic_levels.append(k_cur)
         level_regions.append(dict(regions))

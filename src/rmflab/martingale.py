@@ -154,10 +154,8 @@ def validate_predictable(v: PredictableProcess, filt: Filtration) -> None:
     for j, vj in enumerate(v.levels):
         if vj.size != filt.space.n_atoms:
             raise ValueError("multiplier length must match atom count")
-        prev = filt.levels[j]
-        for atoms in prev.blocks():
-            if np.any(vj[atoms] != vj[atoms[0]]):
-                raise ValueError(f"multiplier {j + 1} is not known at level {j}")
+        if not filt.levels[j].is_measurable(vj):
+            raise ValueError(f"multiplier {j + 1} is not known at level {j}")
 
 
 def martingale_transform(v: PredictableProcess, x: SimpleMartingale) -> SimpleMartingale:
@@ -186,11 +184,8 @@ class StoppingTime:
 
 def validate_stopping_time(tau: StoppingTime, filt: Filtration) -> None:
     for j, part in enumerate(filt.levels):
-        hit = tau.values == j
-        for atoms in part.blocks():
-            vals = hit[atoms]
-            if np.any(vals != vals[0]):
-                raise ValueError(f"{{tau = {j}}} is not measurable at level {j}")
+        if not part.is_measurable(tau.values == j):
+            raise ValueError(f"{{tau = {j}}} is not measurable at level {j}")
 
 
 def stopping_time_first(
@@ -208,10 +203,8 @@ def stopping_time_first(
         hit = np.asarray(trigger(j), dtype=bool)
         if hit.shape != (n_atoms,):
             raise ValueError("trigger must produce one boolean per atom")
-        if validate:
-            for atoms in x.filtration.levels[j].blocks():
-                if np.any(hit[atoms] != hit[atoms[0]]):
-                    raise ValueError(f"trigger at level {j} is not level-measurable")
+        if validate and not x.filtration.levels[j].is_measurable(hit):
+            raise ValueError(f"trigger at level {j} is not level-measurable")
         fresh = (tau == INF_TIME) & hit
         tau[fresh] = j
     return StoppingTime(tau)
@@ -243,14 +236,14 @@ def predictable_jump_norms(x: SimpleMartingale, atol: float = 1e-9) -> np.ndarra
     jumps = jump_norms(x)
     out = np.empty_like(jumps)
     for j in range(jumps.shape[0]):
-        for atoms in x.filtration.levels[j].blocks():
-            vals = jumps[j][atoms]
-            if float(np.max(vals) - np.min(vals)) > atol:
-                raise ValueError(
-                    "jump norms are not predictable; this construction is "
-                    "valid only for standard Haar martingales"
-                )
-            out[j][atoms] = np.max(vals)
+        part = x.filtration.levels[j]
+        hi, lo = part.block_extremes(jumps[j])
+        if np.any(hi - lo > atol):
+            raise ValueError(
+                "jump norms are not predictable; this construction is "
+                "valid only for standard Haar martingales"
+            )
+        out[j] = hi[part.block_of]
     return out
 
 

@@ -339,6 +339,10 @@ class TestDeterminism:
                 "rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2",
                 "--seed", "23", "--restarts", "2",
             ),
+            (
+                "reduce", "--seed", "23", "--steps", "2", "--subsample", "2",
+                "--grid-exponent", "7", "--eps", "0.5",
+            ),
         ],
     )
     def test_identical_reruns(self, tmp_path, argv):

@@ -39,6 +39,11 @@ def scalar_f(base, values):
     return StepFunction(np.asarray(values, dtype=float)[:, None], lp_space(1, 1), base)
 
 
+def first_occurrence_numbering(labels):
+    seen: dict[int, int] = {}
+    return [seen.setdefault(b, len(seen)) for b in labels]
+
+
 class TestDyadicFiltration:
     def test_k1_levels(self):
         space, filt = make_dyadic_filtration(1)
@@ -88,6 +93,17 @@ class TestRandomHaar:
         with pytest.raises(ValueError):
             random_haar_filtration(space, 1, kind="standard", seed=0)
 
+    def test_three_way_split_is_not_haar(self):
+        space = AtomicMeasureSpace(np.full(4, 0.25))
+        three = Partition(np.array([0, 1, 1, 2]), space)
+        assert not is_haar(Filtration((trivial_partition(space), three)))
+
+    def test_repeated_level_is_not_haar(self):
+        space = AtomicMeasureSpace(np.full(4, 0.25))
+        halves = Partition(np.array([0, 0, 1, 1]), space)
+        assert is_haar(Filtration((trivial_partition(space), halves)))
+        assert not is_haar(Filtration((trivial_partition(space), halves, halves)))
+
     def test_deterministic(self):
         space = AtomicMeasureSpace(np.full(8, 0.125))
         a = random_haar_filtration(space, 5, seed=11)
@@ -113,6 +129,23 @@ class TestConditionalExpectation:
         f = scalar_f(base, [4.0, 0.0])
         out = conditional_expectation(f, trivial_partition(base))
         np.testing.assert_allclose(out.values, 1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 9999), n=st.integers(1, 40), nb=st.integers(1, 6))
+    def test_matches_atom_order_reference(self, seed, n, nb):
+        # block sums accumulated atom by atom, as a plain loop would
+        rng = np.random.default_rng(seed)
+        base = AtomicMeasureSpace(rng.uniform(0.1, 1, n))
+        f = random_step_function(base, lp_space(2, 3), seed)
+        pi = Partition(rng.integers(0, nb, n), base)
+        want = np.empty_like(f.values)
+        for atoms in pi.blocks():
+            mass, total = 0.0, np.zeros(3)
+            for a in atoms:
+                mass += base.masses[a]
+                total += base.masses[a] * f.values[a]
+            want[atoms] = total / mass
+        np.testing.assert_array_equal(conditional_expectation(f, pi).values, want)
 
     def test_block_integrals_preserved(self):
         rng = np.random.default_rng(0)
@@ -192,6 +225,26 @@ class TestRefinement:
         assert not is_refinement(a, b)
         with pytest.raises(ValueError):
             Filtration((b, a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fine=st.lists(st.integers(-40, 40), min_size=1, max_size=30),
+        ids=st.lists(st.integers(-3, 3), min_size=81, max_size=81),
+        merged=st.booleans(),
+    )
+    def test_labels_and_refinement_match_reference(self, fine, ids, merged):
+        # merged: the coarse label is a function of the fine one, so the
+        # fine partition refines it; otherwise the coarse labels are free
+        coarse = [ids[b + 40] for b in fine] if merged else ids[: len(fine)]
+        base = AtomicMeasureSpace(np.ones(len(fine)))
+        f = Partition(np.array(fine), base)
+        c = Partition(np.array(coarse), base)
+        assert f.block_of.tolist() == first_occurrence_numbering(fine)
+        assert c.block_of.tolist() == first_occurrence_numbering(coarse)
+        pairs = set(zip(fine, coarse))
+        assert is_refinement(f, c) == (len({a for a, _ in pairs}) == len(pairs))
+        if merged:
+            assert is_refinement(f, c)
 
 
 class TestHaarEmbed:

@@ -178,6 +178,22 @@ class TestStoppingTimes:
             tau = stopping_time_first(x, norm_trigger(x, 0.4))
             validate_stopping_time(tau, x.filtration)
 
+    def test_unmeasurable_stopping_time_rejected(self):
+        x = dyadic_martingale(lp_space(2, 1), 2, 23)
+        # {tau = 1} is one atom, not a union of level-1 blocks
+        tau = StoppingTime(np.array([1, INF_TIME, INF_TIME, INF_TIME]))
+        with pytest.raises(ValueError, match="not measurable at level 1"):
+            validate_stopping_time(tau, x.filtration)
+
+    def test_unmeasurable_trigger_rejected(self):
+        x = dyadic_martingale(lp_space(2, 1), 2, 23)
+
+        def trigger(j):
+            return np.array([True, False, False, False])
+
+        with pytest.raises(ValueError, match="trigger at level 0 is not level-measurable"):
+            stopping_time_first(x, trigger, validate=True)
+
     def test_jump_trigger_requires_standard_haar(self):
         # dyadic (non-standard) splits make jump norms non-predictable
         for seed in range(20):
