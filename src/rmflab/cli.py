@@ -633,10 +633,9 @@ def _render_json(payload) -> str:
 
 def _render_csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 

@@ -2,9 +2,20 @@
 
 The search space is an n-tuple of vectors, each constrained to the unit
 sphere of the target space's own norm.  Gradients are numerical (central
-differences, step 1e-5) and projection is renormalization.  Restart order
-is deterministic and the first restart achieving the maximum within 1e-12
-wins, so results never depend on scheduling.
+differences, step 1e-5) and projection is renormalization.
+
+Objectives score stacks: they take a (batch, n, d) array of tuples and
+return the (batch,) values.  ``ascend`` runs all restarts in lock step.
+In each iteration one objective call scores the central-difference
+stencil of every restart still climbing, and the halving line-search
+ladder is scored ``rungs_per_call`` rungs at a time, the first improving
+rung winning.  Callers derive that block from the sign-table length of
+their objective (``rademacher.ladder_rungs``), so one call holds about as
+many sign-pattern rows as one chunk of a moment evaluator.  The stencil
+reproduces the rounding of moving one coordinate at a time by +h, -2h and
++h, so every restart takes the path it takes when run alone.  Restart
+order is deterministic and the first restart achieving the maximum within
+1e-12 wins, so results never depend on scheduling or batching.
 """
 
 from __future__ import annotations
@@ -13,21 +24,31 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .spaces import Space, norm_of, unit_vector
+from .spaces import Space, norms_of, unit_vector
 
 GRAD_STEP = 1e-5
 MAX_ITERS = 60
+MIN_STEP = 1e-7
+
+Objective = Callable[[np.ndarray], np.ndarray]
+
+
+def ratio_or_zero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0 and 0.0 elsewhere, without a warning."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 def _project_rows(mat: np.ndarray, space: Space) -> np.ndarray:
+    """Normalize every row of a (..., d) stack; a zero row becomes e_0 first."""
     out = np.array(mat, dtype=float)
-    for i in range(out.shape[0]):
-        n = norm_of(out[i], space)
-        if n == 0.0:
-            out[i] = 0.0
-            out[i, 0] = 1.0
-            n = norm_of(out[i], space)
-        out[i] /= n
+    rows = out.reshape(-1, out.shape[-1])
+    norms = norms_of(rows, space)
+    zero = norms == 0.0
+    if np.any(zero):
+        rows[zero] = 0.0
+        rows[zero, 0] = 1.0
+        norms[zero] = norms_of(rows[zero], space)
+    rows /= norms[:, None]
     return out
 
 
@@ -41,53 +62,111 @@ def canonical_starts(space: Space, n_vectors: int) -> list[np.ndarray]:
     return [_project_rows(coords, space), _project_rows(uniform, space)]
 
 
+def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference points of flat tuples ``x``, and ``x`` after them.
+
+    Point [s, 0, i] of the (starts, 2, m, m) stack moves coordinate i of
+    start s up by h and point [s, 1, i] moves it down; coordinates before
+    i already carry the +h, -2h, +h round trip, as when coordinates are
+    moved one at a time, and every coordinate carries it afterwards.
+    """
+    m = x.shape[1]
+    up = x + GRAD_STEP
+    down = up - 2 * GRAD_STEP
+    back = down + GRAD_STEP
+    base = np.where(np.tri(m, k=-1, dtype=bool), back[:, None, :], x[:, None, :])
+    moved = np.eye(m, dtype=bool)
+    points = np.stack(
+        [np.where(moved, up[:, None, :], base), np.where(moved, down[:, None, :], base)],
+        axis=1,
+    )
+    return points, back
+
+
 def ascend(
-    objective: Callable[[np.ndarray], float],
-    start: np.ndarray,
+    objective: Objective,
+    starts: np.ndarray,
     space: Space,
     tol: float,
-) -> tuple[float, np.ndarray]:
-    """Projected ascent from one starting tuple; returns (value, point)."""
-    x = _project_rows(start, space)
-    fx = objective(x)
-    step = 0.5
+    rungs_per_call: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected ascent from each tuple of a (starts, n, d) stack, in lock step.
+
+    Returns the (starts,) values and the (starts, n, d) points reached.
+    The line search halves the step from its last accepted length down to
+    ``MIN_STEP`` and takes the first rung that improves by more than
+    ``tol``; ``rungs_per_call`` rungs of every climbing start are scored
+    in one objective call.
+    """
+    x = _project_rows(starts, space)
+    n_starts, n, d = x.shape
+    m = n * d
+    fx = np.array(objective(x), dtype=float)
+    step = np.full(n_starts, 0.5)
+    active = np.arange(n_starts)
     for _ in range(MAX_ITERS):
-        grad = np.zeros_like(x)
-        for idx in np.ndindex(x.shape):
-            x[idx] += GRAD_STEP
-            up = objective(_project_rows(x, space))
-            x[idx] -= 2 * GRAD_STEP
-            down = objective(_project_rows(x, space))
-            x[idx] += GRAD_STEP
-            grad[idx] = (up - down) / (2 * GRAD_STEP)
-        gnorm = float(np.sqrt(np.sum(grad * grad)))
-        if gnorm == 0.0:
+        if active.size == 0:
             break
-        improved = False
-        while step >= 1e-7:
-            cand = _project_rows(x + step * grad / gnorm, space)
-            fc = objective(cand)
-            if fc > fx + tol:
-                x, fx = cand, fc
-                step *= 1.5
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
+        pts, back = _stencil(x[active].reshape(-1, m))
+        vals = np.asarray(objective(_project_rows(pts.reshape(-1, n, d), space))).reshape(-1, 2, m)
+        grad = (vals[:, 0] - vals[:, 1]) / (2 * GRAD_STEP)
+        gnorm = np.sqrt(np.sum(grad * grad, axis=1))
+        x[active] = back.reshape(-1, n, d)
+        moving = gnorm != 0.0
+        active, grad, gnorm = active[moving], grad[moving].reshape(-1, n, d), gnorm[moving]
+        improved = _line_search(objective, x, fx, step, active, grad, gnorm, space, tol, rungs_per_call)
+        active = active[improved]
     return fx, x
 
 
-def maximize_on_spheres(
-    objective: Callable[[np.ndarray], float],
+def _line_search(objective, x, fx, step, who, grad, gnorm, space, tol, rungs_per_call):
+    """Halving line search from x[who] along grad / gnorm; updates x, fx and step.
+
+    Rung k of a start tries step * 2^-k while that is at least
+    ``MIN_STEP``.  Returns a mask over ``who`` of the starts that improved.
+    """
+    xs, fxs, steps = x[who], fx[who], step[who]
+    searching = np.ones(who.size, dtype=bool)
+    rung = 0
+    while True:
+        alive = np.flatnonzero(searching)
+        if alive.size == 0:
+            break
+        top = np.ldexp(np.max(steps[alive]), -rung)
+        if top < MIN_STEP:
+            break
+        # no more rungs than the longest remaining ladder, which is all of it
+        # when rungs_per_call exceeds its length
+        block = min(rungs_per_call, int(np.log2(top / MIN_STEP)) + 2)
+        tries = np.ldexp(steps[alive, None], -np.arange(rung, rung + block))
+        si, ri = np.nonzero(tries >= MIN_STEP)
+        s = alive[si]
+        moves = tries[si, ri, None, None] * grad[s] / gnorm[s, None, None]
+        cand = _project_rows(xs[s] + moves, space)
+        fc = np.asarray(objective(cand))
+        # points run by start, then by rung, so a start's first hit is its first improving rung
+        hits = np.flatnonzero(fc > fxs[s] + tol)
+        first = np.ones(hits.size, dtype=bool)
+        first[1:] = s[hits[1:]] != s[hits[:-1]]
+        firsts = hits[first]
+        won = s[firsts]
+        xs[won] = cand[firsts]
+        fxs[won] = fc[firsts]
+        steps[won] = tries[si[firsts], ri[firsts]] * 1.5
+        searching[won] = False
+        rung += block
+    x[who], fx[who], step[who] = xs, fxs, steps
+    return ~searching
+
+
+def restart_stack(
     space: Space,
     n_vectors: int,
     restarts: int,
     seed: int,
-    tol: float,
     extra_starts: Iterable[np.ndarray] = (),
-) -> tuple[float, np.ndarray]:
-    """Best objective value over canonical, supplied, and random restarts."""
+) -> np.ndarray:
+    """Canonical, supplied, then seeded random starting tuples, stacked in order."""
     starts: list[np.ndarray] = list(canonical_starts(space, n_vectors))
     for s in extra_starts:
         starts.append(np.asarray(s, dtype=float).reshape(n_vectors, space.total_dim))
@@ -96,10 +175,29 @@ def maximize_on_spheres(
         starts.append(
             np.vstack([unit_vector(space, rng).coords for _ in range(n_vectors)])
         )
+    return np.stack(starts)
+
+
+def maximize_on_spheres(
+    objective: Objective,
+    space: Space,
+    n_vectors: int,
+    restarts: int,
+    seed: int,
+    tol: float,
+    extra_starts: Iterable[np.ndarray] = (),
+    *,
+    rungs_per_call: int,
+) -> tuple[float, np.ndarray]:
+    """Best objective value over canonical, supplied, and random restarts.
+
+    ``rungs_per_call`` is the line-search block of ``ascend``.
+    """
+    starts = restart_stack(space, n_vectors, restarts, seed, extra_starts)
+    vals, xs = ascend(objective, starts, space, tol, rungs_per_call)
     best_val = -np.inf
     best_x = starts[0]
-    for start in starts:
-        val, x = ascend(objective, start, space, tol)
+    for val, x in zip(vals, xs):
         if val > best_val + 1e-12:
-            best_val, best_x = val, x
+            best_val, best_x = float(val), x
     return best_val, best_x

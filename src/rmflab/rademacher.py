@@ -22,6 +22,8 @@ EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
 
 _CHUNK = 1 << 14
+# rows of the frozen Monte Carlo sign table of a moment evaluator, at most
+_MC_TABLE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -145,28 +147,63 @@ def rademacher_moment(vectors: list[Vector], p: float, cfg: EnumConfig) -> Momen
     return moment_from_matrix(vmat, space, p, cfg)
 
 
+def _table_rows(n: int, cfg: EnumConfig) -> int:
+    """Length of the sign table a moment evaluator of n vectors uses."""
+    if n <= cfg.exact_threshold:
+        return 1 << (n - 1)
+    return min(cfg.mc_samples, _MC_TABLE)
+
+
+def ladder_rungs(n: int, cfg: EnumConfig) -> int:
+    """Line-search rungs to score per objective call over n-vector moments.
+
+    One rung costs one sign table per restart, so a block of
+    ``_CHUNK // P`` rungs (at least one) keeps a call near one chunk.
+    """
+    return max(1, _CHUNK // _table_rows(n, cfg))
+
+
+def _table_moments(table: np.ndarray, vmats: np.ndarray, space: Space, p: float) -> np.ndarray:
+    """(mean over the table's rows of ||sign row @ vmat||^p)^(1/p) per tuple.
+
+    ``vmats`` is a (batch, n, dim) stack; tuples are taken in chunks so no
+    product holds more than max(P, _CHUNK) sign-pattern rows.
+    """
+    vmats = np.asarray(vmats, dtype=float)
+    rows = table.shape[0]
+    per = max(1, _CHUNK // rows)
+    blocks = [vmats[lo : lo + per] for lo in range(0, vmats.shape[0], per)]
+    out = []
+    for block in blocks:
+        combos = table @ block
+        vals = norms_of(combos.reshape(-1, combos.shape[-1]), space).reshape(-1, rows)
+        # the sum over the table divided by its length is np.mean, bit for bit
+        out.append((np.add.reduce(vals**p, axis=1) / rows) ** (1.0 / p))
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
 def make_moment_evaluator(n: int, space: Space, p: float, cfg: EnumConfig):
     """Fast repeated-evaluation closure for the p-th randomized moment.
 
-    Exact enumeration with a cached pattern table when n is within the
-    exact threshold; otherwise Monte Carlo with a frozen sign table
-    (common random numbers) so that optimizers see a smooth objective.
+    The closure maps a (batch, n, dim) stack of tuples to their (batch,)
+    moments.  Exact enumeration with a cached pattern table when n is
+    within the exact threshold; otherwise Monte Carlo with a frozen sign
+    table (common random numbers) so that optimizers see a smooth
+    objective.
     """
     if n <= cfg.exact_threshold:
         pats = sign_patterns(n)
 
-        def evaluate(vmat: np.ndarray) -> float:
-            vals = norms_of(pats @ vmat, space)
-            return float(np.mean(vals**p) ** (1.0 / p))
+        def evaluate(vmats: np.ndarray) -> np.ndarray:
+            return _table_moments(pats, vmats, space, p)
 
         return evaluate
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    signs = rng.integers(0, 2, size=(min(cfg.mc_samples, 1 << 15), n)) * 2.0 - 1.0
+    signs = rng.integers(0, 2, size=(_table_rows(n, cfg), n)) * 2.0 - 1.0
 
-    def evaluate_mc(vmat: np.ndarray) -> float:
-        vals = norms_of(signs @ vmat, space)
-        return float(np.mean(vals**p) ** (1.0 / p))
+    def evaluate_mc(vmats: np.ndarray) -> np.ndarray:
+        return _table_moments(signs, vmats, space, p)
 
     return evaluate_mc
 
@@ -186,12 +223,12 @@ def kk_ratio_estimate(
     moment_p = make_moment_evaluator(n, space, p, cfg)
     moment_q = make_moment_evaluator(n, space, q, cfg)
 
-    def objective(vmat: np.ndarray) -> float:
-        den = moment_q(vmat)
-        return moment_p(vmat) / den if den > 0 else 0.0
+    def objective(vmats: np.ndarray) -> np.ndarray:
+        return optim.ratio_or_zero(moment_p(vmats), moment_q(vmats))
 
     val, x = optim.maximize_on_spheres(
-        objective, space, n, cfg.restarts, cfg.seed, cfg.tol
+        objective, space, n, cfg.restarts, cfg.seed, cfg.tol,
+        rungs_per_call=ladder_rungs(n, cfg),
     )
     return RatioEstimate(val, [Vector(row, space) for row in x])
 
@@ -218,21 +255,22 @@ def type_cotype_estimate(
 
     moment2 = make_moment_evaluator(n, space, 2.0, cfg)
 
-    def lp_sum(vmat: np.ndarray) -> float:
-        ns = norms_of(vmat, space)
+    def lp_sums(vmats: np.ndarray) -> np.ndarray:
+        ns = norms_of(vmats.reshape(-1, space.total_dim), space).reshape(-1, n)
         if exponent == math.inf:
-            return float(np.max(ns))
-        return float(np.sum(ns**exponent) ** (1.0 / exponent))
+            return np.max(ns, axis=1)
+        return np.sum(ns**exponent, axis=1) ** (1.0 / exponent)
 
-    def objective(vmat: np.ndarray) -> float:
-        m2 = moment2(vmat)
-        s = lp_sum(vmat)
+    def objective(vmats: np.ndarray) -> np.ndarray:
+        m2 = moment2(vmats)
+        s = lp_sums(vmats)
         if kind == "type":
-            return m2 / s if s > 0 else 0.0
-        return s / m2 if m2 > 0 else 0.0
+            return optim.ratio_or_zero(m2, s)
+        return optim.ratio_or_zero(s, m2)
 
     val, x = optim.maximize_on_spheres(
-        objective, space, n, cfg.restarts, cfg.seed, cfg.tol
+        objective, space, n, cfg.restarts, cfg.seed, cfg.tol,
+        rungs_per_call=ladder_rungs(n, cfg),
     )
     return RatioEstimate(val, [Vector(row, space) for row in x])
 

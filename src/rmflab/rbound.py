@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optim
-from .rademacher import EnumConfig, make_moment_evaluator, sign_patterns
+from .rademacher import EnumConfig, ladder_rungs, make_moment_evaluator, sign_patterns
 from .spaces import HILBERT_OP, Space, Vector, lp_space, norms_of, singular_values
 
 HILBERT_EXACT = "hilbert_exact"
@@ -139,18 +139,16 @@ def optimized_scalar_lower(
         vector_moment = make_moment_evaluator(k, space, p, cfg)
         scalar_moment_eval = make_moment_evaluator(k, lp_space(1, 1), p, cfg)
 
-        def objective(lam2d: np.ndarray) -> float:
-            lam = lam2d[0]
-            den = scalar_moment_eval(lam[:, None])
-            if den <= 0:
-                return 0.0
-            return vector_moment(lam[:, None] * sel_mat) / den
+        def objective(lams: np.ndarray) -> np.ndarray:
+            lam = lams[:, 0, :, None]
+            return optim.ratio_or_zero(vector_moment(lam * sel_mat), scalar_moment_eval(lam))
 
         extra = []
         if warm_start is not None and tuple(warm_start.indices) == sel:
             extra.append(np.asarray(warm_start.coeffs, dtype=float).reshape(1, k))
         val, lam = optim.maximize_on_spheres(
-            objective, sphere, 1, cfg.restarts, cfg.seed, cfg.tol, extra_starts=extra
+            objective, sphere, 1, cfg.restarts, cfg.seed, cfg.tol, extra_starts=extra,
+            rungs_per_call=ladder_rungs(k, cfg),
         )
         if val > best + 1e-12:
             best = val
@@ -290,21 +288,19 @@ def rbound_operator(
             selections = selections[:_MAX_SELECTIONS]
             break
     for sel in selections:
-        mats = [omat[i].reshape(dim_e, dim_h) for i in sel]
+        mats = omat[list(sel)].reshape(-1, dim_e, dim_h)
         k = len(sel)
         out_moment = make_moment_evaluator(k, e, p, cfg)
         arg_moment = make_moment_evaluator(k, h, p, cfg)
 
-        def objective(xs: np.ndarray) -> float:
-            den = arg_moment(xs)
-            if den <= 0:
-                return 0.0
-            out = np.vstack([mats[j] @ xs[j] for j in range(k)])
-            return out_moment(out) / den
+        def objective(xs: np.ndarray) -> np.ndarray:
+            out = (mats @ xs[..., None])[..., 0]
+            return optim.ratio_or_zero(out_moment(out), arg_moment(xs))
 
         extra = [np.vstack([top_vecs[i] for i in sel])]
         val, xs = optim.maximize_on_spheres(
-            objective, h, k, cfg.restarts, cfg.seed, cfg.tol, extra_starts=extra
+            objective, h, k, cfg.restarts, cfg.seed, cfg.tol, extra_starts=extra,
+            rungs_per_call=ladder_rungs(k, cfg),
         )
         if val > best + 1e-12:
             best = val

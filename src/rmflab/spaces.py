@@ -143,8 +143,6 @@ def norm_of(coords: np.ndarray, space: Space) -> float:
     x = np.asarray(coords, dtype=float).ravel()
     if x.shape != (space.total_dim,):
         raise ValueError("coordinate length does not match space dimension")
-    if space.kind == LP:
-        return _lp(x, space.p)
     return float(norms_of(x, space)[0])
 
 
@@ -162,22 +160,12 @@ def norms_of(values: np.ndarray, space: Space) -> np.ndarray:
             return vals[:, 0]
     p = space.p
     if p == math.inf:
-        return np.max(np.abs(vals), axis=1)
+        return np.maximum.reduce(np.abs(vals), axis=1)
     if p == 2:
-        return np.sqrt(np.sum(vals * vals, axis=1))
+        return np.sqrt(np.add.reduce(vals * vals, axis=1))
     if p == 1:
-        return np.sum(np.abs(vals), axis=1)
-    return np.sum(np.abs(vals) ** p, axis=1) ** (1.0 / p)
-
-
-def _lp(x: np.ndarray, p: float) -> float:
-    if p == math.inf:
-        return float(np.max(np.abs(x)))
-    if p == 2:
-        return float(np.sqrt(np.sum(x * x)))
-    if p == 1:
-        return float(np.sum(np.abs(x)))
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+        return np.add.reduce(np.abs(vals), axis=1)
+    return np.add.reduce(np.abs(vals) ** p, axis=1) ** (1.0 / p)
 
 
 def random_unit_vector(space: Space, seed: int) -> Vector:

@@ -343,6 +343,11 @@ class TestDeterminism:
                 "reduce", "--seed", "23", "--steps", "2", "--subsample", "2",
                 "--grid-exponent", "7", "--eps", "0.5",
             ),
+            (
+                "typecotype", "--kind", "cotype", "--space",
+                '{"kind":"schatten","p":1,"rows":2,"cols":2}', "--exponent", "2",
+                "--count", "2", "--restarts", "4", "--seed", "23",
+            ),
         ],
     )
     def test_identical_reruns(self, tmp_path, argv):

@@ -13,6 +13,7 @@ from rmflab.spaces import (
     lp_space,
     norm,
     norm_of,
+    norms_of,
     random_unit_vector,
     schatten_space,
     singular_values,
@@ -139,6 +140,29 @@ def test_triangle_inequality_and_homogeneity(p, seed):
     t = rng.standard_normal()
     assert norm_of(x + y, space) <= norm_of(x, space) + norm_of(y, space) + 1e-10
     assert norm_of(t * x, space) == pytest.approx(abs(t) * norm_of(x, space), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    space=st.sampled_from(
+        [
+            lp_space(1, 3),
+            lp_space(2, 3),
+            lp_space(3, 3),
+            lp_space(math.inf, 3),
+            schatten_space(1, 2, 3),
+            schatten_space(3, 2, 2),
+            hilbert_op_space(3, 2),
+        ]
+    ),
+    seed=st.integers(0, 10_000),
+)
+def test_norm_of_is_the_row_norm_exactly(space, seed):
+    rows = np.random.default_rng(seed).standard_normal((7, space.total_dim))
+    stacked = norms_of(rows, space)
+    for x, want in zip(rows, stacked):
+        assert norm_of(x, space) == want
+        assert norms_of(x[None], space)[0] == want
 
 
 @settings(max_examples=30, deadline=None)
