@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from . import martingale as mart
 from . import maximal as maximal_mod
 from .filtration import (
     AtomicMeasureSpace,
+    Filtration,
     ResolutionError,
     StepFunction,
     boolean_isomorphism,
@@ -251,8 +253,6 @@ def cmd_reduce(args):
         kept = list(filt.levels[:: args.subsample])
         if kept[-1] != filt.levels[-1]:
             kept.append(filt.levels[-1])
-        from .filtration import Filtration
-
         filt = Filtration(tuple(kept))
     embedded, index_map = haar_embed(filt)
     approx = dyadic_haar_approximate(embedded, args.eps)
@@ -483,7 +483,7 @@ def cmd_concave(args):
 
 
 def _add_common(parser):
-    parser.add_argument("--config", help="JSON file with default argument values")
+    parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--exact-threshold", type=int, default=20, dest="exact_threshold")
     parser.add_argument("--mc-samples", type=int, default=100_000, dest="mc_samples")
@@ -493,26 +493,20 @@ def _add_common(parser):
     parser.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """Construct the CLI parser, with config-file values as defaults.
-
-    Subparsers parse into a fresh namespace, so config defaults must be
-    installed on every subparser rather than on the root parser.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="rmflab",
         description="numerical experiments with R-bounds, maximal functions, "
         "filtration reductions and martingale decompositions",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers: list[argparse.ArgumentParser] = []
 
     sp = sub.add_parser("randnorm", help="randomized moment of a vector set")
     sp.add_argument("--vectors", required=True, help="vector-set JSON file")
     sp.add_argument("--p", default="2")
     _add_common(sp)
-    sp.set_defaults(handler=cmd_randnorm)
-    subparsers.append(sp)
 
     sp = sub.add_parser("rbound", help="R-bound bracket of a vector set")
     sp.add_argument("--vectors", required=True)
@@ -521,8 +515,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--grid-step", type=float, default=None, dest="grid_step",
                     help="use the exhaustive grid oracle with this spacing")
     _add_common(sp)
-    sp.set_defaults(handler=cmd_rbound)
-    subparsers.append(sp)
 
     sp = sub.add_parser("typecotype", help="type/cotype constant estimate")
     sp.add_argument("--kind", choices=["type", "cotype"], required=True)
@@ -530,10 +522,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--exponent", required=True)
     sp.add_argument("--count", type=int, required=True, help="number of vectors")
     _add_common(sp)
-    sp.set_defaults(handler=cmd_typecotype)
-    subparsers.append(sp)
 
-    for name, handler in (("maximal", cmd_maximal), ("rmf-ratio", cmd_rmf_ratio)):
+    for name in ("maximal", "rmf-ratio"):
         sp = sub.add_parser(name, help=f"{name} over a dyadic filtration")
         sp.add_argument("--function", help="step-function JSON file")
         sp.add_argument("--space", help="inline space JSON (generated input)")
@@ -543,8 +533,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         if name == "rmf-ratio":
             sp.add_argument("--p", default="2")
         _add_common(sp)
-        sp.set_defaults(handler=handler)
-        subparsers.append(sp)
 
     sp = sub.add_parser(
         "reduce",
@@ -559,8 +547,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                     help="keep every n-th level so the embedding is nontrivial")
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":2}')
     _add_common(sp)
-    sp.set_defaults(handler=cmd_reduce)
-    subparsers.append(sp)
 
     sp = sub.add_parser("gundy", help="decomposition certificates over a family")
     sp.add_argument("--martingale", help="single-instance martingale JSON file")
@@ -572,8 +558,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--lambdas", default="0.25,1,4",
                     help="heights as multiples of the L1 bound")
     _add_common(sp)
-    sp.set_defaults(handler=cmd_gundy)
-    subparsers.append(sp)
 
     sp = sub.add_parser("goodlambda", help="pathwise good-lambda experiments")
     sp.add_argument("--instances", type=int, default=20)
@@ -585,8 +569,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.1)
     sp.add_argument("--lambda-points", type=int, default=10, dest="lambda_points")
     _add_common(sp)
-    sp.set_defaults(handler=cmd_goodlambda)
-    subparsers.append(sp)
 
     sp = sub.add_parser("weak-rmf", help="empirical weak-type constant of a family")
     sp.add_argument("--instances", type=int, default=10)
@@ -598,8 +580,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=4.0)
     sp.add_argument("--delta", type=float, default=0.01)
     _add_common(sp)
-    sp.set_defaults(handler=cmd_weak_rmf)
-    subparsers.append(sp)
 
     sp = sub.add_parser("concave", help="check a candidate majorant on samples")
     sp.add_argument("--samples", required=True, help="concave-samples JSON file")
@@ -607,12 +587,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--p", default="2")
     sp.add_argument("--c", type=float, default=1.0)
     _add_common(sp)
-    sp.set_defaults(handler=cmd_concave)
-    subparsers.append(sp)
 
-    if config:
-        for s in subparsers:
-            s.set_defaults(**config)
     return parser
 
 
@@ -639,25 +614,47 @@ def _render_csv(rows) -> str:
     return buf.getvalue()
 
 
+def _config_flags(subcommand: str, config: dict) -> list[str]:
+    """Config entries as ``--flag=value`` tokens for the flags ``subcommand`` takes.
+
+    Dicts become JSON text, ``true`` the bare flag and ``false`` no token, so
+    argparse applies each flag's type, choices and required check as it does
+    to typed flags.  argparse keeps a subcommand's flags only in private tables.
+    """
+    sub = build_parser()._subparsers._group_actions[0].choices.get(subcommand)
+    flags = sub._option_string_actions if sub else {}
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags or value is False:
+            continue
+        if value is True:
+            tokens.append(flag)
+        else:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # load config defaults first so explicit flags still win
-    cfg_obj = None
     if "--config" in argv:
         idx = argv.index("--config")
         if idx + 1 >= len(argv):
             print("--config needs a path", file=sys.stderr)
             return _EXIT_SCHEMA
         try:
-            cfg_obj = _load_json(argv[idx + 1], "config")
+            config = _load_json(argv[idx + 1], "config")
         except SchemaViolation as err:
             print(str(err), file=sys.stderr)
             return _EXIT_SCHEMA
-    parser = build_parser(cfg_obj)
-    args = parser.parse_args(argv)
+        # right after the subcommand name, so explicit flags still win
+        argv[1:1] = _config_flags(argv[0], config)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a rebinding of a handler (tracing) is seen
+    handler = globals()["cmd_" + args.subcommand.replace("-", "_")]
 
     try:
-        payload, rows = args.handler(args)
+        payload, rows = handler(args)
     except SchemaViolation as err:
         print(str(err), file=sys.stderr)
         return _EXIT_SCHEMA

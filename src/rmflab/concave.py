@@ -26,6 +26,7 @@ from .filtration import (
     Partition,
     ResolutionError,
     StepFunction,
+    _grid_exponent,
     is_standard_haar,
     trivial_partition,
 )
@@ -93,14 +94,6 @@ def _require_starting_constant(x: SimpleMartingale) -> np.ndarray:
     return first[0]
 
 
-def _grid_exponent_of(base: AtomicMeasureSpace) -> int:
-    n = base.n_atoms
-    k = n.bit_length() - 1
-    if (1 << k) != n or not np.all(base.masses == base.masses[0]):
-        raise ValueError("splicing requires equal-mass 2^k unit-interval grids")
-    return k
-
-
 def _pad_levels(x: SimpleMartingale, target: int) -> SimpleMartingale:
     """Repeat the last level (a lazy extension is still a martingale)."""
     if x.n_steps >= target:
@@ -109,6 +102,38 @@ def _pad_levels(x: SimpleMartingale, target: int) -> SimpleMartingale:
     levels = x.levels + tuple(x.levels[-1] for _ in range(extra))
     parts = x.filtration.levels + tuple(x.filtration.levels[-1] for _ in range(extra))
     return SimpleMartingale(Filtration(parts), levels)
+
+
+def _glued(
+    x1: SimpleMartingale,
+    x2: SimpleMartingale,
+    k_out: int,
+    n_left: int,
+    mean: np.ndarray,
+    pairs: list[tuple[int, int]],
+) -> SimpleMartingale:
+    """x1 on the first n_left atoms of an equal-mass 2^k_out grid, x2 on the rest.
+
+    Level 0 is the constant ``mean``; after it, pair (j1, j2) gives one
+    level holding level j1 of x1 on the left atoms and level j2 of x2 on
+    the right, each input atom spread over an equal run of output atoms.
+    """
+    n_out = 1 << k_out
+    base = AtomicMeasureSpace(np.full(n_out, 2.0**-k_out))
+    pull_left = np.arange(n_left) // (n_left // x1.base.n_atoms)
+    pull_right = np.arange(n_out - n_left) // ((n_out - n_left) // x2.base.n_atoms)
+    parts = [trivial_partition(base)]
+    vals = [np.tile(mean, (n_out, 1))]
+    for j1, j2 in pairs:
+        left_labels = x1.filtration.levels[j1].block_of[pull_left]
+        right_labels = x2.filtration.levels[j2].block_of[pull_right]
+        labels = np.concatenate([left_labels, right_labels + left_labels.max() + 1])
+        parts.append(Partition(labels, base))
+        vals.append(
+            np.concatenate([x1.levels[j1].values[pull_left], x2.levels[j2].values[pull_right]])
+        )
+    levels = tuple(StepFunction(v, x1.space, base) for v in vals)
+    return SimpleMartingale(Filtration(tuple(parts)), levels)
 
 
 def splice(
@@ -132,8 +157,8 @@ def splice(
     steps = max(x1.n_steps, x2.n_steps)
     x1 = _pad_levels(x1, steps)
     x2 = _pad_levels(x2, steps)
-    k1 = _grid_exponent_of(x1.base)
-    k2 = _grid_exponent_of(x2.base)
+    k1 = _grid_exponent(x1.base)
+    k2 = _grid_exponent(x2.base)
     m = frac.denominator.bit_length() - 1
     a = frac.numerator
     k_out = m + max(k1, k2, 1)
@@ -143,31 +168,8 @@ def splice(
         raise ResolutionError(
             f"alpha={alpha} needs a 2^{k_out} grid", required_k=k_out
         )
-    n_out = 1 << k_out
-    n_left = a << (k_out - m)
-    base = AtomicMeasureSpace(np.full(n_out, 2.0**-k_out))
-
-    pull_left = np.arange(n_left) // (n_left >> k1)
-    n_right = n_out - n_left
-    pull_right = np.arange(n_right) // (n_right // (1 << k2))
-
-    space = x1.space
     mean = alpha * t1 + (1 - alpha) * t2
-    out_parts: list[Partition] = [trivial_partition(base)]
-    out_vals: list[np.ndarray] = [np.tile(mean, (n_out, 1))]
-    for j in range(steps + 1):
-        left_labels = x1.filtration.levels[j].block_of[pull_left]
-        right_labels = x2.filtration.levels[j].block_of[pull_right]
-        labels = np.concatenate(
-            [left_labels, right_labels + left_labels.max() + 1]
-        )
-        out_parts.append(Partition(labels, base))
-        vals = np.concatenate(
-            [x1.levels[j].values[pull_left], x2.levels[j].values[pull_right]]
-        )
-        out_vals.append(vals)
-    levels = tuple(StepFunction(v, space, base) for v in out_vals)
-    return SimpleMartingale(Filtration(tuple(out_parts)), levels)
+    return _glued(x1, x2, k_out, a << (k_out - m), mean, [(j, j) for j in range(steps + 1)])
 
 
 def haar_splice(x1: SimpleMartingale, x2: SimpleMartingale) -> SimpleMartingale:
@@ -187,40 +189,12 @@ def haar_splice(x1: SimpleMartingale, x2: SimpleMartingale) -> SimpleMartingale:
     steps = max(x1.n_steps, x2.n_steps)
     x1 = extend_standard_haar(x1, steps - x1.n_steps)
     x2 = extend_standard_haar(x2, steps - x2.n_steps)
-    k1 = _grid_exponent_of(x1.base)
-    k2 = _grid_exponent_of(x2.base)
+    k1 = _grid_exponent(x1.base)
+    k2 = _grid_exponent(x2.base)
     k_out = max(k1, k2, 1) + 1
-    n_out = 1 << k_out
-    half = n_out // 2
-    base = AtomicMeasureSpace(np.full(n_out, 2.0**-k_out))
-    pull_left = np.arange(half) // (half >> k1)
-    pull_right = np.arange(half) // (half >> k2)
-    space = x1.space
-
-    def glued(j_left: int, j_right: int) -> tuple[Partition, np.ndarray]:
-        left_labels = x1.filtration.levels[j_left].block_of[pull_left]
-        right_labels = x2.filtration.levels[j_right].block_of[pull_right]
-        labels = np.concatenate([left_labels, right_labels + left_labels.max() + 1])
-        vals = np.concatenate(
-            [x1.levels[j_left].values[pull_left], x2.levels[j_right].values[pull_right]]
-        )
-        return Partition(labels, base), vals
-
-    mean = 0.5 * (t1 + t2)
-    out_parts = [trivial_partition(base)]
-    out_vals = [np.tile(mean, (n_out, 1))]
-    part, vals = glued(0, 0)
-    out_parts.append(part)
-    out_vals.append(vals)
-    for j in range(1, steps + 1):
-        part, vals = glued(j, j - 1)
-        out_parts.append(part)
-        out_vals.append(vals)
-        part, vals = glued(j, j)
-        out_parts.append(part)
-        out_vals.append(vals)
-    levels = tuple(StepFunction(v, space, base) for v in out_vals)
-    return SimpleMartingale(Filtration(tuple(out_parts)), levels)
+    # x1 takes a step, then x2 catches up, so each level splits one block
+    pairs = [(0, 0)] + [pair for j in range(1, steps + 1) for pair in ((j, j - 1), (j, j))]
+    return _glued(x1, x2, k_out, 1 << (k_out - 1), 0.5 * (t1 + t2), pairs)
 
 
 def extend_standard_haar(x: SimpleMartingale, extra_steps: int) -> SimpleMartingale:

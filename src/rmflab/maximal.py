@@ -212,15 +212,8 @@ def fubini_heredity_check(
     lhs_report = rademacher_maximal(folded, outer_filtration, cfg, rbound_p=p)
     lhs = lhs_report.pointwise
 
-    levels = len(outer_filtration.levels)
-    fiber_stack = np.empty((levels, n_out, n_in))
-    for j in range(levels):
-        ce = conditional_expectation(
-            StepFunction(table, lp_space(1, n_in), product.outer),
-            outer_filtration.levels[j],
-        )
-        fiber_stack[j] = ce.values
-    fiber_max = np.max(np.abs(fiber_stack), axis=0)
+    fibers = StepFunction(table, lp_space(1, n_in), product.outer)
+    fiber_max = np.max(np.abs(_ce_stack(fibers, outer_filtration, None)), axis=0)
     rhs = (fiber_max**p @ product.inner.masses) ** (1.0 / p)
 
     violation = float(np.max(lhs - rhs))

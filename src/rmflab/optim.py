@@ -135,6 +135,7 @@ def _line_search(objective, x, fx, step, who, grad, gnorm, space, tol, rungs_per
         top = np.ldexp(np.max(steps[alive]), -rung)
         if top < MIN_STEP:
             break
+        # most starts stop by rung 2, but at small P per-call overhead outweighs unused rungs
         # no more rungs than the longest remaining ladder, which is all of it
         # when rungs_per_call exceeds its length
         block = min(rungs_per_call, int(np.log2(top / MIN_STEP)) + 2)

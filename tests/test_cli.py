@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmflab import rbound
-from rmflab.cli import main
+from rmflab.cli import build_parser, main
 
 L1_PLANE = '{"kind":"lp","p":1,"dim":2}'
 
@@ -377,3 +378,67 @@ class TestDeterminism:
         code, _, err = run(capsys, "gundy", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+
+class TestConfigFlags:
+    """Config entries are parsed as the flags they name."""
+
+    def config(self, tmp_path, obj):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_space_object_matches_flag(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, {"space": {"kind": "lp", "p": 1, "dim": 2}})
+        common = ("--instances", "2", "--seed", "3")
+        code1, out1, _ = run(capsys, "gundy", "--config", cfg, *common)
+        code2, out2, _ = run(capsys, "gundy", "--space", L1_PLANE, *common)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_vectors_satisfies_required_flag(self, capsys, tmp_path, l1_basis_file):
+        cfg = self.config(tmp_path, {"vectors": l1_basis_file, "seed": 1})
+        code1, out1, _ = run(capsys, "rbound", "--config", cfg)
+        code2, out2, _ = run(capsys, "rbound", "--vectors", l1_basis_file, "--seed", "1")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_number_takes_the_flag_type(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, {"beta": 4})
+        common = ("--instances", "1", "--seed", "2", "--lambda-points", "2")
+        code1, out1, _ = run(capsys, "goodlambda", "--config", cfg, *common)
+        code2, out2, _ = run(capsys, "goodlambda", "--beta", "4", *common)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert '"beta": 4.0' in out1
+
+    def test_key_the_subcommand_lacks_is_ignored(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, {"vectors": "absent.json", "seed": 3, "instances": 2})
+        code1, out1, _ = run(capsys, "gundy", "--config", cfg)
+        code2, out2, _ = run(capsys, "gundy", "--seed", "3", "--instances", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_bad_choice_exits_2(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, {"kind": "neither"})
+        with pytest.raises(SystemExit) as exc:
+            main(["typecotype", "--config", cfg, "--space", L1_PLANE,
+                  "--exponent", "2", "--count", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--kind" in capsys.readouterr().err
+
+    def test_one_parser_per_process(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            seen.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        build_parser.cache_clear()
+        cfg = self.config(tmp_path, {"seed": 1, "instances": 1})
+        assert run(capsys, "gundy", "--config", cfg)[0] == 0
+        assert run(capsys, "weak-rmf", "--instances", "1", "--seed", "1")[0] == 0
+        assert build_parser.cache_info().misses == 1
+        assert len(seen) == 2 and all(p is build_parser() for p in seen)
