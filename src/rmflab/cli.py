@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -61,6 +62,8 @@ def _load_json(path: str, schema: str):
         raise SchemaViolation(
             f"{path}: malformed JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except OSError as err:
+        raise SchemaViolation(f"{schema} file {path!r}: {err.strerror}") from err
     validate(obj, schema, source=path)
     return obj
 
@@ -459,24 +462,7 @@ def cmd_concave(args):
         "candidate": args.candidate,
         "p": p,
         "c": args.c,
-        "properties": {
-            "majorizes_penalty": {
-                "passed": report.majorizes_penalty.passed,
-                "worst_slack": report.majorizes_penalty.worst_slack,
-            },
-            "diagonal_nonpositive": {
-                "passed": report.diagonal_nonpositive.passed,
-                "worst_slack": report.diagonal_nonpositive.worst_slack,
-            },
-            "absorbs_point": {
-                "passed": report.absorbs_point.passed,
-                "worst_slack": report.absorbs_point.worst_slack,
-            },
-            "midpoint_concave": {
-                "passed": report.midpoint_concave.passed,
-                "worst_slack": report.midpoint_concave.worst_slack,
-            },
-        },
+        "properties": dataclasses.asdict(report),
         "all_passed": report.all_passed(),
     }
     return payload, None
@@ -614,15 +600,40 @@ def _render_csv(rows) -> str:
     return buf.getvalue()
 
 
+def _flags_of(subcommand: str) -> dict:
+    """Option string -> action of ``subcommand``, empty for an unknown name.
+
+    argparse keeps a subcommand's flags only in private tables.
+    """
+    sub = build_parser()._subparsers._group_actions[0].choices.get(subcommand)
+    return sub._option_string_actions if sub else {}
+
+
+def _config_path(argv: list[str]) -> str | None:
+    """Path given to the config flag as argparse reads it, or None.
+
+    The flag is ``--config PATH``, ``--config=PATH`` or an abbreviation no
+    other flag of the subcommand shares (``--conf``); an exact flag such as
+    ``concave --c`` keeps its own meaning.  The last one given wins, as in
+    argparse.  Without a path argparse reports it.
+    """
+    flags = _flags_of(argv[0]) if argv else {}
+    path = None
+    for idx, token in enumerate(argv[1:], 1):
+        name, eq, value = token.partition("=")
+        if ([name] if name in flags else [f for f in flags if f.startswith(name)]) == ["--config"]:
+            path = value if eq else (argv[idx + 1] if idx + 1 < len(argv) else None)
+    return path
+
+
 def _config_flags(subcommand: str, config: dict) -> list[str]:
     """Config entries as ``--flag=value`` tokens for the flags ``subcommand`` takes.
 
     Dicts become JSON text, ``true`` the bare flag and ``false`` no token, so
     argparse applies each flag's type, choices and required check as it does
-    to typed flags.  argparse keeps a subcommand's flags only in private tables.
+    to typed flags.
     """
-    sub = build_parser()._subparsers._group_actions[0].choices.get(subcommand)
-    flags = sub._option_string_actions if sub else {}
+    flags = _flags_of(subcommand)
     tokens = []
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
@@ -637,13 +648,10 @@ def _config_flags(subcommand: str, config: dict) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("--config needs a path", file=sys.stderr)
-            return _EXIT_SCHEMA
+    path = _config_path(argv)
+    if path is not None:
         try:
-            config = _load_json(argv[idx + 1], "config")
+            config = _load_json(path, "config")
         except SchemaViolation as err:
             print(str(err), file=sys.stderr)
             return _EXIT_SCHEMA

@@ -284,7 +284,10 @@ def prefix_rbounds(x: SimpleMartingale, cfg: EnumConfig | None = None) -> np.nda
     """R({X_k : 1 <= k <= j}) per atom for j = 1..N, shape (n_steps, atoms).
 
     Exact (running maximal norm) on Hilbert ranges; otherwise searched
-    lower bounds over the prefix chain.
+    lower bounds, one sphere per prefix, made nondecreasing in j: a lower
+    bound for a prefix is one for every longer prefix.  The last row is
+    therefore at least ``maximal_stars(x, cfg).rademacher_star``, which
+    searches the full set alone, and exceeds it only by search noise.
     """
     if cfg is None:
         cfg = EnumConfig()
@@ -292,7 +295,7 @@ def prefix_rbounds(x: SimpleMartingale, cfg: EnumConfig | None = None) -> np.nda
     out = np.empty(stack.shape[:2])
     for j in range(stack.shape[0]):
         out[j] = atomwise_rbound(stack[: j + 1], x.space, cfg)[0]
-    return out
+    return np.maximum.accumulate(out, axis=0)
 
 
 def stopped_value(x: SimpleMartingale, tau: StoppingTime) -> StepFunction:
@@ -499,10 +502,6 @@ class GoodLambdaReport:
     rhs_probability: float
     alpha: float
     transform: SimpleMartingale
-
-    @property
-    def measure_inequality_holds(self) -> bool:
-        return self.lhs_probability <= self.alpha * self.rhs_probability + 1e-12
 
 
 def good_lambda_experiment(

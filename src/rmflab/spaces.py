@@ -100,11 +100,6 @@ class Vector:
                 f"dimension {self.space.total_dim}"
             )
 
-    def as_matrix(self) -> np.ndarray:
-        if self.space.kind == LP:
-            raise ValueError("sequence-space vectors have no matrix form")
-        return self.coords.reshape(self.space.rows, self.space.cols)
-
 
 def dual_exponent(p: float) -> float:
     """Hoelder conjugate: 1/p + 1/p' = 1, with 1 and inf dual to each other."""

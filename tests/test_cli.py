@@ -171,13 +171,13 @@ class TestMaximalCommands:
 
     def test_rmf_ratio_searches_each_atom_column_once(self, capsys, monkeypatch):
         searched = []
-        search = rbound.optimized_scalar_lower
+        search = rbound._sphere_lower
 
-        def counting(vectors, *args, **kwargs):
-            searched.append(np.stack([v.coords for v in vectors]).tobytes())
-            return search(vectors, *args, **kwargs)
+        def counting(rows, *args, **kwargs):
+            searched.append(rows.tobytes())
+            return search(rows, *args, **kwargs)
 
-        monkeypatch.setattr(rbound, "optimized_scalar_lower", counting)
+        monkeypatch.setattr(rbound, "_sphere_lower", counting)
         code, _, _ = run(
             capsys, "rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2",
             "--seed", "5", "--restarts", "2",
@@ -426,6 +426,40 @@ class TestConfigFlags:
                   "--exponent", "2", "--count", "2", "--seed", "1"])
         assert exc.value.code == 2
         assert "--kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", [["--config={}"], ["--conf", "{}"]], ids=["equals", "abbrev"])
+    def test_equals_and_abbreviated_forms_load_the_file(self, capsys, tmp_path, form):
+        cfg = self.config(tmp_path, {"instances": 1, "seed": 3})
+        code1, out1, _ = run(capsys, "gundy", *(token.format(cfg) for token in form))
+        code2, out2, _ = run(capsys, "gundy", "--instances", "1", "--seed", "3")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gundy", "--config="], ["gundy", "--config", "missing.json"],
+         ["rbound", "--vectors", "missing.json", "--seed", "1"]],
+        ids=["empty", "missing-config", "missing-vectors"],
+    )
+    def test_unreadable_file_is_a_schema_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "No such file" in err and "Traceback" not in err
+
+    def test_last_config_flag_wins(self, capsys, tmp_path):
+        first = self.config(tmp_path, {"instances": 1, "seed": 3})
+        last = tmp_path / "last.json"
+        last.write_text(json.dumps({"instances": 1, "seed": 4}))
+        code1, out1, _ = run(capsys, "gundy", "--config", first, "--config", str(last))
+        code2, out2, _ = run(capsys, "gundy", "--instances", "1", "--seed", "4")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_exact_flag_is_not_read_as_config(self, capsys, samples_file):
+        code, out, _ = run(capsys, "concave", "--samples", samples_file, "--c", "2.5")
+        assert code == 0
+        assert json.loads(out)["c"] == 2.5
 
     def test_one_parser_per_process(self, capsys, tmp_path, monkeypatch):
         seen = []

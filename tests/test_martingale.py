@@ -481,6 +481,24 @@ def test_prefix_rbounds_match_stars_at_final_level():
     np.testing.assert_allclose(prefixes[-1], stars.rademacher_star, atol=1e-12)
 
 
+def test_prefix_rbounds_cover_stars_at_final_level_on_l1():
+    # the final prefix is the full set's search, raised by any shorter
+    # prefix's search that ended higher; at this seed one atom by 1.7e-11
+    x = random_haar_martingale(lp_space(1, 3), 4, 6, seed=122)
+    prefixes = prefix_rbounds(x, FAST)
+    stars = maximal_stars(x, FAST)
+    assert np.all(prefixes[-1] >= stars.rademacher_star)
+    np.testing.assert_allclose(prefixes[-1], stars.rademacher_star, atol=1e-9)
+
+
+def test_prefix_rbounds_nondecreasing_on_l1():
+    # a lower bound for a prefix is one for every longer prefix
+    x = random_haar_martingale(lp_space(1, 3), 4, 6, seed=122)
+    prefixes = prefix_rbounds(x, FAST)
+    assert prefixes.shape == (6, x.base.n_atoms)
+    assert np.all(np.diff(prefixes, axis=0) >= 0)
+
+
 def test_martingale_json_roundtrip():
     from rmflab.martingale import martingale_from_json, martingale_to_json
 
