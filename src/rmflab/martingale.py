@@ -284,18 +284,32 @@ def prefix_rbounds(x: SimpleMartingale, cfg: EnumConfig | None = None) -> np.nda
     """R({X_k : 1 <= k <= j}) per atom for j = 1..N, shape (n_steps, atoms).
 
     Exact (running maximal norm) on Hilbert ranges; otherwise searched
-    lower bounds, one sphere per prefix, made nondecreasing in j: a lower
-    bound for a prefix is one for every longer prefix.  The last row is
-    therefore at least ``maximal_stars(x, cfg).rademacher_star``, which
-    searches the full set alone, and exceeds it only by search noise.
+    lower bounds from one kernel call over every prefix, made
+    nondecreasing in j: a lower bound for a prefix is one for every longer
+    prefix.  The last row is therefore at least
+    ``maximal_stars(x, cfg).rademacher_star``, which searches the full set
+    alone, and exceeds it only by search noise.
     """
     if cfg is None:
         cfg = EnumConfig()
     stack = x.values_stack()[1:]
-    out = np.empty(stack.shape[:2])
-    for j in range(stack.shape[0]):
-        out[j] = atomwise_rbound(stack[: j + 1], x.space, cfg)[0]
-    return np.maximum.accumulate(out, axis=0)
+    if stack.shape[0] == 0:
+        return np.empty(stack.shape[:2])
+    if x.space.is_hilbert:
+        return np.maximum.accumulate(np.stack([norms_of(level, x.space) for level in stack]), axis=0)
+    prefixes = [stack[: j + 1] for j in range(stack.shape[0])]
+    lower = atomwise_rbound(_side_by_side(prefixes), x.space, cfg)[0]
+    return np.maximum.accumulate(lower.reshape(stack.shape[:2]), axis=0)
+
+
+def _side_by_side(stacks: list[np.ndarray]) -> np.ndarray:
+    """(levels, atoms, dim) stacks joined along atoms, each padded to the
+    longest by repeating its last level.
+
+    ``atomwise_rbound`` drops repeated rows, so every atom keeps its bracket.
+    """
+    depth = max(s.shape[0] for s in stacks)
+    return np.concatenate([s[np.minimum(np.arange(depth), len(s) - 1)] for s in stacks], axis=1)
 
 
 def stopped_value(x: SimpleMartingale, tau: StoppingTime) -> StepFunction:
@@ -333,6 +347,11 @@ class MartingaleStars:
     p: float
 
 
+def _star_levels(x: SimpleMartingale) -> np.ndarray:
+    """The levels X_j, j >= 1, whose atomwise norms and R-bound are the stars."""
+    return x.values_stack()[1:] if x.n_steps >= 1 else x.values_stack()
+
+
 def maximal_stars(
     x: SimpleMartingale, cfg: EnumConfig | None = None, p: float = 1.0
 ) -> MartingaleStars:
@@ -340,7 +359,7 @@ def maximal_stars(
     together with ||X||_p."""
     if cfg is None:
         cfg = EnumConfig()
-    stack = x.values_stack()[1:] if x.n_steps >= 1 else x.values_stack()
+    stack = _star_levels(x)
     star = np.max(np.stack([norms_of(s, x.space) for s in stack]), axis=0)
     lower, upper, mode = atomwise_rbound(stack, x.space, cfg)
     return MartingaleStars(star, lower, upper, mode, x.lp_bound(p), p)
@@ -632,23 +651,28 @@ class WeakRmfReport:
 
 
 def weak_ratio(x: SimpleMartingale, cfg: EnumConfig | None = None) -> tuple[float, str]:
-    """sup over lam > 0 of lam P(X_R* > lam) / ||X||_1 for one martingale.
+    """sup over lam > 0 of lam P(X_R* > lam) / ||X||_1 for one martingale."""
+    stars = maximal_stars(x, cfg)
+    return _weak_ratio_of(x, stars.rademacher_star), stars.mode
+
+
+def _weak_ratio_of(x: SimpleMartingale, rstar: np.ndarray) -> float:
+    """sup over lam > 0 of lam P(X_R* > lam) / ||X||_1, given X_R*.
 
     The survival function is a step function, so the supremum is attained
     approaching the distinct values of X_R* from below and is computed
     exactly from the jump points.
     """
-    stars = maximal_stars(x, cfg)
     l1 = x.lp_bound(1)
     if l1 == 0:
         raise ValueError("weak ratio of the zero martingale is undefined")
     masses = x.base.masses
     best = 0.0
-    for v in np.unique(stars.rademacher_star):
+    for v in np.unique(rstar):
         if v <= 0:
             continue
-        best = max(best, v * float(np.sum(masses[stars.rademacher_star >= v])))
-    return best / l1, stars.mode
+        best = max(best, v * float(np.sum(masses[rstar >= v])))
+    return best / l1
 
 
 def martingale_to_json(x: SimpleMartingale) -> dict:
@@ -683,13 +707,27 @@ def weak_rmf_probe(
     delta: float = 0.01,
 ) -> WeakRmfReport:
     """Empirical weak-RMF constant over a family, plus the strong-type
-    constant the good-lambda argument would give for that constant."""
+    constant the good-lambda argument would give for that constant.
+
+    The martingales of one space take their stars X_R* from one kernel
+    call, with their atoms side by side."""
     if cfg is None:
         cfg = EnumConfig()
+    by_space: dict[Space, list[int]] = {}
+    for i, x in enumerate(martingales):
+        by_space.setdefault(x.space, []).append(i)
+    stars: dict[int, tuple[np.ndarray, str]] = {}
+    for space, members in by_space.items():
+        stacks = [_star_levels(martingales[i]) for i in members]
+        lower, _, mode = atomwise_rbound(_side_by_side(stacks), space, cfg)
+        ends = np.cumsum([s.shape[1] for s in stacks])[:-1]
+        for i, rstar in zip(members, np.split(lower, ends)):
+            stars[i] = (rstar, mode)
     rows = []
     best = 0.0
     for i, x in enumerate(martingales):
-        ratio, mode = weak_ratio(x, cfg)
+        rstar, mode = stars[i]
+        ratio = _weak_ratio_of(x, rstar)
         rows.append(WeakRmfRow(i, x.lp_bound(1), ratio, mode))
         best = max(best, ratio)
     strong = strong_type_constant(p, beta, delta, best) if martingales else math.inf

@@ -4,8 +4,12 @@ The search space is an n-tuple of vectors, each constrained to the unit
 sphere of the target space's own norm.  Gradients are numerical (central
 differences, step 1e-5) and projection is renormalization.
 
-Objectives score stacks: they take a (batch, n, d) array of tuples and
-return the (batch,) values.  ``ascend`` runs all restarts in lock step.
+Objectives score stacks: they take a (batch, n, d) array of tuples and the
+(batch,) index of the problem each tuple belongs to, and return the
+(batch,) values; an objective that serves one problem ignores the index.
+``maximize_on_spheres`` searches several problems of one shape at once by
+tiling its start stack once per problem, and ``ascend`` runs all starts of
+all problems in lock step.
 In each iteration one objective call scores the central-difference
 stencil of every restart still climbing, and the halving line-search
 ladder is scored ``rungs_per_call`` rungs at a time, the first improving
@@ -14,8 +18,9 @@ their objective (``rademacher.ladder_rungs``), so one call holds about as
 many sign-pattern rows as one chunk of a moment evaluator.  The stencil
 reproduces the rounding of moving one coordinate at a time by +h, -2h and
 +h, so every restart takes the path it takes when run alone.  Restart
-order is deterministic and the first restart achieving the maximum within
-1e-12 wins, so results never depend on scheduling or batching.
+order is deterministic and, per problem, the first restart achieving the
+maximum within 1e-12 wins, so results never depend on scheduling or
+batching.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ GRAD_STEP = 1e-5
 MAX_ITERS = 60
 MIN_STEP = 1e-7
 
-Objective = Callable[[np.ndarray], np.ndarray]
+Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def ratio_or_zero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -89,9 +94,12 @@ def ascend(
     space: Space,
     tol: float,
     rungs_per_call: int,
+    group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected ascent from each tuple of a (starts, n, d) stack, in lock step.
 
+    ``group`` holds the problem index of each start (all 0 by default) and
+    is passed to the objective with every tuple scored for that start.
     Returns the (starts,) values and the (starts, n, d) points reached.
     The line search halves the step from its last accepted length down to
     ``MIN_STEP`` and takes the first rung that improves by more than
@@ -101,29 +109,34 @@ def ascend(
     x = _project_rows(starts, space)
     n_starts, n, d = x.shape
     m = n * d
-    fx = np.array(objective(x), dtype=float)
+    group = np.zeros(n_starts, dtype=np.intp) if group is None else np.asarray(group)
+    fx = np.array(objective(x, group), dtype=float)
     step = np.full(n_starts, 0.5)
     active = np.arange(n_starts)
     for _ in range(MAX_ITERS):
         if active.size == 0:
             break
         pts, back = _stencil(x[active].reshape(-1, m))
-        vals = np.asarray(objective(_project_rows(pts.reshape(-1, n, d), space))).reshape(-1, 2, m)
+        owner = np.repeat(group[active], 2 * m)
+        vals = np.asarray(objective(_project_rows(pts.reshape(-1, n, d), space), owner)).reshape(-1, 2, m)
         grad = (vals[:, 0] - vals[:, 1]) / (2 * GRAD_STEP)
         gnorm = np.sqrt(np.sum(grad * grad, axis=1))
         x[active] = back.reshape(-1, n, d)
         moving = gnorm != 0.0
         active, grad, gnorm = active[moving], grad[moving].reshape(-1, n, d), gnorm[moving]
-        improved = _line_search(objective, x, fx, step, active, grad, gnorm, space, tol, rungs_per_call)
+        improved = _line_search(
+            objective, x, fx, step, active, group[active], grad, gnorm, space, tol, rungs_per_call
+        )
         active = active[improved]
     return fx, x
 
 
-def _line_search(objective, x, fx, step, who, grad, gnorm, space, tol, rungs_per_call):
+def _line_search(objective, x, fx, step, who, owner, grad, gnorm, space, tol, rungs_per_call):
     """Halving line search from x[who] along grad / gnorm; updates x, fx and step.
 
     Rung k of a start tries step * 2^-k while that is at least
-    ``MIN_STEP``.  Returns a mask over ``who`` of the starts that improved.
+    ``MIN_STEP``; ``owner`` holds the problem index of each start of
+    ``who``.  Returns a mask over ``who`` of the starts that improved.
     """
     xs, fxs, steps = x[who], fx[who], step[who]
     searching = np.ones(who.size, dtype=bool)
@@ -144,7 +157,7 @@ def _line_search(objective, x, fx, step, who, grad, gnorm, space, tol, rungs_per
         s = alive[si]
         moves = tries[si, ri, None, None] * grad[s] / gnorm[s, None, None]
         cand = _project_rows(xs[s] + moves, space)
-        fc = np.asarray(objective(cand))
+        fc = np.asarray(objective(cand, owner[s]))
         # points run by start, then by rung, so a start's first hit is its first improving rung
         hits = np.flatnonzero(fc > fxs[s] + tol)
         first = np.ones(hits.size, dtype=bool)
@@ -189,16 +202,25 @@ def maximize_on_spheres(
     extra_starts: Iterable[np.ndarray] = (),
     *,
     rungs_per_call: int,
-) -> tuple[float, np.ndarray]:
-    """Best objective value over canonical, supplied, and random restarts.
+    problems: int = 1,
+) -> list[tuple[float, np.ndarray]]:
+    """Best objective value and point of each problem over its restarts.
 
-    ``rungs_per_call`` is the line-search block of ``ascend``.
+    Every one of the ``problems`` problems gets the same canonical,
+    supplied and random starts, and all of them climb in one ``ascend``
+    whose objective is told the problem of each tuple.  A problem's first
+    start achieving its maximum within 1e-12 wins.  ``rungs_per_call`` is
+    the line-search block of ``ascend``.
     """
     starts = restart_stack(space, n_vectors, restarts, seed, extra_starts)
-    vals, xs = ascend(objective, starts, space, tol, rungs_per_call)
-    best_val = -np.inf
-    best_x = starts[0]
-    for val, x in zip(vals, xs):
-        if val > best_val + 1e-12:
-            best_val, best_x = float(val), x
-    return best_val, best_x
+    per = starts.shape[0]
+    group = np.repeat(np.arange(problems), per)
+    vals, xs = ascend(objective, np.tile(starts, (problems, 1, 1)), space, tol, rungs_per_call, group)
+    best = []
+    for p_vals, p_xs in zip(vals.reshape(problems, per), xs.reshape((problems,) + starts.shape)):
+        best_val, best_x = -np.inf, starts[0]
+        for val, x in zip(p_vals, p_xs):
+            if val > best_val + 1e-12:
+                best_val, best_x = float(val), x
+        best.append((best_val, best_x))
+    return best

@@ -223,10 +223,10 @@ def kk_ratio_estimate(
     moment_p = make_moment_evaluator(n, space, p, cfg)
     moment_q = make_moment_evaluator(n, space, q, cfg)
 
-    def objective(vmats: np.ndarray) -> np.ndarray:
+    def objective(vmats: np.ndarray, group=0) -> np.ndarray:
         return optim.ratio_or_zero(moment_p(vmats), moment_q(vmats))
 
-    val, x = optim.maximize_on_spheres(
+    [(val, x)] = optim.maximize_on_spheres(
         objective, space, n, cfg.restarts, cfg.seed, cfg.tol,
         rungs_per_call=ladder_rungs(n, cfg),
     )
@@ -261,14 +261,14 @@ def type_cotype_estimate(
             return np.max(ns, axis=1)
         return np.sum(ns**exponent, axis=1) ** (1.0 / exponent)
 
-    def objective(vmats: np.ndarray) -> np.ndarray:
+    def objective(vmats: np.ndarray, group=0) -> np.ndarray:
         m2 = moment2(vmats)
         s = lp_sums(vmats)
         if kind == "type":
             return optim.ratio_or_zero(m2, s)
         return optim.ratio_or_zero(s, m2)
 
-    val, x = optim.maximize_on_spheres(
+    [(val, x)] = optim.maximize_on_spheres(
         objective, space, n, cfg.restarts, cfg.seed, cfg.tol,
         rungs_per_call=ladder_rungs(n, cfg),
     )

@@ -36,6 +36,12 @@ _MAX_SELECTIONS = 256
 # slower than prefix faces alone and raised one value in 256, by 0.2%
 _ALL_FACES_ROWS = 6
 
+# sets searched in one ascent are capped so that the coefficient-times-row
+# products of one stencil call hold at most this many floats (2 MB): on lp1
+# rmf-ratio at grid exponent 9 (512 sets of 10 rows) peak memory was 201 MB
+# uncapped, 98 MB at 2^20 floats and 55 MB at 2^18, in the same time
+_BATCH_FLOATS = 1 << 18
+
 
 @dataclass(frozen=True)
 class SelectionWitness:
@@ -93,38 +99,47 @@ def _face_starts(k: int) -> np.ndarray:
 
 
 def _sphere_lower(
-    rows: np.ndarray, space: Space, p: float, cfg: EnumConfig, extra_starts=()
-) -> tuple[float, np.ndarray]:
-    """Best ratio found on the coefficient sphere of a (k, dim) stack, k >= 2, and its point.
+    sets: np.ndarray, space: Space, p: float, cfg: EnumConfig, extra_starts=()
+) -> list[tuple[float, np.ndarray]]:
+    """Best ratio found on the coefficient sphere of each set of a (b, k, dim) stack, k >= 2.
 
-    Setting lambda_j = 0 off a subset gives that subset's ratio, so the
-    faces of the sphere are the sub-selections.  One ascent runs from
-    ``cfg.restarts`` starts plus the supplied ones and ``_face_starts(k)``.
-    A stack longer than ``cfg.exact_threshold`` has Monte Carlo moments, so
-    its first ``exact_threshold`` rows are searched too, exactly, from the
-    supplied starts that lie in them; the first of the best values wins.
+    Returns each set's value and point.  Setting lambda_j = 0 off a subset
+    gives that subset's ratio, so the faces of the sphere are the
+    sub-selections.  Every set starts from ``cfg.restarts`` starts plus the
+    supplied ones and ``_face_starts(k)``, and all sets climb in one ascent
+    (several when one would hold more than ``_BATCH_FLOATS`` floats); each
+    start follows the path it follows alone.  Sets longer than
+    ``cfg.exact_threshold`` have Monte Carlo moments, so their first
+    ``exact_threshold`` rows are searched too, exactly, from the supplied
+    starts that lie in them; the first of the best values wins.
     """
     head = cfg.exact_threshold
-    best = (-math.inf, None)
-    for sub in [rows[:head], rows] if 2 <= head < rows.shape[0] else [rows]:
-        k = sub.shape[0]
+    best = [(-math.inf, None)] * sets.shape[0]
+    for subs in [sets[:, :head], sets] if 2 <= head < sets.shape[1] else [sets]:
+        k = subs.shape[1]
         extra = [s[:k] for s in extra_starts if not np.any(s[k:])] + list(_face_starts(k))
         vector_moment = make_moment_evaluator(k, space, p, cfg)
         # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
         exact_l2 = p == 2 and k <= cfg.exact_threshold
         scalar_moment = None if exact_l2 else make_moment_evaluator(k, lp_space(1, 1), p, cfg)
+        # a stencil call scores 2k tuples of every start, each a (k, dim) product
+        starts = len(extra) + max(cfg.restarts, 2)
+        per = max(1, _BATCH_FLOATS // (starts * 2 * k * k * space.total_dim))
+        for lo in range(0, subs.shape[0], per):
+            batch = subs[lo : lo + per]
 
-        def objective(lams: np.ndarray) -> np.ndarray:
-            lam = lams[:, 0, :, None]
-            den = np.linalg.norm(lams[:, 0], axis=1) if exact_l2 else scalar_moment(lam)
-            return optim.ratio_or_zero(vector_moment(lam * sub), den)
+            def objective(lams: np.ndarray, group=0) -> np.ndarray:
+                lam = lams[:, 0, :, None]
+                den = np.linalg.norm(lams[:, 0], axis=1) if exact_l2 else scalar_moment(lam)
+                return optim.ratio_or_zero(vector_moment(lam * batch[group]), den)
 
-        val, lam = optim.maximize_on_spheres(
-            objective, lp_space(2, k), 1, cfg.restarts + len(extra), cfg.seed, cfg.tol,
-            extra_starts=extra, rungs_per_call=ladder_rungs(k, cfg),
-        )
-        if val > best[0]:
-            best = (val, lam[0])
+            found = optim.maximize_on_spheres(
+                objective, lp_space(2, k), 1, cfg.restarts + len(extra), cfg.seed, cfg.tol,
+                extra_starts=extra, rungs_per_call=ladder_rungs(k, cfg), problems=batch.shape[0],
+            )
+            for i, (val, lam) in enumerate(found, lo):
+                if val > best[i][0]:
+                    best[i] = (val, lam[0])
     return best
 
 
@@ -173,7 +188,7 @@ def rbound_scalar(
     n, stack = len(vectors), np.tile(vmat, (multiplicity, 1))
     if len(stack) > 1:
         extra = [] if warm_start is None else [_warm_coeffs(warm_start, n, len(stack))]
-        val, lam = _sphere_lower(stack, space, p, cfg, extra)
+        [(val, lam)] = _sphere_lower(stack[None], space, p, cfg, extra)
         if val > lower + 1e-12:
             lower, wit = val, SelectionWitness(tuple(i % n for i in range(len(lam))), lam)
     return RBoundBracket(lower, float(np.sum(member_norms)), wit, OPTIMIZED, p)
@@ -192,8 +207,10 @@ def atomwise_rbound(
     over levels.  Otherwise an atom's repeated rows are dropped (first
     occurrences kept in order), the lower side is the best of the
     distinct norms and a search on the sphere of the distinct rows, and
-    the upper side is the sum of the distinct norms; equal row sets are
-    searched once per call.  Atoms outside ``atoms`` hold NaN.
+    the upper side is the sum of the distinct norms.  Equal row sets are
+    searched once per call, and all distinct sets of k rows are searched
+    by one ``_sphere_lower`` call, one per k.  Atoms outside ``atoms`` hold
+    NaN.
     """
     n_atoms = stack.shape[1]
     if space.is_hilbert and p == 2:
@@ -207,19 +224,24 @@ def atomwise_rbound(
 
     lower = np.full(n_atoms, np.nan)
     upper = np.full(n_atoms, np.nan)
+    keys: dict[int, bytes] = {}
     memo: dict[bytes, tuple[float, float]] = {}
+    pending: dict[int, dict[bytes, np.ndarray]] = {}
     for a in range(n_atoms) if atoms is None else atoms:
         col = stack[:, a, :]
         same = np.all(col[:, None, :] == col[None, :, :], axis=2)
         distinct = col[~np.any(np.tril(same, -1), axis=1)]
-        key = distinct.tobytes()
+        key = keys[a] = distinct.tobytes()
         if key not in memo:
             norms = norms_of(distinct, space)
-            lo = float(np.max(norms))
+            memo[key] = (float(np.max(norms)), float(np.sum(norms)))
             if len(distinct) > 1:
-                val = _sphere_lower(distinct, space, p, cfg)[0]
-                lo = val if val > lo + 1e-12 else lo
-            memo[key] = (lo, float(np.sum(norms)))
+                pending.setdefault(len(distinct), {})[key] = distinct
+    for sets in pending.values():
+        for key, (val, _) in zip(sets, _sphere_lower(np.stack(list(sets.values())), space, p, cfg)):
+            lo, up = memo[key]
+            memo[key] = (val if val > lo + 1e-12 else lo, up)
+    for a, key in keys.items():
         lower[a], upper[a] = memo[key]
     return lower, upper, OPTIMIZED
 
@@ -286,12 +308,12 @@ def rbound_operator(
         out_moment = make_moment_evaluator(k, e, p, cfg)
         arg_moment = make_moment_evaluator(k, h, p, cfg)
 
-        def objective(xs: np.ndarray) -> np.ndarray:
+        def objective(xs: np.ndarray, group=0) -> np.ndarray:
             out = (mats @ xs[..., None])[..., 0]
             return optim.ratio_or_zero(out_moment(out), arg_moment(xs))
 
         extra = [np.vstack([top_vecs[i] for i in sel])]
-        val, xs = optim.maximize_on_spheres(
+        [(val, xs)] = optim.maximize_on_spheres(
             objective, h, k, cfg.restarts, cfg.seed, cfg.tol, extra_starts=extra,
             rungs_per_call=ladder_rungs(k, cfg),
         )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rmflab import rbound
+from rmflab import optim, rbound
 from rmflab.cli import build_parser, main
 
 L1_PLANE = '{"kind":"lp","p":1,"dim":2}'
@@ -173,9 +173,9 @@ class TestMaximalCommands:
         searched = []
         search = rbound._sphere_lower
 
-        def counting(rows, *args, **kwargs):
-            searched.append(rows.tobytes())
-            return search(rows, *args, **kwargs)
+        def counting(sets, *args, **kwargs):
+            searched.extend(rows.tobytes() for rows in sets)
+            return search(sets, *args, **kwargs)
 
         monkeypatch.setattr(rbound, "_sphere_lower", counting)
         code, _, _ = run(
@@ -186,6 +186,28 @@ class TestMaximalCommands:
         # the finest level of a dyadic grid is its atoms, so each of the
         # 4 atoms has a column of its own
         assert len(searched) == len(set(searched)) == 4
+
+    def test_rmf_ratio_climbs_once_per_set_size(self, capsys, monkeypatch):
+        sizes, ascents = [], []
+        search, ascend = rbound._sphere_lower, optim.ascend
+
+        def sizing(sets, *args, **kwargs):
+            sizes.append(sets.shape[1])
+            return search(sets, *args, **kwargs)
+
+        def counting(*args, **kwargs):
+            ascents.append(1)
+            return ascend(*args, **kwargs)
+
+        monkeypatch.setattr(rbound, "_sphere_lower", sizing)
+        monkeypatch.setattr(optim, "ascend", counting)
+        code, _, _ = run(
+            capsys, "rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2",
+            "--seed", "5", "--restarts", "2",
+        )
+        assert code == 0
+        # 4 atoms, but one kernel call and one ascent per number of distinct rows
+        assert len(sizes) == len(set(sizes)) == len(ascents) < 4
 
 
 class TestReduce:

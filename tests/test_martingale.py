@@ -43,6 +43,7 @@ from rmflab.martingale import (
     weak_rmf_probe,
 )
 from rmflab.rademacher import EnumConfig
+from rmflab.rbound import atomwise_rbound
 from rmflab.spaces import Vector, dual_exponent, lp_space, norms_of
 
 FAST = EnumConfig(seed=5, restarts=4)
@@ -497,6 +498,43 @@ def test_prefix_rbounds_nondecreasing_on_l1():
     prefixes = prefix_rbounds(x, FAST)
     assert prefixes.shape == (6, x.base.n_atoms)
     assert np.all(np.diff(prefixes, axis=0) >= 0)
+
+
+@pytest.mark.parametrize(
+    "space, seed",
+    [(lp_space(1, 3), 122), (lp_space(math.inf, 2), 7), (lp_space(2, 3), 97)],
+    ids=["lp1", "lpinf", "hilbert"],
+)
+def test_prefix_rbounds_equal_each_prefix_alone(space, seed):
+    x = random_haar_martingale(space, 4, 6, seed=seed)
+    stack = x.values_stack()[1:]
+    alone = np.stack([atomwise_rbound(stack[: j + 1], space, FAST)[0] for j in range(len(stack))])
+    assert np.array_equal(prefix_rbounds(x, FAST), np.maximum.accumulate(alone, axis=0))
+
+
+def _mixed_level_family():
+    """A constant martingale and 5-step Haar martingales: stacks of unequal depth."""
+    _, filt = make_dyadic_filtration(4)
+    space = lp_space(1, 3)
+    family = [constant_martingale(Vector(np.array([1.0, 0.5, 0.0]), space), filt)]
+    family.extend(random_haar_martingale(space, 4, 5, seed=s) for s in range(3))
+    return family
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        _mixed_level_family(),
+        _mixed_level_family()[1:] + [random_haar_martingale(lp_space(math.inf, 2), 3, 4, seed=9)],
+        [],
+    ],
+    ids=["mixed-levels", "two-spaces", "empty"],
+)
+def test_weak_rmf_probe_equals_each_martingale_alone(family):
+    report = weak_rmf_probe(family, FAST)
+    alone = [weak_ratio(x, FAST) for x in family]
+    assert [(row.weak_ratio, row.mode) for row in report.rows] == alone
+    assert report.constant == max((ratio for ratio, _ in alone), default=0.0)
 
 
 def test_martingale_json_roundtrip():

@@ -83,14 +83,12 @@ def _each_search(monkeypatch, run, check, limit=2):
     real = optim.maximize_on_spheres
     count = [0]
 
-    def spy(objective, space, n_vectors, restarts, seed, tol, extra_starts=(), *, rungs_per_call):
+    def spy(objective, space, n_vectors, restarts, seed, tol, extra_starts=(), **kwargs):
         if count[0] < limit:
             starts = optim.restart_stack(space, n_vectors, restarts, seed, extra_starts)
-            check(objective, starts, space, tol, rungs_per_call)
+            check(objective, starts, space, tol, kwargs["rungs_per_call"])
         count[0] += 1
-        return real(
-            objective, space, n_vectors, restarts, seed, tol, extra_starts, rungs_per_call=rungs_per_call
-        )
+        return real(objective, space, n_vectors, restarts, seed, tol, extra_starts, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(optim, "maximize_on_spheres", spy)

@@ -157,9 +157,43 @@ def test_face_starts_add_to_the_restarts(monkeypatch, space, n, seed):
     # the best start wins only by more than 1e-12 over an earlier one
     rows = np.random.default_rng(seed).standard_normal((n, space.total_dim))
     cfg = EnumConfig(seed=seed, restarts=6)
-    with_faces = rbound._sphere_lower(rows, space, 2.0, cfg)[0]
+    [(with_faces, _)] = rbound._sphere_lower(rows[None], space, 2.0, cfg)
     monkeypatch.setattr(rbound, "_face_starts", lambda k: np.zeros((0, k)))
-    assert with_faces >= rbound._sphere_lower(rows, space, 2.0, cfg)[0] - 1e-12
+    [(without, _)] = rbound._sphere_lower(rows[None], space, 2.0, cfg)
+    assert with_faces >= without - 1e-12
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "space",
+    [lp_space(1, 3), lp_space(math.inf, 3), schatten_space(1, 2, 2)],
+    ids=["lp1", "lpinf", "schatten1"],
+)
+def test_batched_sets_equal_each_set_alone(space, p):
+    # all sets climb in one ascent; each start follows the path it follows alone
+    sets = np.random.default_rng(31).standard_normal((4, 3, space.total_dim))
+    cfg = EnumConfig(seed=3, restarts=4)
+    found = rbound._sphere_lower(sets, space, p, cfg)
+    assert len(found) == len(sets)
+    for rows, (val, lam) in zip(sets, found):
+        [(alone, lam_alone)] = rbound._sphere_lower(rows[None], space, p, cfg)
+        assert val == alone
+        assert np.array_equal(lam, lam_alone)
+
+
+@pytest.mark.parametrize("cap", [None, 1], ids=["one-ascent", "one-set-per-ascent"])
+def test_batched_monte_carlo_sets_equal_each_set_alone(monkeypatch, cap):
+    # 5 rows above an exact threshold of 3: an exact head of 3 rows and the
+    # whole set on a Monte Carlo table, per set
+    space = lp_space(1, 2)
+    sets = np.random.default_rng(32).standard_normal((3, 5, 2))
+    cfg = EnumConfig(exact_threshold=3, mc_samples=256, seed=4, restarts=3)
+    alone = [rbound._sphere_lower(rows[None], space, 2.0, cfg)[0] for rows in sets]
+    if cap is not None:
+        monkeypatch.setattr(rbound, "_BATCH_FLOATS", cap)
+    for (val, lam), (want, lam_alone) in zip(rbound._sphere_lower(sets, space, 2.0, cfg), alone):
+        assert val == want
+        assert np.array_equal(lam, lam_alone)
 
 
 def test_face_starts_every_face_up_to_six_rows_then_prefixes():
