@@ -20,6 +20,7 @@ from .martingale import (
     SimpleMartingale,
     from_function,
     good_lambda_experiment,
+    good_lambda_experiments,
     gundy_decompose,
     martingale_transform,
     maximal_stars,
@@ -57,6 +58,7 @@ __all__ = [
     "dyadic_haar_approximate",
     "from_function",
     "good_lambda_experiment",
+    "good_lambda_experiments",
     "gundy_decompose",
     "haar_embed",
     "hilbert_op_space",

@@ -369,22 +369,23 @@ def cmd_goodlambda(args):
     rows = []
     total_violations = 0
     worst_slack = -math.inf
-    for i, x in enumerate(family):
-        prefixes = mart.prefix_rbounds(x, cfg)
+    for i, (x, prefixes) in enumerate(zip(family, mart.family_prefix_rbounds(family, cfg))):
         top = float(np.max(prefixes[-1]))
         if top <= 0:
             continue
-        for t in range(1, args.lambda_points + 1):
-            lam = top * t / args.lambda_points
-            report = mart.good_lambda_experiment(
-                x, args.beta, args.delta, lam, cfg, prefixes=prefixes
-            )
+        # one transform search per instance, so only one instance's
+        # transforms are held at a time
+        lams = [top * t / args.lambda_points for t in range(1, args.lambda_points + 1)]
+        reports = mart.good_lambda_experiments(
+            [(x, lam, prefixes) for lam in lams], args.beta, args.delta, cfg
+        )
+        for report in reports:
             total_violations += report.inclusion_violations
             worst_slack = max(worst_slack, report.transform_sup_slack)
             rows.append(
                 {
                     "instance": i,
-                    "lambda": lam,
+                    "lambda": report.lam,
                     "mode": report.mode,
                     "inclusion_violations": report.inclusion_violations,
                     "transform_sup_slack": report.transform_sup_slack,
@@ -450,10 +451,10 @@ def cmd_concave(args):
         for s in obj.get("midpoints", [])
     ]
     if args.candidate == "zero":
-        candidate = concave_mod.VCandidate(lambda m, t: 0.0, "identically zero")
+        candidate = concave_mod.VCandidate(lambda queries: [0.0] * len(queries), "identically zero")
     else:
         candidate = concave_mod.VCandidate(
-            lambda m, t: concave_mod.u_value(m, t, p, args.c, cfg).value,
+            lambda queries: [u.value for u in concave_mod.u_values(queries, p, args.c, cfg)],
             "penalty itself",
         )
     report = concave_mod.check_v_candidate(candidate, samples, midpoints, p, args.c, cfg)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .filtration import (
 )
 from .martingale import SimpleMartingale
 from .rademacher import EnumConfig
-from .rbound import HILBERT_EXACT, OPTIMIZED, atomwise_rbound
-from .spaces import Space, Vector, norm_of
+from .rbound import HILBERT_EXACT, OPTIMIZED, _lower_side_by_side
+from .spaces import Vector, norm_of
 
 _MAX_GRID_EXPONENT = 22
 
@@ -50,19 +50,6 @@ class UValue:
     empty_set: bool = False
 
 
-def _set_rbound_lower(rows: np.ndarray, space: Space, cfg: EnumConfig) -> tuple[float, str]:
-    """Deterministic lower R-bound of a set given as row vectors.
-
-    Repeated rows are dropped, keeping first occurrences in order, so the
-    value depends on the order in which distinct rows are presented but
-    not on repeats.
-    """
-    if rows.size == 0:
-        return 0.0, HILBERT_EXACT if space.is_hilbert else OPTIMIZED
-    lower, _, mode = atomwise_rbound(rows[:, None, :], space, cfg)
-    return float(lower[0]), mode
-
-
 def u_value(
     members: list[Vector],
     point: Vector,
@@ -70,21 +57,52 @@ def u_value(
     c: float,
     cfg: EnumConfig | None = None,
 ) -> UValue:
-    """Penalty R(set)^p - C ||point||^p (R of the empty set is 0, flagged)."""
+    """Penalty R(set)^p - C ||point||^p (R of the empty set is 0, flagged).
+
+    The one-query case of :func:`u_values`.
+    """
+    return u_values([(members, point)], p, c, cfg)[0]
+
+
+def u_values(
+    queries: list[tuple[list[Vector], Vector]],
+    p: float,
+    c: float,
+    cfg: EnumConfig | None = None,
+) -> list[UValue]:
+    """:func:`u_value` of every ``(members, point)`` query.
+
+    Every nonempty set is an atom of one kernel stack per space, shorter
+    sets padded by repeating their last row, which the kernel drops along
+    with every other repeated row (first occurrences kept in order); so a
+    set's R depends on the order of its distinct rows but not on repeats,
+    nor on the other queries.  Empty sets are 0 without a search.
+    """
     if cfg is None:
         cfg = EnumConfig()
-    space = point.space
-    for m in members:
-        if m.space != space:
-            raise ValueError("set members and point must share one space")
-    rows = (
-        np.vstack([m.coords for m in members])
-        if members
-        else np.empty((0, space.total_dim))
+    for members, point in queries:
+        for m in members:
+            if m.space != point.space:
+                raise ValueError("set members and point must share one space")
+    nonempty = [(members, point) for members, point in queries if members]
+    found = iter(
+        _lower_side_by_side(
+            [np.vstack([m.coords for m in members])[:, None, :] for members, _ in nonempty],
+            [point.space for _, point in nonempty],
+            cfg,
+        )
     )
-    r_lower, mode = _set_rbound_lower(rows, space, cfg)
-    value = r_lower**p - c * norm_of(point.coords, space) ** p
-    return UValue(value, r_lower, p, c, mode, empty_set=not members)
+    values = []
+    for members, point in queries:
+        space = point.space
+        if members:
+            lower, mode = next(found)
+            r_lower = float(lower[0])
+        else:
+            r_lower, mode = 0.0, HILBERT_EXACT if space.is_hilbert else OPTIMIZED
+        value = r_lower**p - c * norm_of(point.coords, space) ** p
+        values.append(UValue(value, r_lower, p, c, mode, empty_set=not members))
+    return values
 
 
 def _require_starting_constant(x: SimpleMartingale) -> np.ndarray:
@@ -238,25 +256,43 @@ def expected_u_along(
 
     ``skip_first`` drops that many initial levels from the path set (used
     to reproduce the monotonicity step that discards the root level).
+    The one-member case of :func:`_expected_us`.
     """
+    return _expected_us([x], members, p, c, cfg, skip_first)[0]
+
+
+def _expected_us(
+    family: list[SimpleMartingale],
+    members: list[Vector],
+    p: float,
+    c: float,
+    cfg: EnumConfig | None = None,
+    skip_first: int = 0,
+) -> list[float]:
+    """:func:`expected_u_along` of every family member, whose path stacks
+    (levels, then the set rows) are searched in one kernel call per space."""
     if cfg is None:
         cfg = EnumConfig()
-    space = x.space
-    set_rows = (
-        np.vstack([m.coords for m in members])
-        if members
-        else np.empty((0, space.total_dim))
-    )
-    stack = x.values_stack()[skip_first:]
-    n_atoms = x.base.n_atoms
-    paths = np.concatenate(
-        [stack, np.broadcast_to(set_rows[:, None, :], (len(set_rows), n_atoms, space.total_dim))]
-    )
-    r_lower, _, _ = atomwise_rbound(paths, space, cfg)
-    total = 0.0
-    for atom, mass in enumerate(x.base.masses):
-        total += mass * (float(r_lower[atom]) ** p - c * norm_of(stack[-1, atom], space) ** p)
-    return total
+    dim = family[0].space.total_dim
+    set_rows = np.vstack([m.coords for m in members]) if members else np.empty((0, dim))
+    stacks = [
+        np.concatenate(
+            [
+                x.values_stack()[skip_first:],
+                np.broadcast_to(set_rows[:, None, :], (len(set_rows), x.base.n_atoms, dim)),
+            ]
+        )
+        for x in family
+    ]
+    found = _lower_side_by_side(stacks, [x.space for x in family], cfg)
+    values = []
+    for x, (r_lower, _) in zip(family, found):
+        last = x.levels[-1].values
+        total = 0.0
+        for atom, mass in enumerate(x.base.masses):
+            total += mass * (float(r_lower[atom]) ** p - c * norm_of(last[atom], x.space) ** p)
+        values.append(total)
+    return values
 
 
 def v_lower(
@@ -270,30 +306,32 @@ def v_lower(
     """Finite-family lower approximation of the majorant at (set, point).
 
     Every family member must start at the point; the value is the best
-    expected penalty of the member's path set joined with the given set.
-    Enlarging the family never decreases the value, and including the
-    constant martingale makes the result at least the penalty itself.
+    expected penalty of the member's path set joined with the given set,
+    with every member searched in one kernel call.  Enlarging the family
+    never decreases the value, and including the constant martingale
+    makes the result at least the penalty itself.
     """
-    if cfg is None:
-        cfg = EnumConfig()
     if not family:
         raise ValueError("need at least one martingale in the family")
-    best = -math.inf
     for x in family:
         start = _require_starting_constant(x)
         if x.space != point.space or not np.allclose(
             start, point.coords, atol=1e-12
         ):
             raise ValueError("family members must start at the given point")
-        best = max(best, expected_u_along(x, members, p, c, cfg))
+    best = -math.inf
+    for value in _expected_us(family, members, p, c, cfg):
+        best = max(best, value)
     return best
 
 
 @dataclass(frozen=True)
 class VCandidate:
-    """An opaque candidate majorant: callable on (set, point)."""
+    """An opaque candidate majorant, evaluated in batches: ``evaluator``
+    maps a list of ``(members, point)`` queries to their values, in order,
+    so a candidate that searches R-bounds can search every set at once."""
 
-    evaluator: Callable[[list[Vector], Vector], float]
+    evaluator: Callable[[list[tuple[list[Vector], Vector]]], Sequence[float]]
     description: str = ""
 
 
@@ -338,24 +376,36 @@ def check_v_candidate(
     cfg: EnumConfig | None = None,
     tol: float = 1e-9,
 ) -> VCandidateReport:
-    """Evaluate the four majorant properties on finite sample sets."""
-    if cfg is None:
-        cfg = EnumConfig()
-    v = candidate.evaluator
+    """Evaluate the four majorant properties on finite sample sets.
+
+    The candidate is called once, on (set, point), ({point}, point) and
+    (set + [point], point) of every sample and on (set, a), (set, b) and
+    (set, midpoint) of every midpoint triple; the penalties of the samples
+    come from one :func:`u_values` call.
+    """
+    queries = []
+    for members, point in samples:
+        queries += [(members, point), ([point], point), (members + [point], point)]
+    for members, p1, p2 in midpoints:
+        mid = Vector(0.5 * (p1.coords + p2.coords), p1.space)
+        queries += [(members, p1), (members, p2), (members, mid)]
+    v = list(candidate.evaluator(queries))
+    if len(v) != len(queries):
+        raise ValueError(f"candidate returned {len(v)} values for {len(queries)} queries")
+    penalties = u_values(samples, p, c, cfg)
 
     slack1 = -math.inf
     slack2 = -math.inf
     slack3 = 0.0
-    for members, point in samples:
-        u = u_value(members, point, p, c, cfg).value
-        slack1 = max(slack1, u - v(members, point))
-        slack2 = max(slack2, v([point], point))
-        slack3 = max(slack3, abs(v(members + [point], point) - v(members, point)))
+    n = 3 * len(samples)
+    for u, plain, diagonal, joined in zip(penalties, v[0:n:3], v[1:n:3], v[2:n:3]):
+        slack1 = max(slack1, u.value - plain)
+        slack2 = max(slack2, diagonal)
+        slack3 = max(slack3, abs(joined - plain))
     slack4 = -math.inf
-    for members, p1, p2 in midpoints:
-        mid = Vector(0.5 * (p1.coords + p2.coords), p1.space)
-        avg = 0.5 * (v(members, p1) + v(members, p2))
-        slack4 = max(slack4, avg - v(members, mid))
+    for at_a, at_b, at_mid in zip(v[n::3], v[n + 1 :: 3], v[n + 2 :: 3]):
+        avg = 0.5 * (at_a + at_b)
+        slack4 = max(slack4, avg - at_mid)
     if not samples:
         slack1 = slack2 = 0.0
     if not midpoints:

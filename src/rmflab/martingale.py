@@ -26,7 +26,7 @@ from .filtration import (
     random_haar_filtration,
 )
 from .rademacher import EnumConfig
-from .rbound import HILBERT_EXACT, atomwise_rbound
+from .rbound import HILBERT_EXACT, _lower_side_by_side, atomwise_rbound
 from .spaces import Space, Vector, dual_exponent, norms_of
 
 INF_TIME = np.iinfo(np.int64).max
@@ -288,28 +288,48 @@ def prefix_rbounds(x: SimpleMartingale, cfg: EnumConfig | None = None) -> np.nda
     nondecreasing in j: a lower bound for a prefix is one for every longer
     prefix.  The last row is therefore at least
     ``maximal_stars(x, cfg).rademacher_star``, which searches the full set
-    alone, and exceeds it only by search noise.
+    alone, and exceeds it only by search noise.  The one-martingale case
+    of :func:`family_prefix_rbounds`.
+    """
+    return family_prefix_rbounds([x], cfg)[0]
+
+
+def family_prefix_rbounds(
+    family: list[SimpleMartingale], cfg: EnumConfig | None = None
+) -> list[np.ndarray]:
+    """:func:`prefix_rbounds` of every member, with every prefix of every
+    member on a non-Hilbert range searched in one kernel call per space.
+
+    Atoms in one block of the last level share their whole path, so one
+    atom per block is searched.  Prefix j is padded to N levels by
+    repeating level j, which the kernel drops, so each atom keeps the
+    bracket of its prefix alone.
     """
     if cfg is None:
         cfg = EnumConfig()
-    stack = x.values_stack()[1:]
-    if stack.shape[0] == 0:
-        return np.empty(stack.shape[:2])
-    if x.space.is_hilbert:
-        return np.maximum.accumulate(np.stack([norms_of(level, x.space) for level in stack]), axis=0)
-    prefixes = [stack[: j + 1] for j in range(stack.shape[0])]
-    lower = atomwise_rbound(_side_by_side(prefixes), x.space, cfg)[0]
-    return np.maximum.accumulate(lower.reshape(stack.shape[:2]), axis=0)
-
-
-def _side_by_side(stacks: list[np.ndarray]) -> np.ndarray:
-    """(levels, atoms, dim) stacks joined along atoms, each padded to the
-    longest by repeating its last level.
-
-    ``atomwise_rbound`` drops repeated rows, so every atom keeps its bracket.
-    """
-    depth = max(s.shape[0] for s in stacks)
-    return np.concatenate([s[np.minimum(np.arange(depth), len(s) - 1)] for s in stacks], axis=1)
+    stacks = [x.values_stack()[1:] for x in family]
+    found: list = [None] * len(family)
+    searched, blocks = [], {}
+    for i, (x, stack) in enumerate(zip(family, stacks)):
+        if stack.shape[0] == 0:
+            found[i] = np.empty(stack.shape[:2])
+        elif x.space.is_hilbert:
+            found[i] = np.maximum.accumulate(
+                np.stack([norms_of(level, x.space) for level in stack]), axis=0
+            )
+        else:
+            searched.append(i)
+            _, first, blocks[i] = np.unique(
+                x.filtration.levels[-1].block_of, return_index=True, return_inverse=True
+            )
+            stacks[i] = stack[:, first]
+    prefixes = [stacks[i][: j + 1] for i in searched for j in range(stacks[i].shape[0])]
+    spaces = [family[i].space for i in searched for _ in range(stacks[i].shape[0])]
+    lowers = iter(_lower_side_by_side(prefixes, spaces, cfg))
+    for i in searched:
+        levels = [next(lowers)[0] for _ in range(stacks[i].shape[0])]
+        found[i] = np.maximum.accumulate(np.stack(levels), axis=0)[:, blocks[i]]
+    return found
 
 
 def stopped_value(x: SimpleMartingale, tau: StoppingTime) -> StepFunction:
@@ -542,9 +562,29 @@ def good_lambda_experiment(
 
     (b) is a pure norm identity and is asserted in every mode; (a)
     involves R-bounds on both sides, so it is asserted only in exact mode
-    and reported as a diagnostic otherwise.  When running a grid of
-    heights over one martingale, pass ``prefixes`` (from
-    :func:`prefix_rbounds`) to avoid re-searching per-atom R-bounds.
+    and reported as a diagnostic otherwise.  ``prefixes`` (from
+    :func:`prefix_rbounds`) are searched when not given.  The one-item
+    case of :func:`good_lambda_experiments`, which runs a grid of heights
+    or martingales with one search for all of them.
+    """
+    if prefixes is None:
+        prefixes = prefix_rbounds(x, cfg)
+    return good_lambda_experiments([(x, lam, prefixes)], beta, delta, cfg, weak_constant)[0]
+
+
+def good_lambda_experiments(
+    items: list[tuple[SimpleMartingale, float, np.ndarray]],
+    beta: float,
+    delta: float,
+    cfg: EnumConfig | None = None,
+    weak_constant: float = 1.0,
+) -> list[GoodLambdaReport]:
+    """:func:`good_lambda_experiment` of every ``(x, lam, prefixes)`` item,
+    with ``prefixes`` from :func:`prefix_rbounds` or
+    :func:`family_prefix_rbounds`.
+
+    The event atoms of every transform are searched in one kernel call
+    per range space, side by side.
     """
     if cfg is None:
         cfg = EnumConfig()
@@ -552,13 +592,51 @@ def good_lambda_experiment(
         raise ValueError("delta must lie in (0, 1)")
     if beta <= 2 * delta + 1:
         raise ValueError("need beta > 2 delta + 1")
-    if lam <= 0:
-        raise ValueError("height must be positive")
-    if not is_standard_haar(x.filtration):
-        raise ValueError("good-lambda experiments run on standard Haar martingales")
+    for x, lam, _ in items:
+        if lam <= 0:
+            raise ValueError("height must be positive")
+        if not is_standard_haar(x.filtration):
+            raise ValueError("good-lambda experiments run on standard Haar martingales")
+    windows = [_good_lambda_window(x, beta, delta, lam, pre) for x, lam, pre in items]
+    t_rstars = _lower_side_by_side(
+        [event_stack for _, event_stack, _, _ in windows], [x.space for x, _, _ in items], cfg
+    )
+    reports = []
+    for (x, lam, prefixes), (transform, _, lhs_event, slack), (t_rstar, mode) in zip(
+        items, windows, t_rstars
+    ):
+        threshold = (beta - 2 * delta - 1) * lam
+        violations = int(np.sum(~(t_rstar > threshold)))
+        if slack > 1e-9:
+            raise AssertionError(
+                f"transform sup bound violated by {slack}; the construction is broken"
+            )
+        if mode == HILBERT_EXACT and violations:
+            raise AssertionError(f"{violations} atoms violate the exact-mode inclusion")
+        masses = x.base.masses
+        reports.append(
+            GoodLambdaReport(
+                lam=lam,
+                beta=beta,
+                delta=delta,
+                mode=mode,
+                inclusion_violations=violations,
+                transform_sup_slack=slack,
+                lhs_probability=float(np.sum(masses[lhs_event])),
+                rhs_probability=float(np.sum(masses[prefixes[-1] > lam])),
+                alpha=alpha_of(delta, beta, weak_constant),
+                transform=transform,
+            )
+        )
+    return reports
 
-    if prefixes is None:
-        prefixes = prefix_rbounds(x, cfg)
+
+def _good_lambda_window(
+    x: SimpleMartingale, beta: float, delta: float, lam: float, prefixes: np.ndarray
+) -> tuple[SimpleMartingale, np.ndarray, np.ndarray, float]:
+    """The transform of x by the window between the stopping times, its
+    levels at the atoms of the event of (a), whose R-star (a) needs, that
+    event, and the slack of (b)."""
     n = x.n_steps
     n_atoms = x.base.n_atoms
 
@@ -594,40 +672,12 @@ def good_lambda_experiment(
     transform = martingale_transform(v, x)
 
     x_star = np.max(norms[1:], axis=0) if n >= 1 else norms[0]
-    x_rstar = prefixes[-1]
     t_stack = transform.values_stack()[1:] if n >= 1 else transform.values_stack()
     t_star = np.max(np.stack([norms_of(s, x.space) for s in t_stack]), axis=0)
-
-    lhs_event = (x_rstar > beta * lam) & (x_star <= delta * lam)
-    threshold = (beta - 2 * delta - 1) * lam
-    # the transform R-star is only needed on the event atoms
-    t_rstar, _, mode = atomwise_rbound(t_stack, x.space, cfg, atoms=np.flatnonzero(lhs_event))
-    violations = int(np.sum(lhs_event & ~(t_rstar > threshold)))
-
+    lhs_event = (prefixes[-1] > beta * lam) & (x_star <= delta * lam)
     cap = 4 * delta * lam * (tau1.values < INF_TIME).astype(float)
-    slack = float(np.max(t_star - cap))
-    if slack > 1e-9:
-        raise AssertionError(
-            f"transform sup bound violated by {slack}; the construction is broken"
-        )
-    if mode == HILBERT_EXACT and violations:
-        raise AssertionError(f"{violations} atoms violate the exact-mode inclusion")
-
-    masses = x.base.masses
-    lhs_probability = float(np.sum(masses[lhs_event]))
-    rhs_probability = float(np.sum(masses[x_rstar > lam]))
-    return GoodLambdaReport(
-        lam=lam,
-        beta=beta,
-        delta=delta,
-        mode=mode,
-        inclusion_violations=violations,
-        transform_sup_slack=slack,
-        lhs_probability=lhs_probability,
-        rhs_probability=rhs_probability,
-        alpha=alpha_of(delta, beta, weak_constant),
-        transform=transform,
-    )
+    # the transform R-star is only needed on the event atoms
+    return transform, t_stack[:, lhs_event], lhs_event, float(np.max(t_star - cap))
 
 
 @dataclass(frozen=True)
@@ -713,20 +763,12 @@ def weak_rmf_probe(
     call, with their atoms side by side."""
     if cfg is None:
         cfg = EnumConfig()
-    by_space: dict[Space, list[int]] = {}
-    for i, x in enumerate(martingales):
-        by_space.setdefault(x.space, []).append(i)
-    stars: dict[int, tuple[np.ndarray, str]] = {}
-    for space, members in by_space.items():
-        stacks = [_star_levels(martingales[i]) for i in members]
-        lower, _, mode = atomwise_rbound(_side_by_side(stacks), space, cfg)
-        ends = np.cumsum([s.shape[1] for s in stacks])[:-1]
-        for i, rstar in zip(members, np.split(lower, ends)):
-            stars[i] = (rstar, mode)
+    stars = _lower_side_by_side(
+        [_star_levels(x) for x in martingales], [x.space for x in martingales], cfg
+    )
     rows = []
     best = 0.0
-    for i, x in enumerate(martingales):
-        rstar, mode = stars[i]
+    for i, (x, (rstar, mode)) in enumerate(zip(martingales, stars)):
         ratio = _weak_ratio_of(x, rstar)
         rows.append(WeakRmfRow(i, x.lp_bound(1), ratio, mode))
         best = max(best, ratio)

@@ -246,6 +246,41 @@ def atomwise_rbound(
     return lower, upper, OPTIMIZED
 
 
+def _side_by_side(stacks: list[np.ndarray]) -> np.ndarray:
+    """(levels, atoms, dim) stacks joined along atoms, each padded to the
+    longest by repeating its last level.
+
+    ``atomwise_rbound`` drops repeated rows, so every atom keeps its bracket.
+    """
+    depth = max(s.shape[0] for s in stacks)
+    return np.concatenate([s[np.minimum(np.arange(depth), len(s) - 1)] for s in stacks], axis=1)
+
+
+def _lower_side_by_side(
+    stacks: list[np.ndarray], spaces: list[Space], cfg: EnumConfig
+) -> list[tuple[np.ndarray, str]]:
+    """Lower side of ``atomwise_rbound`` at every atom of every (levels,
+    atoms, dim) stack, and its mode, with the stacks of one space side by
+    side in one kernel call.  A space whose stacks hold no atoms makes no
+    call and gets the mode the kernel would report.
+    """
+    found: list = [None] * len(stacks)
+    by_space: dict[Space, list[int]] = {}
+    for i, space in enumerate(spaces):
+        by_space.setdefault(space, []).append(i)
+    for space, members in by_space.items():
+        widths = [stacks[i].shape[1] for i in members]
+        if sum(widths) == 0:
+            lower, mode = np.empty(0), HILBERT_EXACT if space.is_hilbert else OPTIMIZED
+        else:
+            lower, _, mode = atomwise_rbound(
+                _side_by_side([stacks[i] for i in members]), space, cfg
+            )
+        for i, part in zip(members, np.split(lower, np.cumsum(widths)[:-1])):
+            found[i] = (part, mode)
+    return found
+
+
 def rbound_hilbert_exact(values: np.ndarray, space: Space) -> float:
     """Exact R-bound (p = 2, Hilbert space): the maximal member norm."""
     if not space.is_hilbert:

@@ -16,7 +16,7 @@ from rmflab.concave import (
     expected_u_along,
     haar_splice,
     splice,
-    u_value,
+    u_values,
 )
 from rmflab.filtration import (
     AtomicMeasureSpace,
@@ -278,11 +278,12 @@ def test_criterion_09_concave_machinery():
             )
             for _ in range(4)
         ]
-        good = VCandidate(lambda m, t: 0.0, "zero with huge cost")
+        good = VCandidate(lambda queries: [0.0] * len(queries), "zero with huge cost")
         report = check_v_candidate(good, samples, midpoints, 2, 1e8, CFG)
         assert report.all_passed()
         bad = VCandidate(
-            lambda m, t: u_value(m, t, 2, 0.0, CFG).value, "penalty, no cost"
+            lambda queries: [u.value for u in u_values(queries, 2, 0.0, CFG)],
+            "penalty, no cost",
         )
         report = check_v_candidate(bad, samples, midpoints, 2, 0.0, CFG)
         assert report.majorizes_penalty.passed

@@ -285,6 +285,37 @@ class TestGoodLambda:
         assert payload["total_inclusion_violations"] == 0
         assert payload["worst_transform_slack"] <= 1e-9
 
+    def test_one_kernel_call_for_prefixes(self, capsys, monkeypatch):
+        calls = []
+        kernel = rbound.atomwise_rbound
+
+        def counting(stack, *args, **kwargs):
+            calls.append(stack.shape[1])
+            return kernel(stack, *args, **kwargs)
+
+        monkeypatch.setattr(rbound, "atomwise_rbound", counting)
+        code, out, _ = run(
+            capsys, "goodlambda", "--space", L1_PLANE, "--instances", "2", "--grid-exponent", "3",
+            "--steps", "3", "--lambda-points", "3", "--seed", "11", "--restarts", "2",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 6
+        # every prefix of both instances at one atom per block of the last
+        # level (3 prefixes x 4 blocks each); no transform has an atom in
+        # the event of (a), so the transforms search nothing
+        assert all(row["lhs_probability"] == 0 for row in rows)
+        assert calls == [2 * 3 * 4]
+
+    def test_no_instances(self, capsys, monkeypatch):
+        monkeypatch.setattr(rbound, "atomwise_rbound", lambda *a, **k: pytest.fail("kernel called"))
+        code, out, _ = run(capsys, "goodlambda", "--instances", "0", "--seed", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rows"] == []
+        assert payload["worst_transform_slack"] == "-inf"
+        assert payload["total_inclusion_violations"] == 0
+
 
 class TestWeakRmf:
     def test_hilbert_constant(self, capsys):
@@ -339,6 +370,78 @@ class TestConcave:
         payload = json.loads(out)
         assert payload["properties"]["majorizes_penalty"]["passed"]
         assert not payload["properties"]["diagonal_nonpositive"]["passed"]
+
+    @staticmethod
+    def _write(tmp_path, samples, midpoints=None):
+        obj = {"space": {"kind": "lp", "p": 1, "dim": 2}, "samples": samples}
+        if midpoints is not None:
+            obj["midpoints"] = midpoints
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_empty_set_sample(self, capsys, tmp_path):
+        # V(set, t) = -c ||t||^2 and V({t}, t) = (1 - c) ||t||^2: at c = 1
+        # adjoining a unit point moves the penalty by 1
+        path = self._write(tmp_path, [{"set": [], "point": [1.0, 0.0]}])
+        code, out, _ = run(
+            capsys, "concave", "--samples", path, "--candidate", "penalty", "--c", "1"
+        )
+        assert code == 0
+        props = json.loads(out)["properties"]
+        assert props["absorbs_point"] == {"passed": False, "worst_slack": 1.0}
+        assert props["majorizes_penalty"] == {"passed": True, "worst_slack": 0.0}
+        assert props["diagonal_nonpositive"] == {"passed": True, "worst_slack": 0.0}
+
+    @pytest.mark.parametrize("candidate", ["zero", "penalty"])
+    def test_no_samples(self, capsys, tmp_path, monkeypatch, candidate):
+        monkeypatch.setattr(rbound, "atomwise_rbound", lambda *a, **k: pytest.fail("kernel called"))
+        path = self._write(tmp_path, [])
+        code, out, _ = run(
+            capsys, "concave", "--samples", path, "--candidate", candidate, "--c", "1"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_passed"]
+        assert all(prop["worst_slack"] == 0.0 for prop in payload["properties"].values())
+
+    def test_climbs_once_per_set_size_per_batch(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(21)
+        path = self._write(
+            tmp_path,
+            [
+                {"set": rng.standard_normal((2, 2)).tolist(),
+                 "point": rng.standard_normal(2).tolist()}
+                for _ in range(3)
+            ],
+            [{"set": [[0.5, 1.0]], "a": [1.0, 0.0], "b": [0.0, 2.0]}],
+        )
+        batches, ascents = [], []
+        kernel, search, ascend = rbound.atomwise_rbound, rbound._sphere_lower, optim.ascend
+
+        def batching(*args, **kwargs):
+            batches.append([])
+            return kernel(*args, **kwargs)
+
+        def sizing(sets, *args, **kwargs):
+            batches[-1].append(sets.shape[1])
+            return search(sets, *args, **kwargs)
+
+        def counting(*args, **kwargs):
+            ascents.append(1)
+            return ascend(*args, **kwargs)
+
+        monkeypatch.setattr(rbound, "atomwise_rbound", batching)
+        monkeypatch.setattr(rbound, "_sphere_lower", sizing)
+        monkeypatch.setattr(optim, "ascend", counting)
+        code, _, _ = run(
+            capsys, "concave", "--samples", path, "--candidate", "penalty", "--c", "1",
+            "--seed", "3", "--restarts", "2",
+        )
+        assert code == 0
+        # the candidate's batch (sets of 2 and 3 rows), then the penalties (2 rows)
+        assert batches == [[2, 3], [2]]
+        assert len(ascents) == 3
 
 
 class TestDeterminism:

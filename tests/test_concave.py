@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from rmflab.concave import (
+    PropertyCheck,
     VCandidate,
     check_v_candidate,
     expected_u_along,
@@ -10,6 +13,7 @@ from rmflab.concave import (
     prepend_constant,
     splice,
     u_value,
+    u_values,
     v_lower,
 )
 from rmflab.filtration import (
@@ -24,7 +28,7 @@ from rmflab.martingale import (
     random_haar_martingale,
 )
 from rmflab.rademacher import EnumConfig
-from rmflab.spaces import Vector, lp_space
+from rmflab.spaces import Vector, lp_space, schatten_space
 
 FAST = EnumConfig(seed=7, restarts=4)
 
@@ -263,7 +267,7 @@ class TestCheckCandidate:
     def test_penalty_without_cost_fails_diagonal_and_absorption(self):
         samples, midpoints = self._samples()
         raw = VCandidate(
-            lambda members, point: u_value(members, point, 2, 0.0, FAST).value,
+            lambda queries: [u.value for u in u_values(queries, 2, 0.0, FAST)],
             "penalty with zero cost",
         )
         report = check_v_candidate(raw, samples, midpoints, 2, 0.0, FAST)
@@ -273,7 +277,7 @@ class TestCheckCandidate:
 
     def test_zero_candidate_with_huge_cost_passes(self):
         samples, midpoints = self._samples()
-        zero = VCandidate(lambda members, point: 0.0, "identically zero")
+        zero = VCandidate(lambda queries: [0.0] * len(queries), "identically zero")
         report = check_v_candidate(zero, samples, midpoints, 2, 1e8, FAST)
         assert report.majorizes_penalty.passed
         assert report.diagonal_nonpositive.passed
@@ -286,14 +290,102 @@ class TestCheckCandidate:
         samples, _ = self._samples()
         _, filt = make_dyadic_filtration(1)
 
-        def from_family(members, point):
-            fam = [constant_martingale(point, filt)] + standard_family(point, [31])
-            return v_lower(members, point, 2, 1.0, fam, FAST)
+        def from_family(queries):
+            return [
+                v_lower(members, point, 2, 1.0, [constant_martingale(point, filt)]
+                        + standard_family(point, [31]), FAST)
+                for members, point in queries
+            ]
 
         candidate = VCandidate(from_family, "family lower approximation")
         report = check_v_candidate(candidate, samples, [], 2, 1.0, FAST)
         assert report.majorizes_penalty.passed
         assert report.absorbs_point.passed
+
+
+@pytest.mark.parametrize(
+    "space",
+    [lp_space(1, 3), lp_space(math.inf, 3), schatten_space(1, 2, 2)],
+    ids=["lp1", "lpinf", "schatten1"],
+)
+def test_u_values_equal_each_query_alone(space):
+    rng = np.random.default_rng(37)
+    rows = [Vector(r, space) for r in rng.standard_normal((4, space.total_dim))]
+    point = Vector(rng.standard_normal(space.total_dim), space)
+    a, b, c, d = rows
+    sets = [[], [a], [a, b], [a, b, c], [a, b], [b, a], [c, d, a], [a, a, b], []]
+    queries = [(members, point if i % 2 else d) for i, members in enumerate(sets)]
+    got = u_values(queries, 2, 0.5, FAST)
+    assert got == [u_value(members, t, 2, 0.5, FAST) for members, t in queries]
+    assert u_values([], 2, 0.5, FAST) == []
+
+
+def _check_one_at_a_time(v, samples, midpoints, p, c, cfg, tol=1e-9):
+    """check_v_candidate with a one-query candidate and one penalty per sample."""
+    slack1 = slack2 = -math.inf
+    slack3 = 0.0
+    for members, point in samples:
+        u = u_value(members, point, p, c, cfg).value
+        slack1 = max(slack1, u - v(members, point))
+        slack2 = max(slack2, v([point], point))
+        slack3 = max(slack3, abs(v(members + [point], point) - v(members, point)))
+    slack4 = -math.inf
+    for members, p1, p2 in midpoints:
+        mid = Vector(0.5 * (p1.coords + p2.coords), p1.space)
+        slack4 = max(slack4, 0.5 * (v(members, p1) + v(members, p2)) - v(members, mid))
+    if not samples:
+        slack1 = slack2 = 0.0
+    if not midpoints:
+        slack4 = 0.0
+    return [
+        PropertyCheck(s <= tol, s) for s in (slack1, slack2, slack3, slack4)
+    ]
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 3.0])
+def test_check_v_candidate_equals_one_query_at_a_time(c):
+    space = lp_space(1, 2)
+    rng = np.random.default_rng(38)
+
+    def vec():
+        return Vector(rng.standard_normal(2), space)
+
+    samples = [([vec(), vec()], vec()) for _ in range(3)] + [([], vec()), ([vec()], vec())]
+    midpoints = [([vec()], vec(), vec()), ([vec(), vec()], vec(), vec()), ([], vec(), vec())]
+    batched = VCandidate(lambda queries: [u.value for u in u_values(queries, 2, c, FAST)])
+    report = check_v_candidate(batched, samples, midpoints, 2, c, FAST)
+    alone = _check_one_at_a_time(
+        lambda members, point: u_value(members, point, 2, c, FAST).value,
+        samples, midpoints, 2, c, FAST,
+    )
+    assert [
+        report.majorizes_penalty,
+        report.diagonal_nonpositive,
+        report.absorbs_point,
+        report.midpoint_concave,
+    ] == alone
+
+
+def test_check_v_candidate_rejects_a_short_answer():
+    space = lp_space(1, 2)
+    t = Vector(np.array([1.0, 0.0]), space)
+    with pytest.raises(ValueError, match="values for"):
+        check_v_candidate(VCandidate(lambda queries: [0.0]), [([], t)], [], 2, 1.0, FAST)
+
+
+def test_v_lower_is_the_best_member_of_one_search():
+    # members of unequal depth and atom count share one kernel call
+    space = lp_space(1, 2)
+    point = Vector(np.array([0.7, -0.2]), space)
+    _, filt = make_dyadic_filtration(2)
+    family = [constant_martingale(point, filt)] + [
+        shifted_to(random_haar_martingale(space, k, steps, kind="standard", seed=s), point)
+        for k, steps, s in [(3, 4, 51), (2, 2, 52), (4, 5, 53), (3, 3, 54)]
+    ]
+    members = [Vector(np.array([0.3, 0.9]), space), Vector(np.array([-1.0, 0.4]), space)]
+    for given in ([], members[:1], members):
+        alone = [expected_u_along(x, given, 2, 1.0, FAST) for x in family]
+        assert v_lower(given, point, 2, 1.0, family, FAST) == max(alone)
 
 
 def test_extend_standard_haar_preserves_values():

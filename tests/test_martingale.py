@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -24,8 +25,10 @@ from rmflab.martingale import (
     StoppingTime,
     alpha_of,
     constant_martingale,
+    family_prefix_rbounds,
     from_function,
     good_lambda_experiment,
+    good_lambda_experiments,
     gundy_decompose,
     martingale_transform,
     maximal_stars,
@@ -43,6 +46,7 @@ from rmflab.martingale import (
     weak_rmf_probe,
 )
 from rmflab.rademacher import EnumConfig
+from rmflab import rbound
 from rmflab.rbound import atomwise_rbound
 from rmflab.spaces import Vector, dual_exponent, lp_space, norms_of
 
@@ -535,6 +539,65 @@ def test_weak_rmf_probe_equals_each_martingale_alone(family):
     alone = [weak_ratio(x, FAST) for x in family]
     assert [(row.weak_ratio, row.mode) for row in report.rows] == alone
     assert report.constant == max((ratio for ratio, _ in alone), default=0.0)
+
+
+def test_family_prefix_rbounds_equal_each_member_alone():
+    family = _mixed_level_family() + [
+        random_haar_martingale(lp_space(math.inf, 2), 3, 4, seed=9),
+        random_haar_martingale(lp_space(2, 2), 3, 3, seed=10),
+        random_haar_martingale(lp_space(1, 3), 3, 2, seed=11),
+    ]
+    found = family_prefix_rbounds(family, FAST)
+    assert len(found) == len(family)
+    for x, prefixes in zip(family, found):
+        assert np.array_equal(prefixes, prefix_rbounds(x, FAST))
+        # one atom per last-level block stands for its block: every atom
+        # searched, as one stack of padded prefixes, gives the same rows
+        stack = x.values_stack()[1:]
+        if stack.shape[0] and not x.space.is_hilbert:
+            padded = rbound._side_by_side([stack[: j + 1] for j in range(stack.shape[0])])
+            lower = atomwise_rbound(padded, x.space, FAST)[0]
+            every_atom = np.maximum.accumulate(lower.reshape(stack.shape[:2]), axis=0)
+            assert np.array_equal(prefixes, every_atom)
+    assert family_prefix_rbounds([], FAST) == []
+
+
+@pytest.mark.parametrize("space", [lp_space(1, 2), lp_space(math.inf, 3)], ids=["lp1", "lpinf"])
+def test_good_lambda_experiments_equal_each_item_alone(space, monkeypatch):
+    items = []
+    for seed in (61, 62):
+        x = random_haar_martingale(space, 3, 4, seed=seed)
+        # prefixes scaled far above the true R-stars put atoms into the
+        # event of (a), whose transform R-stars are then searched
+        prefixes = 60.0 * prefix_rbounds(x, FAST)
+        top = 10.0 * float(np.max(np.stack([lvl.atom_norms() for lvl in x.levels])))
+        items += [(x, top, prefixes), (x, 2 * top, prefixes), (x, 3 * top, prefix_rbounds(x, FAST))]
+    alone = [
+        good_lambda_experiment(x, 4.0, 0.1, lam, FAST, prefixes=prefixes)
+        for x, lam, prefixes in items
+    ]
+    calls = []
+    kernel = rbound.atomwise_rbound
+
+    def counting(stack, *args, **kwargs):
+        calls.append(stack.shape[1])
+        return kernel(stack, *args, **kwargs)
+
+    monkeypatch.setattr(rbound, "atomwise_rbound", counting)
+    reports = good_lambda_experiments(items, 4.0, 0.1, FAST)
+    assert len(reports) == len(items)
+    # the event atoms of all six transforms, in one call
+    assert any(r.lhs_probability > 0 for r in reports) and len(calls) == 1
+    for report, want in zip(reports, alone):
+        for field in dataclasses.fields(report):
+            got, expected = getattr(report, field.name), getattr(want, field.name)
+            if field.name == "transform":
+                assert np.array_equal(got.values_stack(), expected.values_stack())
+                assert got.filtration.levels == expected.filtration.levels
+            else:
+                assert got == expected, field.name
+    assert good_lambda_experiments([], 4.0, 0.1, FAST) == []
+    assert len(calls) == 1
 
 
 def test_martingale_json_roundtrip():

@@ -348,3 +348,29 @@ class TestAtomwise:
             lower, upper, _ = atomwise_rbound(ce_stack(f, filt), space, FAST, atoms=[1, 2])
             assert np.isnan(lower[[0, 3]]).all() and np.isnan(upper[[0, 3]]).all()
             assert np.isfinite(lower[[1, 2]]).all() and (lower[[1, 2]] <= upper[[1, 2]]).all()
+
+    def test_side_by_side_stacks_equal_each_stack_alone(self, monkeypatch):
+        # stacks of unequal depth and width over three spaces, one of no
+        # atoms: one kernel call per space with atoms, each atom as it is
+        # alone, and the kernel's mode where there are none
+        rng = np.random.default_rng(9)
+        l1, linf = lp_space(1, 2), lp_space(math.inf, 2)
+        shapes = [(3, 4, 2), (1, 2, 2), (4, 0, 2), (2, 5, 2), (2, 0, 2)]
+        stacks = [rng.standard_normal(shape) for shape in shapes]
+        spaces = [l1, linf, l1, l1, lp_space(2, 2)]
+        alone = [atomwise_rbound(stack, space, FAST) for stack, space in zip(stacks, spaces)]
+        calls = []
+        kernel = rbound.atomwise_rbound
+
+        def counting(stack, space, *args, **kwargs):
+            calls.append(space)
+            return kernel(stack, space, *args, **kwargs)
+
+        monkeypatch.setattr(rbound, "atomwise_rbound", counting)
+        found = rbound._lower_side_by_side(stacks, spaces, FAST)
+        assert calls == [l1, linf]
+        for (lower, mode), (want, _, want_mode) in zip(found, alone):
+            assert mode == want_mode
+            assert np.array_equal(lower, want)
+        assert rbound._lower_side_by_side([], [], FAST) == []
+        assert calls == [l1, linf]
