@@ -24,6 +24,7 @@ from .martingale import (
     gundy_decompose,
     martingale_transform,
     maximal_stars,
+    validate_martingale,
     weak_rmf_probe,
 )
 from .maximal import doob_maximal, lp_norm, rademacher_maximal, rmf_ratio
@@ -78,5 +79,6 @@ __all__ = [
     "rmf_ratio",
     "schatten_space",
     "type_cotype_estimate",
+    "validate_martingale",
     "weak_rmf_probe",
 ]

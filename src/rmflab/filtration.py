@@ -388,11 +388,17 @@ def haar_kind(filt: Filtration) -> str:
 
 
 def is_standard_haar(filt: Filtration) -> bool:
-    return is_haar(filt) and haar_kind(filt) == STANDARD
+    try:
+        return haar_kind(filt) == STANDARD
+    except ValueError:
+        return False
 
 
 def is_dyadic_haar(filt: Filtration) -> bool:
-    return is_haar(filt) and haar_kind(filt) in (STANDARD, DYADIC)
+    try:
+        return haar_kind(filt) in (STANDARD, DYADIC)
+    except ValueError:
+        return False
 
 
 def haar_embed(filt: Filtration) -> tuple[Filtration, list[int]]:

@@ -36,7 +36,14 @@ _MARTINGALE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SimpleMartingale:
-    """Adapted sequence with the conditional-expectation property."""
+    """Adapted sequence with the conditional-expectation property.
+
+    The constructor checks the shape only: one level per filtration level,
+    a shared base and range space, and a probability base.  The property
+    itself is checked by :func:`validate_martingale` where levels enter
+    from outside (:func:`martingale_from_json`); the constructions here
+    are martingales by construction and are not checked again.
+    """
 
     filtration: Filtration
     levels: tuple[StepFunction, ...]
@@ -51,16 +58,9 @@ class SimpleMartingale:
         if abs(base.total_mass - 1.0) > 1e-9:
             raise ValueError("martingales require a probability space")
         space = levels[0].space
-        for j, x in enumerate(levels):
+        for x in levels:
             if x.base != base or x.space != space:
                 raise ValueError("levels must share the base and range space")
-            ce = conditional_expectation(x, filt.levels[j])
-            if not np.allclose(ce.values, x.values, atol=_MARTINGALE_TOL):
-                raise ValueError(f"level {j} is not measurable at its level")
-        for j in range(len(levels) - 1):
-            ce = conditional_expectation(levels[j + 1], filt.levels[j])
-            if not np.allclose(ce.values, levels[j].values, atol=_MARTINGALE_TOL):
-                raise ValueError(f"martingale property fails between {j} and {j + 1}")
 
     @property
     def space(self) -> Space:
@@ -89,6 +89,20 @@ class SimpleMartingale:
         if p == math.inf:
             return float(np.max(norms))
         return float(np.max(np.sum(masses[None, :] * norms**p, axis=1)) ** (1.0 / p))
+
+
+def validate_martingale(x: SimpleMartingale) -> None:
+    """Raise unless each level is measurable at its own level and
+    E(X_{j+1} | level j) = X_j; run it on a hand-built martingale."""
+    filt, levels = x.filtration, x.levels
+    for j, lvl in enumerate(levels):
+        ce = conditional_expectation(lvl, filt.levels[j])
+        if not np.allclose(ce.values, lvl.values, atol=_MARTINGALE_TOL):
+            raise ValueError(f"level {j} is not measurable at its level")
+    for j in range(len(levels) - 1):
+        ce = conditional_expectation(levels[j + 1], filt.levels[j])
+        if not np.allclose(ce.values, levels[j].values, atol=_MARTINGALE_TOL):
+            raise ValueError(f"martingale property fails between {j} and {j + 1}")
 
 
 def from_function(f: StepFunction, filt: Filtration) -> SimpleMartingale:
@@ -188,14 +202,13 @@ def validate_stopping_time(tau: StoppingTime, filt: Filtration) -> None:
             raise ValueError(f"{{tau = {j}}} is not measurable at level {j}")
 
 
-def stopping_time_first(
-    x: SimpleMartingale, trigger, validate: bool = True
-) -> StoppingTime:
+def stopping_time_first(x: SimpleMartingale, trigger) -> StoppingTime:
     """First level j at which ``trigger(j)`` holds, INF_TIME if never.
 
     ``trigger(j)`` returns a boolean per atom and must be level-j
-    measurable (constant on level-j blocks); this is validated unless
-    switched off.
+    measurable (constant on level-j blocks); this is not checked here,
+    so check a time from a hand-built trigger with
+    :func:`validate_stopping_time`.
     """
     n_atoms = x.base.n_atoms
     tau = np.full(n_atoms, INF_TIME, dtype=np.int64)
@@ -203,8 +216,6 @@ def stopping_time_first(
         hit = np.asarray(trigger(j), dtype=bool)
         if hit.shape != (n_atoms,):
             raise ValueError("trigger must produce one boolean per atom")
-        if validate and not x.filtration.levels[j].is_measurable(hit):
-            raise ValueError(f"trigger at level {j} is not level-measurable")
         fresh = (tau == INF_TIME) & hit
         tau[fresh] = j
     return StoppingTime(tau)
@@ -385,20 +396,6 @@ def maximal_stars(
     return MartingaleStars(star, lower, upper, mode, x.lp_bound(p), p)
 
 
-def _shift_levels(x: SimpleMartingale, constant: np.ndarray) -> SimpleMartingale:
-    levels = tuple(
-        StepFunction(lvl.values - constant[None, :], x.space, x.base)
-        for lvl in x.levels
-    )
-    return SimpleMartingale(x.filtration, levels)
-
-
-def _zero_martingale(x: SimpleMartingale) -> SimpleMartingale:
-    z = np.zeros_like(x.levels[0].values)
-    levels = tuple(StepFunction(z.copy(), x.space, x.base) for _ in x.levels)
-    return SimpleMartingale(x.filtration, levels)
-
-
 def subtract(x: SimpleMartingale, y: SimpleMartingale) -> SimpleMartingale:
     if x.filtration is not y.filtration and x.filtration.levels != y.filtration.levels:
         raise ValueError("martingales live on different filtrations")
@@ -469,35 +466,24 @@ def gundy_decompose(x: SimpleMartingale, lam: float) -> GundyParts:
     x0 = x.levels[0].values[0]
     n0 = float(norms_of(x0, x.space)[0])
 
+    zero = constant_martingale(Vector(np.zeros_like(x0), x.space), x.filtration)
     if n0 > lam:
+        sigma, g = None, zero
         h = constant_martingale(Vector(x0, x.space), x.filtration)
-        g = _zero_martingale(x)
-        b = _shift_levels(x, x0)
-        sigma = None
-        b_star = np.max(np.stack([lvl.atom_norms() for lvl in b.levels]), axis=0)
-        certs = GundyCertificates(
-            g_l1=0.0,
-            g_sup=0.0,
-            h_variation=n0,
-            b_positive_probability=float(np.sum(x.base.masses[b_star > 0])),
-            x_l1=x_l1,
-            lam=lam,
-        )
+        b = subtract(x, h)
     else:
-        trigger = norm_or_next_jump_trigger(x, lam, lam)
-        sigma = stopping_time_first(x, trigger, validate=False)
-        g = stopped_martingale(x, sigma)
-        h = _zero_martingale(x)
+        sigma = stopping_time_first(x, norm_or_next_jump_trigger(x, lam, lam))
+        g, h = stopped_martingale(x, sigma), zero
         b = subtract(x, g)
-        b_star = np.max(np.stack([lvl.atom_norms() for lvl in b.levels]), axis=0)
-        certs = GundyCertificates(
-            g_l1=g.lp_bound(1),
-            g_sup=g.lp_bound(math.inf),
-            h_variation=0.0,
-            b_positive_probability=float(np.sum(x.base.masses[b_star > 0])),
-            x_l1=x_l1,
-            lam=lam,
-        )
+    b_star = np.max(np.stack([lvl.atom_norms() for lvl in b.levels]), axis=0)
+    certs = GundyCertificates(
+        g_l1=g.lp_bound(1),
+        g_sup=g.lp_bound(math.inf),
+        h_variation=n0 if sigma is None else 0.0,
+        b_positive_probability=float(np.sum(x.base.masses[b_star > 0])),
+        x_l1=x_l1,
+        lam=lam,
+    )
     if not certs.within_constants():
         raise AssertionError("decomposition certificates violated")
     return GundyParts(g, h, b, lam, sigma, certs)
@@ -592,11 +578,11 @@ def good_lambda_experiments(
         raise ValueError("delta must lie in (0, 1)")
     if beta <= 2 * delta + 1:
         raise ValueError("need beta > 2 delta + 1")
-    for x, lam, _ in items:
-        if lam <= 0:
-            raise ValueError("height must be positive")
-        if not is_standard_haar(x.filtration):
-            raise ValueError("good-lambda experiments run on standard Haar martingales")
+    if any(lam <= 0 for _, lam, _ in items):
+        raise ValueError("height must be positive")
+    # the CLI's items share one martingale per instance: check each once
+    if not all(is_standard_haar(x.filtration) for x in {id(x): x for x, _, _ in items}.values()):
+        raise ValueError("good-lambda experiments run on standard Haar martingales")
     windows = [_good_lambda_window(x, beta, delta, lam, pre) for x, lam, pre in items]
     t_rstars = _lower_side_by_side(
         [event_stack for _, event_stack, _, _ in windows], [x.space for x, _, _ in items], cfg
@@ -648,8 +634,8 @@ def _good_lambda_window(
 
         return trigger
 
-    tau1 = stopping_time_first(x, r_trigger(lam), validate=False)
-    tau2 = stopping_time_first(x, r_trigger(beta * lam), validate=False)
+    tau1 = stopping_time_first(x, r_trigger(lam))
+    tau2 = stopping_time_first(x, r_trigger(beta * lam))
 
     norms = np.stack([lvl.atom_norms() for lvl in x.levels])
     jumps = predictable_jump_norms(x)
@@ -662,7 +648,7 @@ def _good_lambda_window(
             hit = hit | (jumps[j] > 2 * delta * lam)
         return hit
 
-    sigma = stopping_time_first(x, sigma_trigger, validate=False)
+    sigma = stopping_time_first(x, sigma_trigger)
 
     window_top = np.minimum(tau2.values, sigma.values)
     v_levels = []
@@ -746,7 +732,9 @@ def martingale_from_json(obj: dict) -> SimpleMartingale:
         StepFunction(np.asarray(vals, dtype=float), space, filt.space)
         for vals in obj["levels"]
     )
-    return SimpleMartingale(filt, levels)
+    x = SimpleMartingale(filt, levels)
+    validate_martingale(x)
+    return x
 
 
 def weak_rmf_probe(

@@ -267,6 +267,31 @@ class TestGundy:
         payload = json.loads(out)
         assert payload["total_violations"] == 0
 
+    @pytest.mark.parametrize(
+        "level, shift, message",
+        [
+            # one atom moved: level 1 is no longer constant on its blocks
+            (1, "atom", "level 1 is not measurable at its level"),
+            # every atom moved: level 0 stays constant but no longer the mean
+            (0, "all", "martingale property fails between 0 and 1"),
+        ],
+        ids=["unmeasurable-level", "broken-property"],
+    )
+    def test_martingale_file_checked_where_it_enters(self, capsys, tmp_path, level, shift, message):
+        from rmflab.martingale import martingale_to_json, random_haar_martingale
+        from rmflab.spaces import lp_space
+
+        obj = martingale_to_json(random_haar_martingale(lp_space(2, 2), 4, 5, seed=3))
+        values = obj["levels"][level]
+        for row in values[:1] if shift == "atom" else values:
+            row[0] += 1.0
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "gundy", "--martingale", str(path))
+        assert code == 1 and out == ""
+        assert f"numerical contract violated: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestGoodLambda:
     def test_hilbert_batch(self, capsys):

@@ -41,6 +41,7 @@ from rmflab.martingale import (
     stopping_time_first,
     strong_type_constant,
     subtract,
+    validate_martingale,
     validate_stopping_time,
     weak_ratio,
     weak_rmf_probe,
@@ -93,10 +94,13 @@ class TestConstruction:
             StepFunction(np.zeros((2, 1)), lp_space(1, 1), base),
             StepFunction(np.array([[1.0], [0.5]]), lp_space(1, 1), base),
         )
-        with pytest.raises(ValueError):
-            from rmflab.martingale import SimpleMartingale
+        from rmflab.martingale import SimpleMartingale
 
-            SimpleMartingale(filt, bad)
+        # the constructor checks the shape only; the property is checked
+        # where levels enter from outside
+        x = SimpleMartingale(filt, bad)
+        with pytest.raises(ValueError, match="martingale property fails between 0 and 1"):
+            validate_martingale(x)
 
     def test_requires_probability_space(self):
         base = AtomicMeasureSpace(np.array([1.0, 1.0]))
@@ -151,7 +155,8 @@ class TestTransform:
             block_signs = rng.choice([-1.0, 1.0], size=prev.n_blocks)
             v_levels.append(block_signs[prev.block_of])
         v = PredictableProcess(tuple(v_levels))
-        t = martingale_transform(v, x)  # constructor validates the property
+        t = martingale_transform(v, x)
+        validate_martingale(t)
         np.testing.assert_allclose(
             np.stack([norms_of(d, x.space) for d in t.differences()]),
             np.stack([norms_of(d, x.space) for d in x.differences()]),
@@ -196,8 +201,9 @@ class TestStoppingTimes:
         def trigger(j):
             return np.array([True, False, False, False])
 
-        with pytest.raises(ValueError, match="trigger at level 0 is not level-measurable"):
-            stopping_time_first(x, trigger, validate=True)
+        tau = stopping_time_first(x, trigger)
+        with pytest.raises(ValueError, match=r"\{tau = 0\} is not measurable at level 0"):
+            validate_stopping_time(tau, x.filtration)
 
     def test_jump_trigger_requires_standard_haar(self):
         # dyadic (non-standard) splits make jump norms non-predictable
@@ -236,7 +242,7 @@ class TestStoppingTimes:
     def test_stopped_martingale_is_martingale(self):
         x = random_haar_martingale(lp_space(2, 3), 5, 9, seed=43)
         tau = stopping_time_first(x, norm_trigger(x, 0.5))
-        stopped_martingale(x, tau)  # constructor validates
+        validate_martingale(stopped_martingale(x, tau))
 
     def test_prefix_rbound_trigger(self):
         from rmflab.martingale import prefix_rbound_trigger
@@ -325,7 +331,9 @@ class TestGundy:
             space = lp_space(1, 3) if seed % 2 else lp_space(2, 3)
             x = random_haar_martingale(space, 6, 10, seed=seed)
             lam = [0.25, 1.0, 4.0][seed % 3] * x.lp_bound(1)
-            parts = gundy_decompose(x, lam)  # constructors validate parts
+            parts = gundy_decompose(x, lam)
+            for part in (parts.g, parts.h, parts.b):
+                validate_martingale(part)
             total = (
                 np.stack([lvl.values for lvl in parts.g.levels])
                 + np.stack([lvl.values for lvl in parts.h.levels])
@@ -371,8 +379,15 @@ class TestGundy:
             from rmflab import martingale as m
             from rmflab.spaces import lp_space
 
-            m.GundyCertificates.within_constants = lambda self: False
             x = m.random_haar_martingale(lp_space(2, 2), 3, 3, seed=1)
+            bad = m.SimpleMartingale(x.filtration, (x.levels[1],) + x.levels[1:])
+            try:
+                m.validate_martingale(bad)
+            except ValueError:
+                pass
+            else:
+                raise SystemExit(4)
+            m.GundyCertificates.within_constants = lambda self: False
             try:
                 m.gundy_decompose(x, 1.0)
             except AssertionError:
@@ -615,3 +630,73 @@ def test_subtract_requires_same_filtration():
     y = random_haar_martingale(lp_space(2, 2), 4, 5, seed=2)
     with pytest.raises(ValueError):
         subtract(x, y)
+
+
+def _random_signs(x, seed):
+    """A transform by signs constant on the blocks of the preceding level."""
+    rng = np.random.default_rng(seed)
+    signs = [
+        rng.choice([-1.0, 1.0], size=part.n_blocks)[part.block_of]
+        for part in x.filtration.levels[:-1]
+    ]
+    return martingale_transform(PredictableProcess(tuple(signs)), x)
+
+
+def _gundy_parts(x, lam, stopped):
+    parts = gundy_decompose(x, lam)
+    # the stopping branch, or the branch that splits a large mean off
+    assert (parts.sigma is not None) == stopped
+    return [parts.g, parts.h, parts.b]
+
+
+def _shifted(x, shift):
+    from rmflab.filtration import StepFunction
+
+    f = StepFunction(x.levels[-1].values + shift, x.space, x.base)
+    return from_function(f, x.filtration)
+
+
+def _internal_constructions():
+    from rmflab.concave import haar_splice, prepend_constant, splice
+
+    space = lp_space(1, 2)
+    x = random_haar_martingale(space, 5, 8, seed=7)
+    centered = _shifted(x, -x.levels[0].values)
+    large_mean = _shifted(
+        random_haar_martingale(space, 4, 6, seed=10, scale=0.1), np.array([5.0, 0.0])
+    )
+    short = random_haar_martingale(space, 3, 2, seed=8)
+    long = random_haar_martingale(space, 3, 5, seed=9)
+    point = Vector(np.array([1.0, -2.0]), space)
+    cases = {
+        f"from_function-{kind}": (
+            lambda kind=kind: [random_haar_martingale(space, 4, 6, kind=kind, seed=3)]
+        )
+        for kind in ("standard", "dyadic", "general")
+    }
+    cases.update({
+        "constant_martingale": lambda: [constant_martingale(point, x.filtration)],
+        "martingale_transform": lambda: [_random_signs(x, 5)],
+        "stopped_martingale": lambda: [
+            stopped_martingale(x, stopping_time_first(x, norm_trigger(x, 0.5)))
+        ],
+        "gundy-small-height": lambda: _gundy_parts(centered, 0.25 * centered.lp_bound(1), True),
+        "gundy-height-below-mean": lambda: _gundy_parts(
+            large_mean, 0.25 * large_mean.lp_bound(1), False
+        ),
+        "splice-unequal-steps": lambda: [splice(short, long, 0.25), splice(long, short, 0.75)],
+        "haar_splice-unequal-steps": lambda: [haar_splice(short, long), haar_splice(long, short)],
+        "prepend_constant": lambda: [prepend_constant(x)],
+    })
+    return cases
+
+
+_CONSTRUCTIONS = _internal_constructions()
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTIONS))
+def test_internal_constructions_are_martingales(name):
+    # constructions are not re-checked when built; the property they
+    # promise is checked here instead
+    for x in _CONSTRUCTIONS[name]():
+        validate_martingale(x)
