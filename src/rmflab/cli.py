@@ -245,6 +245,8 @@ def cmd_rmf_ratio(args):
 
 def cmd_reduce(args):
     seed = _require_seed(args)
+    if args.subsample < 1:
+        raise ValueError("subsample must be >= 1")
     cfg = _cfg_from_args(args)
     base = AtomicMeasureSpace(np.full(1 << args.grid_exponent, 2.0**-args.grid_exponent))
     filt = random_haar_filtration(base, args.steps, kind="dyadic", seed=seed)

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .filtration import (
+    MAX_GRID_EXPONENT,
     AtomicMeasureSpace,
     Filtration,
     Partition,
@@ -34,8 +35,6 @@ from .martingale import SimpleMartingale
 from .rademacher import EnumConfig
 from .rbound import HILBERT_EXACT, OPTIMIZED, _lower_side_by_side
 from .spaces import Vector, norm_of
-
-_MAX_GRID_EXPONENT = 22
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def splice(
     m = frac.denominator.bit_length() - 1
     a = frac.numerator
     k_out = m + max(k1, k2, 1)
-    if k_out > _MAX_GRID_EXPONENT:
+    if k_out > MAX_GRID_EXPONENT:
         # every float is a dyadic rational, but one like 1/3 needs a 2^54
         # grid; only weight that fit a desk-scale grid are representable
         raise ResolutionError(

@@ -8,7 +8,9 @@ atom).  A filtration is an increasing (refining) sequence of partitions; a
 Haar filtration splits exactly one block per level, dyadic/standard Haar
 filtrations constrain the split mass ratios to dyadic fractions / exact
 halves.  Dyadic-ness checks are exact: every float is a dyadic rational,
-so mass ratios are compared via ``fractions.Fraction`` without rounding.
+so split ratios are compared via ``fractions.Fraction`` without rounding;
+blocks, also those of the dyadic grid, are integer labels.  Grids are
+capped at 2^MAX_GRID_EXPONENT atoms, checked before anything is built.
 """
 
 from __future__ import annotations
@@ -16,10 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .spaces import Space, norms_of
+
+# desk-scale cap on the grids a construction may build: 2^22 atoms
+MAX_GRID_EXPONENT = 22
 
 GENERAL = "general"
 DYADIC = "dyadic"
@@ -274,12 +280,8 @@ def dyadic_partition(space: AtomicMeasureSpace, level: int, k: int) -> Partition
     return Partition(idx >> (k - level), space)
 
 
-def _split_ratio(child_mass: float, parent_mass: float) -> Fraction:
-    return Fraction(child_mass) / Fraction(parent_mass)
-
-
 def _is_dyadic_ratio(child_mass: float, parent_mass: float) -> bool:
-    d = _split_ratio(child_mass, parent_mass).denominator
+    d = (Fraction(child_mass) / Fraction(parent_mass)).denominator
     return d & (d - 1) == 0
 
 
@@ -352,8 +354,8 @@ def random_haar_filtration(
 def haar_splits(filt: Filtration) -> list[tuple[float, float, float]]:
     """(parent, child1, child2) masses per level of a Haar filtration.
 
-    Raises if any transition is not a single two-way split.  Levels
-    refine their predecessors, so one more block means exactly that.
+    Raises unless level 0 is trivial and every transition is a single
+    two-way split (levels refine, so one more block means exactly that).
     """
     out = []
     for prev, nxt in zip(filt.levels, filt.levels[1:]):
@@ -362,12 +364,12 @@ def haar_splits(filt: Filtration) -> list[tuple[float, float, float]]:
         _, (b, c1, c2) = split_blocks(prev, nxt)
         cm = nxt.block_masses()
         out.append((float(prev.block_masses()[b]), float(cm[c1]), float(cm[c2])))
+    if filt.levels[0].n_blocks != 1:
+        raise ValueError("Haar filtrations start from the trivial algebra")
     return out
 
 
 def is_haar(filt: Filtration) -> bool:
-    if filt.levels[0].n_blocks != 1:
-        return False
     try:
         haar_splits(filt)
     except ValueError:
@@ -378,8 +380,6 @@ def is_haar(filt: Filtration) -> bool:
 def haar_kind(filt: Filtration) -> str:
     """Finest split-mass class of a Haar filtration: standard < dyadic < general."""
     splits = haar_splits(filt)
-    if filt.levels[0].n_blocks != 1:
-        raise ValueError("Haar filtrations start from the trivial algebra")
     if all(c1 == c2 for _, c1, c2 in splits):
         return STANDARD
     if all(_is_dyadic_ratio(c1, p) for p, c1, _ in splits):
@@ -464,6 +464,8 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
     divisible (highest two-adic valuations) is taken, which is what the
     divisibility of the idealized construction degrades to on a grid.
     """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     k = _grid_exponent(filt.space)
     if not is_haar(filt):
         raise ValueError("input must be a Haar filtration")
@@ -589,103 +591,65 @@ class BooleanIsomorphism:
 def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
     """Realize a dyadic Haar filtration inside the dyadic intervals.
 
-    Splits are replayed on [0,1) with exact dyadic arithmetic: when a
-    block splits off the mass fraction m/2^r, every dyadic interval of
-    the block (at the current resolution) contributes its first m
-    sub-intervals of r generations finer.  Distributing every split
-    uniformly across the committed intervals is what makes conditional
-    expectations with respect to level j and with respect to the full
-    dyadic algebra at resolution ``dyadic_levels[j]`` agree for functions
-    measurable w.r.t. the finest input algebra.
+    Splits are replayed on integer cell labels, level j holding one block
+    id per dyadic interval of resolution 2^dyadic_levels[j]: when a block
+    splits off the mass fraction m/2^r, each of its cells gives its first
+    m of 2^r sub-cells to the first child and the rest to the second.
+    Distributing every split uniformly across the cells is what makes
+    conditional expectations with respect to level j and with respect to
+    the full dyadic algebra at resolution ``dyadic_levels[j]`` agree for
+    functions measurable w.r.t. the finest input algebra.  The grid size
+    follows from the split ratios and atom masses alone, so a grid over
+    2^MAX_GRID_EXPONENT atoms raises ``ResolutionError`` before any work.
     """
-    if not is_haar(filt):
-        raise ValueError("input must be a Haar filtration")
+    try:
+        splits = haar_splits(filt)
+    except ValueError:
+        raise ValueError("input must be a Haar filtration") from None
     if abs(filt.space.total_mass - 1.0) > 1e-12:
         raise ValueError("construction requires a probability space")
-    for m in filt.space.masses:
-        fr = Fraction(float(m))
-        if fr.denominator & (fr.denominator - 1):
-            raise ValueError("atom masses must be dyadic rationals")
-
-    # regions: per current block id, list of disjoint dyadic intervals
-    regions: dict[int, list[tuple[Fraction, Fraction]]] = {
-        0: [(Fraction(0), Fraction(1))]
-    }
-    level_regions = [dict(regions)]
-    k_cur = 0
-    dyadic_levels = [0]
-    for j in range(1, len(filt.levels)):
-        prev, nxt = filt.levels[j - 1], filt.levels[j]
-        parents, (b, c1, c2) = split_blocks(prev, nxt)
-        pm = prev.block_masses()[b]
-        cm = nxt.block_masses()
-        ratio = _split_ratio(float(cm[c1]), float(pm))
-        denom = ratio.denominator
-        if denom & (denom - 1):
-            raise ValueError("split mass ratios must be dyadic fractions")
-        r = denom.bit_length() - 1
-        m = ratio.numerator
-        width = Fraction(1, 1 << k_cur)
-        sub = width / denom
-        first: list[tuple[Fraction, Fraction]] = []
-        rest: list[tuple[Fraction, Fraction]] = []
-        for a, e in regions[b]:
-            pos = a
-            while pos < e:
-                first.append((pos, pos + m * sub))
-                rest.append((pos + m * sub, pos + width))
-                pos += width
-        regions = {bb: regions[int(src)] for bb, src in enumerate(parents)}
-        regions[c1], regions[c2] = first, rest
-        k_cur += r
-        dyadic_levels.append(k_cur)
-        level_regions.append(dict(regions))
-
-    atom_exp = max(
-        (Fraction(float(m)).denominator.bit_length() - 1 for m in filt.space.masses),
-        default=0,
-    )
-    k_out = max(k_cur, atom_exp, 1)
-    if k_out > 22:
+    ratios = [Fraction(c1) / Fraction(p) for p, c1, _ in splits]
+    if any(q.denominator & (q.denominator - 1) for q in ratios):
+        raise ValueError("split mass ratios must be dyadic fractions")
+    dyadic_levels = list(accumulate((q.denominator.bit_length() - 1 for q in ratios), initial=0))
+    # every finite float is a dyadic rational: each atom fills whole cells
+    atom_exp = max(Fraction(m).denominator.bit_length() for m in np.unique(filt.space.masses)) - 1
+    k_out = max(dyadic_levels[-1], atom_exp, 1)
+    if k_out > MAX_GRID_EXPONENT:
         # the replayed splits commit one extra dyadic generation each, so
         # long filtrations genuinely need exponentially fine realizations
-        raise ResolutionError(
-            f"the equivalent filtration needs a 2^{k_out} grid", required_k=k_out
-        )
-    n_out = 1 << k_out
-    grid = AtomicMeasureSpace(np.full(n_out, 2.0**-k_out))
+        raise ResolutionError(f"the equivalent filtration needs a 2^{k_out} grid", k_out)
 
-    def atoms_of(intervals: list[tuple[Fraction, Fraction]]) -> np.ndarray:
-        idx: list[np.ndarray] = []
-        for a, e in intervals:
-            lo = a * n_out
-            hi = e * n_out
-            idx.append(np.arange(int(lo), int(hi)))
-        return np.sort(np.concatenate(idx)) if idx else np.empty(0, dtype=int)
-
-    out_levels = []
-    for regs in level_regions:
-        labels = np.empty(n_out, dtype=np.int64)
-        for bb, intervals in regs.items():
-            labels[atoms_of(intervals)] = bb
-        out_levels.append(Partition(labels, grid))
-
-    final = filt.levels[-1]
-    pullback = np.empty(n_out, dtype=np.int64)
-    for bb, intervals in level_regions[-1].items():
-        out_atoms = atoms_of(intervals)
-        in_atoms = np.flatnonzero(final.block_of == bb)
-        pos = 0
-        for a in in_atoms:
-            span = int(Fraction(float(filt.space.masses[a])) * n_out)
-            pullback[out_atoms[pos : pos + span]] = a
-            pos += span
-        if pos != out_atoms.size:
-            raise AssertionError(f"block {bb} maps onto {pos} of {out_atoms.size} grid atoms")
-
-    return BooleanIsomorphism(
-        grid, k_out, Filtration(tuple(out_levels)), dyadic_levels, pullback
+    cells = [np.zeros(1, dtype=np.int64)]
+    for j, (q, prev, nxt) in enumerate(zip(ratios, filt.levels, filt.levels[1:]), start=1):
+        parents, (b, c1, c2) = split_blocks(prev, nxt)
+        # unchanged blocks keep their parent's cells under the new block id
+        relabel = np.empty(prev.n_blocks, dtype=np.int64)
+        relabel[parents] = np.arange(nxt.n_blocks)
+        n_sub = 1 << (dyadic_levels[j] - dyadic_levels[j - 1])
+        grown = np.repeat(relabel[cells[-1]], n_sub).reshape(-1, n_sub)
+        in_b = cells[-1] == b
+        grown[in_b, : q.numerator] = c1
+        grown[in_b, q.numerator :] = c2
+        cells.append(grown.ravel())
+    grid = AtomicMeasureSpace(np.full(1 << k_out, 2.0**-k_out))
+    out_levels = tuple(
+        Partition(np.repeat(c, 1 << (k_out - k)), grid) for c, k in zip(cells, dyadic_levels)
     )
+
+    # each block's grid atoms, in order, are covered by its input atoms in
+    # order, each input atom taking mass * 2^k_out consecutive grid atoms
+    final, grid_blocks = filt.levels[-1], np.repeat(cells[-1], 1 << (k_out - dyadic_levels[-1]))
+    spans = (filt.space.masses * grid.n_atoms).astype(np.int64)
+    have = np.bincount(grid_blocks, minlength=final.n_blocks)
+    need = np.bincount(final.block_of, spans, final.n_blocks).astype(np.int64)
+    if not np.array_equal(have, need):
+        bb = int(np.flatnonzero(have != need)[0])
+        raise AssertionError(f"block {bb} maps onto {need[bb]} of {have[bb]} grid atoms")
+    in_atoms = np.argsort(final.block_of, kind="stable")
+    pullback = np.empty(grid.n_atoms, dtype=np.int64)
+    pullback[np.argsort(grid_blocks, kind="stable")] = np.repeat(in_atoms, spans[in_atoms])
+    return BooleanIsomorphism(grid, k_out, Filtration(out_levels), dyadic_levels, pullback)
 
 
 @dataclass(frozen=True)

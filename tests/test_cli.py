@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -242,6 +243,29 @@ class TestReduce:
         )
         assert code == 1
         assert "grid of 2^" in err
+
+    def test_too_fine_isomorphism_exits_at_once(self, capsys):
+        # 16 replayed splits would need a 2^27 grid for the isomorphism
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "reduce", "--seed", "1", "--grid-exponent", "8", "--steps", "16",
+            "--perturb",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert "2^27" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", ["0", "-1"])
+    def test_nonpositive_eps_exits_contract(self, capsys, eps):
+        code, _, err = run(capsys, "reduce", "--seed", "1", "--eps", eps)
+        assert code == 1
+        assert "eps must be positive" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("subsample", ["0", "-1"])
+    def test_subsample_below_one_exits_contract(self, capsys, subsample):
+        code, _, err = run(capsys, "reduce", "--seed", "1", "--subsample", subsample)
+        assert code == 1
+        assert "subsample must be >= 1" in err and "Traceback" not in err
 
 
 class TestGundy:

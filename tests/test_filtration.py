@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -386,6 +387,45 @@ class TestBooleanIsomorphism:
         _, filt = _non_dyadic_haar_on_grid(4)
         with pytest.raises(ValueError):
             boolean_isomorphism(filt)
+
+    def test_unequal_dyadic_masses(self):
+        masses = np.array([1 / 2, 1 / 8, 1 / 8, 1 / 4])
+        space = AtomicMeasureSpace(masses)
+        # split ratios 1/2, 1/2, 1/2 and 1/2, 1/4 (many seeds dead-end)
+        for steps, seed in [(3, 14), (2, 11)]:
+            filt = random_haar_filtration(space, steps, kind="dyadic", seed=seed)
+            iso = boolean_isomorphism(filt)
+            # each atom covers mass * 2^k grid atoms, the first atom several
+            np.testing.assert_array_equal(
+                np.bincount(iso.pullback, minlength=4), masses * 2**iso.grid_exponent
+            )
+            for part_in, part_out in zip(filt.levels, iso.filtration.levels):
+                np.testing.assert_allclose(
+                    np.sort(part_in.block_masses()),
+                    np.sort(part_out.block_masses()),
+                    atol=1e-15,
+                )
+            raw = random_step_function(space, lp_space(2, 2), 200 + seed)
+            f = conditional_expectation(raw, filt.levels[-1])
+            g = iso.push_function(f)
+            for j in range(len(filt.levels)):
+                ce_in = conditional_expectation(f, filt.levels[j])
+                ce_out = conditional_expectation(g, iso.dyadic_level_partition(j))
+                np.testing.assert_allclose(
+                    ce_out.values, ce_in.values[iso.pullback], atol=1e-12
+                )
+
+    def test_too_fine_grid_rejected_before_any_work(self):
+        # the input of `reduce --seed 1 --grid-exponent 8 --steps 16 --perturb`
+        space = AtomicMeasureSpace(np.full(256, 2.0**-8))
+        filt = random_haar_filtration(space, 16, kind="dyadic", seed=1)
+        embedded, _ = haar_embed(perturb_last_split(filt))
+        approx = dyadic_haar_approximate(embedded, 0.125)
+        start = time.perf_counter()
+        with pytest.raises(ResolutionError) as err:
+            boolean_isomorphism(approx.filtration)
+        assert time.perf_counter() - start < 5.0
+        assert err.value.required_k == 27
 
 
 class TestProductLift:
