@@ -3,9 +3,10 @@ deterministic JSON/CSV reports for every operation in the package.
 
 Identical configuration and seed produce byte-identical reports: all
 randomness is seeded, reports carry no timestamps, JSON keys are sorted,
-and CSV columns are fixed.  Schema violations exit with status 2 and a
-JSON-path message; violated numerical contracts exit with status 1 and
-name the failed invariant.
+and CSV columns are fixed.  Per-atom and per-instance rows are rendered
+from numpy columns, each distinct value formatted once.  Schema violations
+exit with status 2 and a JSON-path message; violated numerical contracts
+exit with status 1 and name the failed invariant.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from . import concave as concave_mod
 from . import martingale as mart
 from . import maximal as maximal_mod
 from .filtration import (
-    AtomicMeasureSpace,
     Filtration,
     ResolutionError,
     StepFunction,
     boolean_isomorphism,
     conditional_expectation,
+    dyadic_grid,
     dyadic_haar_approximate,
     filtration_to_json,
     haar_embed,
@@ -110,6 +111,12 @@ def _witness_json(witness):
     }
 
 
+def _columns(names: str, records):
+    """Table (name -> column array, csv order) of one tuple per row; names space-separated."""
+    columns = list(zip(*records)) or [()] * len(names.split())
+    return {name: np.array(column) for name, column in zip(names.split(), columns)}
+
+
 def _function_from_args(args):
     """Step function plus the dyadic filtration it lives on."""
     if args.function:
@@ -141,18 +148,13 @@ def _maximal_rows(f, filt, cfg, truncation=None):
         doob = rad
     else:
         doob = maximal_mod.doob_maximal(f, filt, truncation)
-    rows = []
-    for a in range(f.base.n_atoms):
-        rows.append(
-            {
-                "atom_index": a,
-                "mass": float(f.base.masses[a]),
-                "doob": float(doob.pointwise[a]),
-                "rademacher_lower": float(rad.pointwise[a]),
-                "rademacher_upper": float(rad.pointwise_upper[a]),
-            }
-        )
-    return rows, doob, rad
+    return {
+        "atom_index": np.arange(f.base.n_atoms),
+        "mass": f.base.masses,
+        "doob": doob.pointwise,
+        "rademacher_lower": rad.pointwise,
+        "rademacher_upper": rad.pointwise_upper,
+    }, doob, rad
 
 
 def cmd_randnorm(args):
@@ -212,16 +214,14 @@ def cmd_typecotype(args):
 def cmd_maximal(args):
     cfg = _cfg_from_args(args)
     f, filt = _function_from_args(args)
-    rows, doob, rad = _maximal_rows(f, filt, cfg, args.truncation)
-    payload = {
+    table, doob, rad = _maximal_rows(f, filt, cfg, args.truncation)
+    return {
         "subcommand": "maximal",
         "mode": rad.mode,
         "truncation": args.truncation,
         "doob_lp": {str(k): v for k, v in doob.lp_norms.items()},
         "rademacher_lp": {str(k): v for k, v in rad.lp_norms.items()},
-        "rows": rows,
-    }
-    return payload, rows
+    }, table
 
 
 def cmd_rmf_ratio(args):
@@ -231,16 +231,9 @@ def cmd_rmf_ratio(args):
     fnorm = maximal_mod.lp_norm(f, p, f.base)
     if fnorm == 0:
         raise ValueError("RMF ratio of the zero function is undefined")
-    rows, _, rad = _maximal_rows(f, filt, cfg, args.truncation)
+    table, _, rad = _maximal_rows(f, filt, cfg, args.truncation)
     ratio = maximal_mod.lp_norm(rad.pointwise, p, f.base) / fnorm
-    payload = {
-        "subcommand": "rmf-ratio",
-        "p": p,
-        "ratio": ratio,
-        "mode": rad.mode,
-        "rows": rows,
-    }
-    return payload, rows
+    return {"subcommand": "rmf-ratio", "p": p, "ratio": ratio, "mode": rad.mode}, table
 
 
 def cmd_reduce(args):
@@ -248,7 +241,7 @@ def cmd_reduce(args):
     if args.subsample < 1:
         raise ValueError("subsample must be >= 1")
     cfg = _cfg_from_args(args)
-    base = AtomicMeasureSpace(np.full(1 << args.grid_exponent, 2.0**-args.grid_exponent))
+    base = dyadic_grid(args.grid_exponent)
     filt = random_haar_filtration(base, args.steps, kind="dyadic", seed=seed)
     if args.perturb:
         filt = perturb_last_split(filt)
@@ -339,30 +332,18 @@ def cmd_gundy(args):
             ok = parts.certificates.within_constants() and recon <= 1e-10
             violations += 0 if ok else 1
             c = parts.certificates
-            rows.append(
-                {
-                    "instance": i,
-                    "mode": "hilbert_exact" if x.space.is_hilbert else "optimized",
-                    "lambda_multiplier": mult,
-                    "lambda": lam,
-                    "x_l1": c.x_l1,
-                    "g_l1": c.g_l1,
-                    "g_sup": c.g_sup,
-                    "h_variation": c.h_variation,
-                    "b_positive_probability": c.b_positive_probability,
-                    "reconstruction_error": recon,
-                    "violations": 0 if ok else 1,
-                }
-            )
-    payload = {
-        "subcommand": "gundy",
-        "instances": len(family),
-        "total_violations": violations,
-        "rows": rows,
-    }
+            rows.append((
+                i, "hilbert_exact" if x.space.is_hilbert else "optimized", mult, lam,
+                c.x_l1, c.g_l1, c.g_sup, c.h_variation, c.b_positive_probability,
+                recon, 0 if ok else 1,
+            ))
+    payload = {"subcommand": "gundy", "instances": len(family), "total_violations": violations}
     if violations:
         raise AssertionError(f"{violations} decomposition certificates violated")
-    return payload, rows
+    return payload, _columns(
+        "instance mode lambda_multiplier lambda x_l1 g_l1 g_sup h_variation "
+        "b_positive_probability reconstruction_error violations", rows
+    )
 
 
 def cmd_goodlambda(args):
@@ -384,18 +365,11 @@ def cmd_goodlambda(args):
         for report in reports:
             total_violations += report.inclusion_violations
             worst_slack = max(worst_slack, report.transform_sup_slack)
-            rows.append(
-                {
-                    "instance": i,
-                    "lambda": report.lam,
-                    "mode": report.mode,
-                    "inclusion_violations": report.inclusion_violations,
-                    "transform_sup_slack": report.transform_sup_slack,
-                    "lhs_probability": report.lhs_probability,
-                    "rhs_probability": report.rhs_probability,
-                    "alpha": report.alpha,
-                }
-            )
+            rows.append((
+                i, report.lam, report.mode, report.inclusion_violations,
+                report.transform_sup_slack, report.lhs_probability,
+                report.rhs_probability, report.alpha,
+            ))
     payload = {
         "subcommand": "goodlambda",
         "beta": args.beta,
@@ -403,11 +377,13 @@ def cmd_goodlambda(args):
         "alpha": mart.alpha_of(args.delta, args.beta, 1.0),
         "total_inclusion_violations": total_violations,
         "worst_transform_slack": worst_slack,
-        "rows": rows,
     }
     # exact-mode violations raise inside the experiment (exit 1); counts
     # surviving to this point are heuristic-mode diagnostics
-    return payload, rows
+    return payload, _columns(
+        "instance lambda mode inclusion_violations transform_sup_slack "
+        "lhs_probability rhs_probability alpha", rows
+    )
 
 
 def cmd_weak_rmf(args):
@@ -415,25 +391,14 @@ def cmd_weak_rmf(args):
     family = _generated_family(args, _require_seed(args))
     p = _parse_exponent(args.p)
     report = mart.weak_rmf_probe(family, cfg, p=p, beta=args.beta, delta=args.delta)
-    rows = [
-        {
-            "instance": r.instance,
-            "l1_bound": r.l1_bound,
-            "weak_ratio": r.weak_ratio,
-            "mode": r.mode,
-        }
-        for r in report.rows
-    ]
-    payload = {
+    return {
         "subcommand": "weak-rmf",
         "constant": report.constant,
         "strong_constant": report.strong_constant,
         "p": p,
         "beta": args.beta,
         "delta": args.delta,
-        "rows": rows,
-    }
-    return payload, rows
+    }, _columns("instance l1_bound weak_ratio mode", map(dataclasses.astuple, report.rows))
 
 
 def cmd_concave(args):
@@ -591,16 +556,51 @@ def _sanitize(obj):
     return obj
 
 
-def _render_json(payload) -> str:
-    return json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _render_csv(rows) -> str:
+def _csv_field(text: str) -> str:
+    """``text`` quoted as ``csv.writer`` quotes a field inside a row."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0].keys())
-    writer.writerows(row.values() for row in rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _table_cells(table: dict, quote) -> list[list[str]]:
+    """Cell texts of each column, each distinct bit pattern formatted once.
+
+    Floats take ``float.__repr__``, as json and csv do, a non-finite one
+    quoted as a string (``_sanitize``); ints take ``str``, strings ``quote``.
+    A column equal bit for bit to an earlier one reuses its text.
+    """
+    keys = [(column.dtype.str, column.tobytes()) for column in table.values()]
+    done = {}
+    for key, column in zip(keys, table.values()):
+        if key in done:
+            continue
+        floats = column.dtype.kind == "f"
+        uniq, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
+        values = uniq.view(column.dtype)
+        fmt = float.__repr__ if floats else str if column.dtype.kind in "iu" else quote
+        text = list(map(fmt, values.tolist()))
+        for i in np.flatnonzero(~np.isfinite(values)) if floats else ():
+            text[i] = quote(text[i])
+        done[key] = np.array(text, dtype=object)[inverse].tolist()
+    return [done[key] for key in keys]
+
+
+def _render_json(payload, table=None) -> str:
+    """Sorted keys at indent 2; ``table`` goes under the top-level key ``rows``."""
+    if table is None:
+        return json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    slot = "\0rows\0"
+    text = _render_json({**payload, "rows": slot})
+    names = sorted(table)
+    template = "    {\n" + ",\n".join(f"      {json.dumps(n)}: %s" for n in names) + "\n    }"
+    rows = [template % row for row in zip(*_table_cells({n: table[n] for n in names}, json.dumps))]
+    return text.replace(json.dumps(slot), "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
+
+
+def _render_csv(table) -> str:
+    cells = _table_cells(table, _csv_field)
+    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
 
 
 def _flags_of(subcommand: str) -> dict:
@@ -665,7 +665,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.subcommand.replace("-", "_")]
 
     try:
-        payload, rows = handler(args)
+        payload, table = handler(args)
     except SchemaViolation as err:
         print(str(err), file=sys.stderr)
         return _EXIT_SCHEMA
@@ -677,12 +677,12 @@ def main(argv=None) -> int:
         return _EXIT_CONTRACT
 
     if args.format == "csv":
-        if not rows:
+        if table is None or not any(map(len, table.values())):
             print("no tabular data for csv output", file=sys.stderr)
             return _EXIT_SCHEMA
-        text = _render_csv(rows)
+        text = _render_csv(table)
     else:
-        text = _render_json(payload)
+        text = _render_json(payload, table)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -262,12 +262,23 @@ def conditional_expectation(f: StepFunction, pi: Partition) -> StepFunction:
     return StepFunction(averages[pi.block_of], f.space, f.base)
 
 
+def dyadic_grid(k: int) -> AtomicMeasureSpace:
+    """2^k equal atoms modeling [0,1); k over MAX_GRID_EXPONENT raises
+    ``ResolutionError`` before anything is allocated."""
+    if k > MAX_GRID_EXPONENT:
+        raise ResolutionError(
+            f"a 2^{k}-atom grid is over the cap of 2^{MAX_GRID_EXPONENT} atoms "
+            f"(filtration.MAX_GRID_EXPONENT = {MAX_GRID_EXPONENT})",
+            k,
+        )
+    return AtomicMeasureSpace(np.full(1 << k, 2.0**-k))
+
+
 def make_dyadic_filtration(k: int) -> tuple[AtomicMeasureSpace, Filtration]:
     """2^k equal atoms modeling [0,1) with the dyadic-interval levels 0..k."""
     if k < 1:
         raise ValueError("grid exponent must be >= 1")
-    n = 1 << k
-    space = AtomicMeasureSpace(np.full(n, 2.0**-k))
+    space = dyadic_grid(k)
     levels = [dyadic_partition(space, j, k) for j in range(k + 1)]
     return space, Filtration(tuple(levels))
 
@@ -285,6 +296,42 @@ def _is_dyadic_ratio(child_mass: float, parent_mass: float) -> bool:
     return d & (d - 1) == 0
 
 
+def _mass_units(masses: np.ndarray) -> np.ndarray:
+    """Atom masses as exact integers (Python ints) in one common dyadic unit."""
+    uniq, inverse = np.unique(masses, return_inverse=True)
+    fracs = [Fraction(m) for m in uniq.tolist()]
+    unit = max(f.denominator for f in fracs)
+    return np.array([f.numerator * (unit // f.denominator) for f in fracs], dtype=object)[inverse]
+
+
+def _uniform_capacity(c: int) -> int:
+    """Dyadic splits c equal atoms take: 2^(v2(c)) - 1, odd counts are dead."""
+    return (c & -c) - 1
+
+
+def _dyadic_capacity(units: tuple[int, ...], memo: dict) -> int:
+    """Most dyadic prefix/suffix splits, one after another, that a block of
+    atoms with these integer masses takes.
+
+    A split is dyadic when prefix / total has a power-of-two denominator.
+    Any fewer splits are reachable too, so r more steps exist exactly when
+    the blocks' capacities sum to at least r.
+    """
+    n = len(units)
+    if units.count(units[0]) == n:
+        return _uniform_capacity(n)
+    if units not in memo:
+        total, prefix, best = sum(units), 0, 0
+        for s in range(1, n):
+            prefix += units[s - 1]
+            d = total // math.gcd(prefix, total)
+            if d & (d - 1) == 0:
+                split = _dyadic_capacity(units[:s], memo) + _dyadic_capacity(units[s:], memo)
+                best = max(best, 1 + split)
+        memo[units] = best
+    return memo[units]
+
+
 def random_haar_filtration(
     space: AtomicMeasureSpace, steps: int, kind: str = GENERAL, seed: int = 0
 ) -> Filtration:
@@ -300,13 +347,16 @@ def random_haar_filtration(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = np.random.default_rng(seed)
-    equal_masses = bool(np.all(space.masses == space.masses[0]))
     levels = [trivial_partition(space)]
+    if kind == DYADIC:
+        units, memo = _mass_units(space.masses), {}
+        if _dyadic_capacity(tuple(units), memo) < steps:
+            raise ValueError(f"no dyadic Haar filtration of {steps} steps exists on this space")
     for step in range(steps):
         cur = levels[-1]
+        blocks = cur.blocks()
         options: list[tuple[int, int]] = []
-        block_sizes = np.bincount(cur.block_of, minlength=cur.n_blocks)
-        for b, atoms in enumerate(cur.blocks()):
+        for b, atoms in enumerate(blocks):
             if atoms.size < 2:
                 continue
             block_mass = float(np.sum(space.masses[atoms]))
@@ -322,24 +372,25 @@ def random_haar_filtration(
             raise ValueError(
                 f"no admissible {kind} split exists after {len(levels) - 1} steps"
             )
-        if kind == DYADIC and equal_masses and step < steps - 1:
-            # on an equal-mass grid a block of n atoms supports at most
-            # 2^(v2(n)) - 1 further dyadic splits (odd counts are dead), so
-            # keep only splits leaving enough total capacity
+        if kind == DYADIC and step < steps - 1:
+            # keep only splits after which the remaining steps can still be
+            # split dyadically; the check above makes one such split exist
             remaining = steps - step - 1
-
-            def capacity(c: int) -> int:
-                return (c & -c) - 1
+            block_units = [tuple(units[atoms]) for atoms in blocks]
+            uniform = [u.count(u[0]) == len(u) for u in block_units]
+            caps = [_dyadic_capacity(u, memo) for u in block_units]
+            total = sum(caps)
 
             def survives(opt):
                 b, s = opt
-                sizes = [s, int(block_sizes[b]) - s] + [
-                    int(c) for bb, c in enumerate(block_sizes) if bb != b
-                ]
-                return sum(capacity(c) for c in sizes) >= remaining
+                u = block_units[b]
+                if uniform[b]:  # closed form, no slicing of a long block
+                    rest = _uniform_capacity(s) + _uniform_capacity(len(u) - s)
+                else:
+                    rest = _dyadic_capacity(u[:s], memo) + _dyadic_capacity(u[s:], memo)
+                return total - caps[b] + rest >= remaining
 
-            viable = [opt for opt in options if survives(opt)]
-            options = viable or options
+            options = [opt for opt in options if survives(opt)]
         blocks_with_options = sorted({b for b, _ in options})
         b = blocks_with_options[int(rng.integers(len(blocks_with_options)))]
         sizes = [s for bb, s in options if bb == b]
@@ -632,7 +683,7 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
         grown[in_b, : q.numerator] = c1
         grown[in_b, q.numerator :] = c2
         cells.append(grown.ravel())
-    grid = AtomicMeasureSpace(np.full(1 << k_out, 2.0**-k_out))
+    grid = dyadic_grid(k_out)
     out_levels = tuple(
         Partition(np.repeat(c, 1 << (k_out - k)), grid) for c, k in zip(cells, dyadic_levels)
     )

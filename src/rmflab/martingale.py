@@ -22,6 +22,7 @@ from .filtration import (
     Filtration,
     StepFunction,
     conditional_expectation,
+    dyadic_grid,
     is_standard_haar,
     random_haar_filtration,
 )
@@ -131,7 +132,7 @@ def random_haar_martingale(
     """Seeded martingale of conditional expectations of a Gaussian step
     function over a random Haar filtration on a 2^grid_exponent grid."""
     ss = np.random.SeedSequence(seed).generate_state(2)
-    base = AtomicMeasureSpace(np.full(1 << grid_exponent, 2.0**-grid_exponent))
+    base = dyadic_grid(grid_exponent)
     filt = random_haar_filtration(base, steps, kind=kind, seed=int(ss[0]))
     rng = np.random.default_rng(int(ss[1]))
     f = StepFunction(

@@ -1,4 +1,7 @@
 import argparse
+import csv
+import hashlib
+import io
 import json
 import math
 import time
@@ -6,10 +9,83 @@ import time
 import numpy as np
 import pytest
 
-from rmflab import optim, rbound
+from rmflab import cli, optim, rbound
 from rmflab.cli import build_parser, main
 
 L1_PLANE = '{"kind":"lp","p":1,"dim":2}'
+HILBERT_PLANE = '{"kind":"lp","p":2,"dim":2}'
+
+DETERMINISM_ARGV = [
+    ("gundy", "--instances", "3", "--seed", "23", "--format", "csv"),
+    ("goodlambda", "--instances", "2", "--seed", "23", "--lambda-points", "3"),
+    ("weak-rmf", "--instances", "3", "--seed", "23"),
+    ("reduce", "--seed", "23", "--perturb"),
+    (
+        "typecotype", "--kind", "cotype", "--space",
+        '{"kind":"lp","p":"inf","dim":2}', "--exponent", "2",
+        "--count", "2", "--seed", "23",
+    ),
+    (
+        "maximal", "--space", L1_PLANE, "--grid-exponent", "2",
+        "--seed", "23", "--restarts", "2",
+    ),
+    (
+        "rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2",
+        "--seed", "23", "--restarts", "2",
+    ),
+    (
+        "reduce", "--seed", "23", "--steps", "2", "--subsample", "2",
+        "--grid-exponent", "7", "--eps", "0.5",
+    ),
+    (
+        "typecotype", "--kind", "cotype", "--space",
+        '{"kind":"schatten","p":1,"rows":2,"cols":2}', "--exponent", "2",
+        "--count", "2", "--restarts", "4", "--seed", "23",
+    ),
+]
+
+# sha256 of each report as the row-dict renderer wrote it; the columnar
+# renderer must reproduce every byte
+GOLDEN_REPORTS = list(zip(DETERMINISM_ARGV, [
+    "aa4bffff5ef79902d76c3724f65e498f545125a9b82c4e167b9b92c0bab5d430",
+    "a8e67569b9abf97dbe7bed2947eb28e4add80db75865298dd770087d1f7be3a2",
+    "10a5a09fe2710198de852cc1fad0dff49206368acff40c86befc838ab28ab98f",
+    "be77676906e45b42149f5b580d491e81a6f11cc2d14c52191b4a4ca7b25a596c",
+    "6b0026bac18b3a9f6f2bd9e3ef47ae390519bbf213d6520b7b0de01afcd0f49e",
+    "b3c13e4ec5e828d5ba9299969815a5e96598a8449a7a646b01b56d9f6560a0ba",
+    "051dbf9afb1d840792551d581f9cf31071d1419f2d687151f71c5af2585508c5",
+    "3693ca2a3d4ddcbb988f03c4a58806da2e181984763fc73cd9d1730680d97b5f",
+    "ce39794dda912782bdf35dfd327daf8a14284d8e7a3ada7f374eac49f5ae9a23",
+]))
+GOLDEN_REPORTS += [
+    (("maximal", "--space", HILBERT_PLANE, "--grid-exponent", "6", "--seed", "5"),
+     "9cf6893230e59a82c6d0784cfb9832a3676a235dc0023e75d2d0a8aa6828909a"),
+    (("maximal", "--space", HILBERT_PLANE, "--grid-exponent", "6", "--seed", "5",
+      "--format", "csv"),
+     "c06f2be78d94fcbf099d9a1206503154d8d3f9253ad763a549528c7438a60b80"),
+    (("rmf-ratio", "--space", HILBERT_PLANE, "--grid-exponent", "6", "--seed", "5"),
+     "cc5142f9bb12de0724c082f0348ea3ecfa0bf1e98a2d59017d60c4f325d699db"),
+    (("maximal", "--space", HILBERT_PLANE, "--grid-exponent", "4", "--seed", "2",
+      "--truncation", "2"),
+     "32b3a965fe21573ee1c97ed89e0f4512ee745d9318625675f99458cd5da3a33f"),
+    (("maximal", "--space", L1_PLANE, "--grid-exponent", "2", "--seed", "23",
+      "--restarts", "2", "--format", "csv"),
+     "173d23bef6ae85885702ef826c40e47fbac944783b20e2306114d876ea2e20c4"),
+    (("gundy", "--instances", "3", "--seed", "23"),
+     "d307aa36c34349e96916918291094f1a71ef2038a17086a53d30562214a9c2c0"),
+    (("goodlambda", "--instances", "2", "--seed", "23", "--lambda-points", "3",
+      "--format", "csv"),
+     "02044c0563fde8bc8ec44a33ec8cddcc7a9c1e60899ee7fe09fb4bf9805ce49d"),
+    (("goodlambda", "--space", L1_PLANE, "--instances", "2", "--grid-exponent", "3",
+      "--steps", "4", "--seed", "7", "--lambda-points", "2", "--format", "csv"),
+     "52859e00b2cb28cd830d5565a50b1322ed3b5d0b13cdd7ca63702029598c71a2"),
+    (("goodlambda", "--instances", "0", "--seed", "1"),
+     "f2eaffc9638558240bdcd18e84923103665b00dec4522e8e70baf78a3303537d"),
+    (("weak-rmf", "--instances", "3", "--seed", "23", "--format", "csv"),
+     "fc559fa59d563d662b229c5870dffb2a0a8b7c0fe98da3739f381eca8305b6a7"),
+    (("weak-rmf", "--instances", "0", "--seed", "1"),
+     "35d1f41c025ed4a19f2feb90dab1eaa5512a5c56987722b474c8bace8bc0eb50"),
+]
 
 
 def run(capsys, *argv):
@@ -268,6 +344,21 @@ class TestReduce:
         assert "subsample must be >= 1" in err and "Traceback" not in err
 
 
+class TestGridCap:
+    @pytest.mark.parametrize("k", ["23", "40"])
+    @pytest.mark.parametrize(
+        "subcommand", ["maximal", "rmf-ratio", "reduce", "gundy", "goodlambda", "weak-rmf"]
+    )
+    def test_grid_over_cap_exits_before_allocating(self, capsys, subcommand, k):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, subcommand, "--space", HILBERT_PLANE, "--grid-exponent", k, "--seed", "1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert f"2^{k}" in err and "MAX_GRID_EXPONENT = 22" in err
+
+
 class TestGundy:
     def test_batch_zero_violations(self, capsys):
         code, out, _ = run(
@@ -494,37 +585,7 @@ class TestConcave:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("gundy", "--instances", "3", "--seed", "23", "--format", "csv"),
-            ("goodlambda", "--instances", "2", "--seed", "23", "--lambda-points", "3"),
-            ("weak-rmf", "--instances", "3", "--seed", "23"),
-            ("reduce", "--seed", "23", "--perturb"),
-            (
-                "typecotype", "--kind", "cotype", "--space",
-                '{"kind":"lp","p":"inf","dim":2}', "--exponent", "2",
-                "--count", "2", "--seed", "23",
-            ),
-            (
-                "maximal", "--space", L1_PLANE, "--grid-exponent", "2",
-                "--seed", "23", "--restarts", "2",
-            ),
-            (
-                "rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2",
-                "--seed", "23", "--restarts", "2",
-            ),
-            (
-                "reduce", "--seed", "23", "--steps", "2", "--subsample", "2",
-                "--grid-exponent", "7", "--eps", "0.5",
-            ),
-            (
-                "typecotype", "--kind", "cotype", "--space",
-                '{"kind":"schatten","p":1,"rows":2,"cols":2}', "--exponent", "2",
-                "--count", "2", "--restarts", "4", "--seed", "23",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv", DETERMINISM_ARGV)
     def test_identical_reruns(self, tmp_path, argv):
         out1 = tmp_path / "a.out"
         out2 = tmp_path / "b.out"
@@ -552,6 +613,57 @@ class TestDeterminism:
         code, _, err = run(capsys, "gundy", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize(
+        "argv,digest", GOLDEN_REPORTS, ids=[f"{a[0]}-{i}" for i, (a, _) in enumerate(GOLDEN_REPORTS)]
+    )
+    def test_report_bytes(self, tmp_path, argv, digest):
+        out = tmp_path / "report.out"
+        assert main(list(argv) + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_non_finite_column_renders_as_row_dicts_did(self):
+        column = np.array([math.inf, -math.inf, math.nan, -0.0, 0.0, 0.1, 1e300, 2.0**-1074])
+        table = {
+            "atom_index": np.arange(column.size),
+            "mass": np.full(column.size, 0.125),
+            "value": column,
+            "copy": column.copy(),
+            "mode": np.array(["optimized", "a,b", 'q"uote', "optimized"] * 2),
+        }
+        payload = {"subcommand": "test", "bound": math.inf, "nested": {"x": -math.inf}}
+        rows = [dict(zip(table, values)) for values in zip(*(c.tolist() for c in table.values()))]
+
+        # the path the reports took before columns: _sanitize, json.dumps, csv.writer
+        def sanitize(obj):
+            if isinstance(obj, dict):
+                return {k: sanitize(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [sanitize(v) for v in obj]
+            if isinstance(obj, float) and not math.isfinite(obj):
+                return repr(obj)
+            return obj
+
+        want_json = json.dumps(
+            sanitize({**payload, "rows": rows}), sort_keys=True, indent=2, allow_nan=False
+        ) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)
+
+        got_json = cli._render_json(payload, table)
+        assert got_json == want_json
+        assert '"value": "inf"' in got_json and '"value": -0.0' in got_json
+        assert '"value": "nan"' in got_json and '"value": "-inf"' in got_json
+        got_csv = cli._render_csv(table)
+        assert got_csv == buf.getvalue()
+        assert ",inf,inf," in got_csv and ",nan,nan," in got_csv and ",-0.0,-0.0," in got_csv
+        assert cli._render_json(payload, {k: c[:0] for k, c in table.items()}) == json.dumps(
+            sanitize({**payload, "rows": []}), sort_keys=True, indent=2
+        ) + "\n"
 
 
 class TestConfigFlags:

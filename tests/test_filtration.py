@@ -89,6 +89,13 @@ class TestRandomHaar:
         filt = random_haar_filtration(space, 6, kind="dyadic", seed=7)
         assert is_dyadic_haar(filt)
 
+    def test_dyadic_beyond_capacity_raises_at_once(self):
+        # 16 equal atoms take at most 15 dyadic splits
+        space = AtomicMeasureSpace(np.full(16, 1 / 16))
+        with pytest.raises(ValueError, match="no dyadic Haar filtration of 16 steps"):
+            random_haar_filtration(space, 16, kind="dyadic", seed=0)
+        assert is_dyadic_haar(random_haar_filtration(space, 15, kind="dyadic", seed=0))
+
     def test_standard_impossible(self):
         space = AtomicMeasureSpace(np.array([0.375, 0.375, 0.25]))
         with pytest.raises(ValueError):
@@ -391,8 +398,9 @@ class TestBooleanIsomorphism:
     def test_unequal_dyadic_masses(self):
         masses = np.array([1 / 2, 1 / 8, 1 / 8, 1 / 4])
         space = AtomicMeasureSpace(masses)
-        # split ratios 1/2, 1/2, 1/2 and 1/2, 1/4 (many seeds dead-end)
-        for steps, seed in [(3, 14), (2, 11)]:
+        # split ratios 1/2, 1/2, 1/2 and 1/2, 1/4; three steps must split
+        # the 1/2 atom off first, so every seed needs the capacity filter
+        for steps, seed in [(steps, seed) for steps in (2, 3) for seed in range(20)]:
             filt = random_haar_filtration(space, steps, kind="dyadic", seed=seed)
             iso = boolean_isomorphism(filt)
             # each atom covers mass * 2^k grid atoms, the first atom several
