@@ -563,6 +563,11 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+# below this many rows a column's cells are formatted one by one: the sort
+# that finds its distinct values costs more than it saves
+_DEDUPE_ROWS = 64
+
+
 def _table_cells(table: dict, quote) -> list[list[str]]:
     """Cell texts of each column, each distinct bit pattern formatted once.
 
@@ -576,13 +581,15 @@ def _table_cells(table: dict, quote) -> list[list[str]]:
         if key in done:
             continue
         floats = column.dtype.kind == "f"
-        uniq, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
-        values = uniq.view(column.dtype)
+        values, inverse = column, None
+        if column.size >= _DEDUPE_ROWS:
+            uniq, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
+            values = uniq.view(column.dtype)
         fmt = float.__repr__ if floats else str if column.dtype.kind in "iu" else quote
         text = list(map(fmt, values.tolist()))
         for i in np.flatnonzero(~np.isfinite(values)) if floats else ():
             text[i] = quote(text[i])
-        done[key] = np.array(text, dtype=object)[inverse].tolist()
+        done[key] = text if inverse is None else np.array(text, dtype=object)[inverse].tolist()
     return [done[key] for key in keys]
 
 

@@ -7,10 +7,12 @@ A finite algebra is encoded by its generating partition (one block id per
 atom).  A filtration is an increasing (refining) sequence of partitions; a
 Haar filtration splits exactly one block per level, dyadic/standard Haar
 filtrations constrain the split mass ratios to dyadic fractions / exact
-halves.  Dyadic-ness checks are exact: every float is a dyadic rational,
-so split ratios are compared via ``fractions.Fraction`` without rounding;
-blocks, also those of the dyadic grid, are integer labels.  Grids are
-capped at 2^MAX_GRID_EXPONENT atoms, checked before anything is built.
+halves.  Split tests are exact: every float is a dyadic rational, so they
+run on atom masses as integers in one dyadic unit; ``fractions.Fraction``
+is left only where a ratio's dyadic depth is read.  Blocks, also those of
+the dyadic grid, are integer labels numbered by first occurrence, which is
+recognized without a sort.  Grids are capped at 2^MAX_GRID_EXPONENT atoms,
+checked before anything is built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ class ResolutionError(ValueError):
     """
 
     def __init__(self, message: str, required_k: int):
-        super().__init__(f"{message} (grid of 2^{required_k} atoms suffices)")
+        if required_k <= MAX_GRID_EXPONENT:  # a grid over the cap is no remedy
+            message += f" (grid of 2^{required_k} atoms suffices)"
+        super().__init__(message)
         self.required_k = required_k
 
 
@@ -70,8 +74,8 @@ class AtomicMeasureSpace:
         return AtomicMeasureSpace(self.masses / self.total_mass)
 
     def __eq__(self, other):
-        return isinstance(other, AtomicMeasureSpace) and np.array_equal(
-            self.masses, other.masses
+        return other is self or (
+            isinstance(other, AtomicMeasureSpace) and np.array_equal(self.masses, other.masses)
         )
 
     def __hash__(self):
@@ -79,7 +83,17 @@ class AtomicMeasureSpace:
 
 
 def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels renumbered by first occurrence, and each block's first atom."""
+    """Labels renumbered by first occurrence, and each block's first atom.
+
+    Canonical labels pass in linear time: none is negative, the first is 0
+    and their running maximum (of sorted labels, themselves) rises by one at
+    a time, as often as its final value.  Only other labels are sorted.
+    """
+    if labels.size and labels[0] == 0 and labels.min() >= 0:
+        top = np.maximum.accumulate(labels) if np.any(labels[1:] < labels[:-1]) else labels
+        first = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
+        if first.size == top[-1] + 1:
+            return labels, first
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(first.size, dtype=np.int64)
@@ -100,7 +114,7 @@ class Partition:
     _first_atoms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.block_of, dtype=np.int64).ravel()
+        labels = np.array(self.block_of, dtype=np.int64).ravel()
         if labels.size != self.space.n_atoms:
             raise ValueError("label count must match atom count")
         block_of, first_atoms = _canonical_labels(labels)
@@ -291,45 +305,24 @@ def dyadic_partition(space: AtomicMeasureSpace, level: int, k: int) -> Partition
     return Partition(idx >> (k - level), space)
 
 
-def _is_dyadic_ratio(child_mass: float, parent_mass: float) -> bool:
-    d = (Fraction(child_mass) / Fraction(parent_mass)).denominator
-    return d & (d - 1) == 0
-
-
 def _mass_units(masses: np.ndarray) -> np.ndarray:
-    """Atom masses as exact integers (Python ints) in one common dyadic unit."""
+    """Atom masses as exact integers in one dyadic unit, int64 if all sums fit."""
     uniq, inverse = np.unique(masses, return_inverse=True)
     fracs = [Fraction(m) for m in uniq.tolist()]
     unit = max(f.denominator for f in fracs)
-    return np.array([f.numerator * (unit // f.denominator) for f in fracs], dtype=object)[inverse]
+    units = [f.numerator * (unit // f.denominator) for f in fracs]
+    fits = max(units) * masses.size < 2**62
+    return np.array(units, dtype=np.int64 if fits else object)[inverse]
 
 
-def _uniform_capacity(c: int) -> int:
+def _is_dyadic_split(part, whole):
+    """part / whole has a power-of-two denominator: odd(whole) divides part."""
+    return part % (whole // (whole & -whole)) == 0
+
+
+def _uniform_capacity(c):
     """Dyadic splits c equal atoms take: 2^(v2(c)) - 1, odd counts are dead."""
     return (c & -c) - 1
-
-
-def _dyadic_capacity(units: tuple[int, ...], memo: dict) -> int:
-    """Most dyadic prefix/suffix splits, one after another, that a block of
-    atoms with these integer masses takes.
-
-    A split is dyadic when prefix / total has a power-of-two denominator.
-    Any fewer splits are reachable too, so r more steps exist exactly when
-    the blocks' capacities sum to at least r.
-    """
-    n = len(units)
-    if units.count(units[0]) == n:
-        return _uniform_capacity(n)
-    if units not in memo:
-        total, prefix, best = sum(units), 0, 0
-        for s in range(1, n):
-            prefix += units[s - 1]
-            d = total // math.gcd(prefix, total)
-            if d & (d - 1) == 0:
-                split = _dyadic_capacity(units[:s], memo) + _dyadic_capacity(units[s:], memo)
-                best = max(best, 1 + split)
-        memo[units] = best
-    return memo[units]
 
 
 def random_haar_filtration(
@@ -338,83 +331,90 @@ def random_haar_filtration(
     """Seeded Haar filtration: level j has exactly j+1 blocks.
 
     Each level splits one block of its predecessor into a prefix/suffix
-    pair (in atom-index order).  ``kind`` constrains the split masses:
+    pair (in atom-index order), so blocks are intervals of atoms and a
+    level is a sorted list of cuts.  ``kind`` constrains the split masses:
     dyadic requires the child/parent mass ratio to be a dyadic fraction,
-    standard requires exact halves.
+    standard requires exact halves; both are decided on one cumulative sum
+    of integer mass units.  A block, then a cut inside it, is drawn
+    uniformly among the admissible ones.
     """
     if kind not in (GENERAL, DYADIC, STANDARD):
         raise ValueError(f"unknown Haar kind {kind!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = np.random.default_rng(seed)
-    levels = [trivial_partition(space)]
-    if kind == DYADIC:
-        units, memo = _mass_units(space.masses), {}
-        if _dyadic_capacity(tuple(units), memo) < steps:
-            raise ValueError(f"no dyadic Haar filtration of {steps} steps exists on this space")
+    n = space.n_atoms
+    units = _mass_units(space.masses)
+    prefix = np.zeros(n + 1, dtype=units.dtype)
+    np.cumsum(units, out=prefix[1:])
+    # atoms lo..hi-1 have equal masses iff run_end[lo] >= hi
+    run_ends = np.append(np.flatnonzero(units[1:] != units[:-1]) + 1, n)
+    run_end = run_ends[np.searchsorted(run_ends, np.arange(n), side="right")]
+    memo: dict[tuple[int, int], int] = {}
+
+    def capacity(lo: int, hi: int) -> int:
+        # most dyadic splits, one after another, atoms lo..hi-1 take; any
+        # fewer are reachable, so r more steps exist iff caps sum to >= r
+        if run_end[lo] >= hi:
+            return _uniform_capacity(hi - lo)
+        if (lo, hi) not in memo:
+            part = prefix[lo + 1 : hi] - prefix[lo]
+            dyadic = lo + 1 + np.flatnonzero(_is_dyadic_split(part, prefix[hi] - prefix[lo]))
+            memo[lo, hi] = max((1 + capacity(lo, c) + capacity(c, hi) for c in dyadic.tolist()), default=0)
+        return memo[lo, hi]
+
+    if kind == DYADIC and capacity(0, n) < steps:
+        raise ValueError(f"no dyadic Haar filtration of {steps} steps exists on this space")
+    cuts = [0, n]
+    labels = np.zeros(n, dtype=np.int64)
+    levels = [Partition(labels, space)]
     for step in range(steps):
-        cur = levels[-1]
-        blocks = cur.blocks()
-        options: list[tuple[int, int]] = []
-        for b, atoms in enumerate(blocks):
-            if atoms.size < 2:
-                continue
-            block_mass = float(np.sum(space.masses[atoms]))
-            prefix = np.cumsum(space.masses[atoms])
-            for s in range(1, atoms.size):
-                pm = float(prefix[s - 1])
-                if kind == STANDARD and pm != block_mass / 2:
-                    continue
-                if kind == DYADIC and not _is_dyadic_ratio(pm, block_mass):
-                    continue
-                options.append((b, s))
-        if not options:
-            raise ValueError(
-                f"no admissible {kind} split exists after {len(levels) - 1} steps"
-            )
+        # cut position p (before atom p) is interior when atoms p-1 and p
+        # share a block; positions in atom order are (block, offset) order
+        block, edges = labels[1:], np.array(cuts)
+        lo, hi = edges[block], edges[block + 1]
+        ok = labels[:-1] == block
+        if kind != GENERAL:
+            part, whole = prefix[1:-1] - prefix[lo], prefix[hi] - prefix[lo]
+            ok &= 2 * part == whole if kind == STANDARD else _is_dyadic_split(part, whole)
+        at, block, lo, hi = np.flatnonzero(ok) + 1, block[ok], lo[ok], hi[ok]
+        if at.size == 0:
+            raise ValueError(f"no admissible {kind} split exists after {step} steps")
         if kind == DYADIC and step < steps - 1:
-            # keep only splits after which the remaining steps can still be
-            # split dyadically; the check above makes one such split exist
-            remaining = steps - step - 1
-            block_units = [tuple(units[atoms]) for atoms in blocks]
-            uniform = [u.count(u[0]) == len(u) for u in block_units]
-            caps = [_dyadic_capacity(u, memo) for u in block_units]
-            total = sum(caps)
-
-            def survives(opt):
-                b, s = opt
-                u = block_units[b]
-                if uniform[b]:  # closed form, no slicing of a long block
-                    rest = _uniform_capacity(s) + _uniform_capacity(len(u) - s)
-                else:
-                    rest = _dyadic_capacity(u[:s], memo) + _dyadic_capacity(u[s:], memo)
-                return total - caps[b] + rest >= remaining
-
-            options = [opt for opt in options if survives(opt)]
-        blocks_with_options = sorted({b for b, _ in options})
-        b = blocks_with_options[int(rng.integers(len(blocks_with_options)))]
-        sizes = [s for bb, s in options if bb == b]
-        s = sizes[int(rng.integers(len(sizes)))]
-        atoms = np.flatnonzero(cur.block_of == b)
-        labels = cur.block_of.copy()
-        labels[atoms[s:]] = cur.n_blocks
+            # keep only cuts after which the remaining steps can still be
+            # split dyadically; the check above makes one such cut exist
+            caps = np.array([capacity(a, z) for a, z in zip(cuts, cuts[1:])])
+            rest = _uniform_capacity(at - lo) + _uniform_capacity(hi - at)
+            mixed = np.flatnonzero(run_end[lo] < hi)
+            ends = zip(lo[mixed].tolist(), at[mixed].tolist(), hi[mixed].tolist())
+            rest[mixed] = [capacity(a, c) + capacity(c, z) for a, c, z in ends]
+            keep = caps.sum() - caps[block] + rest >= steps - step - 1
+            at, block = at[keep], block[keep]
+        blocks = np.flatnonzero(np.bincount(block))
+        b = int(blocks[int(rng.integers(blocks.size))])
+        at = at[block == b]
+        cut = int(at[int(rng.integers(at.size))])
+        cuts.insert(b + 1, cut)
+        labels[cut:] += 1  # later atoms move up one block id; Partition copies
         levels.append(Partition(labels, space))
     return Filtration(tuple(levels))
 
 
-def haar_splits(filt: Filtration) -> list[tuple[float, float, float]]:
-    """(parent, child1, child2) masses per level of a Haar filtration.
+def haar_splits(filt: Filtration) -> list[tuple[int, int, int]]:
+    """(parent, child1, child2) masses per level of a Haar filtration, as
+    exact integers in the unit of ``_mass_units``.
 
     Raises unless level 0 is trivial and every transition is a single
     two-way split (levels refine, so one more block means exactly that).
     """
+    units = _mass_units(filt.space.masses)
     out = []
     for prev, nxt in zip(filt.levels, filt.levels[1:]):
         if nxt.n_blocks != prev.n_blocks + 1:
             raise ValueError("not a Haar filtration: block count must grow by one")
-        _, (b, c1, c2) = split_blocks(prev, nxt)
-        cm = nxt.block_masses()
-        out.append((float(prev.block_masses()[b]), float(cm[c1]), float(cm[c2])))
+        _, (_, c1, c2) = split_blocks(prev, nxt)
+        m1, m2 = (int(units[nxt.block_of == c].sum()) for c in (c1, c2))
+        out.append((m1 + m2, m1, m2))
     if filt.levels[0].n_blocks != 1:
         raise ValueError("Haar filtrations start from the trivial algebra")
     return out
@@ -433,7 +433,7 @@ def haar_kind(filt: Filtration) -> str:
     splits = haar_splits(filt)
     if all(c1 == c2 for _, c1, c2 in splits):
         return STANDARD
-    if all(_is_dyadic_ratio(c1, p) for p, c1, _ in splits):
+    if all(_is_dyadic_split(c1, p) for p, c1, _ in splits):
         return DYADIC
     return GENERAL
 
@@ -659,7 +659,7 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
         raise ValueError("input must be a Haar filtration") from None
     if abs(filt.space.total_mass - 1.0) > 1e-12:
         raise ValueError("construction requires a probability space")
-    ratios = [Fraction(c1) / Fraction(p) for p, c1, _ in splits]
+    ratios = [Fraction(c1, p) for p, c1, _ in splits]
     if any(q.denominator & (q.denominator - 1) for q in ratios):
         raise ValueError("split mass ratios must be dyadic fractions")
     dyadic_levels = list(accumulate((q.denominator.bit_length() - 1 for q in ratios), initial=0))

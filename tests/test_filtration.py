@@ -1,12 +1,14 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmflab.filtration import (
+    _canonical_labels,
     perturb_last_split,
     AtomicMeasureSpace,
     Filtration,
@@ -43,6 +45,103 @@ def scalar_f(base, values):
 def first_occurrence_numbering(labels):
     seen: dict[int, int] = {}
     return [seen.setdefault(b, len(seen)) for b in labels]
+
+
+def unique_canonical_labels(labels):
+    """First-occurrence labels and first atoms by a full sort, as
+    ``_canonical_labels`` computed them for every input before."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[order] = np.arange(first.size)
+    return rank[inverse], first[order]
+
+
+def reference_haar_labels(masses, steps, kind, seed):
+    """Labels of each level of ``random_haar_filtration`` by the per-split
+    loop it replaced: float prefix sums, ``Fraction`` ratio tests and a
+    capacity recursion on tuples of integer mass units."""
+    rng = np.random.default_rng(seed)
+    fracs = [Fraction(m) for m in masses.tolist()]
+    unit = max(f.denominator for f in fracs)
+    units = tuple(f.numerator * (unit // f.denominator) for f in fracs)
+    memo = {}
+
+    def capacity(u):
+        if u.count(u[0]) == len(u):
+            return (len(u) & -len(u)) - 1
+        if u not in memo:
+            total, prefix, best = sum(u), 0, 0
+            for s in range(1, len(u)):
+                prefix += u[s - 1]
+                d = total // math.gcd(prefix, total)
+                if d & (d - 1) == 0:
+                    best = max(best, 1 + capacity(u[:s]) + capacity(u[s:]))
+            memo[u] = best
+        return memo[u]
+
+    def dyadic_ratio(child, parent):
+        d = (Fraction(child) / Fraction(parent)).denominator
+        return d & (d - 1) == 0
+
+    if kind == "dyadic" and capacity(units) < steps:
+        raise ValueError(f"no dyadic Haar filtration of {steps} steps exists on this space")
+    labels = np.zeros(masses.size, dtype=np.int64)
+    out = [labels]
+    for step in range(steps):
+        blocks = [np.flatnonzero(labels == b) for b in range(labels.max() + 1)]
+        options = []
+        for b, atoms in enumerate(blocks):
+            block_mass = float(np.sum(masses[atoms]))
+            prefix = np.cumsum(masses[atoms])
+            for s in range(1, atoms.size):
+                pm = float(prefix[s - 1])
+                if kind == "standard" and pm != block_mass / 2:
+                    continue
+                if kind == "dyadic" and not dyadic_ratio(pm, block_mass):
+                    continue
+                options.append((b, s))
+        if not options:
+            raise ValueError(f"no admissible {kind} split exists after {step} steps")
+        if kind == "dyadic" and step < steps - 1:
+            block_units = [tuple(units[a] for a in atoms) for atoms in blocks]
+            uniform = [u.count(u[0]) == len(u) for u in block_units]
+            caps = [capacity(u) for u in block_units]
+
+            def survives(b, s):
+                u = block_units[b]
+                if uniform[b]:  # closed form, no slicing of a long block
+                    rest = (s & -s) - 1 + ((len(u) - s) & -(len(u) - s)) - 1
+                else:
+                    rest = capacity(u[:s]) + capacity(u[s:])
+                return sum(caps) - caps[b] + rest >= steps - step - 1
+
+            options = [(b, s) for b, s in options if survives(b, s)]
+        choices = sorted({b for b, _ in options})
+        b = choices[int(rng.integers(len(choices)))]
+        sizes = [s for bb, s in options if bb == b]
+        s = sizes[int(rng.integers(len(sizes)))]
+        labels = labels.copy()
+        labels[blocks[b][s:]] = len(blocks)
+        labels = np.array(first_occurrence_numbering(labels.tolist()))
+        out.append(labels)
+    return out
+
+
+def labels_or_error(build):
+    try:
+        return [labels.tolist() for labels in build()]
+    except ValueError as err:
+        return str(err)
+
+
+# equal-mass grids 2^1..2^9 and unequal dyadic masses, all float-exact
+SWEEP_MASSES = {f"grid{k}": np.full(1 << k, 2.0**-k) for k in range(1, 10)} | {
+    "unequal4": np.array([1 / 2, 1 / 8, 1 / 8, 1 / 4]),
+    "unequal5": np.array([1 / 4, 1 / 16, 1 / 16, 1 / 8, 1 / 2]),
+    "unequal6": np.array([3 / 8, 1 / 8, 1 / 4, 1 / 4, 1 / 8, 1 / 8]),
+    "unequal7": np.array([1 / 2, 1 / 4, 1 / 4, 1 / 4, 3 / 4, 1 / 8, 1 / 8]),
+}
 
 
 class TestDyadicFiltration:
@@ -111,6 +210,37 @@ class TestRandomHaar:
         halves = Partition(np.array([0, 0, 1, 1]), space)
         assert is_haar(Filtration((trivial_partition(space), halves)))
         assert not is_haar(Filtration((trivial_partition(space), halves, halves)))
+
+    @pytest.mark.parametrize("kind", ["general", "standard", "dyadic"])
+    @pytest.mark.parametrize("masses", SWEEP_MASSES.values(), ids=SWEEP_MASSES.keys())
+    def test_matches_per_split_reference(self, masses, kind):
+        # the same draws on the same options: labels and errors identical
+        space = AtomicMeasureSpace(masses)
+        for steps in range(11):
+            for seed in range(15):
+                filt = labels_or_error(
+                    lambda: [p.block_of for p in random_haar_filtration(space, steps, kind, seed).levels]
+                )
+                assert filt == labels_or_error(lambda: reference_haar_labels(masses, steps, kind, seed))
+
+    def test_standard_split_decided_exactly(self):
+        # in floats 1 + 2^-60 == 1, so every cut of the first space looked
+        # like a halving; exactly, only the middle one is
+        space = AtomicMeasureSpace(np.array([1, 2.0**-60, 2.0**-60, 1]))
+        for seed in range(10):
+            filt = random_haar_filtration(space, 1, kind="standard", seed=seed)
+            assert filt.levels[1].block_of.tolist() == [0, 0, 1, 1]
+        uneven = AtomicMeasureSpace(np.array([1, 2.0**-60, 1]))
+        with pytest.raises(ValueError, match="no admissible standard split"):
+            random_haar_filtration(uneven, 1, kind="standard", seed=0)
+
+    def test_haar_kind_decided_exactly(self):
+        space = AtomicMeasureSpace(np.array([1, 2.0**-60, 2.0**-60, 1]))
+        # child masses 1 + 2^-59 and 1: neither halves nor a dyadic ratio
+        three_one = Partition(np.array([0, 0, 0, 1]), space)
+        assert haar_kind(Filtration((trivial_partition(space), three_one))) == "general"
+        halves = Partition(np.array([0, 0, 1, 1]), space)
+        assert haar_kind(Filtration((trivial_partition(space), halves))) == "standard"
 
     def test_deterministic(self):
         space = AtomicMeasureSpace(np.full(8, 0.125))
@@ -253,6 +383,38 @@ class TestRefinement:
         assert is_refinement(f, c) == (len({a for a, _ in pairs}) == len(pairs))
         if merged:
             assert is_refinement(f, c)
+
+
+class TestCanonicalLabels:
+    @settings(max_examples=300, deadline=None)
+    # a check without the sign guard would pass [0, -1] through unchanged
+    @example(labels=[0, -1], form="raw")
+    @example(labels=[0, 2, 1], form="raw")
+    # unsorted: its label changes count as many as a canonical vector's
+    @example(labels=[0, 2, 1, 3], form="raw")
+    @example(labels=[1, 0], form="raw")
+    @example(labels=[0, 0, 2], form="raw")
+    @given(
+        labels=st.lists(st.integers(-5, 40), min_size=1, max_size=40),
+        form=st.sampled_from(["raw", "canonical", "sorted"]),
+    )
+    def test_matches_sort_form(self, labels, form):
+        # canonical labels, sorted or not, pass in linear time; others
+        # (negative, non-contiguous or out of order) are sorted
+        x = np.array(labels, dtype=np.int64)
+        if form == "canonical":
+            x = np.array(first_occurrence_numbering(labels), dtype=np.int64)
+        elif form == "sorted":
+            x = np.sort(x)
+        got, want = _canonical_labels(x), unique_canonical_labels(x)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_partition_owns_its_labels(self):
+        labels = np.array([0, 0, 1, 1])
+        pi = Partition(labels, AtomicMeasureSpace(np.ones(4)))
+        labels[:] = 1
+        assert pi.block_of.tolist() == [0, 0, 1, 1]
 
 
 class TestHaarEmbed:
