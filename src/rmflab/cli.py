@@ -134,6 +134,8 @@ def _function_from_args(args):
             )
         f = StepFunction(np.asarray(obj["values"], dtype=float), space, base)
         return f, filt
+    if args.space is None:
+        raise SchemaViolation("--space is mandatory without --function")
     _require_seed(args)
     space = _space_from_arg(args.space)
     base, filt = make_dyadic_filtration(args.grid_exponent)

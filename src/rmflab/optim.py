@@ -1,46 +1,50 @@
-"""Multi-restart projected gradient ascent on products of unit spheres.
+"""Multi-restart Riemannian gradient ascent on products of unit spheres.
 
-The search space is an n-tuple of vectors, each constrained to the unit
-sphere of the target space's own norm.  Gradients are numerical (central
-differences, step 1e-5) and projection is renormalization.
+The search space is an n-tuple of vectors, each on the unit sphere of the
+target space's own norm.  The ascent moves along the part of the
+objective's closed-form gradient tangent to each row's sphere and
+renormalizes the rows (Absil, Mahony and Sepulchre, *Optimization
+Algorithms on Matrix Manifolds*, 2008, ch. 3-4).
 
 Objectives score stacks: they take a (batch, n, d) array of tuples and the
-(batch,) index of the problem each tuple belongs to, and return the
-(batch,) values; an objective that serves one problem ignores the index.
-``maximize_on_spheres`` searches several problems of one shape at once by
-tiling its start stack once per problem, and ``ascend`` runs all starts of
-all problems in lock step.
-In each iteration one objective call scores the central-difference
-stencil of every restart still climbing, and the halving line-search
-ladder is scored ``rungs_per_call`` rungs at a time, the first improving
-rung winning.  Callers derive that block from the sign-table length of
-their objective (``rademacher.ladder_rungs``), so one call holds about as
-many sign-pattern rows as one chunk of a moment evaluator.  The stencil
-reproduces the rounding of moving one coordinate at a time by +h, -2h and
-+h, so every restart takes the path it takes when run alone.  Restart
-order is deterministic and, per problem, the first restart achieving the
-maximum within 1e-12 wins, so results never depend on scheduling or
-batching.
+(batch,) problem index of each tuple (a one-problem objective ignores it)
+and return the (batch,) values, or with ``grad=True`` the values and the
+(batch, n, d) gradients.  ``maximize_on_spheres`` searches several problems
+of one shape at once and ``ascend`` runs all their starts in lock step: in
+each iteration the halving line-search ladder of every climbing start is
+scored on values, ``rungs_per_call`` rungs per call (callers take it from
+``rademacher.ladder_rungs``), then one gradient call scores the starts that
+moved, whose next first trial length is their Barzilai-Borwein step (IMA J.
+Numer. Anal. 8, 1988).  Each start takes the path it takes alone, and per
+problem the first restart achieving the maximum within 1e-12 wins, so
+results never depend on batching.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .spaces import Space, norms_of, unit_vector
+from .spaces import Space, norms_and_grads_of, norms_of, unit_vector
 
-GRAD_STEP = 1e-5
 MAX_ITERS = 60
 MIN_STEP = 1e-7
 
-Objective = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Objective = Callable[..., np.ndarray]
 
 
 def ratio_or_zero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den where den > 0 and 0.0 elsewhere, without a warning."""
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def ratio_and_grad(num, dnum, den, dden) -> tuple[np.ndarray, np.ndarray]:
+    """num / den of (batch,) values and its gradient (dnum - ratio dden) / den, 0 where den is 0."""
+    ratio = ratio_or_zero(num, den)
+    shape = (-1,) + (1,) * (dnum.ndim - 1)
+    return ratio, ratio_or_zero(dnum - ratio.reshape(shape) * dden, den.reshape(shape))
 
 
 def _project_rows(mat: np.ndarray, space: Space) -> np.ndarray:
@@ -67,25 +71,14 @@ def canonical_starts(space: Space, n_vectors: int) -> list[np.ndarray]:
     return [_project_rows(coords, space), _project_rows(uniform, space)]
 
 
-def _stencil(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference points of flat tuples ``x``, and ``x`` after them.
+def _tangent(x: np.ndarray, grad: np.ndarray, space: Space) -> tuple[np.ndarray, np.ndarray]:
+    """The part of a (starts, n, d) gradient tangent to the row spheres at x, and its norms.
 
-    Point [s, 0, i] of the (starts, 2, m, m) stack moves coordinate i of
-    start s up by h and point [s, 1, i] moves it down; coordinates before
-    i already carry the +h, -2h, +h round trip, as when coordinates are
-    moved one at a time, and every coordinate carries it afterwards.
+    Row by row that is g - dN(x) (x . g), the gradient of the objective at x / N(x).
     """
-    m = x.shape[1]
-    up = x + GRAD_STEP
-    down = up - 2 * GRAD_STEP
-    back = down + GRAD_STEP
-    base = np.where(np.tri(m, k=-1, dtype=bool), back[:, None, :], x[:, None, :])
-    moved = np.eye(m, dtype=bool)
-    points = np.stack(
-        [np.where(moved, up[:, None, :], base), np.where(moved, down[:, None, :], base)],
-        axis=1,
-    )
-    return points, back
+    _, dnorm = norms_and_grads_of(x.reshape(-1, x.shape[-1]), space)
+    tangent = grad - dnorm.reshape(x.shape) * np.sum(x * grad, axis=2, keepdims=True)
+    return tangent, np.sqrt(np.sum(tangent * tangent, axis=(1, 2)))
 
 
 def ascend(
@@ -96,47 +89,57 @@ def ascend(
     rungs_per_call: int,
     group: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projected ascent from each tuple of a (starts, n, d) stack, in lock step.
+    """Riemannian ascent from each tuple of a (starts, n, d) stack, in lock step.
 
-    ``group`` holds the problem index of each start (all 0 by default) and
-    is passed to the objective with every tuple scored for that start.
+    ``group`` holds the problem index of each start (all 0 by default).
     Returns the (starts,) values and the (starts, n, d) points reached.
-    The line search halves the step from its last accepted length down to
-    ``MIN_STEP`` and takes the first rung that improves by more than
-    ``tol``; ``rungs_per_call`` rungs of every climbing start are scored
-    in one objective call.
+    The line search halves the step from the start's first trial length
+    down to ``MIN_STEP`` and takes the first rung that improves by more
+    than ``tol``.  A start stops when no rung improves or its tangent
+    gradient norm is at most sqrt(tol), where no step gains ``tol`` if the
+    objective curves by 1/2 or more.  A start that begins that flat first
+    searches along a fixed probe direction: the ratios have critical points
+    by symmetry (coordinate starts) and flat regions (the cotype-2 ratio of
+    two 2 x 2 Schatten-1 matrices is 1 on open sets).
     """
     x = _project_rows(starts, space)
-    n_starts, n, d = x.shape
-    m = n * d
-    group = np.zeros(n_starts, dtype=np.intp) if group is None else np.asarray(group)
+    group = np.zeros(x.shape[0], dtype=np.intp) if group is None else np.asarray(group)
     fx = np.array(objective(x, group), dtype=float)
-    step = np.full(n_starts, 0.5)
-    active = np.arange(n_starts)
+    grad, gnorm = _tangent(x, objective(x, group, grad=True)[1], space)
+    flat = gnorm <= math.sqrt(tol)
+    probe = np.cos(2.4 * np.arange(x[0].size)).reshape(x.shape[1:])
+    direction, length = grad.copy(), gnorm.copy()
+    direction[flat], length[flat] = _tangent(x[flat], np.broadcast_to(probe, x[flat].shape), space)
+    step = np.full(x.shape[0], 0.5)
+    active = np.flatnonzero(length > 0)
     for _ in range(MAX_ITERS):
-        if active.size == 0:
-            break
-        pts, back = _stencil(x[active].reshape(-1, m))
-        owner = np.repeat(group[active], 2 * m)
-        vals = np.asarray(objective(_project_rows(pts.reshape(-1, n, d), space), owner)).reshape(-1, 2, m)
-        grad = (vals[:, 0] - vals[:, 1]) / (2 * GRAD_STEP)
-        gnorm = np.sqrt(np.sum(grad * grad, axis=1))
-        x[active] = back.reshape(-1, n, d)
-        moving = gnorm != 0.0
-        active, grad, gnorm = active[moving], grad[moving].reshape(-1, n, d), gnorm[moving]
+        before = x[active]
+        unit = direction[active] / length[active, None, None]
         improved = _line_search(
-            objective, x, fx, step, active, group[active], grad, gnorm, space, tol, rungs_per_call
+            objective, x, fx, step, active, group[active], unit, space, tol, rungs_per_call
         )
-        active = active[improved]
+        moved = active[improved]
+        if moved.size == 0:
+            break
+        new_grad, new_norm = _tangent(x[moved], objective(x[moved], group[moved], grad=True)[1], space)
+        # Barzilai-Borwein: the secant pair of the move sets the next first trial length
+        s, y = x[moved] - before[improved], new_grad - grad[moved]
+        sy, ss = np.sum(s * y, axis=(1, 2)), np.sum(s * s, axis=(1, 2))
+        curved = sy < 0
+        step[moved[curved]] = np.minimum(1.0, ss[curved] / -sy[curved] * new_norm[curved])
+        grad[moved] = direction[moved] = new_grad
+        length[moved] = new_norm
+        active = moved[new_norm > math.sqrt(tol)]
     return fx, x
 
 
-def _line_search(objective, x, fx, step, who, owner, grad, gnorm, space, tol, rungs_per_call):
-    """Halving line search from x[who] along grad / gnorm; updates x, fx and step.
+def _line_search(objective, x, fx, step, who, owner, direction, space, tol, rungs_per_call):
+    """Halving line search from x[who] along the unit ``direction``; updates x, fx and step.
 
     Rung k of a start tries step * 2^-k while that is at least
     ``MIN_STEP``; ``owner`` holds the problem index of each start of
-    ``who``.  Returns a mask over ``who`` of the starts that improved.
+    ``who``.  A winner's step becomes 1.5 times its accepted length.
+    Returns a mask over ``who`` of the starts that improved.
     """
     xs, fxs, steps = x[who], fx[who], step[who]
     searching = np.ones(who.size, dtype=bool)
@@ -148,15 +151,13 @@ def _line_search(objective, x, fx, step, who, owner, grad, gnorm, space, tol, ru
         top = np.ldexp(np.max(steps[alive]), -rung)
         if top < MIN_STEP:
             break
-        # most starts stop by rung 2, but at small P per-call overhead outweighs unused rungs
-        # no more rungs than the longest remaining ladder, which is all of it
-        # when rungs_per_call exceeds its length
+        # most starts stop by rung 2, but at small P per-call overhead outweighs
+        # unused rungs; no block outruns the longest remaining ladder
         block = min(rungs_per_call, int(np.log2(top / MIN_STEP)) + 2)
         tries = np.ldexp(steps[alive, None], -np.arange(rung, rung + block))
         si, ri = np.nonzero(tries >= MIN_STEP)
         s = alive[si]
-        moves = tries[si, ri, None, None] * grad[s] / gnorm[s, None, None]
-        cand = _project_rows(xs[s] + moves, space)
+        cand = _project_rows(xs[s] + tries[si, ri, None, None] * direction[s], space)
         fc = np.asarray(objective(cand, owner[s]))
         # points run by start, then by rung, so a start's first hit is its first improving rung
         hits = np.flatnonzero(fc > fxs[s] + tol)
@@ -186,9 +187,7 @@ def restart_stack(
         starts.append(np.asarray(s, dtype=float).reshape(n_vectors, space.total_dim))
     for r in range(max(0, restarts - len(starts))):
         rng = np.random.default_rng([seed, n_vectors, r])
-        starts.append(
-            np.vstack([unit_vector(space, rng).coords for _ in range(n_vectors)])
-        )
+        starts.append(np.vstack([unit_vector(space, rng).coords for _ in range(n_vectors)]))
     return np.stack(starts)
 
 

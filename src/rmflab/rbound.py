@@ -14,11 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import optim
-from .rademacher import EnumConfig, ladder_rungs, make_moment_evaluator, sign_patterns
+from .rademacher import (
+    EnumConfig,
+    hilbert_moment2,
+    ladder_rungs,
+    make_moment_evaluator,
+    moment_evaluators,
+    sign_patterns,
+)
 from .spaces import HILBERT_OP, Space, Vector, lp_space, norms_of, singular_values
 
 HILBERT_EXACT = "hilbert_exact"
@@ -37,9 +45,10 @@ _MAX_SELECTIONS = 256
 _ALL_FACES_ROWS = 6
 
 # sets searched in one ascent are capped so that the coefficient-times-row
-# products of one stencil call hold at most this many floats (2 MB): on lp1
-# rmf-ratio at grid exponent 9 (512 sets of 10 rows) peak memory was 201 MB
-# uncapped, 98 MB at 2^20 floats and 55 MB at 2^18, in the same time
+# products of one line-search call hold at most this many floats (2 MB): on
+# lp1 rmf-ratio at grid exponent 9 (512 sets of 10 rows) peak memory was
+# 201 MB uncapped, 98 MB at 2^20 floats and 55 MB at 2^18, in the same time,
+# with finite differences; with gradients it is 50 MB in 26 s instead of 92 s
 _BATCH_FLOATS = 1 << 18
 
 
@@ -119,23 +128,33 @@ def _sphere_lower(
         k = subs.shape[1]
         extra = [s[:k] for s in extra_starts if not np.any(s[k:])] + list(_face_starts(k))
         vector_moment = make_moment_evaluator(k, space, p, cfg)
+        vector_grad = make_moment_evaluator(k, space, p, cfg, grad=True)
         # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
-        exact_l2 = p == 2 and k <= cfg.exact_threshold
-        scalar_moment = None if exact_l2 else make_moment_evaluator(k, lp_space(1, 1), p, cfg)
-        # a stencil call scores 2k tuples of every start, each a (k, dim) product
+        if p == 2 and k <= cfg.exact_threshold:
+            scalar_moment, scalar_grad = hilbert_moment2, partial(hilbert_moment2, grad=True)
+        else:
+            scalar_moment, scalar_grad = moment_evaluators(k, lp_space(1, 1), p, cfg)
+        # a ladder call scores a block of rungs of every start, each a (k, dim)
+        # product, and a ladder from a unit length has 25 rungs; the gradient
+        # call that follows scores one tuple per start
+        rungs = ladder_rungs(k, cfg)
         starts = len(extra) + max(cfg.restarts, 2)
-        per = max(1, _BATCH_FLOATS // (starts * 2 * k * k * space.total_dim))
+        per = max(1, _BATCH_FLOATS // (starts * min(rungs, 25) * k * space.total_dim))
         for lo in range(0, subs.shape[0], per):
             batch = subs[lo : lo + per]
 
-            def objective(lams: np.ndarray, group=0) -> np.ndarray:
-                lam = lams[:, 0, :, None]
-                den = np.linalg.norm(lams[:, 0], axis=1) if exact_l2 else scalar_moment(lam)
-                return optim.ratio_or_zero(vector_moment(lam * batch[group]), den)
+            def objective(lams: np.ndarray, group=0, grad=False):
+                lam, rows = lams[:, 0, :, None], batch[group]
+                if not grad:
+                    return optim.ratio_or_zero(vector_moment(lam * rows), scalar_moment(lam))
+                num, dnum = vector_grad(lam * rows)
+                den, dden = scalar_grad(lam)
+                ratio, dratio = optim.ratio_and_grad(num, np.sum(dnum * rows, axis=2), den, dden[..., 0])
+                return ratio, dratio[:, None, :]
 
             found = optim.maximize_on_spheres(
                 objective, lp_space(2, k), 1, cfg.restarts + len(extra), cfg.seed, cfg.tol,
-                extra_starts=extra, rungs_per_call=ladder_rungs(k, cfg), problems=batch.shape[0],
+                extra_starts=extra, rungs_per_call=rungs, problems=batch.shape[0],
             )
             for i, (val, lam) in enumerate(found, lo):
                 if val > best[i][0]:
@@ -301,7 +320,7 @@ def rbound_operator(
     The lower bound searches selections (multisets of operators, sizes up
     to ``n_args``) and argument tuples on the product of unit spheres of
     the domain; singleton values are exact operator norms via their top
-    singular pair.
+    singular pair.  At p = 2 both moments are taken in closed form.
     """
     if cfg is None:
         cfg = EnumConfig()
@@ -340,12 +359,15 @@ def rbound_operator(
     for sel in selections:
         mats = omat[list(sel)].reshape(-1, dim_e, dim_h)
         k = len(sel)
-        out_moment = make_moment_evaluator(k, e, p, cfg)
-        arg_moment = make_moment_evaluator(k, h, p, cfg)
+        out_moment, out_grad = moment_evaluators(k, e, p, cfg)
+        arg_moment, arg_grad = moment_evaluators(k, h, p, cfg)
 
-        def objective(xs: np.ndarray, group=0) -> np.ndarray:
+        def objective(xs: np.ndarray, group=0, grad=False):
             out = (mats @ xs[..., None])[..., 0]
-            return optim.ratio_or_zero(out_moment(out), arg_moment(xs))
+            if not grad:
+                return optim.ratio_or_zero(out_moment(out), arg_moment(xs))
+            num, dout = out_grad(out)
+            return optim.ratio_and_grad(num, (dout[..., None, :] @ mats)[..., 0, :], *arg_grad(xs))
 
         extra = [np.vstack([top_vecs[i] for i in sel])]
         [(val, xs)] = optim.maximize_on_spheres(

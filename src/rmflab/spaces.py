@@ -153,7 +153,34 @@ def norms_of(values: np.ndarray, space: Space) -> np.ndarray:
         vals = np.linalg.svd(vals.reshape(-1, space.rows, space.cols), compute_uv=False)
         if space.kind == HILBERT_OP:
             return vals[:, 0]
-    p = space.p
+    return _lp_norms(vals, space.p)
+
+
+def norms_and_grads_of(values: np.ndarray, space: Space) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise norms of a (n, total_dim) array and a (sub)gradient of the norm at each row.
+
+    On lp the gradient is sign(c) (|c| / ||c||)^(p-1): sign(c) at p = 1 and,
+    at p = inf, the sign of the first largest coordinate in its place.  On a
+    Schatten class it is U diag(s^(p-1)) V^T / ||s||_p^(p-1), and under the
+    operator norm u_1 v_1^T, from one batched SVD of all rows.  A zero row
+    of an lp space has gradient 0.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[None, :]
+    if space.kind == LP:
+        norms = _lp_norms(vals, space.p)
+        return norms, _lp_grads(vals, norms, space.p)
+    u, sv, vt = np.linalg.svd(vals.reshape(-1, space.rows, space.cols), full_matrices=False)
+    if space.kind == HILBERT_OP:
+        norms, grads = sv[:, 0], u[:, :, :1] @ vt[:, :1, :]
+    else:
+        norms = _lp_norms(sv, space.p)
+        grads = (u * _lp_grads(sv, norms, space.p)[:, None, :]) @ vt
+    return norms, grads.reshape(vals.shape)
+
+
+def _lp_norms(vals: np.ndarray, p: float) -> np.ndarray:
     if p == math.inf:
         return np.maximum.reduce(np.abs(vals), axis=1)
     if p == 2:
@@ -161,6 +188,19 @@ def norms_of(values: np.ndarray, space: Space) -> np.ndarray:
     if p == 1:
         return np.add.reduce(np.abs(vals), axis=1)
     return np.add.reduce(np.abs(vals) ** p, axis=1) ** (1.0 / p)
+
+
+def _lp_grads(vals: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
+    if p == 1:
+        return np.sign(vals)
+    if p == math.inf:
+        rows = np.arange(vals.shape[0])
+        top = np.argmax(np.abs(vals), axis=1)
+        grads = np.zeros_like(vals)
+        grads[rows, top] = np.sign(vals[rows, top])
+        return grads
+    scaled = np.divide(vals, norms[:, None], out=np.zeros_like(vals), where=norms[:, None] > 0)
+    return scaled if p == 2 else np.sign(scaled) * np.abs(scaled) ** (p - 1)
 
 
 def random_unit_vector(space: Space, seed: int) -> Vector:

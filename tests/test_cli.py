@@ -55,7 +55,7 @@ GOLDEN_REPORTS = list(zip(DETERMINISM_ARGV, [
     "b3c13e4ec5e828d5ba9299969815a5e96598a8449a7a646b01b56d9f6560a0ba",
     "051dbf9afb1d840792551d581f9cf31071d1419f2d687151f71c5af2585508c5",
     "3693ca2a3d4ddcbb988f03c4a58806da2e181984763fc73cd9d1730680d97b5f",
-    "ce39794dda912782bdf35dfd327daf8a14284d8e7a3ada7f374eac49f5ae9a23",
+    "b0cd6e99eebfed4e5e93895b93dd0311adb65362584aab8775cf9546dcc6f4c2",
 ]))
 GOLDEN_REPORTS += [
     (("maximal", "--space", HILBERT_PLANE, "--grid-exponent", "6", "--seed", "5"),
@@ -212,6 +212,13 @@ class TestTypecotype:
 
 
 class TestMaximalCommands:
+    @pytest.mark.parametrize("command", ["maximal", "rmf-ratio"])
+    def test_space_or_function_mandatory(self, capsys, command):
+        code, out, err = run(capsys, command, "--seed", "1")
+        assert code == 2
+        assert "--space" in err and "Traceback" not in err
+        assert out == ""
+
     def test_maximal_csv_columns(self, capsys):
         code, out, _ = run(
             capsys,

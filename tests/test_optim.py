@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import optim
 from rmflab.rademacher import (
@@ -20,6 +22,7 @@ from rmflab.spaces import (
     hilbert_op_space,
     lp_space,
     norm_of,
+    norms_and_grads_of,
     schatten_space,
 )
 
@@ -39,37 +42,48 @@ def _reference_project(mat, space):
 
 
 def _reference_ascend(objective, start, space, tol):
-    """The sequential ascent: one start, one point per objective call."""
+    """The sequential ascent: one start, one point per objective call, plain loops."""
 
     def score(x):
         return float(objective(x[None])[0])
 
+    def tangent(x, grad):
+        out = np.empty_like(x)
+        for i in range(x.shape[0]):
+            _, dnorm = norms_and_grads_of(x[i], space)
+            out[i] = grad[i] - dnorm[0] * float(np.sum(x[i] * grad[i]))
+        return out, float(np.sqrt(np.sum(out * out)))
+
+    def gradient(x):
+        return tangent(x, objective(x[None], grad=True)[1][0])
+
     x = _reference_project(start, space)
     fx = score(x)
+    grad, gnorm = gradient(x)
+    direction = grad
+    if gnorm <= math.sqrt(tol):
+        direction, _ = tangent(x, np.cos(2.4 * np.arange(x.size)).reshape(x.shape))
     step = 0.5
     for _ in range(optim.MAX_ITERS):
-        grad = np.zeros_like(x)
-        for idx in np.ndindex(x.shape):
-            x[idx] += optim.GRAD_STEP
-            up = score(_reference_project(x, space))
-            x[idx] -= 2 * optim.GRAD_STEP
-            down = score(_reference_project(x, space))
-            x[idx] += optim.GRAD_STEP
-            grad[idx] = (up - down) / (2 * optim.GRAD_STEP)
-        gnorm = float(np.sqrt(np.sum(grad * grad)))
-        if gnorm == 0.0:
+        length = float(np.sqrt(np.sum(direction * direction)))
+        if length == 0.0:
             break
-        improved = False
-        while step >= 1e-7:
-            cand = _reference_project(x + step * grad / gnorm, space)
+        trial = step
+        while trial >= optim.MIN_STEP:
+            cand = _reference_project(x + trial * (direction / length), space)
             fc = score(cand)
             if fc > fx + tol:
-                x, fx = cand, fc
-                step *= 1.5
-                improved = True
                 break
-            step *= 0.5
-        if not improved:
+            trial *= 0.5
+        else:
+            break
+        new_grad, new_norm = gradient(cand)
+        s, y = cand - x, new_grad - grad
+        x, fx, step = cand, fc, 1.5 * trial
+        if float(np.sum(s * y)) < 0:
+            step = min(1.0, float(np.sum(s * s)) / -float(np.sum(s * y)) * new_norm)
+        grad = direction = new_grad
+        if new_norm <= math.sqrt(tol):
             break
     return fx, x
 
@@ -129,8 +143,9 @@ def test_matches_sequential_reference(monkeypatch, run):
         vals, xs = optim.ascend(objective, starts, space, tol, rungs)
         for s, start in enumerate(starts):
             ref_val, ref_x = _reference_ascend(objective, start, space, tol)
-            assert abs(vals[s] - ref_val) <= 1e-9
-            assert np.max(np.abs(xs[s] - ref_x)) <= 1e-6
+            # the same arithmetic in another order: equal in practice, 1e-12 allowed
+            assert abs(vals[s] - ref_val) <= 1e-12
+            assert np.max(np.abs(xs[s] - ref_x)) <= 1e-12
 
     _each_search(monkeypatch, run, check)
 
@@ -210,5 +225,98 @@ def test_zero_denominator_scores_zero_without_warning(monkeypatch, run):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(objective(zero), [0.0, 0.0])
+            values, grads = objective(zero, grad=True)
+            assert np.array_equal(values, [0.0, 0.0])
+            assert grads.shape == zero.shape and not np.any(grads)
 
     _each_search(monkeypatch, run, check)
+
+
+GRADIENT_SPACES = [
+    lp_space(1, 2),
+    lp_space(3, 2),
+    lp_space(math.inf, 2),
+    schatten_space(1, 2, 2),
+    schatten_space(3, 2, 2),
+]
+OPERATORS = [
+    Vector(np.arange(6.0) - 2, hilbert_op_space(3, 2)),
+    Vector(np.cos(np.arange(6.0)), hilbert_op_space(3, 2)),
+]
+OBJECTIVE_RUNS = [
+    pytest.param(make(space), id=f"{make.__name__[1:-4]}-{space.kind}{space.p:g}")
+    for make in (_rbound_run, _cotype_run, _type_run)
+    for space in GRADIENT_SPACES
+] + [
+    pytest.param(
+        lambda space=space: kk_ratio_estimate(space, 3, 1, 3, CFG), id=f"kk-{space.kind}{space.p:g}"
+    )
+    for space in GRADIENT_SPACES
+] + [
+    pytest.param(lambda: rbound_operator(OPERATORS, 2.0, cfg=CFG), id="operator-p2"),
+    pytest.param(lambda: rbound_operator(OPERATORS, 3.0, cfg=CFG), id="operator-p3"),
+]
+
+
+@pytest.mark.parametrize("run", OBJECTIVE_RUNS)
+def test_objective_gradients_match_central_differences(monkeypatch, run):
+    # random tuples are smooth points of these ratios; central differences
+    # with h = 1e-6 are good to about 1e-9 here, so 1e-6 is asked
+    def check(objective, starts, *_):
+        points = np.random.default_rng(7).standard_normal((3,) + starts.shape[1:])
+        values, grads = objective(points, grad=True)
+        np.testing.assert_allclose(values, objective(points), rtol=1e-13)
+        h = 1e-6
+        for idx in np.ndindex(points.shape[1:]):
+            up, down = points.copy(), points.copy()
+            up[(slice(None),) + idx] += h
+            down[(slice(None),) + idx] -= h
+            fd = (objective(up) - objective(down)) / (2 * h)
+            np.testing.assert_allclose(grads[(slice(None),) + idx], fd, atol=1e-6)
+
+    _each_search(monkeypatch, run, check, limit=1)
+
+
+def test_operator_ratio_at_p2_is_the_closed_form(monkeypatch):
+    # both moments of the operator objective at p = 2 are taken in closed form
+    def check(objective, starts, *_):
+        xs = np.random.default_rng(8).standard_normal((4,) + starts.shape[1:])
+        # the first selection searched is (0, 0)
+        mats = [OPERATORS[0].coords.reshape(2, 3)] * 2
+        h, e = lp_space(2, 3), lp_space(2, 2)
+        for x, got in zip(xs, objective(xs)):
+            out = np.stack([mat @ row for mat, row in zip(mats, x)])
+            want = moment_from_matrix(out, e, 2.0, CFG).value / moment_from_matrix(x, h, 2.0, CFG).value
+            assert got == pytest.approx(want, rel=1e-13)
+
+    _each_search(monkeypatch, lambda: rbound_operator(OPERATORS, 2.0, n_args=2, cfg=CFG), check, limit=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_l1_basis_climbs_to_sqrt_n_from_random_starts(n, signs, seed):
+    """The R_2 ratio of the signed l1^n basis is ||lam||_1 / ||lam||_2, whose
+    sup sqrt(n) sits at the centre of every orthant: every start off the
+    coordinate hyperplanes climbs there."""
+    space = lp_space(1, n)
+    basis = [Vector(signs[j] * np.eye(n)[j], space) for j in range(n)]
+    rng = np.random.default_rng(seed)
+    starts = rng.choice([-1.0, 1.0], size=(6, 1, n)) * rng.uniform(0.1, 1.0, size=(6, 1, n))
+    captured = []
+    real = optim.maximize_on_spheres
+
+    def spy(objective, *args, **kwargs):
+        captured.append(objective)
+        return real(objective, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optim, "maximize_on_spheres", spy)
+        bracket = rbound_scalar(basis, 2.0, 1, CFG)
+    assert bracket.lower == pytest.approx(math.sqrt(n), abs=1e-6)
+    vals, _ = optim.ascend(captured[0], starts, lp_space(2, n), CFG.tol, 1)
+    np.testing.assert_allclose(vals, math.sqrt(n), atol=1e-6)
+

@@ -1,19 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmflab import rademacher
 from rmflab.rademacher import (
     EnumConfig,
+    hilbert_moment2,
     kk_ratio_estimate,
+    make_moment_evaluator,
+    moment_evaluators,
+    moment_from_matrix,
     rademacher_moment,
     scalar_moment,
     sign_patterns,
     type_cotype_estimate,
 )
-from rmflab.spaces import Vector, lp_space, norm, norms_of
+from rmflab.spaces import Vector, hilbert_op_space, lp_space, norm, norms_of, schatten_space
 
 CFG = EnumConfig(seed=1)
 FAST = EnumConfig(seed=1, restarts=6)
@@ -219,3 +225,88 @@ def test_scalar_moment_matches_vector_form():
     est = scalar_moment(lam, 3, CFG)
     vs = [Vector(np.array([c]), lp_space(1, 1)) for c in lam]
     assert est.value == pytest.approx(rademacher_moment(vs, 3, CFG).value, abs=1e-12)
+
+
+def _central_differences(evaluate, vmats, h=1e-6):
+    fd = np.empty(vmats.shape)
+    for idx in np.ndindex(vmats.shape[1:]):
+        up, down = vmats.copy(), vmats.copy()
+        up[(slice(None),) + idx] += h
+        down[(slice(None),) + idx] -= h
+        fd[(slice(None),) + idx] = (evaluate(up) - evaluate(down)) / (2 * h)
+    return fd
+
+
+@pytest.mark.parametrize(
+    "space,n,p,cfg",
+    [
+        (lp_space(1, 3), 4, 1.0, CFG),
+        (lp_space(3, 3), 3, 3.0, CFG),
+        (lp_space(math.inf, 2), 4, 2.0, CFG),
+        (schatten_space(1, 2, 2), 3, 3.0, CFG),
+        (schatten_space(3, 2, 2), 3, 1.0, CFG),
+        (hilbert_op_space(3, 2), 3, 2.0, CFG),
+        # a frozen Monte Carlo table is a smooth objective as well
+        (lp_space(3, 2), 6, 3.0, EnumConfig(exact_threshold=4, mc_samples=300, seed=2)),
+    ],
+    ids=["lp1", "lp3", "lpinf", "schatten1", "schatten3", "hilbert_op", "lp3-mc"],
+)
+def test_moment_gradients_match_central_differences(space, n, p, cfg):
+    # random tuples are smooth points; central differences with h = 1e-6
+    # are good to about 1e-9 here, so 1e-6 is asked
+    vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
+    values, grads = make_moment_evaluator(n, space, p, cfg, grad=True)(vmats)
+    evaluate = make_moment_evaluator(n, space, p, cfg)
+    np.testing.assert_allclose(values, evaluate(vmats), rtol=1e-14)
+    np.testing.assert_allclose(grads, _central_differences(evaluate, vmats), atol=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_moment_gradient_at_zero_is_zero_without_warning(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for space in (lp_space(1, 2), schatten_space(1, 2, 2), hilbert_op_space(2, 2)):
+            values, grads = make_moment_evaluator(3, space, p, CFG, grad=True)(
+                np.zeros((2, 3, space.total_dim))
+            )
+            assert not np.any(values) and not np.any(grads)
+        values, grads = hilbert_moment2(np.zeros((2, 3, 2)), grad=True)
+        assert not np.any(values) and not np.any(grads)
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 16])
+@pytest.mark.parametrize(
+    "space", [lp_space(1, 8), lp_space(3, 3), schatten_space(1, 2, 2)], ids=["lp1", "lp3", "schatten1"]
+)
+def test_row_blocked_product_matches_the_whole_table(n, space):
+    # from 2^12 rows the table is multiplied 2^11 rows at a time; the values
+    # stay within 1e-15 (relative) of one whole-table product per tuple
+    table = rademacher.sign_patterns(n)
+    vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
+    whole = [
+        (np.add.reduce(norms_of((table @ v).reshape(-1, space.total_dim), space) ** 3.0) / len(table))
+        ** (1 / 3)
+        for v in vmats
+    ]
+    np.testing.assert_allclose(rademacher._table_moments(table, vmats, space, 3.0), whole, rtol=1e-15)
+    values, grads = rademacher._table_moments(table, vmats, space, 3.0, grad=True)
+    np.testing.assert_allclose(values, whole, rtol=1e-15)
+    assert grads.shape == vmats.shape
+
+
+@pytest.mark.parametrize(
+    "space", [lp_space(2, 3), schatten_space(2, 2, 2)], ids=["lp2", "schatten2"]
+)
+def test_hilbert_second_moment_is_exact(space):
+    vmats = np.random.default_rng(5).standard_normal((4, 5, space.total_dim))
+    values, grads = hilbert_moment2(vmats, grad=True)
+    want = [moment_from_matrix(v, space, 2.0, CFG).value for v in vmats]
+    np.testing.assert_allclose(values, want, rtol=1e-13)
+    np.testing.assert_allclose(grads, _central_differences(hilbert_moment2, vmats), atol=1e-8)
+    # the evaluators of a Hilbert space at exponent 2 are this closed form
+    # with no sign table, also beyond the exact threshold
+    small = EnumConfig(exact_threshold=2, mc_samples=8)
+    moment, with_grad = moment_evaluators(5, space, 2.0, small)
+    assert np.array_equal(moment(vmats), values)
+    assert np.array_equal(with_grad(vmats)[1], grads)
+

@@ -13,6 +13,7 @@ from rmflab.spaces import (
     lp_space,
     norm,
     norm_of,
+    norms_and_grads_of,
     norms_of,
     random_unit_vector,
     schatten_space,
@@ -183,3 +184,46 @@ def test_space_json_roundtrip():
         hilbert_op_space(3, 2),
     ]:
         assert space_from_json(space_to_json(s)) == s
+
+
+GRADIENT_SPACES = [
+    lp_space(1, 4),
+    lp_space(2, 4),
+    lp_space(3, 4),
+    lp_space(math.inf, 4),
+    schatten_space(1, 2, 3),
+    schatten_space(2, 2, 2),
+    schatten_space(3, 3, 2),
+    hilbert_op_space(3, 2),
+]
+
+
+@pytest.mark.parametrize("space", GRADIENT_SPACES, ids=lambda s: f"{s.kind}{s.p:g}")
+def test_norm_gradients_match_central_differences(space):
+    # random rows are smooth points of every norm here; central differences
+    # with h = 1e-6 are good to about 1e-9, so 1e-7 is asked
+    rows = np.random.default_rng(3).standard_normal((6, space.total_dim))
+    norms, grads = norms_and_grads_of(rows, space)
+    np.testing.assert_allclose(norms, norms_of(rows, space), rtol=1e-15, atol=0)
+    if space.kind == "lp":
+        assert np.array_equal(norms, norms_of(rows, space))
+    h = 1e-6
+    for i in range(space.total_dim):
+        step = np.zeros(space.total_dim)
+        step[i] = h
+        fd = (norms_of(rows + step, space) - norms_of(rows - step, space)) / (2 * h)
+        np.testing.assert_allclose(grads[:, i], fd, atol=1e-7)
+
+
+@pytest.mark.parametrize("space", GRADIENT_SPACES, ids=lambda s: f"{s.kind}{s.p:g}")
+def test_norm_gradient_is_a_dual_unit_vector_without_warning(space):
+    rows = np.zeros((2, space.total_dim))
+    rows[1] = np.random.default_rng(4).standard_normal(space.total_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms, grads = norms_and_grads_of(rows, space)
+    # Euler: <x, dN(x)> = N(x); an lp zero row has gradient 0
+    assert float(rows[1] @ grads[1]) == pytest.approx(norms[1], rel=1e-12)
+    if space.kind == "lp":
+        assert not np.any(grads[0])
+
