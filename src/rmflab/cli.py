@@ -144,6 +144,8 @@ def _function_from_args(args):
 
 
 def _maximal_rows(f, filt, cfg, truncation=None):
+    if truncation is not None and truncation < 0:
+        raise SchemaViolation("--truncation must be >= 0")
     rad = maximal_mod.rademacher_maximal(f, filt, cfg, truncation)
     # in exact mode the Rademacher report is the Doob one, bit for bit
     if rad.mode == HILBERT_EXACT:
@@ -575,19 +577,21 @@ def _table_cells(table: dict, quote) -> list[list[str]]:
 
     Floats take ``float.__repr__``, as json and csv do, a non-finite one
     quoted as a string (``_sanitize``); ints take ``str``, strings ``quote``.
-    A column equal bit for bit to an earlier one reuses its text.
+    Int columns are formatted cell by cell: ``str`` of an int costs less
+    than the sort that finds the distinct ones.  A column equal bit for bit
+    to an earlier one reuses its text.
     """
     keys = [(column.dtype.str, column.tobytes()) for column in table.values()]
     done = {}
     for key, column in zip(keys, table.values()):
         if key in done:
             continue
-        floats = column.dtype.kind == "f"
+        floats, ints = column.dtype.kind == "f", column.dtype.kind in "iu"
         values, inverse = column, None
-        if column.size >= _DEDUPE_ROWS:
+        if column.size >= _DEDUPE_ROWS and not ints:
             uniq, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
             values = uniq.view(column.dtype)
-        fmt = float.__repr__ if floats else str if column.dtype.kind in "iu" else quote
+        fmt = float.__repr__ if floats else str if ints else quote
         text = list(map(fmt, values.tolist()))
         for i in np.flatnonzero(~np.isfinite(values)) if floats else ():
             text[i] = quote(text[i])

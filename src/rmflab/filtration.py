@@ -106,12 +106,14 @@ class Partition:
     """Partition of the atoms into nonempty blocks.
 
     Block ids are canonical: numbered by first atom occurrence, so two
-    partitions with the same blocks compare equal.
+    partitions with the same blocks compare equal.  Block masses are
+    summed on first use and kept.
     """
 
     block_of: np.ndarray = field(repr=False)
     space: AtomicMeasureSpace
     _first_atoms: np.ndarray = field(init=False, repr=False)
+    _block_masses: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         labels = np.array(self.block_of, dtype=np.int64).ravel()
@@ -156,7 +158,12 @@ class Partition:
         return bool(np.array_equal(hi, lo))
 
     def block_masses(self) -> np.ndarray:
-        return self.block_sums(self.space.masses)
+        """Mass of each block, read-only: one array shared by every caller."""
+        if self._block_masses is None:
+            masses = self.block_sums(self.space.masses)
+            masses.flags.writeable = False
+            object.__setattr__(self, "_block_masses", masses)
+        return self._block_masses
 
     def __eq__(self, other):
         return (
@@ -263,6 +270,12 @@ def random_step_function(
     return StepFunction(scale * rng.standard_normal((base.n_atoms, space.total_dim)), space, base)
 
 
+def block_averages(weighted: np.ndarray, pi: Partition) -> np.ndarray:
+    """(blocks, dim) averages of mass-weighted rows ``masses[:, None] * values``:
+    block sums over block masses, each block's atoms summed in atom order."""
+    return pi.block_sums(weighted) / pi.block_masses()[:, None]
+
+
 def conditional_expectation(f: StepFunction, pi: Partition) -> StepFunction:
     """Mass-weighted block averages of ``f``; constant on each block.
 
@@ -271,8 +284,7 @@ def conditional_expectation(f: StepFunction, pi: Partition) -> StepFunction:
     """
     if pi.space != f.base:
         raise ValueError("partition and function live on different spaces")
-    weighted = pi.block_sums(f.base.masses[:, None] * f.values)
-    averages = weighted / pi.block_masses()[:, None]
+    averages = block_averages(f.base.masses[:, None] * f.values, pi)
     return StepFunction(averages[pi.block_of], f.space, f.base)
 
 

@@ -7,6 +7,17 @@ conditional expectations across levels, while the Rademacher maximal
 function is the R-bound of the same set of vectors.  On Hilbert ranges
 (at moment 2) the two coincide exactly; otherwise the R-bound is reported
 as a search lower bound together with the summability upper bound.
+
+E_j f is constant on the blocks of level j, so both maximal functions
+start from blocks: each kept level's block averages are taken once, from
+one mass-weighted copy of the values.  The Doob maximal function takes the norms of each level's
+block averages and carries the running maximum down the filtration, from
+each block to the blocks it splits into, then gathers to atoms once; no
+(levels, atoms, dim) stack is built, also not for the Rademacher maximal
+function on a Hilbert range.  Only a search on a non-Hilbert range gathers
+the per-atom stack of conditional expectations.  Each block average sums
+its atoms in atom order and norms are row-wise, so every value is bit for
+bit the one the per-atom stack gives.
 """
 
 from __future__ import annotations
@@ -19,9 +30,11 @@ import numpy as np
 from .filtration import (
     AtomicMeasureSpace,
     Filtration,
+    Partition,
     ProductBase,
     StepFunction,
-    conditional_expectation,
+    block_averages,
+    block_parents,
 )
 from .rademacher import EnumConfig
 from .rbound import HILBERT_EXACT, atomwise_rbound
@@ -67,14 +80,42 @@ def lp_norm(g, p: float, base: AtomicMeasureSpace) -> float:
     return float(np.sum(base.masses * vals**p) ** (1.0 / p))
 
 
-def _ce_stack(f: StepFunction, filt: Filtration, truncation: int | None) -> np.ndarray:
-    """Conditional expectations per level: array (levels, atoms, dim)."""
+def _level_averages(f: StepFunction, filt: Filtration, truncation: int | None):
+    """(level partition, (blocks, dim) block averages of f) for each kept level."""
     if filt.space != f.base:
         raise ValueError("function and filtration live on different spaces")
-    last = len(filt.levels) - 1 if truncation is None else min(truncation, len(filt.levels) - 1)
-    return np.stack(
-        [conditional_expectation(f, filt.levels[j]).values for j in range(last + 1)]
-    )
+    if truncation is not None and truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    weighted = f.base.masses[:, None] * f.values
+    kept = filt.levels if truncation is None else filt.levels[: truncation + 1]
+    return [(pi, block_averages(weighted, pi)) for pi in kept]
+
+
+def _ce_stack(f: StepFunction, filt: Filtration, truncation: int | None) -> np.ndarray:
+    """Conditional expectations per level: array (levels, atoms, dim)."""
+    levels = _level_averages(f, filt, truncation)
+    out = np.empty((len(levels),) + f.values.shape)
+    for j, (pi, avg) in enumerate(levels):
+        np.take(avg, pi.block_of, axis=0, out=out[j])
+    return out
+
+
+def _block_peak(levels: list[tuple[Partition, np.ndarray]], measure) -> np.ndarray:
+    """Largest ``measure`` of the block averages over the levels, at each atom.
+
+    The running maximum of each block is carried to the blocks it splits
+    into in the next level (levels refine), and gathered to atoms once.
+    """
+    prev, peak = None, None
+    for pi, avg in levels:
+        now = measure(avg)
+        peak = now if prev is None else np.maximum(peak[block_parents(pi, prev)], now)
+        prev = pi
+    return peak[prev.block_of]
+
+
+def _doob_peak(f: StepFunction, filt: Filtration, truncation: int | None) -> np.ndarray:
+    return _block_peak(_level_averages(f, filt, truncation), lambda avg: norms_of(avg, f.space))
 
 
 def doob_maximal(
@@ -84,9 +125,7 @@ def doob_maximal(
     norm_exponents=DEFAULT_NORM_EXPONENTS,
 ) -> MaximalReport:
     """sup_j || E_j f || at each atom."""
-    stack = _ce_stack(f, filt, truncation)
-    level_norms = np.stack([norms_of(level, f.space) for level in stack])
-    pointwise = np.max(level_norms, axis=0)
+    pointwise = _doob_peak(f, filt, truncation)
     lp = {p: lp_norm(pointwise, p, f.base) for p in norm_exponents}
     return MaximalReport(pointwise, lp, HILBERT_EXACT, truncation, pointwise.copy())
 
@@ -111,8 +150,16 @@ def rademacher_maximal(
     """
     if cfg is None:
         cfg = EnumConfig()
-    stack = _ce_stack(f, filt, truncation)
-    lower, upper, mode = atomwise_rbound(stack, f.space, cfg, rbound_p, atom_indices)
+    if f.space.is_hilbert and rbound_p == 2:
+        lower, mode = _doob_peak(f, filt, truncation), HILBERT_EXACT
+        if atom_indices is not None:
+            outside = np.ones(lower.size, dtype=bool)
+            outside[list(atom_indices)] = False
+            lower[outside] = np.nan
+        upper = lower.copy()
+    else:
+        stack = _ce_stack(f, filt, truncation)
+        lower, upper, mode = atomwise_rbound(stack, f.space, cfg, rbound_p, atom_indices)
     if atom_indices is None:
         lp = {p: lp_norm(lower, p, f.base) for p in norm_exponents}
     else:
@@ -213,7 +260,7 @@ def fubini_heredity_check(
     lhs = lhs_report.pointwise
 
     fibers = StepFunction(table, lp_space(1, n_in), product.outer)
-    fiber_max = np.max(np.abs(_ce_stack(fibers, outer_filtration, None)), axis=0)
+    fiber_max = _block_peak(_level_averages(fibers, outer_filtration, None), np.abs)
     rhs = (fiber_max**p @ product.inner.masses) ** (1.0 / p)
 
     violation = float(np.max(lhs - rhs))

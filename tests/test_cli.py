@@ -219,6 +219,16 @@ class TestMaximalCommands:
         assert "--space" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["maximal", "rmf-ratio"])
+    def test_negative_truncation_exits_2(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--space", HILBERT_PLANE, "--grid-exponent", "3",
+            "--truncation", "-1", "--seed", "1",
+        )
+        assert code == 2
+        assert "--truncation must be >= 0" in err and "Traceback" not in err
+        assert out == ""
+
     def test_maximal_csv_columns(self, capsys):
         code, out, _ = run(
             capsys,

@@ -17,6 +17,7 @@ from rmflab.filtration import (
     ResolutionError,
     StepFunction,
     atom_partition,
+    block_averages,
     boolean_isomorphism,
     conditional_expectation,
     dyadic_haar_approximate,
@@ -284,6 +285,17 @@ class TestConditionalExpectation:
                 total += base.masses[a] * f.values[a]
             want[atoms] = total / mass
         np.testing.assert_array_equal(conditional_expectation(f, pi).values, want)
+        weighted = base.masses[:, None] * f.values
+        np.testing.assert_array_equal(block_averages(weighted, pi), want[pi.first_atoms()])
+
+    def test_block_masses_summed_once(self):
+        rng = np.random.default_rng(9)
+        base = AtomicMeasureSpace(rng.uniform(0.1, 1, 40))
+        pi = Partition(rng.integers(0, 6, 40), base)
+        masses = pi.block_masses()
+        np.testing.assert_array_equal(masses, pi.block_sums(base.masses))
+        assert pi.block_masses() is masses
+        assert not masses.flags.writeable
 
     def test_block_integrals_preserved(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rmflab.filtration import (
     StepFunction,
     boolean_isomorphism,
     conditional_expectation,
+    dyadic_grid,
     make_dyadic_filtration,
     random_haar_filtration,
     random_step_function,
@@ -24,7 +26,15 @@ from rmflab.maximal import (
     telescoping_function,
 )
 from rmflab.rademacher import EnumConfig
-from rmflab.spaces import Vector, dual_exponent, lp_space
+from rmflab.rbound import atomwise_rbound
+from rmflab.spaces import (
+    Vector,
+    dual_exponent,
+    hilbert_op_space,
+    lp_space,
+    norms_of,
+    schatten_space,
+)
 
 FAST = EnumConfig(seed=3, restarts=4)
 
@@ -263,3 +273,153 @@ class TestFubini:
         report = fubini_heredity_check(f, product, filt, p, FAST)
         assert report.mode == "optimized"
         assert report.violation <= 1e-6
+
+
+def _subsampled(filt, step):
+    """Every ``step``-th level plus the last, as ``reduce --subsample`` keeps them."""
+    kept = list(filt.levels[::step])
+    if kept[-1] != filt.levels[-1]:
+        kept.append(filt.levels[-1])
+    return Filtration(tuple(kept))
+
+
+def _block_path_filtrations():
+    cases = {f"dyadic-{k}": make_dyadic_filtration(k)[1] for k in range(1, 7)}
+    grid = dyadic_grid(4)
+    cases["haar-general"] = random_haar_filtration(grid, 7, kind="general", seed=3)
+    cases["haar-dyadic"] = random_haar_filtration(grid, 7, kind="dyadic", seed=4)
+    cases["subsampled"] = _subsampled(random_haar_filtration(grid, 7, kind="dyadic", seed=5), 3)
+    heavy = AtomicMeasureSpace(np.full(12, 0.625))  # total mass 7.5
+    cases["mass-7.5"] = random_haar_filtration(heavy, 6, kind="general", seed=7)
+    uneven = AtomicMeasureSpace(np.random.default_rng(6).uniform(0.25, 1.0, 12))
+    cases["uneven-mass"] = random_haar_filtration(uneven, 6, kind="general", seed=8)
+    return cases
+
+
+BLOCK_PATH_FILTRATIONS = _block_path_filtrations()
+
+
+def _filtrations():
+    return [pytest.param(filt, id=name) for name, filt in BLOCK_PATH_FILTRATIONS.items()]
+
+
+BLOCK_PATH_SPACES = [
+    lp_space(1, 2),
+    lp_space(2, 3),
+    lp_space(math.inf, 2),
+    schatten_space(1, 2, 2),
+    hilbert_op_space(2, 2),
+]
+TRUNCATIONS = ["all", "zero", "middle", "beyond"]
+
+
+def _truncation(filt, which):
+    return {"all": None, "zero": 0, "middle": len(filt) // 2, "beyond": len(filt) + 2}[which]
+
+
+def _reference_stack(f, filt, truncation):
+    """Per-atom conditional expectations of every kept level: (levels, atoms, dim)."""
+    last = len(filt) - 1 if truncation is None else min(truncation, len(filt) - 1)
+    return np.stack([conditional_expectation(f, filt.levels[j]).values for j in range(last + 1)])
+
+
+def _reference_doob(f, filt, truncation):
+    stack = _reference_stack(f, filt, truncation)
+    return np.max(np.stack([norms_of(level, f.space) for level in stack]), axis=0)
+
+
+class TestBlockPath:
+    """The maximal functions computed on blocks equal, bit for bit, the
+    per-atom stack of conditional expectations reduced atom by atom."""
+
+    @pytest.mark.parametrize("which", TRUNCATIONS)
+    @pytest.mark.parametrize("space", BLOCK_PATH_SPACES, ids=lambda s: f"{s.kind}-{s.p}")
+    @pytest.mark.parametrize("filt", _filtrations())
+    def test_doob_matches_per_atom_stack(self, filt, space, which):
+        truncation = _truncation(filt, which)
+        f = random_step_function(filt.space, space, 41, scale=3.0)
+        want = _reference_doob(f, filt, truncation)
+        report = doob_maximal(f, filt, truncation)
+        np.testing.assert_array_equal(report.pointwise, want)
+        np.testing.assert_array_equal(report.pointwise_upper, want)
+        assert report.lp_norms == {p: lp_norm(want, p, f.base) for p in report.lp_norms}
+
+    @pytest.mark.parametrize("which", TRUNCATIONS)
+    @pytest.mark.parametrize("filt", _filtrations())
+    def test_hilbert_rademacher_matches_per_atom_stack(self, filt, which):
+        truncation = _truncation(filt, which)
+        f = random_step_function(filt.space, lp_space(2, 3), 43)
+        want = _reference_doob(f, filt, truncation)
+        report = rademacher_maximal(f, filt, FAST, truncation)
+        assert report.mode == "hilbert_exact"
+        np.testing.assert_array_equal(report.pointwise, want)
+        np.testing.assert_array_equal(report.pointwise_upper, want)
+
+    @pytest.mark.parametrize("which", TRUNCATIONS)
+    @pytest.mark.parametrize("filt", _filtrations())
+    def test_searched_rademacher_matches_per_atom_stack(self, filt, which):
+        truncation = _truncation(filt, which)
+        cfg = EnumConfig(seed=3, restarts=1)
+        f = random_step_function(filt.space, lp_space(1, 2), 47)
+        want = atomwise_rbound(_reference_stack(f, filt, truncation), f.space, cfg)
+        report = rademacher_maximal(f, filt, cfg, truncation)
+        assert report.mode == want[2] == "optimized"
+        np.testing.assert_array_equal(report.pointwise, want[0])
+        np.testing.assert_array_equal(report.pointwise_upper, want[1])
+
+    @pytest.mark.parametrize("p", [1.5, 2])
+    @pytest.mark.parametrize("filt", _filtrations())
+    def test_fubini_matches_per_atom_stack(self, filt, p):
+        inner = AtomicMeasureSpace(np.array([0.125, 0.375, 0.5]))
+        product = ProductBase(filt.space, inner)
+        rng = np.random.default_rng(53)
+        table = rng.standard_normal((filt.space.n_atoms, inner.n_atoms))
+        f = StepFunction(table.reshape(-1, 1), lp_space(1, 1), product.combined())
+        report = fubini_heredity_check(f, product, filt, p, FAST)
+
+        folded = StepFunction(table * inner.masses ** (1.0 / p), lp_space(p, 3), filt.space)
+        lhs = atomwise_rbound(_reference_stack(folded, filt, None), folded.space, FAST, p)[0]
+        fibers = StepFunction(table, lp_space(1, 3), filt.space)
+        fiber_max = np.max(np.abs(_reference_stack(fibers, filt, None)), axis=0)
+        rhs = (fiber_max**p @ inner.masses) ** (1.0 / p)
+        np.testing.assert_array_equal(report.lhs, lhs)
+        np.testing.assert_array_equal(report.rhs, rhs)
+        assert report.violation == float(np.max(lhs - rhs))
+
+    def test_hilbert_atom_restriction_masks_the_rest(self):
+        space, filt = make_dyadic_filtration(4)
+        f = random_step_function(space, lp_space(2, 2), 59)
+        rep = rademacher_maximal(f, filt, FAST, atom_indices=[1, 5, 6])
+        want = _reference_doob(f, filt, None)
+        inside = np.zeros(space.n_atoms, dtype=bool)
+        inside[[1, 5, 6]] = True
+        assert rep.mode == "hilbert_exact" and rep.lp_norms == {}
+        np.testing.assert_array_equal(rep.pointwise[inside], want[inside])
+        assert np.all(np.isnan(rep.pointwise[~inside]))
+        np.testing.assert_array_equal(rep.pointwise_upper, rep.pointwise)
+
+    @pytest.mark.parametrize("maximal", [doob_maximal, rademacher_maximal])
+    def test_hilbert_path_allocates_no_stack(self, maximal):
+        k = 14
+        base, filt = make_dyadic_filtration(k)
+        f = random_step_function(base, lp_space(2, 3), 67)
+        stack_bytes = len(filt) * f.values.nbytes
+        tracemalloc.start()
+        try:
+            maximal(f, filt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 2
+
+    @pytest.mark.parametrize("space", [lp_space(2, 2), lp_space(1, 2)], ids=["lp2", "lp1"])
+    def test_negative_truncation_rejected(self, space):
+        base, filt = make_dyadic_filtration(3)
+        f = random_step_function(base, space, 61)
+        for call in (
+            lambda: doob_maximal(f, filt, -1),
+            lambda: rademacher_maximal(f, filt, FAST, -1),
+            lambda: rmf_ratio(f, filt, 2, FAST, -1),
+        ):
+            with pytest.raises(ValueError, match="truncation must be >= 0"):
+                call()
