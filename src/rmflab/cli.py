@@ -252,10 +252,8 @@ def cmd_reduce(args):
     if args.subsample > 1:
         # dropping levels leaves a filtration of finite algebras that is no
         # longer Haar, so the embedding stage has actual work to do
-        kept = list(filt.levels[:: args.subsample])
-        if kept[-1] != filt.levels[-1]:
-            kept.append(filt.levels[-1])
-        filt = Filtration(tuple(kept))
+        kept = sorted({*range(0, len(filt), args.subsample), len(filt) - 1})
+        filt = Filtration(filt.labels[kept], filt.space)
     embedded, index_map = haar_embed(filt)
     approx = dyadic_haar_approximate(embedded, args.eps)
     iso = boolean_isomorphism(approx.filtration)

@@ -24,12 +24,11 @@ from .filtration import (
     MAX_GRID_EXPONENT,
     AtomicMeasureSpace,
     Filtration,
-    Partition,
     ResolutionError,
     StepFunction,
+    _canonical_labels,
     _grid_exponent,
     is_standard_haar,
-    trivial_partition,
 )
 from .martingale import SimpleMartingale
 from .rademacher import EnumConfig
@@ -115,10 +114,9 @@ def _pad_levels(x: SimpleMartingale, target: int) -> SimpleMartingale:
     """Repeat the last level (a lazy extension is still a martingale)."""
     if x.n_steps >= target:
         return x
-    extra = target - x.n_steps
-    levels = x.levels + tuple(x.levels[-1] for _ in range(extra))
-    parts = x.filtration.levels + tuple(x.filtration.levels[-1] for _ in range(extra))
-    return SimpleMartingale(Filtration(parts), levels)
+    rows = np.minimum(np.arange(target + 1), x.n_steps)
+    levels = tuple(x.levels[j] for j in rows)
+    return SimpleMartingale(Filtration(x.filtration.labels[rows], x.base), levels)
 
 
 def _glued(
@@ -139,18 +137,15 @@ def _glued(
     base = AtomicMeasureSpace(np.full(n_out, 2.0**-k_out))
     pull_left = np.arange(n_left) // (n_left // x1.base.n_atoms)
     pull_right = np.arange(n_out - n_left) // ((n_out - n_left) // x2.base.n_atoms)
-    parts = [trivial_partition(base)]
+    j1, j2 = (list(js) for js in zip(*pairs))
+    left = x1.filtration.labels[j1][:, pull_left]
+    right = x2.filtration.labels[j2][:, pull_right] + left.max(axis=1, keepdims=True) + 1
+    labels = np.vstack([np.zeros(n_out, dtype=np.int64), np.hstack([left, right])])
     vals = [np.tile(mean, (n_out, 1))]
-    for j1, j2 in pairs:
-        left_labels = x1.filtration.levels[j1].block_of[pull_left]
-        right_labels = x2.filtration.levels[j2].block_of[pull_right]
-        labels = np.concatenate([left_labels, right_labels + left_labels.max() + 1])
-        parts.append(Partition(labels, base))
-        vals.append(
-            np.concatenate([x1.levels[j1].values[pull_left], x2.levels[j2].values[pull_right]])
-        )
+    for a, b in pairs:
+        vals.append(np.concatenate([x1.levels[a].values[pull_left], x2.levels[b].values[pull_right]]))
     levels = tuple(StepFunction(v, x1.space, base) for v in vals)
-    return SimpleMartingale(Filtration(tuple(parts)), levels)
+    return SimpleMartingale(Filtration(labels, base), levels)
 
 
 def splice(
@@ -218,29 +213,28 @@ def extend_standard_haar(x: SimpleMartingale, extra_steps: int) -> SimpleMarting
     """Append value-preserving equal splits (zero martingale jumps)."""
     if extra_steps <= 0:
         return x
-    parts = list(x.filtration.levels)
-    vals = [lvl.values for lvl in x.levels]
-    base = x.base
-    for _ in range(extra_steps):
-        cur = parts[-1]
-        sizes = np.bincount(cur.block_of)
+    n = len(x.levels)
+    labels = np.empty((n + extra_steps, x.base.n_atoms), dtype=np.int64)
+    labels[:n] = x.filtration.labels
+    for r in range(n, n + extra_steps):
+        cur = labels[r - 1]
+        sizes = np.bincount(cur)
         even = np.flatnonzero((sizes >= 2) & (sizes % 2 == 0))
         if even.size == 0:
             raise ValueError("no block can be split into equal halves")
-        atoms = np.flatnonzero(cur.block_of == even[0])
-        labels = cur.block_of.copy()
-        labels[atoms[atoms.size // 2 :]] = cur.n_blocks
-        parts.append(Partition(labels, base))
-        vals.append(vals[-1])
-    levels = tuple(StepFunction(v, x.space, base) for v in vals)
-    return SimpleMartingale(Filtration(tuple(parts)), levels)
+        atoms = np.flatnonzero(cur == even[0])
+        labels[r] = cur
+        labels[r, atoms[atoms.size // 2 :]] = sizes.size
+        labels[r] = _canonical_labels(labels[r])[0]
+    levels = x.levels + (x.levels[-1],) * extra_steps
+    return SimpleMartingale(Filtration(labels, x.base), levels)
 
 
 def prepend_constant(x: SimpleMartingale) -> SimpleMartingale:
     """Duplicate the starting level (a lazy first step)."""
-    parts = (x.filtration.levels[0],) + x.filtration.levels
+    labels = x.filtration.labels[[0, *range(len(x.levels))]]
     levels = (x.levels[0],) + x.levels
-    return SimpleMartingale(Filtration(parts), levels)
+    return SimpleMartingale(Filtration(labels, x.base), levels)
 
 
 def expected_u_along(

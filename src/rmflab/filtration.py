@@ -4,13 +4,15 @@ filtrations of finite algebras to the dyadic intervals of the unit
 interval.
 
 A finite algebra is encoded by its generating partition (one block id per
-atom).  A filtration is an increasing (refining) sequence of partitions; a
-Haar filtration splits exactly one block per level, dyadic/standard Haar
-filtrations constrain the split mass ratios to dyadic fractions / exact
-halves.  Split tests are exact: every float is a dyadic rational, so they
-run on atom masses as integers in one dyadic unit; ``fractions.Fraction``
-is left only where a ratio's dyadic depth is read.  Blocks, also those of
-the dyadic grid, are integer labels numbered by first occurrence, which is
+atom).  A filtration is an increasing (refining) sequence of partitions,
+stored as one read-only (levels, atoms) label matrix: builders write its
+rows, one constructor checks them, and each level's partition is a view of
+its row.  A Haar filtration splits exactly one block per level,
+dyadic/standard Haar filtrations constrain the split mass ratios to dyadic
+fractions / exact halves.  Split tests are exact: every float is a dyadic
+rational, so they run on atom masses as integers in one dyadic unit;
+``fractions.Fraction`` is left only where a ratio's dyadic depth is read.
+Blocks are integer labels numbered by first occurrence, which is
 recognized without a sort.  Grids are capped at 2^MAX_GRID_EXPONENT atoms,
 checked before anything is built.
 """
@@ -90,9 +92,9 @@ def _canonical_labels(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a time, as often as its final value.  Only other labels are sorted.
     """
     if labels.size and labels[0] == 0 and labels.min() >= 0:
-        top = np.maximum.accumulate(labels) if np.any(labels[1:] < labels[:-1]) else labels
-        first = np.flatnonzero(np.concatenate(([True], top[1:] != top[:-1])))
-        if first.size == top[-1] + 1:
+        top = np.maximum.accumulate(labels) if (labels[1:] < labels[:-1]).any() else labels
+        first = np.concatenate(([True], top[1:] != top[:-1])).nonzero()[0]
+        if first.size - 1 == top[-1]:  # top[-1] + 1 overflows at the largest int64
             return labels, first
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -106,8 +108,8 @@ class Partition:
     """Partition of the atoms into nonempty blocks.
 
     Block ids are canonical: numbered by first atom occurrence, so two
-    partitions with the same blocks compare equal.  Block masses are
-    summed on first use and kept.
+    partitions with the same blocks compare equal.  Labels are read-only;
+    only writeable ones are copied.  Block masses are summed on first use.
     """
 
     block_of: np.ndarray = field(repr=False)
@@ -116,11 +118,11 @@ class Partition:
     _block_masses: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        labels = np.array(self.block_of, dtype=np.int64).ravel()
+        labels = _read_only_labels(self.block_of).ravel()
         if labels.size != self.space.n_atoms:
             raise ValueError("label count must match atom count")
         block_of, first_atoms = _canonical_labels(labels)
-        object.__setattr__(self, "block_of", block_of)
+        object.__setattr__(self, "block_of", _read_only(block_of))
         object.__setattr__(self, "_first_atoms", first_atoms)
 
     @property
@@ -176,6 +178,20 @@ class Partition:
         return hash(self.block_of.tobytes())
 
 
+def _read_only(labels: np.ndarray) -> np.ndarray:
+    """A builder's own labels, handed to a constructor uncopied."""
+    labels.flags.writeable = False
+    return labels
+
+
+def _read_only_labels(labels) -> np.ndarray:
+    """``labels`` as read-only row-major int64, copied unless they already are."""
+    kept = isinstance(labels, np.ndarray) and labels.dtype == np.int64 and labels.flags.c_contiguous
+    if kept and not labels.flags.writeable:
+        return labels
+    return _read_only(np.array(labels, dtype=np.int64, order="C"))
+
+
 def trivial_partition(space: AtomicMeasureSpace) -> Partition:
     return Partition(np.zeros(space.n_atoms, dtype=np.int64), space)
 
@@ -216,25 +232,27 @@ def split_blocks(
 
 @dataclass(frozen=True)
 class Filtration:
-    """Increasing sequence of partitions (each refines its predecessor)."""
+    """Increasing sequence of partitions: one read-only (levels, atoms)
+    label matrix, each row renumbered by first occurrence and refining the
+    row before it, and one :class:`Partition` per row on a view of it."""
 
-    levels: tuple[Partition, ...]
+    labels: np.ndarray = field(repr=False, compare=False)
+    space: AtomicMeasureSpace
+    levels: tuple[Partition, ...] = field(init=False, repr=False)  # compared, hashed
 
     def __post_init__(self):
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
-        if not levels:
-            raise ValueError("filtration needs at least one level")
-        space = levels[0].space
+        labels = _read_only_labels(self.labels)
+        if labels.ndim != 2 or labels.shape[0] == 0:
+            raise ValueError("labels must be a (levels, atoms) matrix with at least one level")
+        levels = tuple(Partition(row, self.space) for row in labels)
+        if not all(np.may_share_memory(pi.block_of, labels) for pi in levels):  # renumbered
+            labels = _read_only(np.stack([pi.block_of for pi in levels]))
+            levels = tuple(Partition(row, self.space) for row in labels)
         for prev, nxt in zip(levels, levels[1:]):
-            if nxt.space != space:
-                raise ValueError("all levels must share one measure space")
             if not is_refinement(nxt, prev):
                 raise ValueError("each level must refine its predecessor")
-
-    @property
-    def space(self) -> AtomicMeasureSpace:
-        return self.levels[0].space
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -305,16 +323,15 @@ def make_dyadic_filtration(k: int) -> tuple[AtomicMeasureSpace, Filtration]:
     if k < 1:
         raise ValueError("grid exponent must be >= 1")
     space = dyadic_grid(k)
-    levels = [dyadic_partition(space, j, k) for j in range(k + 1)]
-    return space, Filtration(tuple(levels))
+    labels = np.arange(space.n_atoms) >> np.arange(k, -1, -1)[:, None]
+    return space, Filtration(_read_only(labels), space)
 
 
 def dyadic_partition(space: AtomicMeasureSpace, level: int, k: int) -> Partition:
     """Level-``level`` dyadic intervals on a 2^k-atom grid."""
     if level < 0 or level > k:
         raise ValueError("dyadic level out of range")
-    idx = np.arange(space.n_atoms)
-    return Partition(idx >> (k - level), space)
+    return Partition(np.arange(space.n_atoms) >> (k - level), space)
 
 
 def _mass_units(masses: np.ndarray) -> np.ndarray:
@@ -378,9 +395,9 @@ def random_haar_filtration(
     if kind == DYADIC and capacity(0, n) < steps:
         raise ValueError(f"no dyadic Haar filtration of {steps} steps exists on this space")
     cuts = [0, n]
-    labels = np.zeros(n, dtype=np.int64)
-    levels = [Partition(labels, space)]
+    rows = np.zeros((steps + 1, n), dtype=np.int64)
     for step in range(steps):
+        labels = rows[step]
         # cut position p (before atom p) is interior when atoms p-1 and p
         # share a block; positions in atom order are (block, offset) order
         block, edges = labels[1:], np.array(cuts)
@@ -407,9 +424,9 @@ def random_haar_filtration(
         at = at[block == b]
         cut = int(at[int(rng.integers(at.size))])
         cuts.insert(b + 1, cut)
-        labels[cut:] += 1  # later atoms move up one block id; Partition copies
-        levels.append(Partition(labels, space))
-    return Filtration(tuple(levels))
+        rows[step + 1] = labels
+        rows[step + 1, cut:] += 1  # later atoms move up one block id
+    return Filtration(_read_only(rows), space)
 
 
 def haar_splits(filt: Filtration) -> list[tuple[int, int, int]]:
@@ -471,22 +488,20 @@ def haar_embed(filt: Filtration) -> tuple[Filtration, list[int]]:
     first) break by lowest block id.  Returns the Haar filtration and the
     index map: output level index_map[j] equals input level j.
     """
-    base = filt.space
-    out: list[Partition] = [trivial_partition(base)]
+    # output row r has r + 1 blocks, and the last one is the input's last level
+    out = np.zeros((filt.levels[-1].n_blocks, filt.space.n_atoms), dtype=np.int64)
     index_map: list[int] = []
+    r = 0
     for lvl in filt.levels:
-        cur = out[-1]
-        parents = block_parents(lvl, cur)
+        parents = out[r][lvl.first_atoms()]
         # children grouped by parent in block order; all but each group's
         # last child are carved off one at a time
         order = np.argsort(parents, kind="stable")
-        carved = order[:-1][parents[order[1:]] == parents[order[:-1]]]
-        work = cur.block_of.copy()
-        for next_label, child in enumerate(carved, start=cur.n_blocks):
-            work[lvl.block_of == child] = next_label
-            out.append(Partition(work.copy(), base))
-        index_map.append(len(out) - 1)
-    return Filtration(tuple(out)), index_map
+        for child in order[:-1][parents[order[1:]] == parents[order[:-1]]]:
+            r += 1
+            out[r] = _canonical_labels(np.where(lvl.block_of == child, r, out[r - 1]))[0]
+        index_map.append(r)
+    return Filtration(_read_only(out), filt.space), index_map
 
 
 @dataclass(frozen=True)
@@ -545,7 +560,7 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
     # tilde[atom] = input block id (at the current level) of the
     # approximating block holding the atom
     tilde = np.zeros(filt.space.n_atoms, dtype=np.int64)
-    out_levels = [trivial_partition(filt.space)]
+    out = np.zeros((n_levels + 1, filt.space.n_atoms), dtype=np.int64)
     symdiffs = [np.zeros(1)]
 
     for j in range(1, n_levels + 1):
@@ -589,7 +604,7 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
         tilde[tilde_b] = c2
         tilde[tilde_b[in_c1]] = c1
         tilde[filler[: i - i0]] = c1
-        out_levels.append(Partition(tilde, filt.space))
+        out[j] = tilde
 
         # mass of the atoms each block gains or loses; equal atom masses
         # make these sums exact in any order
@@ -597,7 +612,7 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
         nb = nxt.n_blocks
         symdiffs.append(np.bincount(nxt.block_of, off, nb) + np.bincount(tilde, off, nb))
 
-    return DyadicHaarApproximation(Filtration(tuple(out_levels)), symdiffs)
+    return DyadicHaarApproximation(Filtration(_read_only(out), filt.space), symdiffs)
 
 
 def perturb_last_split(filt: Filtration) -> Filtration:
@@ -616,14 +631,14 @@ def perturb_last_split(filt: Filtration) -> Filtration:
     _, c1, c2 = split
     atoms_c1 = np.flatnonzero(last.block_of == c1)
     atoms_c2 = np.flatnonzero(last.block_of == c2)
-    labels = last.block_of.copy()
+    labels = filt.labels.copy()
     if atoms_c1.size >= 2:
-        labels[atoms_c1[-1]] = c2
+        labels[-1, atoms_c1[-1]] = c2
     elif atoms_c2.size >= 2:
-        labels[atoms_c2[0]] = c1
+        labels[-1, atoms_c2[0]] = c1
     else:
         return filt
-    return Filtration(tuple(filt.levels[:-1]) + (Partition(labels, filt.space),))
+    return Filtration(_read_only(labels), filt.space)
 
 
 @dataclass(frozen=True)
@@ -696,9 +711,9 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
         grown[in_b, q.numerator :] = c2
         cells.append(grown.ravel())
     grid = dyadic_grid(k_out)
-    out_levels = tuple(
-        Partition(np.repeat(c, 1 << (k_out - k)), grid) for c, k in zip(cells, dyadic_levels)
-    )
+    out = np.empty((len(cells), grid.n_atoms), dtype=np.int64)
+    for row, c, k in zip(out, cells, dyadic_levels):
+        row.reshape(c.size, -1)[:] = c[:, None]
 
     # each block's grid atoms, in order, are covered by its input atoms in
     # order, each input atom taking mass * 2^k_out consecutive grid atoms
@@ -712,7 +727,8 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
     in_atoms = np.argsort(final.block_of, kind="stable")
     pullback = np.empty(grid.n_atoms, dtype=np.int64)
     pullback[np.argsort(grid_blocks, kind="stable")] = np.repeat(in_atoms, spans[in_atoms])
-    return BooleanIsomorphism(grid, k_out, Filtration(out_levels), dyadic_levels, pullback)
+    mapped = Filtration(_read_only(out), grid)
+    return BooleanIsomorphism(grid, k_out, mapped, dyadic_levels, pullback)
 
 
 @dataclass(frozen=True)
@@ -725,14 +741,11 @@ class ProductBase:
     def combined(self) -> AtomicMeasureSpace:
         return AtomicMeasureSpace(np.kron(self.outer.masses, self.inner.masses))
 
-    def lift_partition(self, pi: Partition) -> Partition:
-        if pi.space != self.outer:
-            raise ValueError("partition must live on the outer space")
-        ni = self.inner.n_atoms
-        return Partition(np.repeat(pi.block_of, ni), self.combined())
-
     def lift_filtration(self, filt: Filtration) -> Filtration:
-        return Filtration(tuple(self.lift_partition(p) for p in filt.levels))
+        if filt.space != self.outer:
+            raise ValueError("filtration must live on the outer space")
+        labels = np.repeat(filt.labels, self.inner.n_atoms, axis=1)
+        return Filtration(_read_only(labels), self.combined())
 
     def lift_function(self, f: StepFunction) -> StepFunction:
         if f.base != self.outer:
@@ -745,12 +758,12 @@ class ProductBase:
 def filtration_to_json(filt: Filtration) -> dict:
     return {
         "masses": filt.space.masses.tolist(),
-        "levels": [p.block_of.tolist() for p in filt.levels],
+        "levels": filt.labels.tolist(),
     }
 
 
 def filtration_from_json(obj: dict) -> Filtration:
     space = AtomicMeasureSpace(np.asarray(obj["masses"], dtype=float))
-    return Filtration(
-        tuple(Partition(np.asarray(lv, dtype=np.int64), space) for lv in obj["levels"])
-    )
+    if any(len(lv) != space.n_atoms for lv in obj["levels"]):
+        raise ValueError("label count must match atom count")
+    return Filtration(np.array(obj["levels"], dtype=np.int64), space)

@@ -115,7 +115,7 @@ def from_function(f: StepFunction, filt: Filtration) -> SimpleMartingale:
     base = filt.space
     if abs(base.total_mass - 1.0) > 1e-12:
         base = base.normalized()
-        filt = Filtration(tuple(type(p)(p.block_of, base) for p in filt.levels))
+        filt = Filtration(filt.labels, base)
         f = StepFunction(f.values, f.space, base)
     levels = tuple(conditional_expectation(f, p) for p in filt.levels)
     return SimpleMartingale(filt, levels)
@@ -331,10 +331,8 @@ def family_prefix_rbounds(
             )
         else:
             searched.append(i)
-            _, first, blocks[i] = np.unique(
-                x.filtration.levels[-1].block_of, return_index=True, return_inverse=True
-            )
-            stacks[i] = stack[:, first]
+            last = x.filtration.levels[-1]
+            stacks[i], blocks[i] = stack[:, last.first_atoms()], last.block_of
     prefixes = [stacks[i][: j + 1] for i in searched for j in range(stacks[i].shape[0])]
     spaces = [family[i].space for i in searched for _ in range(stacks[i].shape[0])]
     lowers = iter(_lower_side_by_side(prefixes, spaces, cfg))
@@ -398,7 +396,7 @@ def maximal_stars(
 
 
 def subtract(x: SimpleMartingale, y: SimpleMartingale) -> SimpleMartingale:
-    if x.filtration is not y.filtration and x.filtration.levels != y.filtration.levels:
+    if x.filtration != y.filtration:
         raise ValueError("martingales live on different filtrations")
     levels = tuple(
         StepFunction(a.values - b.values, x.space, x.base)

@@ -10,14 +10,15 @@ as a search lower bound together with the summability upper bound.
 
 E_j f is constant on the blocks of level j, so both maximal functions
 start from blocks: each kept level's block averages are taken once, from
-one mass-weighted copy of the values.  The Doob maximal function takes the norms of each level's
-block averages and carries the running maximum down the filtration, from
-each block to the blocks it splits into, then gathers to atoms once; no
-(levels, atoms, dim) stack is built, also not for the Rademacher maximal
-function on a Hilbert range.  Only a search on a non-Hilbert range gathers
-the per-atom stack of conditional expectations.  Each block average sums
-its atoms in atom order and norms are row-wise, so every value is bit for
-bit the one the per-atom stack gives.
+one mass-weighted copy of the values.  The Doob maximal function (and the
+Rademacher one on a Hilbert range) takes the norms of each level's block
+averages and carries the running maximum down the filtration, from each
+block to the blocks it splits into, then gathers to atoms once.  A search
+on a non-Hilbert range runs at one atom per block of the last kept level,
+whose atoms share their whole path, and is gathered back the same way; no
+(levels, atoms, dim) stack is built.  Each block average sums its atoms in
+atom order and norms are row-wise, so every value is bit for bit the one
+the per-atom stack gives.
 """
 
 from __future__ import annotations
@@ -91,15 +92,6 @@ def _level_averages(f: StepFunction, filt: Filtration, truncation: int | None):
     return [(pi, block_averages(weighted, pi)) for pi in kept]
 
 
-def _ce_stack(f: StepFunction, filt: Filtration, truncation: int | None) -> np.ndarray:
-    """Conditional expectations per level: array (levels, atoms, dim)."""
-    levels = _level_averages(f, filt, truncation)
-    out = np.empty((len(levels),) + f.values.shape)
-    for j, (pi, avg) in enumerate(levels):
-        np.take(avg, pi.block_of, axis=0, out=out[j])
-    return out
-
-
 def _block_peak(levels: list[tuple[Partition, np.ndarray]], measure) -> np.ndarray:
     """Largest ``measure`` of the block averages over the levels, at each atom.
 
@@ -114,10 +106,6 @@ def _block_peak(levels: list[tuple[Partition, np.ndarray]], measure) -> np.ndarr
     return peak[prev.block_of]
 
 
-def _doob_peak(f: StepFunction, filt: Filtration, truncation: int | None) -> np.ndarray:
-    return _block_peak(_level_averages(f, filt, truncation), lambda avg: norms_of(avg, f.space))
-
-
 def doob_maximal(
     f: StepFunction,
     filt: Filtration,
@@ -125,7 +113,8 @@ def doob_maximal(
     norm_exponents=DEFAULT_NORM_EXPONENTS,
 ) -> MaximalReport:
     """sup_j || E_j f || at each atom."""
-    pointwise = _doob_peak(f, filt, truncation)
+    levels = _level_averages(f, filt, truncation)
+    pointwise = _block_peak(levels, lambda avg: norms_of(avg, f.space))
     lp = {p: lp_norm(pointwise, p, f.base) for p in norm_exponents}
     return MaximalReport(pointwise, lp, HILBERT_EXACT, truncation, pointwise.copy())
 
@@ -150,19 +139,24 @@ def rademacher_maximal(
     """
     if cfg is None:
         cfg = EnumConfig()
+    levels = _level_averages(f, filt, truncation)
     if f.space.is_hilbert and rbound_p == 2:
-        lower, mode = _doob_peak(f, filt, truncation), HILBERT_EXACT
-        if atom_indices is not None:
-            outside = np.ones(lower.size, dtype=bool)
-            outside[list(atom_indices)] = False
-            lower[outside] = np.nan
-        upper = lower.copy()
+        lower = _block_peak(levels, lambda avg: norms_of(avg, f.space))
+        upper, mode = lower.copy(), HILBERT_EXACT
     else:
-        stack = _ce_stack(f, filt, truncation)
-        lower, upper, mode = atomwise_rbound(stack, f.space, cfg, rbound_p, atom_indices)
+        # at the first atom of each block of the last kept level, whose
+        # atoms share their whole path; gathered back to atoms
+        last = levels[-1][0]
+        stack = np.stack([avg[pi.block_of[last.first_atoms()]] for pi, avg in levels])
+        blocks = None if atom_indices is None else list(dict.fromkeys(last.block_of[atom_indices]))
+        lower, upper, mode = atomwise_rbound(stack, f.space, cfg, rbound_p, blocks)
+        lower, upper = lower[last.block_of], upper[last.block_of]
     if atom_indices is None:
         lp = {p: lp_norm(lower, p, f.base) for p in norm_exponents}
     else:
+        outside = np.ones(lower.size, dtype=bool)
+        outside[list(atom_indices)] = False
+        lower[outside] = upper[outside] = np.nan
         lp = {}
     return MaximalReport(lower, lp, mode, truncation, upper)
 

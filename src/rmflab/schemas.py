@@ -76,7 +76,8 @@ FILTRATION_SCHEMA = {
         },
         "levels": {
             "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+            # labels are int64: a larger one stops here, with its path
+            "items": {"type": "array", "items": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1}},
             "minItems": 1,
         },
     },

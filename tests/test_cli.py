@@ -85,6 +85,9 @@ GOLDEN_REPORTS += [
      "fc559fa59d563d662b229c5870dffb2a0a8b7c0fe98da3739f381eca8305b6a7"),
     (("weak-rmf", "--instances", "0", "--seed", "1"),
      "35d1f41c025ed4a19f2feb90dab1eaa5512a5c56987722b474c8bace8bc0eb50"),
+    (("maximal", "--space", L1_PLANE, "--grid-exponent", "6", "--truncation", "2",
+      "--seed", "23", "--restarts", "2", "--format", "csv"),
+     "bd94a590d58c04b47e3d38a778038d5332af59c725cc1663b1b4bfc418177f21"),
 ]
 
 
@@ -402,29 +405,52 @@ class TestGundy:
         payload = json.loads(out)
         assert payload["total_violations"] == 0
 
+    @staticmethod
+    def _shift(level, shift):
+        def edit(obj):
+            values = obj["levels"][level]
+            for row in values[:1] if shift == "atom" else values:
+                row[0] += 1.0
+
+        return edit
+
+    @staticmethod
+    def _relabel(level, atom, label):
+        def edit(obj):
+            obj["filtration"]["levels"][level][atom] = label
+
+        return edit
+
+    @staticmethod
+    def _drop_label(obj):
+        del obj["filtration"]["levels"][2][-1]
+
     @pytest.mark.parametrize(
-        "level, shift, message",
+        "edit, code, message",
         [
             # one atom moved: level 1 is no longer constant on its blocks
-            (1, "atom", "level 1 is not measurable at its level"),
+            (_shift(1, "atom"), 1, "numerical contract violated: level 1 is not measurable at its level"),
             # every atom moved: level 0 stays constant but no longer the mean
-            (0, "all", "martingale property fails between 0 and 1"),
+            (_shift(0, "all"), 1, "numerical contract violated: martingale property fails between 0 and 1"),
+            # labels are int64; 10^23 stops at the schema with its path
+            (_relabel(5, 3, 10**23), 2, "schema violated at $['filtration']['levels'][5][3]"),
+            (_drop_label, 1, "numerical contract violated: label count must match atom count"),
+            # atom 0 alone in level 0, while level 1 holds atoms 0-7 in one block
+            (_relabel(0, 0, 1), 1, "numerical contract violated: each level must refine its predecessor"),
         ],
-        ids=["unmeasurable-level", "broken-property"],
+        ids=["unmeasurable-level", "broken-property", "label-over-int64", "ragged-level", "non-refining-level"],
     )
-    def test_martingale_file_checked_where_it_enters(self, capsys, tmp_path, level, shift, message):
+    def test_martingale_file_checked_where_it_enters(self, capsys, tmp_path, edit, code, message):
         from rmflab.martingale import martingale_to_json, random_haar_martingale
         from rmflab.spaces import lp_space
 
         obj = martingale_to_json(random_haar_martingale(lp_space(2, 2), 4, 5, seed=3))
-        values = obj["levels"][level]
-        for row in values[:1] if shift == "atom" else values:
-            row[0] += 1.0
+        edit(obj)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(obj))
-        code, out, err = run(capsys, "gundy", "--martingale", str(path))
-        assert code == 1 and out == ""
-        assert f"numerical contract violated: {message}" in err
+        got, out, err = run(capsys, "gundy", "--martingale", str(path))
+        assert got == code and out == ""
+        assert message in err
         assert "Traceback" not in err
 
 
@@ -642,6 +668,17 @@ class TestGoldenReports:
     def test_report_bytes(self, tmp_path, argv, digest):
         out = tmp_path / "report.out"
         assert main(list(argv) + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_martingale_file_report_bytes(self, tmp_path):
+        from rmflab.martingale import martingale_to_json, random_haar_martingale
+        from rmflab.spaces import lp_space
+
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(martingale_to_json(random_haar_martingale(lp_space(2, 2), 4, 5, seed=3))))
+        out = tmp_path / "report.out"
+        assert main(["gundy", "--martingale", str(path), "--out", str(out)]) == 0
+        digest = "ed7f5985f74868a308e9c31de6a13c91901bcedcfc769a3135dd9ff120cbce40"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_non_finite_column_renders_as_row_dicts_did(self):

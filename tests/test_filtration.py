@@ -1,5 +1,7 @@
+import hashlib
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +39,11 @@ from rmflab.filtration import (
 )
 from rmflab.maximal import lp_norm
 from rmflab.spaces import lp_space
+
+
+def stacked(*parts):
+    """The label matrix and space of a filtration with these levels."""
+    return np.stack([p.block_of for p in parts]), parts[0].space
 
 
 def scalar_f(base, values):
@@ -204,13 +211,13 @@ class TestRandomHaar:
     def test_three_way_split_is_not_haar(self):
         space = AtomicMeasureSpace(np.full(4, 0.25))
         three = Partition(np.array([0, 1, 1, 2]), space)
-        assert not is_haar(Filtration((trivial_partition(space), three)))
+        assert not is_haar(Filtration(*stacked(trivial_partition(space), three)))
 
     def test_repeated_level_is_not_haar(self):
         space = AtomicMeasureSpace(np.full(4, 0.25))
         halves = Partition(np.array([0, 0, 1, 1]), space)
-        assert is_haar(Filtration((trivial_partition(space), halves)))
-        assert not is_haar(Filtration((trivial_partition(space), halves, halves)))
+        assert is_haar(Filtration(*stacked(trivial_partition(space), halves)))
+        assert not is_haar(Filtration(*stacked(trivial_partition(space), halves, halves)))
 
     @pytest.mark.parametrize("kind", ["general", "standard", "dyadic"])
     @pytest.mark.parametrize("masses", SWEEP_MASSES.values(), ids=SWEEP_MASSES.keys())
@@ -239,9 +246,9 @@ class TestRandomHaar:
         space = AtomicMeasureSpace(np.array([1, 2.0**-60, 2.0**-60, 1]))
         # child masses 1 + 2^-59 and 1: neither halves nor a dyadic ratio
         three_one = Partition(np.array([0, 0, 0, 1]), space)
-        assert haar_kind(Filtration((trivial_partition(space), three_one))) == "general"
+        assert haar_kind(Filtration(*stacked(trivial_partition(space), three_one))) == "general"
         halves = Partition(np.array([0, 0, 1, 1]), space)
-        assert haar_kind(Filtration((trivial_partition(space), halves))) == "standard"
+        assert haar_kind(Filtration(*stacked(trivial_partition(space), halves))) == "standard"
 
     def test_deterministic(self):
         space = AtomicMeasureSpace(np.full(8, 0.125))
@@ -374,7 +381,7 @@ class TestRefinement:
         b = Partition(np.array([0, 1, 1, 0]), base)
         assert not is_refinement(a, b)
         with pytest.raises(ValueError):
-            Filtration((b, a))
+            Filtration(*stacked(b, a))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -428,6 +435,97 @@ class TestCanonicalLabels:
         labels[:] = 1
         assert pi.block_of.tolist() == [0, 0, 1, 1]
 
+    def test_partition_keeps_read_only_labels(self):
+        space = AtomicMeasureSpace(np.ones(4))
+        labels = np.array([0, 0, 1, 0])
+        labels.flags.writeable = False
+        pi = Partition(labels, space)
+        assert np.shares_memory(pi.block_of, labels)
+        # renumbered and copied labels are read-only too, so the block
+        # masses cached from them cannot go stale
+        for given in ([1, 1, 0, 0], np.array([0, 1, 1, 0])):
+            block_of = Partition(given, space).block_of
+            with pytest.raises(ValueError):
+                block_of[0] = 1
+
+    def test_top_label_does_not_overflow(self):
+        space = AtomicMeasureSpace(np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Partition([0, 2**63 - 1], space).block_of.tolist() == [0, 1]
+
+
+class TestLabelMatrix:
+    """A filtration is one read-only (levels, atoms) label matrix, and its
+    levels are partitions on views of its rows."""
+
+    def test_every_builder_shares_one_read_only_matrix(self):
+        for name, (filt, _) in _builder_outputs().items():
+            labels = filt.labels
+            assert labels.dtype == np.int64, name
+            assert labels.shape == (len(filt), filt.space.n_atoms), name
+            assert not labels.flags.writeable, name
+            for j, part in enumerate(filt.levels):
+                assert np.shares_memory(part.block_of, labels), (name, j)
+                assert part.space is filt.space
+                with pytest.raises(ValueError):
+                    part.block_of[0] = 1
+
+    def test_writeable_matrix_is_copied(self):
+        space = AtomicMeasureSpace(np.full(4, 0.25))
+        labels = np.array([[0, 0, 0, 0], [0, 0, 1, 1]])
+        filt = Filtration(labels, space)
+        labels[1] = 0
+        assert filt.labels.tolist() == [[0, 0, 0, 0], [0, 0, 1, 1]]
+        assert not np.shares_memory(filt.labels, labels)
+
+    def test_column_major_matrix_is_copied_row_major(self):
+        space, dyadic = make_dyadic_filtration(3)
+        filt = Filtration(np.asfortranarray(dyadic.labels), space)
+        assert filt.labels.flags.c_contiguous and filt == dyadic
+        assert all(np.shares_memory(part.block_of, filt.labels) for part in filt.levels)
+
+    def test_read_only_canonical_matrix_is_kept(self):
+        space, dyadic = make_dyadic_filtration(3)
+        filt = Filtration(dyadic.labels, space)
+        assert filt.labels is dyadic.labels and filt == dyadic
+
+    def test_rows_renumbered_by_first_occurrence(self):
+        space = AtomicMeasureSpace(np.full(4, 0.25))
+        labels = np.array([[5, 5, 5, 5], [1, 1, 0, 2]])
+        labels.flags.writeable = False
+        filt = Filtration(labels, space)
+        assert filt.labels.tolist() == [[0, 0, 0, 0], [0, 0, 1, 2]]
+        assert not filt.labels.flags.writeable
+        assert all(np.shares_memory(part.block_of, filt.labels) for part in filt.levels)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 0, 1, 1], "matrix"),
+            (np.zeros((0, 4), dtype=np.int64), "matrix"),
+            ([[0, 0, 0]], "label count must match atom count"),
+            ([[0, 0, 1, 1], [0, 1, 1, 0]], "each level must refine its predecessor"),
+        ],
+        ids=["one-row-vector", "no-levels", "wrong-width", "non-refining"],
+    )
+    def test_bad_matrix_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Filtration(labels, AtomicMeasureSpace(np.full(4, 0.25)))
+
+    def test_equality_is_labels_and_space(self):
+        space, filt = make_dyadic_filtration(2)
+        assert Filtration(np.array(filt.labels), space) == filt
+        assert hash(Filtration(np.array(filt.labels), space)) == hash(filt)
+        assert Filtration(filt.labels, AtomicMeasureSpace(np.ones(4))) != filt
+        assert Filtration(filt.labels[:2], space) != filt
+
+    def test_lift_needs_the_outer_space(self):
+        space, filt = make_dyadic_filtration(2)
+        product = ProductBase(AtomicMeasureSpace(np.ones(4)), space)
+        with pytest.raises(ValueError, match="outer space"):
+            product.lift_filtration(filt)
+
 
 class TestHaarEmbed:
     def test_already_haar_fixed_point(self):
@@ -464,7 +562,7 @@ def _non_dyadic_haar_on_grid(k=6):
     labels2 = labels1.copy()
     labels2[: n // 4] = 2  # splits the 3/4 block in ratio 1/3 (non-dyadic)
     l2 = Partition(labels2, space)
-    return space, Filtration((l0, l1, l2))
+    return space, Filtration(*stacked(l0, l1, l2))
 
 
 class TestDyadicApproximation:
@@ -521,7 +619,7 @@ class TestDyadicApproximation:
 class TestBooleanIsomorphism:
     def test_trivial_filtration(self):
         space = AtomicMeasureSpace(np.array([1.0]))
-        filt = Filtration((trivial_partition(space),))
+        filt = Filtration(*stacked(trivial_partition(space)))
         iso = boolean_isomorphism(filt)
         assert iso.filtration.levels[0].n_blocks == 1
         assert np.all(iso.pullback == 0)
@@ -648,10 +746,105 @@ def test_haar_embed_preserves_measurability(seed):
     space = AtomicMeasureSpace(np.full(8, 0.125))
     filt = random_haar_filtration(space, 4, kind="general", seed=seed)
     # drop intermediate levels to get a non-Haar filtration of finite algebras
-    sub = Filtration((filt.levels[0], filt.levels[2], filt.levels[4]))
+    sub = Filtration(*stacked(filt.levels[0], filt.levels[2], filt.levels[4]))
     embedded, index_map = haar_embed(sub)
     f = random_step_function(space, lp_space(2, 2), seed)
     for j, k in enumerate(index_map):
         a = conditional_expectation(f, sub.levels[j]).values
         b = conditional_expectation(f, embedded.levels[k]).values
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def _builder_outputs():
+    """One seeded output of every filtration builder, by name: the
+    filtration and any arrays the builder returns beside it."""
+    from rmflab import concave
+    from rmflab.martingale import from_function, random_haar_martingale
+
+    out = {f"dyadic-{k}": (make_dyadic_filtration(k)[1], []) for k in range(1, 7)}
+    rng = np.random.default_rng(7)
+    uneven = AtomicMeasureSpace(rng.integers(1, 9, size=12) / 64.0)
+    grid = AtomicMeasureSpace(np.full(32, 1 / 32))
+    out["haar-general"] = (random_haar_filtration(uneven, 7, kind="general", seed=5), [])
+    out["haar-dyadic"] = (random_haar_filtration(grid, 6, kind="dyadic", seed=5), [])
+    out["haar-standard"] = (random_haar_filtration(grid, 6, kind="standard", seed=5), [])
+
+    # the reduce chain of `reduce --subsample 2 --perturb` on one input
+    perturbed = perturb_last_split(out["haar-dyadic"][0])
+    obj = filtration_to_json(perturbed)
+    obj["levels"] = obj["levels"][::2] + obj["levels"][-1:]
+    sub = filtration_from_json(obj)
+    embedded, index_map = haar_embed(sub)
+    approx = dyadic_haar_approximate(embedded, 0.5)
+    iso = boolean_isomorphism(approx.filtration)
+    out["perturb"] = (perturbed, [])
+    out["from-json"] = (sub, [])
+    out["haar-embed"] = (embedded, [np.array(index_map)])
+    out["dyadic-approx"] = (approx.filtration, approx.symdiff)
+    out["boolean-iso"] = (iso.filtration, [iso.pullback, np.array(iso.dyadic_levels)])
+    product = ProductBase(uneven, AtomicMeasureSpace(np.full(3, 1 / 3)))
+    out["lift"] = (product.lift_filtration(out["haar-general"][0]), [])
+
+    # the splices and their helpers carry values too
+    x1 = random_haar_martingale(lp_space(2, 2), 4, 5, seed=3)
+    x2 = random_haar_martingale(lp_space(2, 2), 3, 2, seed=4)
+    rebased = from_function(
+        random_step_function(uneven, lp_space(2, 2), 9), out["haar-general"][0]
+    )
+    for name, x in [
+        ("from-function", rebased),
+        ("splice", concave.splice(x1, x2, 0.25)),
+        ("haar-splice", concave.haar_splice(x1, x2)),
+        ("extend-haar", concave.extend_standard_haar(x2, 3)),
+        ("pad-levels", concave._pad_levels(x2, 5)),
+        ("prepend", concave.prepend_constant(x2)),
+    ]:
+        out[name] = (x.filtration, [x.values_stack()])
+    return out
+
+
+# sha256 of labels, masses, conditional expectations of one seeded function
+# and extra arrays of every builder, pinned before filtrations were stored
+# as one label matrix
+BUILDER_DIGESTS = {
+    "boolean-iso": "0755e98772d8db65b3ee41b50b62bcefe31d82c4d3ecca34ee7dbe6cb5d07283",
+    "dyadic-1": "a1b95ad9a46693e4d37d603c25fabc723e49a911e06e2a1de8e9e9397a3d71ef",
+    "dyadic-2": "138f3722ac28c9ea56f84a4d2a0314f8fea8d4fc66a3538911054eb6af5d5a69",
+    "dyadic-3": "e06d06e4e783fd2b1af2073605ce77a7d4a0dd336563a8be58867e3781b163c7",
+    "dyadic-4": "0271d9943ebab28e734a1c01d05d0ee5aa6b2209f7c96e8586f673e3eb1ea8d0",
+    "dyadic-5": "e7fc4926c41edb4559b769abb869f6dd740109b41f36dd7c62ce8779bb95d134",
+    "dyadic-6": "a45b64a33b517ab45273b795777d17720fcf954a30b70ac6253a793d46ea2baa",
+    "dyadic-approx": "eb95b7fdbbd3b68e2a445aaf32e56ba42b981864bf3dde4f7024bfb73ce4a7b7",
+    "extend-haar": "8f857aab16d1c4ba709de3f1170f8460257377522ff0645240cc227f36114bfe",
+    "from-function": "0dd28b1269c7f717b8184ae2d849ee9fa3197acfa50f6932a69daef557d57e70",
+    "from-json": "57b816e7bf141eadb4842bd7f74d4c08bc90bb265cfa35c5382a00a1855ecd3b",
+    "haar-dyadic": "c17ab181a9e0ded096d30389ccfaa45b2e0d1fe28afa9d55cbee2b811abefaf0",
+    "haar-embed": "7dfe1092832d428f61b63e0c5ecd5559f43f02a1430f8eb8665949af48bd4e2e",
+    "haar-general": "416e8064bfd035426f6bc8b16f2cbad35dd1abb0b5c947f7746a7938784693fc",
+    "haar-splice": "0c67fa06e5f9bbc3139e28d911506dc4076ff73dbebd11bcb2012b570060ed0e",
+    "haar-standard": "b9b674a5831b76430e725830129970650e2084708fdf9d46ad24e31d79fcf5ab",
+    "lift": "32f44f95c74e1bd885e3401f34c9fbb29ad2db2482e4ada1f90b7849f96e3c7c",
+    "pad-levels": "09252d280e96a05e5a810644334c86e4d8b95d71b284634c5495b5a7efa58469",
+    "perturb": "87182411c8ea01463588c3f8e97bd065ca72094261fd0ad2b122b4dfcd8c4f87",
+    "prepend": "ae32b894a333a59d10e0f434940cc6539804062ad189d3d1efb0566b2d8bc7d4",
+    "splice": "173c702327b3db3f53c372e1114e0ec52c112e649f76faa1a46dc2bc89237039",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_DIGESTS))
+def test_builder_outputs_are_pinned_and_canonical(name):
+    filt, extras = _builder_outputs()[name]
+    space = filt.space
+    f = random_step_function(space, lp_space(1, 2), 11)
+    h = hashlib.sha256(space.masses.tobytes())
+    for j, part in enumerate(filt.levels):
+        row = part.block_of
+        assert row.dtype == np.int64
+        assert np.array_equal(row, _canonical_labels(row)[0])
+        if j:
+            assert is_refinement(part, filt.levels[j - 1])
+        h.update(row.tobytes())
+        h.update(conditional_expectation(f, part).values.tobytes())
+    for arr in extras:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == BUILDER_DIGESTS[name]

@@ -54,6 +54,11 @@ from rmflab.spaces import Vector, dual_exponent, lp_space, norms_of
 FAST = EnumConfig(seed=5, restarts=4)
 
 
+def stacked(*parts):
+    """The label matrix and space of a filtration with these levels."""
+    return np.stack([p.block_of for p in parts]), parts[0].space
+
+
 def dyadic_martingale(space, k, seed, scale=1.0):
     base, filt = make_dyadic_filtration(k)
     f = random_step_function(base, space, seed, scale)
@@ -104,7 +109,7 @@ class TestConstruction:
 
     def test_requires_probability_space(self):
         base = AtomicMeasureSpace(np.array([1.0, 1.0]))
-        filt = Filtration((trivial_partition(base), atom_partition(base)))
+        filt = Filtration(*stacked(trivial_partition(base), atom_partition(base)))
         from rmflab.filtration import StepFunction
         from rmflab.martingale import SimpleMartingale
 
@@ -117,7 +122,7 @@ class TestConstruction:
 
     def test_from_function_normalizes_mass(self):
         base = AtomicMeasureSpace(np.array([1.0, 1.0, 2.0, 4.0]))
-        filt = Filtration((trivial_partition(base), atom_partition(base)))
+        filt = Filtration(*stacked(trivial_partition(base), atom_partition(base)))
         from rmflab.filtration import StepFunction
 
         f = StepFunction(np.array([[1.0], [2.0], [3.0], [4.0]]), lp_space(1, 1), base)
@@ -466,7 +471,7 @@ class TestWeakRmf:
 
     def test_two_atom_hand_computation(self):
         base = AtomicMeasureSpace(np.array([0.5, 0.5]))
-        filt = Filtration((trivial_partition(base), atom_partition(base)))
+        filt = Filtration(*stacked(trivial_partition(base), atom_partition(base)))
         from rmflab.filtration import StepFunction
 
         f = StepFunction(np.array([[3.0], [1.0]]), lp_space(1, 1), base)

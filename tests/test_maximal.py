@@ -17,6 +17,7 @@ from rmflab.filtration import (
     random_step_function,
     trivial_partition,
 )
+from rmflab import maximal as maximal_mod
 from rmflab.maximal import (
     doob_maximal,
     fubini_heredity_check,
@@ -37,6 +38,11 @@ from rmflab.spaces import (
 )
 
 FAST = EnumConfig(seed=3, restarts=4)
+
+
+def stacked(*parts):
+    """The label matrix and space of a filtration with these levels."""
+    return np.stack([p.block_of for p in parts]), parts[0].space
 
 
 def l1_basis(n):
@@ -76,12 +82,12 @@ class TestDoob:
         base = AtomicMeasureSpace(np.array([0.5, 0.5]))
         f = StepFunction(np.array([[2.0], [0.0]]), lp_space(1, 1), base)
         filt = Filtration(
-            (trivial_partition(base), Filtration((trivial_partition(base),)).levels[0],)
+            *stacked(trivial_partition(base), Filtration(*stacked(trivial_partition(base))).levels[0])
         )
         # levels: trivial then atoms
         from rmflab.filtration import atom_partition
 
-        filt = Filtration((trivial_partition(base), atom_partition(base)))
+        filt = Filtration(*stacked(trivial_partition(base), atom_partition(base)))
         report = doob_maximal(f, filt)
         np.testing.assert_allclose(report.pointwise, [2.0, 1.0])
 
@@ -206,7 +212,7 @@ class TestRmfRatio:
 
     def test_subfiltration_monotone_hilbert(self):
         space, filt = make_dyadic_filtration(4)
-        sub = Filtration((filt.levels[0], filt.levels[2], filt.levels[4]))
+        sub = Filtration(*stacked(filt.levels[0], filt.levels[2], filt.levels[4]))
         for seed in range(3):
             f = random_step_function(space, lp_space(2, 2), seed)
             assert rmf_ratio(f, sub, 2, FAST) <= rmf_ratio(f, filt, 2, FAST) + 1e-9
@@ -280,7 +286,7 @@ def _subsampled(filt, step):
     kept = list(filt.levels[::step])
     if kept[-1] != filt.levels[-1]:
         kept.append(filt.levels[-1])
-    return Filtration(tuple(kept))
+    return Filtration(*stacked(*kept))
 
 
 def _block_path_filtrations():
@@ -366,6 +372,30 @@ class TestBlockPath:
         assert report.mode == want[2] == "optimized"
         np.testing.assert_array_equal(report.pointwise, want[0])
         np.testing.assert_array_equal(report.pointwise_upper, want[1])
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["every-atom", "some-atoms"])
+    @pytest.mark.parametrize("which", ["zero", "middle", "beyond"])
+    @pytest.mark.parametrize("filt", _filtrations())
+    def test_truncated_search_runs_once_per_block(self, filt, which, restricted, monkeypatch):
+        truncation = _truncation(filt, which)
+        cfg = EnumConfig(seed=3, restarts=1)
+        f = random_step_function(filt.space, lp_space(1, 2), 47)
+        n = filt.space.n_atoms
+        atoms = [n - 1, 0, n // 2, n - 1, 1] if restricted else None
+        want = atomwise_rbound(_reference_stack(f, filt, truncation), f.space, cfg, atoms=atoms)
+        widths = []
+
+        def kernel(stack, *args):
+            widths.append(stack.shape[1])
+            return atomwise_rbound(stack, *args)
+
+        monkeypatch.setattr(maximal_mod, "atomwise_rbound", kernel)
+        report = rademacher_maximal(f, filt, cfg, truncation, atom_indices=atoms)
+        assert widths == [filt.levels[min(truncation, len(filt) - 1)].n_blocks]
+        assert report.mode == want[2] == "optimized"
+        np.testing.assert_array_equal(report.pointwise, want[0])
+        np.testing.assert_array_equal(report.pointwise_upper, want[1])
+        assert report.lp_norms == ({} if restricted else {p: lp_norm(want[0], p, f.base) for p in report.lp_norms})
 
     @pytest.mark.parametrize("p", [1.5, 2])
     @pytest.mark.parametrize("filt", _filtrations())
