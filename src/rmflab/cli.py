@@ -55,6 +55,20 @@ def _parse_exponent(text):
     return float(text)
 
 
+def _heights(text: str) -> list[float]:
+    """Comma-separated finite numbers > 0; argparse names the flag of a bad one."""
+    heights = []
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"entry {entry!r} is not a finite number > 0")
+        heights.append(value)
+    return heights
+
+
 def _load_json(path: str, schema: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -314,26 +328,16 @@ def cmd_gundy(args):
         family = [mart.martingale_from_json(_load_json(args.martingale, "martingale"))]
     else:
         family = _generated_family(args, _require_seed(args))
-    multipliers = [float(t) for t in args.lambdas.split(",")]
     rows = []
     violations = 0
     for i, x in enumerate(family):
         x_l1 = x.lp_bound(1)
-        stack = x.values_stack()
-        for mult in multipliers:
-            lam = mult * x_l1
-            if lam <= 0:
-                continue
-            parts = mart.gundy_decompose(x, lam)
-            total = (
-                np.stack([lvl.values for lvl in parts.g.levels])
-                + np.stack([lvl.values for lvl in parts.h.levels])
-                + np.stack([lvl.values for lvl in parts.b.levels])
-            )
-            recon = float(np.max(np.abs(total - stack)))
-            ok = parts.certificates.within_constants() and recon <= 1e-10
+        multiples = [mult for mult in args.lambdas if mult * x_l1 > 0]  # none for X = 0
+        lams = [mult * x_l1 for mult in multiples]
+        for mult, lam, height in zip(multiples, lams, mart.gundy_heights(x, lams)):
+            c, recon = height.certificates, height.reconstruction_error
+            ok = c.within_constants() and recon <= 1e-10
             violations += 0 if ok else 1
-            c = parts.certificates
             rows.append((
                 i, "hilbert_exact" if x.space.is_hilbert else "optimized", mult, lam,
                 c.x_l1, c.g_l1, c.g_sup, c.h_variation, c.b_positive_probability,
@@ -511,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--space", default='{"kind":"lp","p":1,"dim":3}')
     sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--lambdas", default="0.25,1,4",
-                    help="heights as multiples of the L1 bound")
+    sp.add_argument("--lambdas", type=_heights, default="0.25,1,4",
+                    help="heights as multiples of the L1 bound: comma-separated finite numbers > 0")
     _add_common(sp)
 
     sp = sub.add_parser("goodlambda", help="pathwise good-lambda experiments")

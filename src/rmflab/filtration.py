@@ -487,19 +487,30 @@ def haar_embed(filt: Filtration) -> tuple[Filtration, list[int]]:
     One block is added per output level; ties (which child to carve
     first) break by lowest block id.  Returns the Haar filtration and the
     index map: output level index_map[j] equals input level j.
+
+    Each carved row is written canonical in linear time.  Children are
+    carved in block order, so each holds its parent's first atom and keeps
+    the parent's label; the rest of the parent is the new block, labelled
+    one above the largest label before its first atom, and later labels
+    move up one.
     """
     # output row r has r + 1 blocks, and the last one is the input's last level
     out = np.zeros((filt.levels[-1].n_blocks, filt.space.n_atoms), dtype=np.int64)
     index_map: list[int] = []
     r = 0
     for lvl in filt.levels:
-        parents = out[r][lvl.first_atoms()]
+        firsts = lvl.first_atoms()
+        parents = out[r][firsts]
         # children grouped by parent in block order; all but each group's
         # last child are carved off one at a time
         order = np.argsort(parents, kind="stable")
         for child in order[:-1][parents[order[1:]] == parents[order[:-1]]]:
             r += 1
-            out[r] = _canonical_labels(np.where(lvl.block_of == child, r, out[r - 1]))[0]
+            prev = out[r - 1]
+            rest = (prev == prev[firsts[child]]) & (lvl.block_of != child)
+            top = prev[: np.argmax(rest)].max()
+            out[r] = prev + (prev > top)
+            out[r, rest] = top + 1
         index_map.append(r)
     return Filtration(_read_only(out), filt.space), index_map
 
@@ -612,6 +623,15 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
         nb = nxt.n_blocks
         symdiffs.append(np.bincount(nxt.block_of, off, nb) + np.bincount(tilde, off, nb))
 
+    # rows hold input block ids, in first-occurrence order unless the
+    # approximating blocks start in another order than the input's; those
+    # few rows are found in one pass over the matrix and renumbered here,
+    # so the constructor keeps every row
+    top = np.maximum.accumulate(out, axis=1)
+    for j in np.flatnonzero((out[:, 0] != 0) | np.any(top[:, 1:] > top[:, :-1] + 1, axis=1)):
+        first = np.full(j + 1, out.shape[1])
+        np.minimum.at(first, out[j], np.arange(out.shape[1]))
+        out[j] = np.argsort(np.argsort(first))[out[j]]  # block ids by first atom
     return DyadicHaarApproximation(Filtration(_read_only(out), filt.space), symdiffs)
 
 

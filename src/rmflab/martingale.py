@@ -8,6 +8,13 @@ E(X_k | level j) = X_j for j <= k.  Level 0 is the trivial algebra, so
 X_0 is the overall mean; the member indices j >= 1 are the ones entering
 maximal functions, matching the convention that the mean is attached as a
 level-0 constant.
+
+Generated martingales take every level's conditional expectation from one
+bincount per range coordinate over level-offset block labels.  The
+decomposition runs on a martingale's (levels, atoms, dim) value stack:
+:func:`gundy_heights` decides the Haar kind and takes the level norms and
+predictable jump norms once, then each height is an argmax over the level
+axis and one gather.
 """
 
 from __future__ import annotations
@@ -85,11 +92,14 @@ class SimpleMartingale:
 
     def lp_bound(self, p: float) -> float:
         """sup_j (E ||X_j||^p)^(1/p); the essential sup norm when p = inf."""
-        masses = self.base.masses
-        norms = np.stack([x.atom_norms() for x in self.levels])
-        if p == math.inf:
-            return float(np.max(norms))
-        return float(np.max(np.sum(masses[None, :] * norms**p, axis=1)) ** (1.0 / p))
+        return _lp_bound_of(self.base.masses, np.stack([x.atom_norms() for x in self.levels]), p)
+
+
+def _lp_bound_of(masses: np.ndarray, norms: np.ndarray, p: float) -> float:
+    """:meth:`SimpleMartingale.lp_bound` from the (levels, atoms) atom norms."""
+    if p == math.inf:
+        return float(np.max(norms))
+    return float(np.max(np.sum(masses[None, :] * norms**p, axis=1)) ** (1.0 / p))
 
 
 def validate_martingale(x: SimpleMartingale) -> None:
@@ -106,19 +116,37 @@ def validate_martingale(x: SimpleMartingale) -> None:
             raise ValueError(f"martingale property fails between {j} and {j + 1}")
 
 
+def _level_slots(labels: np.ndarray) -> np.ndarray:
+    """Block b of row j of a (levels, atoms) label matrix as slot
+    j * atoms + b: one labelling of every row's blocks, flattened."""
+    n_levels, n_atoms = labels.shape
+    return (labels + n_atoms * np.arange(n_levels)[:, None]).ravel()
+
+
 def from_function(f: StepFunction, filt: Filtration) -> SimpleMartingale:
     """Martingale of conditional expectations X_j = E_j f.
 
     A base of total mass other than one is normalized first (conditional
     expectations are scale-invariant, so the level values are unchanged).
+    One bincount per range coordinate over :func:`_level_slots` sums every
+    level's blocks, each in atom order as :func:`conditional_expectation`
+    sums them, and one more sums the block masses.
     """
     base = filt.space
     if abs(base.total_mass - 1.0) > 1e-12:
         base = base.normalized()
         filt = Filtration(filt.labels, base)
         f = StepFunction(f.values, f.space, base)
-    levels = tuple(conditional_expectation(f, p) for p in filt.levels)
-    return SimpleMartingale(filt, levels)
+    n_levels, n_atoms = filt.labels.shape
+    slots = _level_slots(filt.labels)
+
+    def slot_sums(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(slots, weights=np.tile(weights, n_levels))[slots]
+
+    weighted = base.masses[:, None] * f.values
+    sums = np.stack([slot_sums(w) for w in weighted.T], axis=1)
+    stack = (sums / slot_sums(base.masses)[:, None]).reshape(n_levels, n_atoms, -1)
+    return SimpleMartingale(filt, tuple(StepFunction(v, f.space, base) for v in stack))
 
 
 def random_haar_martingale(
@@ -234,7 +262,8 @@ def norm_trigger(x: SimpleMartingale, threshold: float):
 
 def jump_norms(x: SimpleMartingale) -> np.ndarray:
     """||D_j|| per atom, shape (n_steps, atoms)."""
-    return np.stack([norms_of(d, x.space) for d in x.differences()])
+    diffs = x.differences()
+    return norms_of(diffs.reshape(-1, diffs.shape[2]), x.space).reshape(diffs.shape[:2])
 
 
 def predictable_jump_norms(x: SimpleMartingale, atol: float = 1e-9) -> np.ndarray:
@@ -243,41 +272,21 @@ def predictable_jump_norms(x: SimpleMartingale, atol: float = 1e-9) -> np.ndarra
     For standard Haar martingales ||D_{j+1}|| is measurable at level j up
     to floating-point summation noise; this validates the constancy
     within ``atol`` and returns the blockwise maximum so that triggers
-    built from it are exactly level-measurable.
+    built from it are exactly level-measurable.  Every level's blocks are
+    one set of slots (:func:`_level_slots`).
     """
     jumps = jump_norms(x)
-    out = np.empty_like(jumps)
-    for j in range(jumps.shape[0]):
-        part = x.filtration.levels[j]
-        hi, lo = part.block_extremes(jumps[j])
-        if np.any(hi - lo > atol):
-            raise ValueError(
-                "jump norms are not predictable; this construction is "
-                "valid only for standard Haar martingales"
-            )
-        out[j] = hi[part.block_of]
-    return out
-
-
-def norm_or_next_jump_trigger(
-    x: SimpleMartingale, threshold: float, jump_threshold: float
-):
-    """Trigger ||X_j|| > c or ||D_{j+1}|| > c'.
-
-    Valid only when the jump norms are predictable (constant on the
-    preceding level's blocks), which holds for standard Haar martingales;
-    validated here.
-    """
-    norms = np.stack([lvl.atom_norms() for lvl in x.levels])
-    jumps = predictable_jump_norms(x)
-
-    def trigger(j: int) -> np.ndarray:
-        hit = norms[j] > threshold
-        if j < jumps.shape[0]:
-            hit = hit | (jumps[j] > jump_threshold)
-        return hit
-
-    return trigger
+    slots = _level_slots(x.filtration.labels[:-1])
+    hi = np.full(jumps.size, -np.inf)
+    lo = np.full(jumps.size, np.inf)
+    np.maximum.at(hi, slots, jumps.ravel())
+    np.minimum.at(lo, slots, jumps.ravel())
+    if np.any(hi - lo > atol):
+        raise ValueError(
+            "jump norms are not predictable; this construction is "
+            "valid only for standard Haar martingales"
+        )
+    return hi[slots].reshape(jumps.shape)
 
 
 def prefix_rbound_trigger(x: SimpleMartingale, threshold: float, cfg: EnumConfig | None = None):
@@ -441,51 +450,105 @@ class GundyParts:
     certificates: GundyCertificates
 
 
-def gundy_decompose(x: SimpleMartingale, lam: float) -> GundyParts:
-    """Stopped-martingale decomposition for standard Haar martingales.
+@dataclass(frozen=True)
+class GundyHeight:
+    """The stopping time (None when the mean goes to the flat part), the
+    certificates and max |G + H + B - X| of the decomposition at a height."""
 
-    The stopping time fires when the running norm exceeds the height or
-    the next jump would (jump norms are predictable for standard Haar
+    sigma: StoppingTime | None
+    certificates: GundyCertificates
+    reconstruction_error: float
+
+
+def gundy_heights(x: SimpleMartingale, lams: list[float]) -> list[GundyHeight]:
+    """Stopped-martingale decomposition X = G + H + B of a standard Haar
+    martingale at each height in ``lams``.
+
+    The stopping time sigma fires when the running norm exceeds the height
+    or the next jump would (jump norms are predictable for standard Haar
     martingales, so this is a stopping time).  Up to the stop, norms stay
     below the height and each jump adds at most the height, giving
-    ||G||_inf <= 2 lam; the remainder B moves only after the stop, an
-    event of probability at most P(X* > lam/2) <= 2 ||X||_1 / lam.  A mean
-    larger than the height cannot be stopped away, so it is split off
-    into the flat part H, whose total variation is just ||X_0|| <= ||X||_1.
+    ||G||_inf <= 2 lam with G_j = X_{min(j, sigma)}; the remainder B moves
+    only after the stop, an event of probability at most
+    P(X* > lam/2) <= 2 ||X||_1 / lam.  A mean larger than the height cannot
+    be stopped away, so it is split off into the flat part H, whose total
+    variation is just ||X_0|| <= ||X||_1, and G = 0.
+
+    The Haar kind, the level norms, ||X||_1, ||X_0|| and the jump norms are
+    taken once; each height is then an argmax over the level axis, one
+    gather from the value stack, and G's norms gathered with it.  Raises
+    ``AssertionError`` when a certificate is violated.  An empty ``lams``
+    gives ``[]`` without the Haar check.
     """
-    if lam <= 0:
+    if any(lam <= 0 for lam in lams):
         raise ValueError("height must be positive")
+    if not lams:
+        return []
     if not is_standard_haar(x.filtration):
         raise ValueError(
             "decomposition requires a standard Haar martingale; reduce the "
             "filtration first (haar embedding / dyadic approximation / "
             "boolean isomorphism)"
         )
-    x_l1 = x.lp_bound(1)
-    x0 = x.levels[0].values[0]
+    stack = x.values_stack()
+    n_levels, n_atoms, dim = stack.shape
+    masses = x.base.masses
+    norms = norms_of(stack.reshape(-1, dim), x.space).reshape(n_levels, n_atoms)
+    x_l1 = _lp_bound_of(masses, norms, 1)
+    x0 = stack[0, 0]
     n0 = float(norms_of(x0, x.space)[0])
+    jumps = predictable_jump_norms(x)
+    atoms = np.arange(n_atoms)
+    level_index = np.arange(n_levels)[:, None]
+    out = []
+    for lam in lams:
+        if n0 > lam:
+            sigma, g, h = None, 0.0, x0
+            g_l1 = g_sup = 0.0
+        else:
+            hit = norms > lam
+            hit[:-1] |= jumps > lam
+            first = np.argmax(hit, axis=0)
+            fired = hit[first, atoms]
+            sigma = StoppingTime(np.where(fired, first, INF_TIME))
+            gather = np.minimum(level_index, np.where(fired, first, n_levels - 1))
+            g, h = stack[gather, atoms], 0.0
+            g_norms = norms[gather, atoms]
+            g_l1, g_sup = _lp_bound_of(masses, g_norms, 1), float(np.max(g_norms))
+        b = stack - (x0 if sigma is None else g)
+        # B* > 0 where a level of B has a positive norm, which only a nonzero row can
+        moved_level, moved_atom = np.nonzero(np.any(b != 0, axis=2))
+        b_positive = np.zeros(n_atoms, dtype=bool)
+        b_positive[moved_atom[norms_of(b[moved_level, moved_atom], x.space) > 0]] = True
+        certs = GundyCertificates(
+            g_l1=g_l1,
+            g_sup=g_sup,
+            h_variation=n0 if sigma is None else 0.0,
+            b_positive_probability=float(np.sum(masses[b_positive])),
+            x_l1=x_l1,
+            lam=lam,
+        )
+        if not certs.within_constants():
+            raise AssertionError("decomposition certificates violated")
+        recon = float(np.max(np.abs(g + h + b - stack)))
+        out.append(GundyHeight(sigma, certs, recon))
+    return out
 
+
+def gundy_decompose(x: SimpleMartingale, lam: float) -> GundyParts:
+    """The decomposition of :func:`gundy_heights` at one height, with its
+    parts as martingales: G = X stopped at sigma, H = 0 and B = X - G, or
+    G = 0, H = X_0 and B = X - X_0 when the mean exceeds the height."""
+    (height,) = gundy_heights(x, [lam])
+    x0 = x.levels[0].values[0]
     zero = constant_martingale(Vector(np.zeros_like(x0), x.space), x.filtration)
-    if n0 > lam:
-        sigma, g = None, zero
-        h = constant_martingale(Vector(x0, x.space), x.filtration)
+    if height.sigma is None:
+        g, h = zero, constant_martingale(Vector(x0, x.space), x.filtration)
         b = subtract(x, h)
     else:
-        sigma = stopping_time_first(x, norm_or_next_jump_trigger(x, lam, lam))
-        g, h = stopped_martingale(x, sigma), zero
+        g, h = stopped_martingale(x, height.sigma), zero
         b = subtract(x, g)
-    b_star = np.max(np.stack([lvl.atom_norms() for lvl in b.levels]), axis=0)
-    certs = GundyCertificates(
-        g_l1=g.lp_bound(1),
-        g_sup=g.lp_bound(math.inf),
-        h_variation=n0 if sigma is None else 0.0,
-        b_positive_probability=float(np.sum(x.base.masses[b_star > 0])),
-        x_l1=x_l1,
-        lam=lam,
-    )
-    if not certs.within_constants():
-        raise AssertionError("decomposition certificates violated")
-    return GundyParts(g, h, b, lam, sigma, certs)
+    return GundyParts(g, h, b, lam, height.sigma, height.certificates)
 
 
 def alpha_of(delta: float, beta: float, weak_constant: float) -> float:

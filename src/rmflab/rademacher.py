@@ -303,8 +303,11 @@ def type_cotype_estimate(
     Type p compares (E||sum eps x||^2)^(1/2) against (sum ||x_j||^p)^(1/p);
     cotype q inverts the ratio, with a max-norm right side when q = inf.
     The search runs over n-tuples of unit vectors, where the lp sum of
-    norms is constant, so this is a true lower bound on the constant in
-    the defining inequality.
+    norms is constant.  When ``n <= cfg.exact_threshold`` the moment is
+    enumerated over every sign pattern, so the value is a true lower bound
+    on the constant in the defining inequality.  Above the threshold the
+    moment comes from a Monte Carlo sign table, and the value is an
+    estimate that may exceed the constant.
     """
     if kind not in ("type", "cotype"):
         raise ValueError("kind must be 'type' or 'cotype'")

@@ -88,6 +88,13 @@ GOLDEN_REPORTS += [
     (("maximal", "--space", L1_PLANE, "--grid-exponent", "6", "--truncation", "2",
       "--seed", "23", "--restarts", "2", "--format", "csv"),
      "bd94a590d58c04b47e3d38a778038d5332af59c725cc1663b1b4bfc418177f21"),
+    # the flat part (h_variation > 0) and heights no atom reaches (sigma = infinity)
+    (("gundy", "--space", '{"kind":"lp","p":2,"dim":3}', "--instances", "4",
+      "--lambdas", "0.01,0.25,1,4,100", "--seed", "5", "--format", "csv"),
+     "92d7d51cdd02ef7435c5ce88251beb8a89b334c91076ebb8a8b1697a4d6b3350"),
+    (("gundy", "--space", '{"kind":"schatten","p":1,"rows":2,"cols":2}', "--instances", "2",
+      "--grid-exponent", "4", "--steps", "5", "--seed", "9", "--format", "csv"),
+     "f00aabc83335746513b214697c085fb440999d6af975afaa4a8305fd8c621a9e"),
 ]
 
 
@@ -452,6 +459,29 @@ class TestGundy:
         assert got == code and out == ""
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, entry",
+        [
+            (["--lambdas", "abc"], "abc"),
+            (["--lambdas", "1,,2"], ""),
+            (["--lambdas", "nan"], "nan"),
+            (["--lambdas=-1,1"], "-1"),
+            (["--lambdas", "0,1"], "0"),
+            (["--lambdas", "inf"], "inf"),
+        ],
+        ids=["word", "empty-entry", "nan", "negative", "zero", "inf"],
+    )
+    def test_bad_lambdas_exit_2_naming_the_entry(self, capsys, tmp_path, flag, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambdas": flag[-1].removeprefix("--lambdas=")}))
+        for argv in (flag, ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["gundy", "--instances", "1", "--seed", "3", *argv])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --lambdas: entry {entry!r} is not a finite number > 0" in err
+            assert "Traceback" not in err
 
 
 class TestGoodLambda:

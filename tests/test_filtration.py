@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmflab import filtration
 from rmflab.filtration import (
     _canonical_labels,
     perturb_last_split,
@@ -22,6 +23,7 @@ from rmflab.filtration import (
     block_averages,
     boolean_isomorphism,
     conditional_expectation,
+    dyadic_grid,
     dyadic_haar_approximate,
     dyadic_partition,
     filtration_from_json,
@@ -848,3 +850,30 @@ def test_builder_outputs_are_pinned_and_canonical(name):
     for arr in extras:
         h.update(np.ascontiguousarray(arr).tobytes())
     assert h.hexdigest() == BUILDER_DIGESTS[name]
+
+
+def test_embedding_and_approximation_write_canonical_rows_without_a_sort(monkeypatch):
+    # subsampled Haar filtrations: embedding carves every parent's first
+    # child, and the approximation splits blocks out of input order
+    inputs = []
+    for seed in range(40):
+        for kind in ("general", "dyadic"):
+            filt = random_haar_filtration(dyadic_grid(6), 7, kind=kind, seed=seed)
+            inputs.append(Filtration(filt.labels[[0, 2, 4, 6, 7]], filt.space))
+
+    def linear_only(labels):
+        # the linear path hands back the labels it was given
+        canonical, first = _canonical_labels(labels)
+        assert canonical is labels, "a row was renumbered"
+        return canonical, first
+
+    monkeypatch.setattr(filtration, "_canonical_labels", linear_only)
+    approximated = 0
+    for filt in inputs:
+        embedded, _ = haar_embed(filt)
+        try:
+            dyadic_haar_approximate(embedded, 0.5)
+        except ResolutionError:
+            continue
+        approximated += 1
+    assert approximated >= 20

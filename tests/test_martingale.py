@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -21,7 +23,9 @@ from rmflab.filtration import (
 )
 from rmflab.martingale import (
     INF_TIME,
+    GundyCertificates,
     PredictableProcess,
+    SimpleMartingale,
     StoppingTime,
     alpha_of,
     constant_martingale,
@@ -30,10 +34,11 @@ from rmflab.martingale import (
     good_lambda_experiment,
     good_lambda_experiments,
     gundy_decompose,
+    gundy_heights,
     martingale_transform,
     maximal_stars,
-    norm_or_next_jump_trigger,
     norm_trigger,
+    predictable_jump_norms,
     prefix_rbounds,
     random_haar_martingale,
     stopped_martingale,
@@ -49,7 +54,7 @@ from rmflab.martingale import (
 from rmflab.rademacher import EnumConfig
 from rmflab import rbound
 from rmflab.rbound import atomwise_rbound
-from rmflab.spaces import Vector, dual_exponent, lp_space, norms_of
+from rmflab.spaces import Vector, dual_exponent, lp_space, norms_of, schatten_space
 
 FAST = EnumConfig(seed=5, restarts=4)
 
@@ -219,7 +224,7 @@ class TestStoppingTimes:
             if haar_kind(x.filtration) == "standard":
                 continue
             with pytest.raises(ValueError):
-                norm_or_next_jump_trigger(x, 0.5, 0.5)
+                predictable_jump_norms(x)
             return
         pytest.skip("no non-standard dyadic filtration sampled")
 
@@ -410,6 +415,141 @@ class TestGundy:
         x = dyadic_martingale(lp_space(2, 2), 2, 73)
         with pytest.raises(ValueError, match="standard Haar"):
             gundy_decompose(x, 1.0)
+
+
+def _gundy_reference(x, lam):
+    """Sigma, G, H, B, the certificates and the reconstruction error of the
+    decomposition at ``lam``, atom by atom in plain loops."""
+    space, masses, labels = x.space, x.base.masses, x.filtration.labels
+    vals = x.values_stack()
+    n_levels, n_atoms, _ = vals.shape
+
+    def norm(v):
+        return float(norms_of(v, space)[0])
+
+    atoms, steps = range(n_atoms), range(n_levels - 1)
+    norms = np.array([[norm(vals[j, a]) for a in atoms] for j in range(n_levels)])
+    jumps = [[norm(vals[j + 1, a] - vals[j, a]) for a in atoms] for j in steps]
+    # the largest jump over the atom's block of the preceding level
+    next_jump = [
+        [max(jumps[j][c] for c in atoms if labels[j, c] == labels[j, a]) for a in atoms]
+        for j in steps
+    ]
+    n0 = norm(vals[0, 0])
+    g, h = np.zeros_like(vals), np.zeros_like(vals)
+    if n0 > lam:
+        sigma = None
+        h[:] = vals[0, 0]
+        b = vals - h
+    else:
+        sigma = []
+        for a in range(n_atoms):
+            stop = next(
+                (j for j in range(n_levels)
+                 if norms[j, a] > lam or (j < n_levels - 1 and next_jump[j][a] > lam)),
+                INF_TIME,
+            )
+            sigma.append(stop)
+            for j in range(n_levels):
+                g[j, a] = vals[min(j, stop), a]
+        b = vals - g
+    g_norms = np.array([[norm(g[j, a]) for a in range(n_atoms)] for j in range(n_levels)])
+    b_moves = [any(norm(b[j, a]) > 0 for j in range(n_levels)) for a in range(n_atoms)]
+    recon = max(
+        abs(g[j, a, k] + h[j, a, k] + b[j, a, k] - vals[j, a, k])
+        for j in range(n_levels) for a in range(n_atoms) for k in range(vals.shape[2])
+    )
+    certs = GundyCertificates(
+        g_l1=float(max(np.sum(masses * row) for row in g_norms)),
+        g_sup=float(g_norms.max()),
+        h_variation=n0 if sigma is None else 0.0,
+        b_positive_probability=float(np.sum(masses[np.array(b_moves)])),
+        x_l1=float(max(np.sum(masses * row) for row in norms)),
+        lam=lam,
+    )
+    return sigma, g, h, b, certs, float(recon)
+
+
+def _gundy_cases():
+    cases = []
+    for name, space in [
+        ("lp1", lp_space(1, 3)), ("lp2", lp_space(2, 3)), ("lpinf", lp_space(math.inf, 2)),
+        ("schatten1", schatten_space(1, 2, 2)),
+    ]:
+        cases += [
+            pytest.param(space, 4, 6, 0.0, id=f"{name}-grid4"),
+            pytest.param(space, 3, 0, 0.0, id=f"{name}-steps0"),
+            pytest.param(space, 0, 0, 0.0, id=f"{name}-one-atom"),
+            # every atom is its own block at the last level
+            pytest.param(space, 2, 3, 0.0, id=f"{name}-full-grid"),
+            pytest.param(space, 3, 5, 5.0, id=f"{name}-large-mean"),
+        ]
+    return cases
+
+
+class TestGundyHeights:
+    @pytest.mark.parametrize("space,k,steps,shift", _gundy_cases())
+    def test_kernel_equals_atomwise_reference(self, space, k, steps, shift):
+        x = random_haar_martingale(space, k, steps, seed=k + steps)
+        if shift:
+            x = _shifted(x, np.eye(space.total_dim)[0] * shift)
+        x_l1, n0 = x.lp_bound(1), float(x.levels[0].atom_norms()[0])
+        lams = [0.25 * x_l1, x_l1, 4 * x_l1, 2 * x.lp_bound(math.inf)]
+        if n0 > 0:
+            lams.append(0.5 * n0)  # below ||X_0||: the flat part
+        heights = gundy_heights(x, lams)
+        assert len(heights) == len(lams)
+        for lam, height in zip(lams, heights):
+            sigma, g, h, b, certs, recon = _gundy_reference(x, lam)
+            if sigma is None:
+                assert height.sigma is None
+            else:
+                np.testing.assert_array_equal(height.sigma.values, sigma)
+            assert height.certificates == certs
+            assert height.reconstruction_error == recon
+            parts = gundy_decompose(x, lam)
+            assert parts.certificates == certs
+            for part, want in [(parts.g, g), (parts.h, h), (parts.b, b)]:
+                np.testing.assert_array_equal(part.values_stack(), want)
+        # a height above every norm stops nowhere and leaves B = 0
+        assert np.all(heights[3].sigma.values == INF_TIME)
+        assert heights[3].certificates.b_positive_probability == 0.0
+
+    def test_non_standard_haar_message(self):
+        x = dyadic_martingale(lp_space(2, 2), 2, 73)
+        message = (
+            "decomposition requires a standard Haar martingale; reduce the "
+            "filtration first (haar embedding / dyadic approximation / "
+            "boolean isomorphism)"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gundy_heights(x, [1.0, 2.0])
+
+    def test_non_predictable_jump_rejected(self):
+        from rmflab.filtration import StepFunction
+
+        x = random_haar_martingale(lp_space(2, 2), 3, 4, seed=5)
+        last = x.levels[-1].values.copy()
+        last[0] *= 3.0
+        bad = SimpleMartingale(x.filtration, x.levels[:-1] + (StepFunction(last, x.space, x.base),))
+        with pytest.raises(ValueError, match="jump norms are not predictable"):
+            gundy_heights(bad, [x.lp_bound(1)])
+
+    def test_non_positive_height_rejected(self):
+        x = random_haar_martingale(lp_space(2, 2), 3, 4, seed=5)
+        with pytest.raises(ValueError, match="height must be positive"):
+            gundy_heights(x, [1.0, 0.0])
+
+    def test_cli_decides_the_haar_kind_once_per_martingale(self, monkeypatch, tmp_path):
+        from rmflab import filtration
+        from rmflab.cli import main
+
+        calls = []
+        haar_kind = filtration.haar_kind
+        monkeypatch.setattr(filtration, "haar_kind", lambda f: calls.append(1) or haar_kind(f))
+        argv = ["gundy", "--instances", "3", "--lambdas", "0.25,1,4,16", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 3
 
 
 class TestGoodLambda:
@@ -618,6 +758,31 @@ def test_good_lambda_experiments_equal_each_item_alone(space, monkeypatch):
                 assert got == expected, field.name
     assert good_lambda_experiments([], 4.0, 0.1, FAST) == []
     assert len(calls) == 1
+
+
+# sha256 of level values, pinned before every level's conditional
+# expectation came from one bincount per range coordinate
+GENERATED_DIGESTS = {
+    "random_haar_martingale": "b6dfe25c0abfe51fe963a98603746c6a2369460eb1e0e8a6d9477274108b2ff5",
+    "from_function": "84a62f259539efdb329e357a24a92f4539604a2024515f45359a04a735371a41",
+}
+
+
+def test_generated_level_values_are_pinned():
+    from rmflab.filtration import StepFunction, random_haar_filtration
+
+    h = hashlib.sha256()
+    for kind in ("standard", "dyadic", "general"):
+        x = random_haar_martingale(lp_space(2, 3), 5, 7, kind=kind, seed=17)
+        h.update(x.values_stack().tobytes())
+    assert h.hexdigest() == GENERATED_DIGESTS["random_haar_martingale"]
+    # general masses of total about 34.7, normalized inside from_function
+    rng = np.random.default_rng(29)
+    base = AtomicMeasureSpace(rng.uniform(0.25, 2.0, 32))
+    filt = random_haar_filtration(base, 12, kind="general", seed=31)
+    f = StepFunction(rng.standard_normal((32, 2)), lp_space(1, 2), base)
+    stack = from_function(f, filt).values_stack()
+    assert hashlib.sha256(stack.tobytes()).hexdigest() == GENERATED_DIGESTS["from_function"]
 
 
 def test_martingale_json_roundtrip():
