@@ -69,6 +69,32 @@ def _heights(text: str) -> list[float]:
     return heights
 
 
+def _finite(text: str) -> float:
+    """A finite number; argparse names the flag of a bad one."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _at_least(minimum: int):
+    """Type of an integer flag that must be >= ``minimum``."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {minimum}")
+        return value
+
+    return count
+
+
 def _load_json(path: str, schema: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -488,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--function", help="step-function JSON file")
         sp.add_argument("--space", help="inline space JSON (generated input)")
         sp.add_argument("--grid-exponent", type=int, default=4, dest="grid_exponent")
-        sp.add_argument("--scale", type=float, default=1.0)
+        sp.add_argument("--scale", type=_finite, default=1.0)
         sp.add_argument("--truncation", type=int, default=None)
         if name == "rmf-ratio":
             sp.add_argument("--p", default="2")
@@ -510,35 +536,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gundy", help="decomposition certificates over a family")
     sp.add_argument("--martingale", help="single-instance martingale JSON file")
-    sp.add_argument("--instances", type=int, default=20)
+    sp.add_argument("--instances", type=_at_least(0), default=20)
     sp.add_argument("--grid-exponent", type=int, default=6, dest="grid_exponent")
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--space", default='{"kind":"lp","p":1,"dim":3}')
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--scale", type=_finite, default=1.0)
     sp.add_argument("--lambdas", type=_heights, default="0.25,1,4",
                     help="heights as multiples of the L1 bound: comma-separated finite numbers > 0")
     _add_common(sp)
 
     sp = sub.add_parser("goodlambda", help="pathwise good-lambda experiments")
-    sp.add_argument("--instances", type=int, default=20)
+    sp.add_argument("--instances", type=_at_least(0), default=20)
     sp.add_argument("--grid-exponent", type=int, default=5, dest="grid_exponent")
-    sp.add_argument("--steps", type=int, default=8)
+    sp.add_argument("--steps", type=_at_least(1), default=8)
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":3}')
-    sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--beta", type=float, default=4.0)
-    sp.add_argument("--delta", type=float, default=0.1)
-    sp.add_argument("--lambda-points", type=int, default=10, dest="lambda_points")
+    sp.add_argument("--scale", type=_finite, default=1.0)
+    sp.add_argument("--beta", type=_finite, default=4.0)
+    sp.add_argument("--delta", type=_finite, default=0.1)
+    sp.add_argument("--lambda-points", type=_at_least(1), default=10, dest="lambda_points")
     _add_common(sp)
 
     sp = sub.add_parser("weak-rmf", help="empirical weak-type constant of a family")
-    sp.add_argument("--instances", type=int, default=10)
+    sp.add_argument("--instances", type=_at_least(0), default=10)
     sp.add_argument("--grid-exponent", type=int, default=5, dest="grid_exponent")
     sp.add_argument("--steps", type=int, default=8)
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":3}')
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--scale", type=_finite, default=1.0)
     sp.add_argument("--p", default="2")
-    sp.add_argument("--beta", type=float, default=4.0)
-    sp.add_argument("--delta", type=float, default=0.01)
+    sp.add_argument("--beta", type=_finite, default=4.0)
+    sp.add_argument("--delta", type=_finite, default=0.01)
     _add_common(sp)
 
     sp = sub.add_parser("concave", help="check a candidate majorant on samples")
@@ -558,7 +584,7 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
+        return float.__repr__(obj)
     return obj
 
 

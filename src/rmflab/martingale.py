@@ -10,11 +10,13 @@ maximal functions, matching the convention that the mean is attached as a
 level-0 constant.
 
 Generated martingales take every level's conditional expectation from one
-bincount per range coordinate over level-offset block labels.  The
-decomposition runs on a martingale's (levels, atoms, dim) value stack:
-:func:`gundy_heights` decides the Haar kind and takes the level norms and
-predictable jump norms once, then each height is an argmax over the level
-axis and one gather.
+bincount per range coordinate over level-offset block labels.  A stopping
+time is the :func:`first_hit` of a boolean (levels, atoms) matrix.  The
+decomposition and the good-lambda window run on a martingale's (levels,
+atoms, dim) value stack: the Haar kind, the level norms and the predictable
+jump norms are taken once per martingale, then each height is a few first
+hits and one gather (:func:`gundy_heights`) or one cumsum (the transform
+of :func:`good_lambda_experiments`).
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class SimpleMartingale:
 
     def lp_bound(self, p: float) -> float:
         """sup_j (E ||X_j||^p)^(1/p); the essential sup norm when p = inf."""
-        return _lp_bound_of(self.base.masses, np.stack([x.atom_norms() for x in self.levels]), p)
+        return _lp_bound_of(self.base.masses, _level_norms(self.values_stack(), self.space), p)
 
 
 def _lp_bound_of(masses: np.ndarray, norms: np.ndarray, p: float) -> float:
@@ -204,14 +206,21 @@ def validate_predictable(v: PredictableProcess, filt: Filtration) -> None:
 def martingale_transform(v: PredictableProcess, x: SimpleMartingale) -> SimpleMartingale:
     """(v * X)_j = sum_{k<=j} v_k D_k; a martingale when v is predictable."""
     validate_predictable(v, x.filtration)
-    diffs = x.differences()
-    out = [np.zeros_like(x.levels[0].values)]
-    for j in range(diffs.shape[0]):
-        out.append(out[-1] + v.levels[j][:, None] * diffs[j])
-    levels = tuple(
-        StepFunction(vals, x.space, x.base) for vals in out
-    )
-    return SimpleMartingale(x.filtration, levels)
+    stack = _transform_stack(np.reshape(v.levels, (-1, x.base.n_atoms)), x.values_stack())
+    return _on_filtration_of(x, stack)
+
+
+def _transform_stack(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Levels of the transform by a (n_steps, atoms) multiplier of a
+    (levels, atoms, dim) value stack, as one cumsum from a zero level 0:
+    0.0 + (-0.0) is +0.0, as in a running sum of the steps."""
+    steps = v[:, :, None] * (stack[1:] - stack[:-1])
+    return np.cumsum(np.concatenate([np.zeros_like(stack[:1]), steps]), axis=0)
+
+
+def _on_filtration_of(x: SimpleMartingale, stack: np.ndarray) -> SimpleMartingale:
+    """The martingale of a (levels, atoms, dim) value stack on x's filtration and range."""
+    return SimpleMartingale(x.filtration, tuple(StepFunction(v, x.space, x.base) for v in stack))
 
 
 @dataclass(frozen=True)
@@ -231,51 +240,34 @@ def validate_stopping_time(tau: StoppingTime, filt: Filtration) -> None:
             raise ValueError(f"{{tau = {j}}} is not measurable at level {j}")
 
 
-def stopping_time_first(x: SimpleMartingale, trigger) -> StoppingTime:
-    """First level j at which ``trigger(j)`` holds, INF_TIME if never.
+def first_hit(hit: np.ndarray) -> StoppingTime:
+    """First level holding in each column of a boolean (levels, atoms)
+    matrix, INF_TIME where none does.
 
-    ``trigger(j)`` returns a boolean per atom and must be level-j
-    measurable (constant on level-j blocks); this is not checked here,
-    so check a time from a hand-built trigger with
-    :func:`validate_stopping_time`.
+    Row j must be level-j measurable (constant on level-j blocks) for this
+    to be a stopping time; this is not checked here, so check a time from a
+    hand-built matrix with :func:`validate_stopping_time`.
     """
-    n_atoms = x.base.n_atoms
-    tau = np.full(n_atoms, INF_TIME, dtype=np.int64)
-    for j in range(len(x.levels)):
-        hit = np.asarray(trigger(j), dtype=bool)
-        if hit.shape != (n_atoms,):
-            raise ValueError("trigger must produce one boolean per atom")
-        fresh = (tau == INF_TIME) & hit
-        tau[fresh] = j
-    return StoppingTime(tau)
+    first = np.argmax(hit, axis=0)
+    return StoppingTime(np.where(hit[first, np.arange(hit.shape[1])], first, INF_TIME))
 
 
-def norm_trigger(x: SimpleMartingale, threshold: float):
-    """Trigger ||X_j|| > c."""
-    norms = np.stack([lvl.atom_norms() for lvl in x.levels])
-
-    def trigger(j: int) -> np.ndarray:
-        return norms[j] > threshold
-
-    return trigger
-
-
-def jump_norms(x: SimpleMartingale) -> np.ndarray:
-    """||D_j|| per atom, shape (n_steps, atoms)."""
-    diffs = x.differences()
-    return norms_of(diffs.reshape(-1, diffs.shape[2]), x.space).reshape(diffs.shape[:2])
+def _level_norms(stack: np.ndarray, space: Space) -> np.ndarray:
+    """Atom norms of a (levels, atoms, dim) value stack, shape (levels, atoms)."""
+    return norms_of(stack.reshape(-1, stack.shape[2]), space).reshape(stack.shape[:2])
 
 
 def predictable_jump_norms(x: SimpleMartingale, atol: float = 1e-9) -> np.ndarray:
-    """Jump norms flattened to exact constants on the preceding level.
+    """Jump norms ||D_j||, shape (n_steps, atoms), flattened to exact
+    constants on the preceding level.
 
     For standard Haar martingales ||D_{j+1}|| is measurable at level j up
     to floating-point summation noise; this validates the constancy
-    within ``atol`` and returns the blockwise maximum so that triggers
-    built from it are exactly level-measurable.  Every level's blocks are
-    one set of slots (:func:`_level_slots`).
+    within ``atol`` and returns the blockwise maximum so that first-hit
+    rows built from it are exactly level-measurable.  Every level's blocks
+    are one set of slots (:func:`_level_slots`).
     """
-    jumps = jump_norms(x)
+    jumps = _level_norms(x.differences(), x.space)
     slots = _level_slots(x.filtration.labels[:-1])
     hi = np.full(jumps.size, -np.inf)
     lo = np.full(jumps.size, np.inf)
@@ -287,18 +279,6 @@ def predictable_jump_norms(x: SimpleMartingale, atol: float = 1e-9) -> np.ndarra
             "valid only for standard Haar martingales"
         )
     return hi[slots].reshape(jumps.shape)
-
-
-def prefix_rbound_trigger(x: SimpleMartingale, threshold: float, cfg: EnumConfig | None = None):
-    """Trigger R(X_1..X_j) > c using per-atom prefix R-bounds."""
-    prefixes = prefix_rbounds(x, cfg)
-
-    def trigger(j: int) -> np.ndarray:
-        if j < 1:
-            return np.zeros(x.base.n_atoms, dtype=bool)
-        return prefixes[j - 1] > threshold
-
-    return trigger
 
 
 def prefix_rbounds(x: SimpleMartingale, cfg: EnumConfig | None = None) -> np.ndarray:
@@ -335,9 +315,7 @@ def family_prefix_rbounds(
         if stack.shape[0] == 0:
             found[i] = np.empty(stack.shape[:2])
         elif x.space.is_hilbert:
-            found[i] = np.maximum.accumulate(
-                np.stack([norms_of(level, x.space) for level in stack]), axis=0
-            )
+            found[i] = np.maximum.accumulate(_level_norms(stack, x.space), axis=0)
         else:
             searched.append(i)
             last = x.filtration.levels[-1]
@@ -354,11 +332,9 @@ def family_prefix_rbounds(
 def stopped_value(x: SimpleMartingale, tau: StoppingTime) -> StepFunction:
     """X_tau = sum_j 1{tau = j} X_j, zero where tau is infinite."""
     stack = x.values_stack()
+    idx = np.flatnonzero(tau.values != INF_TIME)
     vals = np.zeros_like(stack[0])
-    finite = tau.values != INF_TIME
-    idx = np.flatnonzero(finite)
-    if idx.size:
-        vals[idx] = stack[np.minimum(tau.values[idx], len(x.levels) - 1), idx]
+    vals[idx] = stack[np.minimum(tau.values[idx], len(x.levels) - 1), idx]
     return StepFunction(vals, x.space, x.base)
 
 
@@ -366,12 +342,8 @@ def stopped_martingale(x: SimpleMartingale, tau: StoppingTime) -> SimpleMartinga
     """The optional-stopping martingale (X_{tau and j})_j."""
     stack = x.values_stack()
     t = np.minimum(tau.values, len(x.levels) - 1)
-    idx = np.arange(x.base.n_atoms)
-    levels = tuple(
-        StepFunction(stack[np.minimum(j, t), idx], x.space, x.base)
-        for j in range(len(x.levels))
-    )
-    return SimpleMartingale(x.filtration, levels)
+    gather = np.minimum(np.arange(len(x.levels))[:, None], t)
+    return _on_filtration_of(x, stack[gather, np.arange(x.base.n_atoms)])
 
 
 @dataclass(frozen=True)
@@ -399,7 +371,7 @@ def maximal_stars(
     if cfg is None:
         cfg = EnumConfig()
     stack = _star_levels(x)
-    star = np.max(np.stack([norms_of(s, x.space) for s in stack]), axis=0)
+    star = np.max(_level_norms(stack, x.space), axis=0)
     lower, upper, mode = atomwise_rbound(stack, x.space, cfg)
     return MartingaleStars(star, lower, upper, mode, x.lp_bound(p), p)
 
@@ -407,11 +379,7 @@ def maximal_stars(
 def subtract(x: SimpleMartingale, y: SimpleMartingale) -> SimpleMartingale:
     if x.filtration != y.filtration:
         raise ValueError("martingales live on different filtrations")
-    levels = tuple(
-        StepFunction(a.values - b.values, x.space, x.base)
-        for a, b in zip(x.levels, y.levels)
-    )
-    return SimpleMartingale(x.filtration, levels)
+    return _on_filtration_of(x, x.values_stack() - y.values_stack())
 
 
 @dataclass(frozen=True)
@@ -475,10 +443,10 @@ def gundy_heights(x: SimpleMartingale, lams: list[float]) -> list[GundyHeight]:
     variation is just ||X_0|| <= ||X||_1, and G = 0.
 
     The Haar kind, the level norms, ||X||_1, ||X_0|| and the jump norms are
-    taken once; each height is then an argmax over the level axis, one
-    gather from the value stack, and G's norms gathered with it.  Raises
-    ``AssertionError`` when a certificate is violated.  An empty ``lams``
-    gives ``[]`` without the Haar check.
+    taken once; each height is then a :func:`first_hit` over the level
+    axis, one gather from the value stack, and G's norms gathered with it.
+    Raises ``AssertionError`` when a certificate is violated.  An empty
+    ``lams`` gives ``[]`` without the Haar check.
     """
     if any(lam <= 0 for lam in lams):
         raise ValueError("height must be positive")
@@ -491,9 +459,9 @@ def gundy_heights(x: SimpleMartingale, lams: list[float]) -> list[GundyHeight]:
             "boolean isomorphism)"
         )
     stack = x.values_stack()
-    n_levels, n_atoms, dim = stack.shape
+    n_levels, n_atoms, _ = stack.shape
     masses = x.base.masses
-    norms = norms_of(stack.reshape(-1, dim), x.space).reshape(n_levels, n_atoms)
+    norms = _level_norms(stack, x.space)
     x_l1 = _lp_bound_of(masses, norms, 1)
     x0 = stack[0, 0]
     n0 = float(norms_of(x0, x.space)[0])
@@ -508,10 +476,8 @@ def gundy_heights(x: SimpleMartingale, lams: list[float]) -> list[GundyHeight]:
         else:
             hit = norms > lam
             hit[:-1] |= jumps > lam
-            first = np.argmax(hit, axis=0)
-            fired = hit[first, atoms]
-            sigma = StoppingTime(np.where(fired, first, INF_TIME))
-            gather = np.minimum(level_index, np.where(fired, first, n_levels - 1))
+            sigma = first_hit(hit)
+            gather = np.minimum(level_index, np.minimum(sigma.values, n_levels - 1))
             g, h = stack[gather, atoms], 0.0
             g_norms = norms[gather, atoms]
             g_l1, g_sup = _lp_bound_of(masses, g_norms, 1), float(np.max(g_norms))
@@ -555,7 +521,7 @@ def alpha_of(delta: float, beta: float, weak_constant: float) -> float:
     """Good-lambda factor 4 C delta / (beta - 2 delta - 1)."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if beta <= 2 * delta + 1:
+    if not beta > 2 * delta + 1:
         raise ValueError("need beta > 2 delta + 1")
     return 4.0 * weak_constant * delta / (beta - 2 * delta - 1)
 
@@ -636,21 +602,27 @@ def good_lambda_experiments(
     """
     if cfg is None:
         cfg = EnumConfig()
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if beta <= 2 * delta + 1:
-        raise ValueError("need beta > 2 delta + 1")
+    alpha = alpha_of(delta, beta, weak_constant)
     if any(lam <= 0 for _, lam, _ in items):
         raise ValueError("height must be positive")
     # the CLI's items share one martingale per instance: check each once
-    if not all(is_standard_haar(x.filtration) for x in {id(x): x for x, _, _ in items}.values()):
+    distinct = {id(x): x for x, _, _ in items}
+    if any(x.n_steps < 1 for x in distinct.values()):
+        raise ValueError("good-lambda experiments need a martingale with at least one step")
+    if not all(is_standard_haar(x.filtration) for x in distinct.values()):
         raise ValueError("good-lambda experiments run on standard Haar martingales")
-    windows = [_good_lambda_window(x, beta, delta, lam, pre) for x, lam, pre in items]
+    paths = {}
+    for key, x in distinct.items():
+        stack = x.values_stack()
+        paths[key] = (stack, _level_norms(stack, x.space), predictable_jump_norms(x))
+    windows = [
+        _good_lambda_window(x.space, *paths[id(x)], beta, delta, lam, pre) for x, lam, pre in items
+    ]
     t_rstars = _lower_side_by_side(
         [event_stack for _, event_stack, _, _ in windows], [x.space for x, _, _ in items], cfg
     )
     reports = []
-    for (x, lam, prefixes), (transform, _, lhs_event, slack), (t_rstar, mode) in zip(
+    for (x, lam, prefixes), (t_stack, _, lhs_event, slack), (t_rstar, mode) in zip(
         items, windows, t_rstars
     ):
         threshold = (beta - 2 * delta - 1) * lam
@@ -672,60 +644,51 @@ def good_lambda_experiments(
                 transform_sup_slack=slack,
                 lhs_probability=float(np.sum(masses[lhs_event])),
                 rhs_probability=float(np.sum(masses[prefixes[-1] > lam])),
-                alpha=alpha_of(delta, beta, weak_constant),
-                transform=transform,
+                alpha=alpha,
+                transform=_on_filtration_of(x, t_stack),
             )
         )
     return reports
 
 
 def _good_lambda_window(
-    x: SimpleMartingale, beta: float, delta: float, lam: float, prefixes: np.ndarray
-) -> tuple[SimpleMartingale, np.ndarray, np.ndarray, float]:
-    """The transform of x by the window between the stopping times, its
-    levels at the atoms of the event of (a), whose R-star (a) needs, that
-    event, and the slack of (b)."""
-    n = x.n_steps
-    n_atoms = x.base.n_atoms
+    space: Space,
+    stack: np.ndarray,
+    norms: np.ndarray,
+    jumps: np.ndarray,
+    beta: float,
+    delta: float,
+    lam: float,
+    prefixes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The value stack of the transform by the window between the stopping
+    times, its levels j >= 1 at the atoms of the event of (a), whose R-star
+    (a) needs, that event, and the slack of (b).
 
-    def r_trigger(threshold):
-        def trigger(j):
-            if j < 1:
-                return np.zeros(n_atoms, dtype=bool)
-            return prefixes[j - 1] > threshold
+    ``stack``, ``norms`` and ``jumps`` are a martingale's value stack, its
+    level norms and :func:`predictable_jump_norms`.  tau_1 and tau_2 are the
+    first prefixes over lam and beta lam, sigma the first level j >= 1 whose
+    norm exceeds delta lam or whose next jump exceeds 2 delta lam; the
+    multiplier 1{tau_1 < j <= min(tau_2, sigma)} is predictable by
+    construction, so it is not validated.
+    """
+    never = np.zeros((1, prefixes.shape[1]), dtype=bool)
+    tau1 = first_hit(np.concatenate([never, prefixes > lam]))
+    tau2 = first_hit(np.concatenate([never, prefixes > beta * lam]))
+    hit = norms > delta * lam
+    hit[:-1] |= jumps > 2 * delta * lam
+    hit[0] = False
+    sigma = first_hit(hit)
+    j = np.arange(1, stack.shape[0])[:, None]
+    v = (tau1.values < j) & (j <= np.minimum(tau2.values, sigma.values))
+    t_stack = _transform_stack(v.astype(float), stack)
 
-        return trigger
-
-    tau1 = stopping_time_first(x, r_trigger(lam))
-    tau2 = stopping_time_first(x, r_trigger(beta * lam))
-
-    norms = np.stack([lvl.atom_norms() for lvl in x.levels])
-    jumps = predictable_jump_norms(x)
-
-    def sigma_trigger(j):
-        if j < 1:
-            return np.zeros(n_atoms, dtype=bool)
-        hit = norms[j] > delta * lam
-        if j < n:
-            hit = hit | (jumps[j] > 2 * delta * lam)
-        return hit
-
-    sigma = stopping_time_first(x, sigma_trigger)
-
-    window_top = np.minimum(tau2.values, sigma.values)
-    v_levels = []
-    for j in range(1, n + 1):
-        v_levels.append(((tau1.values < j) & (j <= window_top)).astype(float))
-    v = PredictableProcess(tuple(v_levels))
-    transform = martingale_transform(v, x)
-
-    x_star = np.max(norms[1:], axis=0) if n >= 1 else norms[0]
-    t_stack = transform.values_stack()[1:] if n >= 1 else transform.values_stack()
-    t_star = np.max(np.stack([norms_of(s, x.space) for s in t_stack]), axis=0)
+    x_star = np.max(norms[1:], axis=0)
+    t_star = np.max(_level_norms(t_stack[1:], space), axis=0)
     lhs_event = (prefixes[-1] > beta * lam) & (x_star <= delta * lam)
     cap = 4 * delta * lam * (tau1.values < INF_TIME).astype(float)
     # the transform R-star is only needed on the event atoms
-    return transform, t_stack[:, lhs_event], lhs_event, float(np.max(t_star - cap))
+    return t_stack, t_stack[1:, lhs_event], lhs_event, float(np.max(t_star - cap))
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,15 @@ GOLDEN_REPORTS += [
     (("gundy", "--space", '{"kind":"schatten","p":1,"rows":2,"cols":2}', "--instances", "2",
       "--grid-exponent", "4", "--steps", "5", "--seed", "9", "--format", "csv"),
      "f00aabc83335746513b214697c085fb440999d6af975afaa4a8305fd8c621a9e"),
+    # pinned while the good-lambda window found its stopping times one level at a time
+    (("goodlambda", "--space", '{"kind":"schatten","p":1,"rows":2,"cols":2}', "--instances", "2",
+      "--grid-exponent", "3", "--steps", "4", "--seed", "9", "--lambda-points", "3",
+      "--restarts", "2", "--format", "csv"),
+     "cb7cccbc9e46cde52819740d04f168dcf2da3a2691f8bc607553c90893b652c4"),
+    (("goodlambda", "--space", '{"kind":"lp","p":"inf","dim":2}', "--instances", "3",
+      "--grid-exponent", "3", "--steps", "1", "--seed", "4", "--lambda-points", "4",
+      "--restarts", "2"),
+     "5e37668096e1c9e844eb24d98a089a9c299331c40280fec4a25182621b7249ba"),
 ]
 
 
@@ -541,6 +550,80 @@ class TestWeakRmf:
         assert code == 0
         payload = json.loads(out)
         assert payload["constant"] <= 1.0 + 1e-6
+
+
+class TestFlagDomains:
+    """Numbers and counts outside a flag's domain exit 2 naming the flag,
+    given as the flag or through the config file."""
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize(
+        "subcommand, flag, value",
+        [
+            ("goodlambda", "--beta", "nan"),
+            ("goodlambda", "--beta", "inf"),
+            ("goodlambda", "--delta", "nan"),
+            ("goodlambda", "--scale", "inf"),
+            ("weak-rmf", "--beta", "nan"),
+            ("weak-rmf", "--delta", "inf"),
+            ("weak-rmf", "--scale", "nan"),
+            ("gundy", "--scale", "inf"),
+            ("maximal", "--scale", "nan"),
+            ("rmf-ratio", "--scale", "inf"),
+        ],
+    )
+    def test_non_finite_number(self, capsys, tmp_path, subcommand, flag, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: float(value)}))
+        for argv in ([f"{flag}={value}"], ["--config", str(cfg)]):
+            assert self.exit_code([subcommand, "--space", HILBERT_PLANE, "--seed", "1", *argv]) == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: " in err and "is not a finite number" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand, flag, value, minimum",
+        [
+            ("gundy", "--instances", -2, 0),
+            ("weak-rmf", "--instances", -3, 0),
+            ("goodlambda", "--instances", -1, 0),
+            ("goodlambda", "--lambda-points", -3, 1),
+            ("goodlambda", "--lambda-points", 0, 1),
+            ("goodlambda", "--steps", 0, 1),
+            ("goodlambda", "--steps", -1, 1),
+        ],
+    )
+    def test_count_below_its_minimum(self, capsys, tmp_path, subcommand, flag, value, minimum):
+        assert self.exit_code([subcommand, "--seed", "1", f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: '{value}' is not an integer >= {minimum}" in err
+        # through the config the schema stops the counts it bounds, the flag the rest
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert self.exit_code([subcommand, "--seed", "1", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err or f"$['{key}']" in err
+        assert "Traceback" not in err
+
+    def test_goodlambda_steps_zero_through_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 0}))
+        assert self.exit_code(["goodlambda", "--seed", "1", "--instances", "1", "--config", str(cfg)]) == 2
+        assert "argument --steps: '0' is not an integer >= 1" in capsys.readouterr().err
+
+    def test_non_finite_numpy_float_renders_as_a_float(self, capsys):
+        # the Doob constant at p = 1 is infinite, so is the strong constant
+        code, out, _ = run(capsys, "weak-rmf", "--p", "1", "--instances", "1", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["strong_constant"] == "inf"
+        assert cli._sanitize({"x": [np.float64("nan"), -np.float64("inf")]}) == {"x": ["nan", "-inf"]}
 
 
 class TestSchemas:

@@ -30,6 +30,7 @@ from rmflab.martingale import (
     alpha_of,
     constant_martingale,
     family_prefix_rbounds,
+    first_hit,
     from_function,
     good_lambda_experiment,
     good_lambda_experiments,
@@ -37,16 +38,15 @@ from rmflab.martingale import (
     gundy_heights,
     martingale_transform,
     maximal_stars,
-    norm_trigger,
     predictable_jump_norms,
     prefix_rbounds,
     random_haar_martingale,
     stopped_martingale,
     stopped_value,
-    stopping_time_first,
     strong_type_constant,
     subtract,
     validate_martingale,
+    validate_predictable,
     validate_stopping_time,
     weak_ratio,
     weak_rmf_probe,
@@ -181,21 +181,29 @@ class TestTransform:
             martingale_transform(v=PredictableProcess(tuple(bad)), x=x)
 
 
+def level_norms(x):
+    return np.stack([lvl.atom_norms() for lvl in x.levels])
+
+
 class TestStoppingTimes:
+    def test_first_hit_of_a_hand_built_matrix(self):
+        hit = np.array([[False, False, False], [True, False, False], [True, True, False]])
+        np.testing.assert_array_equal(first_hit(hit).values, [1, 2, INF_TIME])
+
     def test_never_fires(self):
         x = dyadic_martingale(lp_space(2, 2), 3, 29)
-        tau = stopping_time_first(x, norm_trigger(x, 1e9))
+        tau = first_hit(level_norms(x) > 1e9)
         assert np.all(tau.values == INF_TIME)
 
     def test_fires_immediately(self):
         x = dyadic_martingale(lp_space(2, 2), 3, 31)
-        tau = stopping_time_first(x, norm_trigger(x, -1.0))
+        tau = first_hit(level_norms(x) > -1.0)
         assert np.all(tau.values == 0)
 
     def test_level_sets_measurable(self):
         for seed in range(5):
             x = random_haar_martingale(lp_space(2, 2), 5, 8, seed=seed)
-            tau = stopping_time_first(x, norm_trigger(x, 0.4))
+            tau = first_hit(level_norms(x) > 0.4)
             validate_stopping_time(tau, x.filtration)
 
     def test_unmeasurable_stopping_time_rejected(self):
@@ -207,11 +215,9 @@ class TestStoppingTimes:
 
     def test_unmeasurable_trigger_rejected(self):
         x = dyadic_martingale(lp_space(2, 1), 2, 23)
-
-        def trigger(j):
-            return np.array([True, False, False, False])
-
-        tau = stopping_time_first(x, trigger)
+        # a hand-built matrix whose rows are not constant on the level blocks
+        hit = np.tile([True, False, False, False], (len(x.levels), 1))
+        tau = first_hit(hit)
         with pytest.raises(ValueError, match=r"\{tau = 0\} is not measurable at level 0"):
             validate_stopping_time(tau, x.filtration)
 
@@ -244,23 +250,22 @@ class TestStoppingTimes:
     def test_stopped_expectation_below_l1(self):
         for seed in range(6):
             x = random_haar_martingale(lp_space(1, 3), 5, 7, seed=seed)
-            tau = stopping_time_first(x, norm_trigger(x, 0.7))
+            tau = first_hit(level_norms(x) > 0.7)
             stopped = stopped_value(x, tau)
             e_norm = float(np.sum(x.base.masses * stopped.atom_norms()))
             assert e_norm <= x.lp_bound(1) + 1e-10
 
     def test_stopped_martingale_is_martingale(self):
         x = random_haar_martingale(lp_space(2, 3), 5, 9, seed=43)
-        tau = stopping_time_first(x, norm_trigger(x, 0.5))
+        tau = first_hit(level_norms(x) > 0.5)
         validate_martingale(stopped_martingale(x, tau))
 
-    def test_prefix_rbound_trigger(self):
-        from rmflab.martingale import prefix_rbound_trigger
-
+    def test_first_hit_of_prefix_rbounds(self):
         x = random_haar_martingale(lp_space(2, 3), 5, 8, seed=45)
         prefixes = prefix_rbounds(x, FAST)
         threshold = float(np.median(prefixes[-1]))
-        tau = stopping_time_first(x, prefix_rbound_trigger(x, threshold, FAST))
+        never = np.zeros((1, x.base.n_atoms), dtype=bool)
+        tau = first_hit(np.concatenate([never, prefixes > threshold]))
         validate_stopping_time(tau, x.filtration)
         # fires exactly at the first prefix exceeding the threshold
         for a in range(x.base.n_atoms):
@@ -558,6 +563,13 @@ class TestGoodLambda:
         with pytest.raises(ValueError):
             alpha_of(0.5, 1.5, 1.0)
 
+    def test_alpha_rejects_nan(self):
+        # a NaN beta fails "beta > 2 delta + 1" as well as "beta <= 2 delta + 1"
+        with pytest.raises(ValueError, match="need beta > 2 delta"):
+            alpha_of(0.1, math.nan, 1.0)
+        with pytest.raises(ValueError, match="delta must lie"):
+            alpha_of(math.nan, 4.0, 1.0)
+
     def test_strong_constant_finite_iff_condition(self):
         p = 2.0
         beta = 4.0
@@ -599,6 +611,116 @@ class TestGoodLambda:
         report = good_lambda_experiment(x, beta=4.0, delta=0.1, lam=0.5, cfg=FAST)
         assert report.mode == "optimized"
         assert report.transform_sup_slack <= 1e-9
+
+
+def _window_reference(x, beta, delta, lam, prefixes):
+    """tau_1, tau_2, sigma, the multiplier and the transform's value stack
+    of the good-lambda window, one atom at a time from the definitions:
+    tau_1 = inf{j >= 1 : R(X_1..X_j) > lam}, tau_2 the same at beta lam,
+    sigma = inf{j >= 1 : ||X_j|| > delta lam or ||D_{j+1}|| > 2 delta lam},
+    v_j = 1{tau_1 < j <= min(tau_2, sigma)} and (v * X)_j = sum_{k<=j} v_k D_k.
+    ||D_{j+1}|| is the predictable jump norm, exactly constant on level j."""
+    n, n_atoms = x.n_steps, x.base.n_atoms
+    jumps = predictable_jump_norms(x)
+
+    def first(holds):
+        return next((j for j in range(1, n + 1) if holds(j)), INF_TIME)
+
+    taus = np.zeros((3, n_atoms), dtype=np.int64)
+    v = np.zeros((n, n_atoms))
+    t = np.zeros((n + 1, n_atoms, x.space.total_dim))
+    for a in range(n_atoms):
+        tau1 = first(lambda j: prefixes[j - 1, a] > lam)
+        tau2 = first(lambda j: prefixes[j - 1, a] > beta * lam)
+        sigma = first(
+            lambda j: norms_of(x.levels[j].values[a], x.space)[0] > delta * lam
+            or (j < n and jumps[j, a] > 2 * delta * lam)
+        )
+        taus[:, a] = tau1, tau2, sigma
+        for j in range(1, n + 1):
+            v[j - 1, a] = 1.0 if tau1 < j <= min(tau2, sigma) else 0.0
+            step = x.levels[j].values[a] - x.levels[j - 1].values[a]
+            t[j, a] = t[j - 1, a] + v[j - 1, a] * step
+    return taus, v, t
+
+
+class TestGoodLambdaWindow:
+    @pytest.mark.parametrize(
+        "space, steps, seed",
+        [
+            (lp_space(1, 2), 4, 61),
+            (lp_space(math.inf, 3), 1, 63),
+            (schatten_space(1, 2, 2), 3, 65),
+            (lp_space(2, 2), 5, 64),
+        ],
+        ids=["lp1", "lpinf-one-step", "schatten1", "lp2"],
+    )
+    def test_window_equals_atomwise_reference(self, space, steps, seed, monkeypatch):
+        from rmflab import martingale
+
+        x = random_haar_martingale(space, 3, steps, seed=seed)
+        prefixes = prefix_rbounds(x, FAST)
+        top = 10.0 * float(np.max(level_norms(x)))
+        # prefixes scaled x60 open the window before sigma; not on lp2,
+        # where the exact-mode inclusion would fail on them
+        scaled = prefixes if space.is_hilbert else 60.0 * prefixes
+        items = [(x, t * top, scaled) for t in (1e-6, 0.3, 1, 2, 1e3)]
+        items += [(x, t * float(np.max(prefixes[-1])), prefixes) for t in (0.1, 0.5)]
+        taus, multipliers = [], []
+        real_first_hit, real_transform = martingale.first_hit, martingale._transform_stack
+
+        def spy_first_hit(hit):
+            taus.append(real_first_hit(hit).values)
+            return StoppingTime(taus[-1])
+
+        def spy_transform(v, stack):
+            multipliers.append(v)
+            return real_transform(v, stack)
+
+        monkeypatch.setattr(martingale, "first_hit", spy_first_hit)
+        monkeypatch.setattr(martingale, "_transform_stack", spy_transform)
+        reports = good_lambda_experiments(items, 4.0, 0.1, FAST)
+        assert len(taus) == 3 * len(items) and len(multipliers) == len(items)
+        opened = 0
+        for i, ((_, lam, pre), report) in enumerate(zip(items, reports)):
+            want_taus, want_v, want_t = _window_reference(x, 4.0, 0.1, lam, pre)
+            assert np.array_equal(np.stack(taus[3 * i : 3 * i + 3]), want_taus)
+            assert np.array_equal(multipliers[i], want_v)
+            # bit for bit, so a -0.0 where the running sum has +0.0 fails
+            assert report.transform.values_stack().tobytes() == want_t.tobytes()
+            validate_predictable(PredictableProcess(tuple(multipliers[i])), x.filtration)
+            opened += bool(np.any(want_v))
+        # every atom stops at level 1 at the smallest height; none reaches the largest
+        assert np.all(taus[0] == 1) and np.all(taus[2] == 1)
+        assert np.all(np.stack(taus[12:15]) == INF_TIME)
+        # v_1 = 1{tau_1 < 1} is 0, so one step never opens the window
+        if not space.is_hilbert and steps > 1:
+            assert opened > 0
+
+    def test_gundy_and_window_share_first_hit(self, monkeypatch):
+        from rmflab import martingale
+
+        calls = []
+        real_first_hit = martingale.first_hit
+
+        def counting(hit):
+            calls.append(hit.shape)
+            return real_first_hit(hit)
+
+        monkeypatch.setattr(martingale, "first_hit", counting)
+        x = random_haar_martingale(lp_space(1, 2), 4, 5, seed=3)
+        # ||X_0|| <= ||X||_1, so neither height splits the mean off
+        lam = x.lp_bound(1)
+        gundy_heights(x, [lam, 2 * lam])
+        assert calls == [(6, 16)] * 2
+        good_lambda_experiment(x, 4.0, 0.1, lam, FAST)
+        assert calls[2:] == [(6, 16)] * 3
+
+    def test_martingale_without_steps_rejected(self):
+        x = random_haar_martingale(lp_space(2, 2), 3, 0, seed=1)
+        assert x.n_steps == 0
+        with pytest.raises(ValueError, match="at least one step"):
+            good_lambda_experiments([(x, 1.0, np.empty((0, 8)))], 4.0, 0.1, FAST)
 
 
 class TestWeakRmf:
@@ -760,6 +882,38 @@ def test_good_lambda_experiments_equal_each_item_alone(space, monkeypatch):
     assert len(calls) == 1
 
 
+# sha256 of every report field and transform value stack, pinned while the
+# window found its stopping times one level at a time
+GOOD_LAMBDA_DIGEST = "f49f79fd622c27ef4a2bb46a95b95d4d528704a7da8bf80c4ef062ea21e1cee5"
+
+
+def test_good_lambda_reports_are_pinned():
+    h = hashlib.sha256()
+    for space in (lp_space(1, 2), lp_space(math.inf, 3), lp_space(2, 2)):
+        for seed, steps in ((61, 4), (62, 4), (63, 1)):
+            x = random_haar_martingale(space, 3, steps, seed=seed)
+            prefixes = prefix_rbounds(x, FAST)
+            top = 10.0 * float(np.max(np.stack([lvl.atom_norms() for lvl in x.levels])))
+            ptop = float(np.max(prefixes[-1]))
+            # prefixes scaled x60 put atoms into the event of (a); on lp2
+            # some of those heights fail the exact-mode inclusion instead
+            items = [(x, t * top, 60.0 * prefixes) for t in (0.05, 0.3, 1, 2, 3)]
+            items += [(x, t * ptop, prefixes) for t in (0.1, 0.5, 1, 2)]
+            for item in items:
+                try:
+                    (report,) = good_lambda_experiments([item], 4.0, 0.1, FAST)
+                except AssertionError as err:
+                    h.update(str(err).encode())
+                    continue
+                for field in dataclasses.fields(report):
+                    value = getattr(report, field.name)
+                    if field.name == "transform":
+                        h.update(value.values_stack().tobytes())
+                    else:
+                        h.update(repr(value).encode())
+    assert h.hexdigest() == GOOD_LAMBDA_DIGEST
+
+
 # sha256 of level values, pinned before every level's conditional
 # expectation came from one bincount per range coordinate
 GENERATED_DIGESTS = {
@@ -812,6 +966,16 @@ def _random_signs(x, seed):
     return martingale_transform(PredictableProcess(tuple(signs)), x)
 
 
+def _good_lambda_transforms(x):
+    """Window transforms at heights where the window opens on some atoms."""
+    prefixes = 60.0 * prefix_rbounds(x, FAST)
+    top = 10.0 * float(np.max(level_norms(x)))
+    items = [(x, t * top, prefixes) for t in (0.3, 1, 2)]
+    transforms = [report.transform for report in good_lambda_experiments(items, 4.0, 0.1, FAST)]
+    assert any(np.any(t.values_stack() != 0) for t in transforms)
+    return transforms
+
+
 def _gundy_parts(x, lam, stopped):
     parts = gundy_decompose(x, lam)
     # the stopping branch, or the branch that splits a large mean off
@@ -847,8 +1011,9 @@ def _internal_constructions():
     cases.update({
         "constant_martingale": lambda: [constant_martingale(point, x.filtration)],
         "martingale_transform": lambda: [_random_signs(x, 5)],
+        "good_lambda_transform": lambda: _good_lambda_transforms(x),
         "stopped_martingale": lambda: [
-            stopped_martingale(x, stopping_time_first(x, norm_trigger(x, 0.5)))
+            stopped_martingale(x, first_hit(level_norms(x) > 0.5))
         ],
         "gundy-small-height": lambda: _gundy_parts(centered, 0.25 * centered.lp_bound(1), True),
         "gundy-height-below-mean": lambda: _gundy_parts(
