@@ -55,18 +55,23 @@ def _parse_exponent(text):
     return float(text)
 
 
+def _positive(text: str) -> float:
+    """A finite number > 0; argparse names the flag of a bad one."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def _heights(text: str) -> list[float]:
     """Comma-separated finite numbers > 0; argparse names the flag of a bad one."""
-    heights = []
-    for entry in text.split(","):
-        try:
-            value = float(entry)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"entry {entry!r} is not a finite number > 0")
-        heights.append(value)
-    return heights
+    try:
+        return [_positive(entry) for entry in text.split(",")]
+    except argparse.ArgumentTypeError as err:
+        raise argparse.ArgumentTypeError(f"entry {err}") from None
 
 
 def _finite(text: str) -> float:
@@ -452,10 +457,7 @@ def cmd_concave(args):
     if args.candidate == "zero":
         candidate = concave_mod.VCandidate(lambda queries: [0.0] * len(queries), "identically zero")
     else:
-        candidate = concave_mod.VCandidate(
-            lambda queries: [u.value for u in concave_mod.u_values(queries, p, args.c, cfg)],
-            "penalty itself",
-        )
+        candidate = concave_mod.penalty_candidate(p, args.c, cfg)
     report = concave_mod.check_v_candidate(candidate, samples, midpoints, p, args.c, cfg)
     payload = {
         "subcommand": "concave",
@@ -474,7 +476,7 @@ def _add_common(parser):
     parser.add_argument("--exact-threshold", type=int, default=20, dest="exact_threshold")
     parser.add_argument("--mc-samples", type=int, default=100_000, dest="mc_samples")
     parser.add_argument("--restarts", type=int, default=8)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=_positive, default=1e-9)
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -513,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"{name} over a dyadic filtration")
         sp.add_argument("--function", help="step-function JSON file")
         sp.add_argument("--space", help="inline space JSON (generated input)")
-        sp.add_argument("--grid-exponent", type=int, default=4, dest="grid_exponent")
+        sp.add_argument("--grid-exponent", type=_at_least(1), default=4, dest="grid_exponent")
         sp.add_argument("--scale", type=_finite, default=1.0)
         sp.add_argument("--truncation", type=int, default=None)
         if name == "rmf-ratio":
@@ -524,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reduce",
         help="Haar embedding, dyadic approximation and boolean isomorphism trace",
     )
-    sp.add_argument("--grid-exponent", type=int, default=6, dest="grid_exponent")
+    sp.add_argument("--grid-exponent", type=_at_least(1), default=6, dest="grid_exponent")
     sp.add_argument("--steps", type=int, default=6)
     sp.add_argument("--eps", type=float, default=0.125)
     sp.add_argument("--perturb", action="store_true",
@@ -537,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gundy", help="decomposition certificates over a family")
     sp.add_argument("--martingale", help="single-instance martingale JSON file")
     sp.add_argument("--instances", type=_at_least(0), default=20)
-    sp.add_argument("--grid-exponent", type=int, default=6, dest="grid_exponent")
+    sp.add_argument("--grid-exponent", type=_at_least(1), default=6, dest="grid_exponent")
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--space", default='{"kind":"lp","p":1,"dim":3}')
     sp.add_argument("--scale", type=_finite, default=1.0)
@@ -547,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("goodlambda", help="pathwise good-lambda experiments")
     sp.add_argument("--instances", type=_at_least(0), default=20)
-    sp.add_argument("--grid-exponent", type=int, default=5, dest="grid_exponent")
+    sp.add_argument("--grid-exponent", type=_at_least(1), default=5, dest="grid_exponent")
     sp.add_argument("--steps", type=_at_least(1), default=8)
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":3}')
     sp.add_argument("--scale", type=_finite, default=1.0)
@@ -558,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("weak-rmf", help="empirical weak-type constant of a family")
     sp.add_argument("--instances", type=_at_least(0), default=10)
-    sp.add_argument("--grid-exponent", type=int, default=5, dest="grid_exponent")
+    sp.add_argument("--grid-exponent", type=_at_least(1), default=5, dest="grid_exponent")
     sp.add_argument("--steps", type=int, default=8)
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":3}')
     sp.add_argument("--scale", type=_finite, default=1.0)

@@ -329,6 +329,24 @@ class VCandidate:
 
 
 @dataclass(frozen=True)
+class _Penalty:
+    """The penalty U as a batch evaluator; equal settings compare equal, so
+    :func:`check_v_candidate` can tell that a candidate is the penalty."""
+
+    p: float
+    c: float
+    cfg: EnumConfig
+
+    def __call__(self, queries: list[tuple[list[Vector], Vector]]) -> list[float]:
+        return [u.value for u in u_values(queries, self.p, self.c, self.cfg)]
+
+
+def penalty_candidate(p: float, c: float, cfg: EnumConfig | None = None) -> VCandidate:
+    """The penalty U itself as a candidate majorant."""
+    return VCandidate(_Penalty(p, c, EnumConfig() if cfg is None else cfg), "penalty itself")
+
+
+@dataclass(frozen=True)
 class PropertyCheck:
     passed: bool
     worst_slack: float
@@ -373,9 +391,14 @@ def check_v_candidate(
 
     The candidate is called once, on (set, point), ({point}, point) and
     (set + [point], point) of every sample and on (set, a), (set, b) and
-    (set, midpoint) of every midpoint triple; the penalties of the samples
-    come from one :func:`u_values` call.
+    (set, midpoint) of every midpoint triple.  The penalties of the samples
+    come from one :func:`u_values` call, or, when the candidate is
+    :func:`penalty_candidate` of the same p, C and config, from its own
+    answers at (set, point): a set's R does not depend on the other
+    queries of a call, so they are the same numbers.
     """
+    if cfg is None:
+        cfg = EnumConfig()
     queries = []
     for members, point in samples:
         queries += [(members, point), ([point], point), (members + [point], point)]
@@ -385,14 +408,17 @@ def check_v_candidate(
     v = list(candidate.evaluator(queries))
     if len(v) != len(queries):
         raise ValueError(f"candidate returned {len(v)} values for {len(queries)} queries")
-    penalties = u_values(samples, p, c, cfg)
+    n = 3 * len(samples)
+    if candidate.evaluator == _Penalty(p, c, cfg):
+        penalties = v[0:n:3]
+    else:
+        penalties = [u.value for u in u_values(samples, p, c, cfg)]
 
     slack1 = -math.inf
     slack2 = -math.inf
     slack3 = 0.0
-    n = 3 * len(samples)
     for u, plain, diagonal, joined in zip(penalties, v[0:n:3], v[1:n:3], v[2:n:3]):
-        slack1 = max(slack1, u.value - plain)
+        slack1 = max(slack1, u - plain)
         slack2 = max(slack2, diagonal)
         slack3 = max(slack3, abs(joined - plain))
     slack4 = -math.inf

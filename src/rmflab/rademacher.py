@@ -188,7 +188,7 @@ def _table_moments(table: np.ndarray, vmats: np.ndarray, space: Space, p: float,
     grads = np.zeros(vmats.shape) if grad else None
     for lo in range(0, batch, per):
         block = vmats[lo : lo + per]
-        vals = np.empty((block.shape[0], rows))
+        parts = []
         for r in range(0, rows, block_rows):
             signs = table[r : r + block_rows]
             combos = (signs @ block).reshape(-1, dim)
@@ -198,7 +198,9 @@ def _table_moments(table: np.ndarray, vmats: np.ndarray, space: Space, p: float,
                 grads[lo : lo + per] += signs.T @ weighted.reshape(block.shape[0], -1, dim)
             else:
                 norms = norms_of(combos, space)
-            vals[:, r : r + block_rows] = norms.reshape(block.shape[0], -1)
+            parts.append(norms.reshape(block.shape[0], -1))
+        # a table of one row block (under 2 * _ROW_BLOCK rows) uses its norms as they come
+        vals = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         # the sum over the table divided by its length is np.mean, bit for bit
         moments[lo : lo + per] = (np.add.reduce(vals**p, axis=1) / rows) ** (1.0 / p)
     if not grad:

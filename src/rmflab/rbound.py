@@ -7,6 +7,14 @@ arguments are scalars.  The exact value is a supremum over all finite
 selections; this module reports certified lower bounds found by search
 together with the summability upper bound sum_j ||member_j||, which
 collapses to an exact value on Hilbert spaces at p = 2.
+
+The per-atom kernel ``atomwise_rbound`` finds every atom's distinct rows,
+their byte keys and their norms in one pass over the stack, taken in
+chunks of atoms at a fixed number of numpy calls each, so what an atom
+costs alone is a slice, its bytes and a dictionary lookup; what remains
+is the searches, one lock-step ascent per row count (see ``optim``).  A
+one-set search objective broadcasts the set's rows over its tuples
+instead of gathering them per call.
 """
 
 from __future__ import annotations
@@ -144,12 +152,13 @@ def _sphere_lower(
             batch = subs[lo : lo + per]
 
             def objective(lams: np.ndarray, group=0, grad=False):
-                lam, rows = lams[:, 0, :, None], batch[group]
+                # the rows of a single set broadcast over every tuple; only several sets are gathered
+                lam, rows = lams[:, 0, :, None], batch[group] if batch.shape[0] > 1 else batch[0]
                 if not grad:
                     return optim.ratio_or_zero(vector_moment(lam * rows), scalar_moment(lam))
                 num, dnum = vector_grad(lam * rows)
                 den, dden = scalar_grad(lam)
-                ratio, dratio = optim.ratio_and_grad(num, np.sum(dnum * rows, axis=2), den, dden[..., 0])
+                ratio, dratio = optim.ratio_and_grad(num, np.add.reduce(dnum * rows, axis=2), den, dden[..., 0])
                 return ratio, dratio[:, None, :]
 
             found = optim.maximize_on_spheres(
@@ -246,14 +255,10 @@ def atomwise_rbound(
     keys: dict[int, bytes] = {}
     memo: dict[bytes, tuple[float, float]] = {}
     pending: dict[int, dict[bytes, np.ndarray]] = {}
-    for a in range(n_atoms) if atoms is None else atoms:
-        col = stack[:, a, :]
-        same = np.all(col[:, None, :] == col[None, :, :], axis=2)
-        distinct = col[~np.any(np.tril(same, -1), axis=1)]
+    for a, distinct, peak, total in _distinct_sets(stack, space, atoms):
         key = keys[a] = distinct.tobytes()
         if key not in memo:
-            norms = norms_of(distinct, space)
-            memo[key] = (float(np.max(norms)), float(np.sum(norms)))
+            memo[key] = (peak, total)
             if len(distinct) > 1:
                 pending.setdefault(len(distinct), {})[key] = distinct
     for sets in pending.values():
@@ -263,6 +268,45 @@ def atomwise_rbound(
     for a, key in keys.items():
         lower[a], upper[a] = memo[key]
     return lower, upper, OPTIMIZED
+
+
+def _distinct_sets(stack: np.ndarray, space: Space, atoms=None):
+    """Each atom's distinct rows of a (levels, atoms, dim) stack, with the
+    largest and the summed norm of those rows.
+
+    Yields ``(atom, rows, peak, total)`` for the atoms in ``atoms`` (all by
+    default), in order; ``rows`` keeps the first occurrence of every row,
+    in order, and ``peak`` and ``total`` are ``np.max`` and ``np.sum`` of
+    its norms as floats.  Rows compare by value, so -0.0 repeats 0.0 and a
+    row holding NaN repeats nothing.  Atoms are taken in chunks whose row
+    comparison holds at most ``_BATCH_FLOATS`` entries.
+    """
+    levels, n_atoms, dim = stack.shape
+    chosen = np.arange(n_atoms) if atoms is None else np.fromiter(atoms, dtype=np.intp)
+    per = max(1, _BATCH_FLOATS // (levels * levels * dim))
+    for lo in range(0, chosen.size, per):
+        idx = chosen[lo : lo + per]
+        cols = stack[:, idx].transpose(1, 0, 2)
+        same = (cols[:, :, None, :] == cols[:, None, :, :]).all(axis=3)
+        repeat = np.tril(same, -1).any(axis=2)
+        # kept rows run atom by atom, so each atom's distinct rows are one slice
+        rows = cols[~repeat]
+        norms = norms_of(rows, space)
+        counts = levels - repeat.sum(axis=1)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # np.max and np.sum of each atom's norms, bit for bit, come from a
+        # row-wise reduction over the atoms of one row count (reduceat sums
+        # in another order)
+        peaks, totals = np.empty(idx.size), np.empty(idx.size)
+        for k in np.unique(counts).tolist():
+            of_k = (counts == k).nonzero()[0]
+            group = norms[starts[of_k, None] + np.arange(k)]
+            peaks[of_k], totals[of_k] = np.maximum.reduce(group, axis=1), np.add.reduce(group, axis=1)
+        for a, lo_row, hi_row, peak, total in zip(
+            idx.tolist(), starts.tolist(), ends.tolist(), peaks.tolist(), totals.tolist()
+        ):
+            yield a, rows[lo_row:hi_row], peak, total
 
 
 def _side_by_side(stacks: list[np.ndarray]) -> np.ndarray:

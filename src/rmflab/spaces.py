@@ -196,10 +196,10 @@ def _lp_grads(vals: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
     if p == math.inf:
         rows = np.arange(vals.shape[0])
         top = np.argmax(np.abs(vals), axis=1)
-        grads = np.zeros_like(vals)
+        grads = np.zeros(vals.shape)
         grads[rows, top] = np.sign(vals[rows, top])
         return grads
-    scaled = np.divide(vals, norms[:, None], out=np.zeros_like(vals), where=norms[:, None] > 0)
+    scaled = np.divide(vals, norms[:, None], out=np.zeros(vals.shape), where=norms[:, None] > 0)
     return scaled if p == 2 else np.sign(scaled) * np.abs(scaled) ** (p - 1)
 
 

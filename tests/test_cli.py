@@ -612,6 +612,44 @@ class TestFlagDomains:
         assert f"argument {flag}: " in err or f"$['{key}']" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "abc"])
+    def test_tol_is_a_finite_number_above_zero(self, capsys, tmp_path, value):
+        argv = ["rmf-ratio", "--space", '{"kind":"lp","p":1,"dim":2}', "--grid-exponent", "3",
+                "--seed", "1", "--restarts", "2"]
+        assert self.exit_code([*argv, f"--tol={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --tol: '{value}' is not a finite number > 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_tol_through_config(self, capsys, tmp_path, value):
+        # json reads NaN, which the schema's exclusiveMinimum lets through
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": value}))
+        assert self.exit_code(["maximal", "--space", HILBERT_PLANE, "--seed", "1", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --tol: " in err or "$['tol']" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand", ["maximal", "rmf-ratio", "reduce", "gundy", "goodlambda", "weak-rmf"]
+    )
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_grid_exponent_at_least_one(self, capsys, tmp_path, subcommand, value):
+        argv = [subcommand, "--space", HILBERT_PLANE, "--instances", "1", "--seed", "1"]
+        if subcommand in ("maximal", "rmf-ratio", "reduce"):
+            del argv[3:5]
+        assert self.exit_code([*argv, f"--grid-exponent={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --grid-exponent: '{value}' is not an integer >= 1" in err
+        assert "Traceback" not in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_exponent": value}))
+        assert self.exit_code([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --grid-exponent: " in err or "$['grid_exponent']" in err
+        assert "Traceback" not in err
+
     def test_goodlambda_steps_zero_through_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 0}))
@@ -738,9 +776,10 @@ class TestConcave:
             "--seed", "3", "--restarts", "2",
         )
         assert code == 0
-        # the candidate's batch (sets of 2 and 3 rows), then the penalties (2 rows)
-        assert batches == [[2, 3], [2]]
-        assert len(ascents) == 3
+        # the candidate's batch (sets of 2 and 3 rows); the penalty candidate's
+        # answers at (set, point) are the sample penalties, so nothing is searched twice
+        assert batches == [[2, 3]]
+        assert len(ascents) == 2
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rmflab import concave
 from rmflab.concave import (
     PropertyCheck,
     VCandidate,
@@ -10,6 +11,7 @@ from rmflab.concave import (
     expected_u_along,
     extend_standard_haar,
     haar_splice,
+    penalty_candidate,
     prepend_constant,
     splice,
     u_value,
@@ -364,6 +366,37 @@ def test_check_v_candidate_equals_one_query_at_a_time(c):
         report.absorbs_point,
         report.midpoint_concave,
     ] == alone
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, 3.0])
+def test_penalty_candidate_reads_its_own_penalties(monkeypatch, c):
+    # the same report as a candidate that is not known to be the penalty,
+    # from one kernel call instead of two
+    space = lp_space(1, 2)
+    rng = np.random.default_rng(39)
+
+    def vec():
+        return Vector(rng.standard_normal(2), space)
+
+    samples = [([vec(), vec()], vec()) for _ in range(3)] + [([], vec()), ([vec()], vec())]
+    midpoints = [([vec()], vec(), vec()), ([vec(), vec()], vec(), vec())]
+    opaque = VCandidate(lambda queries: [u.value for u in u_values(queries, 2, c, FAST)])
+    want = check_v_candidate(opaque, samples, midpoints, 2, c, FAST)
+    calls = []
+    kernel = concave._lower_side_by_side
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(concave, "_lower_side_by_side", counting)
+    assert check_v_candidate(penalty_candidate(2, c, FAST), samples, midpoints, 2, c, FAST) == want
+    assert len(calls) == 1
+    # another exponent, constant or config is not this check's penalty
+    for other in (penalty_candidate(1, c, FAST), penalty_candidate(2, c + 1, FAST), penalty_candidate(2, c)):
+        calls.clear()
+        check_v_candidate(other, samples, midpoints, 2, c, FAST)
+        assert len(calls) == 2
 
 
 def test_check_v_candidate_rejects_a_short_answer():

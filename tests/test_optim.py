@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import optim
+from rmflab import optim, rademacher
 from rmflab.rademacher import (
     EnumConfig,
     kk_ratio_estimate,
@@ -206,6 +206,37 @@ def test_evaluator_batch_equals_points(space, n, cfg):
     if n <= cfg.exact_threshold:
         want = moment_from_matrix(stack[0], space, 3.0, cfg).value
         assert batch[0] == pytest.approx(want, rel=1e-12)
+    evaluate_grad = make_moment_evaluator(n, space, 3.0, cfg, grad=True)
+    values, grads = evaluate_grad(stack)
+    assert grads.shape == stack.shape
+    # an SVD with vectors can differ from one without in the last bit
+    assert np.array_equal(values, batch) or space.kind != "lp"
+    for i in range(stack.shape[0]):
+        value, grad = evaluate_grad(stack[i : i + 1])
+        assert value[0] == values[i]
+        assert np.array_equal(grad[0], grads[i])
+
+
+@pytest.mark.parametrize(
+    "space", [lp_space(1, 2), lp_space(3, 3), lp_space(math.inf, 2), schatten_space(1, 2, 2)]
+)
+def test_single_block_moments_equal_a_multi_chunk_call(space):
+    # 6 vectors have a 32-row table, one row block; a batch of more than
+    # _CHUNK // 32 tuples is taken in several chunks
+    n, cfg = 6, EnumConfig()
+    per = rademacher._CHUNK // rademacher._table_rows(n, cfg)
+    stack = np.random.default_rng(3).standard_normal((2 * per + 5, n, space.total_dim))
+    evaluate = make_moment_evaluator(n, space, 1.5, cfg)
+    evaluate_grad = make_moment_evaluator(n, space, 1.5, cfg, grad=True)
+    values = evaluate(stack)
+    grad_values, grads = evaluate_grad(stack)
+    assert np.array_equal(grad_values, values) or space.kind != "lp"
+    for lo in (0, 3, per - 1, per, 2 * per + 4):
+        part = stack[lo : lo + 1] if lo % 2 else stack[lo : lo + per][:7]
+        one_values, one_grads = evaluate_grad(part)
+        assert np.array_equal(evaluate(part), values[lo : lo + len(part)])
+        assert np.array_equal(one_values, grad_values[lo : lo + len(part)])
+        assert np.array_equal(one_grads, grads[lo : lo + len(part)])
 
 
 @pytest.mark.parametrize(

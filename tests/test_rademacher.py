@@ -278,9 +278,10 @@ def test_moment_gradient_at_zero_is_zero_without_warning(p):
 @pytest.mark.parametrize(
     "space", [lp_space(1, 8), lp_space(3, 3), schatten_space(1, 2, 2)], ids=["lp1", "lp3", "schatten1"]
 )
-def test_row_blocked_product_matches_the_whole_table(n, space):
+def test_row_blocked_product_matches_the_whole_table(monkeypatch, n, space):
     # from 2^12 rows the table is multiplied 2^11 rows at a time; the values
-    # stay within 1e-15 (relative) of one whole-table product per tuple
+    # stay within 1e-15 (relative) of one whole-table product per tuple, and
+    # the gradients, summed over the blocks, near those of one block
     table = rademacher.sign_patterns(n)
     vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
     whole = [
@@ -292,6 +293,9 @@ def test_row_blocked_product_matches_the_whole_table(n, space):
     values, grads = rademacher._table_moments(table, vmats, space, 3.0, grad=True)
     np.testing.assert_allclose(values, whole, rtol=1e-15)
     assert grads.shape == vmats.shape
+    monkeypatch.setattr(rademacher, "_ROW_BLOCK", len(table))
+    _, whole_grads = rademacher._table_moments(table, vmats, space, 3.0, grad=True)
+    np.testing.assert_allclose(grads, whole_grads, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,3 +375,136 @@ class TestAtomwise:
             assert np.array_equal(lower, want)
         assert rbound._lower_side_by_side([], [], FAST) == []
         assert calls == [l1, linf]
+
+
+def _reference_atomwise(stack, space, cfg, p=2.0, atoms=None):
+    """The kernel's bookkeeping written atom by atom, as one loop: each
+    atom's distinct rows from a pairwise comparison, their norms, and every
+    distinct set of k >= 2 rows searched by one ``_sphere_lower`` call per k."""
+    n_atoms = stack.shape[1]
+    lower = np.full(n_atoms, np.nan)
+    upper = np.full(n_atoms, np.nan)
+    keys, memo, pending = {}, {}, {}
+    for a in range(n_atoms) if atoms is None else atoms:
+        col = stack[:, a, :]
+        same = np.all(col[:, None, :] == col[None, :, :], axis=2)
+        distinct = col[~np.any(np.tril(same, -1), axis=1)]
+        key = keys[a] = distinct.tobytes()
+        if key not in memo:
+            norms = norms_of(distinct, space)
+            memo[key] = (float(np.max(norms)), float(np.sum(norms)))
+            if len(distinct) > 1:
+                pending.setdefault(len(distinct), {})[key] = distinct
+    for sets in pending.values():
+        for key, (val, _) in zip(sets, rbound._sphere_lower(np.stack(list(sets.values())), space, p, cfg)):
+            lo, up = memo[key]
+            memo[key] = (val if val > lo + 1e-12 else lo, up)
+    for a, key in keys.items():
+        lower[a], upper[a] = memo[key]
+    return lower, upper
+
+
+def _repeating_stack(rng, levels, n_atoms, dim, pool_size=6):
+    """Atoms of 1 to ``levels`` distinct rows drawn from a small pool, so
+    sets repeat across atoms, each row repeated at random levels."""
+    pool = rng.standard_normal((pool_size, dim))
+    stack = np.empty((levels, n_atoms, dim))
+    for a in range(n_atoms):
+        k = int(rng.integers(1, min(levels, pool_size) + 1))
+        rows = pool[rng.choice(pool_size, size=k, replace=False)]
+        order = np.concatenate([np.arange(k), rng.integers(0, k, size=levels - k)])
+        stack[:, a] = rows[rng.permutation(order)]
+    return stack
+
+
+class TestDistinctSets:
+    """The one-pass dedupe of ``atomwise_rbound`` against the atom-by-atom loop."""
+
+    @staticmethod
+    def _both(monkeypatch, stack, space, cfg=FAST, atoms=None, search=None):
+        searched = []
+        real = rbound._sphere_lower if search is None else search
+
+        def recording(sets, *args, **kwargs):
+            searched.append(sets.tobytes())
+            return real(sets, *args, **kwargs)
+
+        monkeypatch.setattr(rbound, "_sphere_lower", recording)
+        want = _reference_atomwise(stack, space, cfg, atoms=atoms)
+        want_searched, searched[:] = list(searched), []
+        lower, upper, mode = atomwise_rbound(stack, space, cfg, atoms=atoms)
+        assert mode == "optimized"
+        assert np.array_equal(lower, want[0], equal_nan=True)
+        assert np.array_equal(upper, want[1], equal_nan=True)
+        assert searched == want_searched
+        return lower, upper
+
+    @staticmethod
+    def _fake_search(sets, *args, **kwargs):
+        return [(float(np.sum(np.abs(s))), None) for s in sets]
+
+    @pytest.mark.parametrize("space", [lp_space(1, 2), lp_space(math.inf, 2), schatten_space(1, 2, 2)])
+    def test_one_to_eight_distinct_rows(self, monkeypatch, space):
+        # sets of 7 and 8 rows start from prefix faces, sets of up to 6 from every face
+        rng = np.random.default_rng(4)
+        stack = _repeating_stack(rng, 10, 12, space.total_dim, pool_size=8)
+        pool = rng.standard_normal((8, space.total_dim))
+        for k in range(1, 9):
+            stack[:, k] = pool[np.arange(10) % k]
+        cfg = EnumConfig(seed=2, restarts=2)
+        self._both(monkeypatch, stack, space, cfg)
+        counts = [len(rows) for _, rows, _, _ in rbound._distinct_sets(stack, space)]
+        assert set(range(1, 9)) <= set(counts)
+
+    def test_repeats_signed_zeros_and_nan(self, monkeypatch):
+        space = lp_space(1, 2)
+        a, b = np.array([0.0, 1.0]), np.array([-0.0, 1.0])
+        c, nan = np.array([2.0, -0.5]), np.array([np.nan, 1.0])
+        columns = [
+            [a, c, a, c],  # non-consecutive repeats
+            [a, a, c, c],  # consecutive repeats
+            [b, c, a, c],  # -0.0 first: 0.0 repeats it, and the set's bytes differ from the next
+            [a, c, b, a],
+            [nan, c, nan, c],  # a NaN row repeats nothing
+            [nan, nan, nan, nan],
+            [c, c, c, c],  # one distinct row: no search
+            [a, c, a, c],  # a set seen before: no second search
+        ]
+        stack = np.stack([np.stack(col) for col in columns], axis=1)
+        lower, upper = self._both(monkeypatch, stack, space, search=self._fake_search)
+        rows = {a: rows for a, rows, _, _ in rbound._distinct_sets(stack, space)}
+        assert [len(rows[i]) for i in range(8)] == [2, 2, 2, 2, 3, 4, 1, 2]
+        assert np.signbit(rows[2][0, 0]) and not np.signbit(rows[3][0, 0])
+        assert np.isnan(upper[4]) and upper[6] == lower[6] == 2.5
+
+    def test_atoms_subset(self, monkeypatch):
+        stack = _repeating_stack(np.random.default_rng(5), 5, 30, 2)
+        lower, _ = self._both(
+            monkeypatch, stack, lp_space(1, 2), atoms=[17, 3, 3, 29, 0], search=self._fake_search
+        )
+        assert np.flatnonzero(~np.isnan(lower)).tolist() == [0, 3, 17, 29]
+        assert [a for a, *_ in rbound._distinct_sets(stack, lp_space(1, 2), iter([17, 3]))] == [17, 3]
+
+    def test_across_the_chunk_boundary(self, monkeypatch):
+        levels, dim = 17, 2
+        per = rbound._BATCH_FLOATS // (levels * levels * dim)
+        stack = _repeating_stack(np.random.default_rng(6), levels, 2 * per + 7, dim)
+        self._both(monkeypatch, stack, lp_space(1, dim), search=self._fake_search)
+
+    def test_memory_of_the_pass_is_bounded(self):
+        # 2^12 atoms of 13 levels: chunks of 775 atoms peak near 0.9 MB, while
+        # one unchunked pass peaks near 3.5 MB, its comparison alone holding
+        # 4096 * 13 * 13 * 2 bools (1.4 MB)
+        levels, n_atoms, dim = 13, 1 << 12, 2
+        stack = np.random.default_rng(7).standard_normal((levels, n_atoms, dim))
+        stack[1::2] = stack[0]
+        # a first call fills numpy's lazy caches
+        next(rbound._distinct_sets(stack, lp_space(1, dim), [0]))
+        tracemalloc.start()
+        try:
+            for _ in rbound._distinct_sets(stack, lp_space(1, dim)):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 19
