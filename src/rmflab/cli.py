@@ -473,9 +473,9 @@ def cmd_concave(args):
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--exact-threshold", type=int, default=20, dest="exact_threshold")
-    parser.add_argument("--mc-samples", type=int, default=100_000, dest="mc_samples")
-    parser.add_argument("--restarts", type=int, default=8)
+    parser.add_argument("--exact-threshold", type=_at_least(1), default=20, dest="exact_threshold")
+    parser.add_argument("--mc-samples", type=_at_least(1), default=100_000, dest="mc_samples")
+    parser.add_argument("--restarts", type=_at_least(0), default=8)
     parser.add_argument("--tol", type=_positive, default=1e-9)
     parser.add_argument("--out", help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")

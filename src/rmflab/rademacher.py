@@ -5,6 +5,11 @@ The p-th randomized moment of vectors x_1..x_N is
 (E || sum_j eps_j x_j ||^p)^(1/p) with independent uniform signs eps_j.
 Small N is handled by exact enumeration over sign patterns (halved by the
 eps -> -eps symmetry); larger N falls back to counter-based Monte Carlo.
+A sign table is copied in blocks from a small head, not computed entry by
+entry (see ``sign_patterns``), and the exact moment of N > 15 vectors
+walks it in aligned 2^14-row chunks of one buffer, rewriting only the
+columns past bit 14 per chunk: the sign patterns cost a copy, and the
+products and norms of the 2^(N-1) combinations are the work.
 The evaluators that optimizers call also give the gradient in every x_j,
 and at exponent 2 on a Hilbert space the moment has a closed form.
 """
@@ -23,7 +28,11 @@ from .spaces import Space, Vector, lp_space, norms_and_grads_of, norms_of
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
 
-_CHUNK = 1 << 14
+# the exact moment sums the sign table in aligned chunks of 2^_CHUNK_BITS rows
+_CHUNK_BITS = 14
+_CHUNK = 1 << _CHUNK_BITS
+# a sign table is copied from its first 2^_HEAD_BITS rows (all of them when shorter)
+_HEAD_BITS = 10
 # rows of the frozen Monte Carlo sign table of a moment evaluator, at most
 _MC_TABLE = 1 << 15
 # sign-table rows multiplied at a time once a table has twice as many: a
@@ -49,6 +58,8 @@ class EnumConfig:
             raise ValueError("mc_samples must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -76,27 +87,45 @@ def _full_patterns(n: int) -> np.ndarray:
     return pats
 
 
+def _bit_signs(index: np.ndarray, bits: int) -> np.ndarray:
+    """1 - 2 * (bit j of each index) for j < ``bits``, one row per index."""
+    return 1.0 - 2.0 * ((index[:, None] >> np.arange(bits)) & 1)
+
+
 def _pattern_rows(n: int, lo: int, hi: int) -> np.ndarray:
-    idx = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    bits = (idx >> np.arange(n - 1, dtype=np.uint64)[None, :]) & 1
-    pats = np.empty((idx.shape[0], n))
-    pats[:, 0] = 1.0
-    pats[:, 1:] = 1.0 - 2.0 * bits
-    return pats
+    """Rows ``lo`` to ``hi`` of the sign table, from the blocks they touch."""
+    b = min(_HEAD_BITS, n - 1)
+    first, last = lo >> b, -(-hi >> b)
+    blocks = np.empty((last - first, 1 << b, n))
+    blocks[:, :, 0] = 1.0
+    blocks[:, :, 1 : b + 1] = _bit_signs(np.arange(1 << b), b)
+    blocks[:, :, b + 1 :] = _bit_signs(np.arange(first, last), n - 1 - b)[:, None, :]
+    start = lo - (first << b)
+    return blocks.reshape(-1, n)[start : start + hi - lo]
 
 
 def sign_patterns(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """Sign patterns of length n with the first sign fixed to +1.
 
-    Rows ``lo`` to ``hi`` of the full (2^(n-1), n) table; averaging over
-    the table equals averaging over the whole hypercube because the
-    summand is symmetric under eps -> -eps.  Full tables for small n are
-    cached read-only.
+    Rows ``lo`` to ``hi`` of the full (2^(n-1), n) table, whose row i is
+    +1 followed by 1 - 2 * (bit j of i) for j < n - 1; averaging over the
+    table equals averaging over the whole hypercube because the summand is
+    symmetric under eps -> -eps.  So, with a head of the first 2^b rows
+    (b = min(10, n - 1)), columns 1..b repeat the head every 2^b rows and
+    every later column is constant on each 2^b-row block: bit arithmetic
+    runs on the head and on one row per block, and the rest is block
+    copies.  Requires 0 <= lo <= hi; ``hi`` beyond the table is clamped to
+    its end.  Full tables for n <= 15 are cached read-only; no other table
+    is kept.
     """
     if n < 1:
         raise ValueError("need at least one sign")
     m = 1 << (n - 1)
-    hi = m if hi is None else min(hi, m)
+    if hi is None:
+        hi = m
+    if not 0 <= lo <= hi:
+        raise ValueError(f"sign-table rows need 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    lo, hi = min(lo, m), min(hi, m)
     if lo == 0 and hi == m and n <= 15:
         return _full_patterns(n)
     return _pattern_rows(n, lo, hi)
@@ -122,8 +151,12 @@ def moment_from_matrix(
     if n <= cfg.exact_threshold:
         total = 0.0
         count = 1 << (n - 1)
+        # the cached table for n <= 15; past that, one buffer whose columns past
+        # bit 14 are rewritten per chunk, the only columns in which chunks differ
+        pats = sign_patterns(n, 0, _CHUNK)
         for lo in range(0, count, _CHUNK):
-            pats = sign_patterns(n, lo, lo + _CHUNK)
+            if lo:
+                pats[:, _CHUNK_BITS + 1 :] = _bit_signs(np.array([lo >> _CHUNK_BITS]), n - 1 - _CHUNK_BITS)
             combos = pats @ vmat
             total += float(np.sum(norms_of(combos, space) ** p))
         return MomentEstimate((total / count) ** (1.0 / p), EXACT, count, 0.0)

@@ -597,6 +597,13 @@ class TestFlagDomains:
             ("goodlambda", "--lambda-points", 0, 1),
             ("goodlambda", "--steps", 0, 1),
             ("goodlambda", "--steps", -1, 1),
+            ("rbound", "--restarts", -1, 0),
+            ("rbound", "--exact-threshold", 0, 1),
+            ("rbound", "--mc-samples", 0, 1),
+            ("maximal", "--restarts", -2, 0),
+            ("typecotype", "--exact-threshold", -1, 1),
+            ("randnorm", "--mc-samples", -5, 1),
+            ("gundy", "--mc-samples", 0, 1),
         ],
     )
     def test_count_below_its_minimum(self, capsys, tmp_path, subcommand, flag, value, minimum):
@@ -831,6 +838,17 @@ class TestGoldenReports:
         out = tmp_path / "report.out"
         assert main(["gundy", "--martingale", str(path), "--out", str(out)]) == 0
         digest = "ed7f5985f74868a308e9c31de6a13c91901bcedcfc769a3135dd9ff120cbce40"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_randnorm_report_past_one_chunk(self, tmp_path):
+        # 17 vectors: the exact moment sums four chunks of 2^14 sign patterns
+        vectors = np.round(np.random.default_rng(17).standard_normal((17, 3)), 6).tolist()
+        path = tmp_path / "vectors.json"
+        path.write_text(json.dumps({"space": {"kind": "lp", "p": 1, "dim": 3}, "vectors": vectors}))
+        out = tmp_path / "report.out"
+        assert main(["randnorm", "--vectors", str(path), "--p", "3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["samples"] == 1 << 16
+        digest = "8b15a7e6b40a3fafc169b023f4e91c21aa99552173571904cde813b828f8ca39"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_non_finite_column_renders_as_row_dicts_did(self):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +38,66 @@ def test_sign_patterns_shape_and_symmetry():
     assert np.all(pats[:, 0] == 1.0)
     # chunked generation agrees with the full table
     np.testing.assert_array_equal(pats[3:6], sign_patterns(4, 3, 6))
+
+
+# hi defaults to the table's end, 8 rows at n = 4
+@pytest.mark.parametrize("lo,hi", [(-1, None), (-1, 4), (5, 4), (3, 2), (9, None)])
+def test_sign_patterns_need_lo_within_zero_and_hi(lo, hi):
+    with pytest.raises(ValueError, match="0 <= lo <= hi"):
+        sign_patterns(4, lo, hi)
+
+
+def test_sign_patterns_past_the_end_are_empty():
+    # a given hi is clamped to the table's end, and so is a lo past it
+    assert sign_patterns(4, 6, 100).shape == (2, 4)
+    assert sign_patterns(4, 8).shape == (0, 4)
+    assert sign_patterns(4, 9, 12).shape == (0, 4)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_enum_config_tol_is_a_finite_number_above_zero(tol):
+    with pytest.raises(ValueError, match="tol"):
+        EnumConfig(tol=tol)
+
+
+def _reference_rows(n, rows):
+    """Rows of the sign table from plain Python ints: +1, then 1 - 2 * bit j of the row index."""
+    return np.array([[1.0] + [1.0 - 2 * ((i >> j) & 1) for j in range(n - 1)] for i in rows]).reshape(-1, n)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_sign_patterns_match_python_int_reference(n):
+    m = 1 << (n - 1)
+    full = sign_patterns(n)
+    assert full.shape == (m, n) and full.dtype == np.float64 and full.flags.c_contiguous
+    if n <= 15:
+        # cached, and read-only
+        assert sign_patterns(n) is full and not full.flags.writeable
+    # every row of a small table; of a larger one the first and last rows,
+    # the rows around every power of two and a seeded sample
+    rng = np.random.default_rng(n)
+    rows = np.arange(m) if m <= 1 << 12 else np.unique(np.concatenate([
+        np.arange(64), np.arange(m - 64, m), rng.integers(0, m, 256),
+        *(np.arange((1 << k) - 2, (1 << k) + 2) for k in range(2, n - 1)),
+    ]))
+    np.testing.assert_array_equal(full[rows], _reference_rows(n, rows.tolist()))
+    # column j + 1 is bit j of the row index: +1 on the first 2^j rows of every 2^(j + 1), -1 on the rest
+    for j in range(n - 1):
+        halves = full[:, j + 1].reshape(-1, 2, 1 << j)
+        assert (halves[:, 0] == 1.0).all() and (halves[:, 1] == -1.0).all()
+    # aligned chunks, unaligned ranges that cross block boundaries, an empty range at the end
+    chunk = rademacher._CHUNK
+    ranges = [(lo, lo + chunk) for lo in range(0, m, chunk)]
+    ranges += [(1000, 1100), (1023, 1025), (1, 3000), (chunk - 5, chunk + 7),
+               (3 * 1024 + 17, 5 * chunk + 3), (m - 3, m + 10), (m, m), (m, None)]
+    ranges += [tuple(sorted(rng.integers(0, m + 1, 2).tolist())) for _ in range(4)]
+    for lo, hi in ranges:
+        if not 0 <= lo <= m:
+            continue
+        part = sign_patterns(n, lo, hi)
+        want = full[lo:hi]
+        assert part.shape == want.shape and part.dtype == np.float64
+        np.testing.assert_array_equal(part, want)
 
 
 class TestMoment:
@@ -314,3 +376,73 @@ def test_hilbert_second_moment_is_exact(space):
     assert np.array_equal(moment(vmats), values)
     assert np.array_equal(with_grad(vmats)[1], grads)
 
+
+
+def _digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+# pinned while every sign table was computed entry by entry from bit shifts
+EXACT_MOMENT_DIGESTS = {
+    "lp1": "2889f12823da8fd66d43a00a130502c2c8ca47c528ca444be0d0aa1a98026498",
+    "lp3": "2eeee8f773116e69411030fc88276bbcab6794d4ad0895f92364b41e97ad6af7",
+    "schatten1": "456ace6637d7e0f2b102d0414116aa8c2af4e6dd83f63050940271201650b9c5",
+}
+
+
+@pytest.mark.parametrize(
+    "name,space",
+    [("lp1", lp_space(1, 3)), ("lp3", lp_space(3, 2)), ("schatten1", schatten_space(1, 2, 2))],
+    ids=["lp1", "lp3", "schatten1"],
+)
+def test_exact_moments_past_one_chunk_are_pinned(name, space):
+    # 15 vectors fill one chunk of 2^14 sign patterns, 18 fill eight
+    rng = np.random.default_rng(15)
+    values = []
+    for n, p in zip(range(15, 19), (1.0, 3.0, 1.5, 3.0)):
+        vmat = rng.standard_normal((n, space.total_dim))
+        est = moment_from_matrix(vmat, space, p, CFG)
+        assert est.mode == "exact" and est.samples == 1 << (n - 1)
+        values.append(est.value)
+    assert _digest(values) == EXACT_MOMENT_DIGESTS[name]
+
+
+EVALUATOR_DIGESTS = {
+    16: "f1e4803c00967e6e65202beb509433e552dd4205a9915ff3da94fb4d4f90ee76",
+    17: "d9cb34507e9a63d66fec89cdb9d53f5b7f3caafa803be5d4440c07788999de94",
+}
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_exact_evaluators_are_pinned(n):
+    parts = []
+    for space in (lp_space(1, 2), schatten_space(1, 2, 2)):
+        vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
+        values = make_moment_evaluator(n, space, 3.0, CFG)(vmats)
+        with_grad, grads = make_moment_evaluator(n, space, 3.0, CFG, grad=True)(vmats)
+        assert np.array_equal(values, with_grad)
+        parts += [values, grads.ravel()]
+    assert _digest(np.concatenate(parts)) == EVALUATOR_DIGESTS[n]
+
+
+def _traced_peak(build):
+    """What ``build()`` returns, and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sign_table_peak_memory():
+    table, peak = _traced_peak(lambda: sign_patterns(18))
+    assert table.nbytes == (1 << 17) * 18 * 8
+    assert peak < 2 * table.nbytes
+
+
+def test_exact_moment_peak_memory():
+    vmat = np.random.default_rng(18).standard_normal((18, 3))
+    est, peak = _traced_peak(lambda: moment_from_matrix(vmat, lp_space(1, 3), 3.0, CFG))
+    assert est.samples == 1 << 17
+    assert peak < 6_000_000
