@@ -499,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rbound", help="R-bound bracket of a vector set")
     sp.add_argument("--vectors", required=True)
     sp.add_argument("--p", default="2")
-    sp.add_argument("--multiplicity", type=int, default=1)
-    sp.add_argument("--grid-step", type=float, default=None, dest="grid_step",
+    sp.add_argument("--multiplicity", type=_at_least(1), default=1)
+    sp.add_argument("--grid-step", type=_positive, default=None, dest="grid_step",
                     help="use the exhaustive grid oracle with this spacing")
     _add_common(sp)
 
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["type", "cotype"], required=True)
     sp.add_argument("--space", required=True, help="inline space JSON")
     sp.add_argument("--exponent", required=True)
-    sp.add_argument("--count", type=int, required=True, help="number of vectors")
+    sp.add_argument("--count", type=_at_least(1), required=True, help="number of vectors")
     _add_common(sp)
 
     for name in ("maximal", "rmf-ratio"):
@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Haar embedding, dyadic approximation and boolean isomorphism trace",
     )
     sp.add_argument("--grid-exponent", type=_at_least(1), default=6, dest="grid_exponent")
-    sp.add_argument("--steps", type=int, default=6)
+    sp.add_argument("--steps", type=_at_least(0), default=6)
     sp.add_argument("--eps", type=float, default=0.125)
     sp.add_argument("--perturb", action="store_true",
                     help="move one atom across the last split first")
@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--martingale", help="single-instance martingale JSON file")
     sp.add_argument("--instances", type=_at_least(0), default=20)
     sp.add_argument("--grid-exponent", type=_at_least(1), default=6, dest="grid_exponent")
-    sp.add_argument("--steps", type=int, default=10)
+    sp.add_argument("--steps", type=_at_least(0), default=10)
     sp.add_argument("--space", default='{"kind":"lp","p":1,"dim":3}')
     sp.add_argument("--scale", type=_finite, default=1.0)
     sp.add_argument("--lambdas", type=_heights, default="0.25,1,4",
@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("weak-rmf", help="empirical weak-type constant of a family")
     sp.add_argument("--instances", type=_at_least(0), default=10)
     sp.add_argument("--grid-exponent", type=_at_least(1), default=5, dest="grid_exponent")
-    sp.add_argument("--steps", type=int, default=8)
+    sp.add_argument("--steps", type=_at_least(0), default=8)
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":3}')
     sp.add_argument("--scale", type=_finite, default=1.0)
     sp.add_argument("--p", default="2")

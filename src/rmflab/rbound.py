@@ -4,9 +4,12 @@ The R-bound of a family is the smallest C with
 E||sum eps_j T_j x_j||^p <= C^p E||sum eps_j x_j||^p over all finite
 selections (with repetition) from the family.  For sets of vectors the
 arguments are scalars.  The exact value is a supremum over all finite
-selections; this module reports certified lower bounds found by search
-together with the summability upper bound sum_j ||member_j||, which
-collapses to an exact value on Hilbert spaces at p = 2.
+selections.  At p = 2 on Hilbert spaces (vector sets in one, operators
+between two) it is the largest member norm, reported as a collapsed
+bracket.  Otherwise this module reports certified lower bounds found by
+one search on the unit sphere of the arguments of the members tiled to a
+stack, whose faces are the sub-selections, together with the summability
+upper bound sum_j ||member_j||.
 
 The per-atom kernel ``atomwise_rbound`` finds every atom's distinct rows,
 their byte keys and their norms in one pass over the stack, taken in
@@ -35,16 +38,11 @@ from .rademacher import (
     moment_evaluators,
     sign_patterns,
 )
-from .spaces import HILBERT_OP, Space, Vector, lp_space, norms_of, singular_values
+from .spaces import HILBERT_OP, Space, Vector, lp_space, norms_of
 
 HILBERT_EXACT = "hilbert_exact"
 OPTIMIZED = "optimized"
 GRID_CERTIFIED = "grid_certified"
-
-# enumerating every multiset of members is exponential; beyond this many
-# candidate operator selections only singletons, the full set and any warm
-# start are searched
-_MAX_SELECTIONS = 256
 
 # a scalar sphere search starts from every proper face of a stack of at
 # most this many rows (56 faces at 6), else from its prefix faces only: on
@@ -361,10 +359,18 @@ def rbound_operator(
 ) -> RBoundBracket:
     """Bracket for the R-bound of operators acting on Hilbert-space vectors.
 
-    The lower bound searches selections (multisets of operators, sizes up
-    to ``n_args``) and argument tuples on the product of unit spheres of
-    the domain; singleton values are exact operator norms via their top
-    singular pair.  At p = 2 both moments are taken in closed form.
+    At p = 2 it is exactly max_j ||T_j||, since E||sum_j eps_j T_j x_j||^2
+    = sum_j |T_j x_j|^2 <= max_j ||T_j||^2 sum_j |x_j|^2 and a singleton
+    attains it, so the collapsed bracket comes without a search.  Otherwise
+    the lower bound is the best of the operator norms (witnessed by the top
+    singular pair) and one search on the unit sphere of H^n_args over the
+    family tiled round robin to ``n_args`` rows: the ratio is scale
+    invariant and a zero row drops its member, so every weighting of every
+    sub-multiset is a point of that sphere.  Starts are the tiled top
+    singular vectors on the stack and on its faces; a witness names the
+    member of each row.  The search takes exact moments only, so ``n_args``
+    above ``cfg.exact_threshold`` raises.  The upper bound is the
+    summability ceiling.
     """
     if cfg is None:
         cfg = EnumConfig()
@@ -377,54 +383,41 @@ def rbound_operator(
     if n_args < m:
         raise ValueError("n_args must be at least the number of operators")
     dim_h, dim_e = space.cols, space.rows
-    h = lp_space(2, dim_h)
-    e = lp_space(2, dim_e)
-
-    op_norms = np.empty(m)
-    top_vecs = []
-    for i in range(m):
-        sv, right = singular_values(omat[i].reshape(dim_e, dim_h), return_right_vectors=True)
-        op_norms[i] = sv[0]
-        top_vecs.append(right[:, 0])
-
-    best = -math.inf
-    best_wit: SelectionWitness | None = None
-    for i in range(m):
-        if op_norms[i] > best + 1e-12:
-            best = float(op_norms[i])
-            best_wit = SelectionWitness((i,), top_vecs[i].reshape(1, dim_h))
-
-    selections: list[tuple[int, ...]] = []
-    for size in range(2, n_args + 1):
-        selections.extend(itertools.combinations_with_replacement(range(m), size))
-        if len(selections) > _MAX_SELECTIONS:
-            selections = selections[:_MAX_SELECTIONS]
-            break
-    for sel in selections:
-        mats = omat[list(sel)].reshape(-1, dim_e, dim_h)
-        k = len(sel)
-        out_moment, out_grad = moment_evaluators(k, e, p, cfg)
-        arg_moment, arg_grad = moment_evaluators(k, h, p, cfg)
+    mats = omat.reshape(m, dim_e, dim_h)
+    op_norms = norms_of(omat, space)
+    # the top right singular vector of each operator, a witness of its norm
+    top = np.linalg.svd(mats, full_matrices=False)[2][:, 0]
+    j = int(np.argmax(op_norms))
+    lower, wit = float(op_norms[j]), SelectionWitness((j,), top[j].reshape(1, dim_h))
+    if p == 2:
+        return RBoundBracket(lower, lower, wit, HILBERT_EXACT, p, sup_gap=0.0)
+    if n_args > cfg.exact_threshold:
+        raise ValueError("n_args above exact_threshold would search Monte Carlo moments")
+    if n_args > 1:
+        members = np.arange(n_args) % m
+        tiled = mats[members]
+        out_moment, out_grad = moment_evaluators(n_args, lp_space(2, dim_e), p, cfg)
+        arg_moment, arg_grad = moment_evaluators(n_args, lp_space(2, dim_h), p, cfg)
 
         def objective(xs: np.ndarray, group=0, grad=False):
-            out = (mats @ xs[..., None])[..., 0]
+            args = xs.reshape(-1, n_args, dim_h)
+            out = (tiled @ args[..., None])[..., 0]
             if not grad:
-                return optim.ratio_or_zero(out_moment(out), arg_moment(xs))
+                return optim.ratio_or_zero(out_moment(out), arg_moment(args))
             num, dout = out_grad(out)
-            return optim.ratio_and_grad(num, (dout[..., None, :] @ mats)[..., 0, :], *arg_grad(xs))
+            dnum = (dout[..., None, :] @ tiled)[..., 0, :]
+            ratio, dratio = optim.ratio_and_grad(num, dnum, *arg_grad(args))
+            return ratio, dratio.reshape(xs.shape)
 
-        extra = [np.vstack([top_vecs[i] for i in sel])]
-        [(val, xs)] = optim.maximize_on_spheres(
-            objective, h, k, cfg.restarts, cfg.seed, cfg.tol, extra_starts=extra,
-            rungs_per_call=ladder_rungs(k, cfg),
+        masks = [np.ones(n_args), *_face_starts(n_args)]
+        extra = [mask[:, None] * top[members] for mask in masks]
+        [(val, x)] = optim.maximize_on_spheres(
+            objective, lp_space(2, n_args * dim_h), 1, cfg.restarts + len(extra), cfg.seed, cfg.tol,
+            extra_starts=extra, rungs_per_call=ladder_rungs(n_args, cfg),
         )
-        if val > best + 1e-12:
-            best = val
-            best_wit = SelectionWitness(tuple(sel), xs)
-    if best_wit is None:
-        raise AssertionError("no selection produced a finite ratio")
-    upper = float(np.sum(op_norms))
-    return RBoundBracket(min(best, upper), upper, best_wit, OPTIMIZED, p)
+        if val > lower + 1e-12:
+            lower, wit = val, SelectionWitness(tuple(members.tolist()), x.reshape(n_args, dim_h))
+    return RBoundBracket(lower, float(np.sum(op_norms)), wit, OPTIMIZED, p)
 
 
 def _sphere_grid(k: int, step: float) -> np.ndarray:
@@ -461,8 +454,11 @@ def rbound_certify_grid(
     Restricted to at most 3 members (sphere dimension <= 2).  Every grid
     point is feasible, so the reported lower bound is certified; the gap
     to the supremum over single selections of the full set is bounded by a
-    Lipschitz argument and reported in ``sup_gap``.
+    Lipschitz argument and reported in ``sup_gap``.  ``grid_step`` must be
+    a finite number > 0.
     """
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError("grid_step must be a finite number > 0")
     vmat, space = _stack(vectors)
     k = len(vectors)
     if k > 3:

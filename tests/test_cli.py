@@ -604,6 +604,11 @@ class TestFlagDomains:
             ("typecotype", "--exact-threshold", -1, 1),
             ("randnorm", "--mc-samples", -5, 1),
             ("gundy", "--mc-samples", 0, 1),
+            ("rbound", "--multiplicity", 0, 1),
+            ("typecotype", "--count", 0, 1),
+            ("reduce", "--steps", -1, 0),
+            ("gundy", "--steps", -1, 0),
+            ("weak-rmf", "--steps", -1, 0),
         ],
     )
     def test_count_below_its_minimum(self, capsys, tmp_path, subcommand, flag, value, minimum):
@@ -626,6 +631,21 @@ class TestFlagDomains:
         assert self.exit_code([*argv, f"--tol={value}"]) == 2
         err = capsys.readouterr().err
         assert f"argument --tol: '{value}' is not a finite number > 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
+    def test_grid_step_is_a_finite_number_above_zero(self, capsys, tmp_path, l1_basis_file, value):
+        argv = ["rbound", "--vectors", l1_basis_file]
+        assert self.exit_code([*argv, f"--grid-step={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --grid-step: '{value}' is not a finite number > 0" in err
+        assert "Traceback" not in err
+        # json writes nan and inf as NaN and Infinity, which the flag reads back
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_step": value if value == "abc" else float(value)}))
+        assert self.exit_code([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --grid-step: " in err or "$['grid_step']" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])

@@ -155,7 +155,8 @@ def test_matches_sequential_reference(monkeypatch, run):
     [
         _cotype_run(schatten_space(1, 2, 2)),
         _rbound_run(lp_space(3, 2)),
-        lambda: rbound_operator([Vector(np.arange(6.0) - 2, hilbert_op_space(3, 2))] * 2, cfg=CFG),
+        # at p = 2 the operator bound is a closed form, so no search runs
+        lambda: rbound_operator([Vector(np.arange(6.0) - 2, hilbert_op_space(3, 2))] * 2, 3.0, cfg=CFG),
         lambda: kk_ratio_estimate(lp_space(1, 3), 3, 1, 3, CFG),
     ],
     ids=["cotype-schatten1", "rbound-lp3", "operator", "kk-ratio"],
@@ -246,7 +247,8 @@ def test_single_block_moments_equal_a_multi_chunk_call(space):
         _type_run(lp_space(1, 2)),
         _cotype_run(lp_space(1, 2)),
         lambda: kk_ratio_estimate(lp_space(1, 2), 2, 1, 2, CFG),
-        lambda: rbound_operator([Vector(np.arange(6.0) - 2, hilbert_op_space(3, 2))] * 2, cfg=CFG),
+        # at p = 2 the operator bound is a closed form, so no search runs
+        lambda: rbound_operator([Vector(np.arange(6.0) - 2, hilbert_op_space(3, 2))] * 2, 3.0, cfg=CFG),
     ],
     ids=["rbound", "type", "cotype", "kk-ratio", "operator"],
 )
@@ -284,7 +286,7 @@ OBJECTIVE_RUNS = [
     )
     for space in GRADIENT_SPACES
 ] + [
-    pytest.param(lambda: rbound_operator(OPERATORS, 2.0, cfg=CFG), id="operator-p2"),
+    pytest.param(lambda: rbound_operator(OPERATORS, 1.5, cfg=CFG), id="operator-p1.5"),
     pytest.param(lambda: rbound_operator(OPERATORS, 3.0, cfg=CFG), id="operator-p3"),
 ]
 
@@ -308,19 +310,19 @@ def test_objective_gradients_match_central_differences(monkeypatch, run):
     _each_search(monkeypatch, run, check, limit=1)
 
 
-def test_operator_ratio_at_p2_is_the_closed_form(monkeypatch):
-    # both moments of the operator objective at p = 2 are taken in closed form
+def test_operator_ratio_is_the_moment_ratio_of_the_tiled_stack(monkeypatch):
+    # the joint point of 3 arguments against the family tiled round robin
     def check(objective, starts, *_):
         xs = np.random.default_rng(8).standard_normal((4,) + starts.shape[1:])
-        # the first selection searched is (0, 0)
-        mats = [OPERATORS[0].coords.reshape(2, 3)] * 2
+        mats = [OPERATORS[j % 2].coords.reshape(2, 3) for j in range(3)]
         h, e = lp_space(2, 3), lp_space(2, 2)
         for x, got in zip(xs, objective(xs)):
-            out = np.stack([mat @ row for mat, row in zip(mats, x)])
-            want = moment_from_matrix(out, e, 2.0, CFG).value / moment_from_matrix(x, h, 2.0, CFG).value
+            args = x.reshape(3, 3)
+            out = np.stack([mat @ row for mat, row in zip(mats, args)])
+            want = moment_from_matrix(out, e, 3.0, CFG).value / moment_from_matrix(args, h, 3.0, CFG).value
             assert got == pytest.approx(want, rel=1e-13)
 
-    _each_search(monkeypatch, lambda: rbound_operator(OPERATORS, 2.0, n_args=2, cfg=CFG), check, limit=1)
+    _each_search(monkeypatch, lambda: rbound_operator(OPERATORS, 3.0, n_args=3, cfg=CFG), check, limit=1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import rbound
-from rmflab.rademacher import EnumConfig, sign_patterns
+from rmflab import optim, rbound
+from rmflab.rademacher import EnumConfig, moment_from_matrix, sign_patterns
 from rmflab.rbound import (
+    HILBERT_EXACT,
+    OPTIMIZED,
     RBoundBracket,
     SelectionWitness,
     atomwise_rbound,
@@ -279,6 +281,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             rbound_certify_grid(basis(lp_space(1, 4)), 2)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_grid_step_is_a_finite_number_above_zero(self, step):
+        with pytest.raises(ValueError, match="grid_step"):
+            rbound_certify_grid(basis(lp_space(1, 2)), 2, grid_step=step)
+
 
 class TestOperator:
     def test_identity_family(self):
@@ -299,8 +306,8 @@ class TestOperator:
         d1 = Vector(np.array([[1.0, 0.0], [0.0, 0.0]]).ravel(), space)
         d2 = Vector(np.array([[0.0, 0.0], [0.0, 1.0]]).ravel(), space)
         br = rbound_operator([d1, d2], 2, cfg=FAST)
-        assert br.lower >= 1.0 - 1e-9
-        assert br.upper == pytest.approx(2.0, abs=1e-12)
+        assert br.lower == br.upper == 1.0
+        assert br.mode == HILBERT_EXACT
 
     def test_non_operator_space_rejected(self):
         with pytest.raises(ValueError):
@@ -320,6 +327,62 @@ class TestOperator:
         br = rbound_operator([t], 2, cfg=FAST)
         assert isinstance(br.witness, SelectionWitness)
         assert br.witness.indices == (0,)
+
+    @staticmethod
+    def family(m, seed):
+        rng = np.random.default_rng([seed, m])
+        return [Vector(rng.standard_normal(6), hilbert_op_space(3, 2)) for _ in range(m)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_p2_is_the_top_operator_norm_without_search(self, monkeypatch, m, seed):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched at p = 2")
+
+        monkeypatch.setattr(optim, "maximize_on_spheres", no_search)
+        ops = self.family(m, seed)
+        want = max(np.linalg.norm(t.coords.reshape(2, 3), 2) for t in ops)
+        for n_args in (m, m + 1):
+            br = rbound_operator(ops, 2, n_args=n_args, cfg=FAST)
+            assert br.mode == HILBERT_EXACT and br.sup_gap == 0.0
+            assert br.lower == br.upper == want
+            [j] = br.witness.indices
+            x = br.witness.coeffs[0]
+            assert np.linalg.norm(ops[j].coords.reshape(2, 3) @ x) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, m, seed, before",
+        [
+            # the lower of the search over multisets one by one on a product of spheres
+            (4.0, 2, 0, 2.7246404636783277),
+            (3.0, 4, 2, 2.920759931833358),
+            (1.0, 3, 1, 2.591458143681714),
+        ],
+    )
+    def test_joint_sphere_witness_ratio_is_the_lower(self, p, m, seed, before):
+        ops = self.family(m, seed)
+        br = rbound_operator(ops, p, cfg=EnumConfig(restarts=8, seed=1))
+        assert br.mode == OPTIMIZED
+        assert br.lower >= before
+        # these searches beat the top singleton
+        assert br.lower > max(np.linalg.norm(t.coords.reshape(2, 3), 2) for t in ops) + 1e-6
+        wit = br.witness
+        assert wit.indices == tuple(j % m for j in range(m)) and wit.coeffs.shape == (m, 3)
+        out = np.stack([ops[j].coords.reshape(2, 3) @ x for j, x in zip(wit.indices, wit.coeffs)])
+        ratio = (
+            moment_from_matrix(out, lp_space(2, 2), p, EnumConfig()).value
+            / moment_from_matrix(wit.coeffs, lp_space(2, 3), p, EnumConfig()).value
+        )
+        assert ratio == pytest.approx(br.lower, rel=1e-12, abs=0)
+
+    def test_n_args_above_exact_threshold_rejected(self):
+        ops = self.family(2, 0)
+        cfg = EnumConfig(exact_threshold=3, seed=1)
+        with pytest.raises(ValueError, match="exact_threshold"):
+            rbound_operator(ops, 3, n_args=4, cfg=cfg)
+        assert rbound_operator(ops, 3, n_args=3, cfg=cfg).mode == OPTIMIZED
+        # at p = 2 no moment is taken, so the closed form stands at any n_args
+        assert rbound_operator(ops, 2, n_args=4, cfg=cfg).mode == HILBERT_EXACT
 
 
 class TestAtomwise:
