@@ -287,8 +287,6 @@ def cmd_rmf_ratio(args):
 
 def cmd_reduce(args):
     seed = _require_seed(args)
-    if args.subsample < 1:
-        raise ValueError("subsample must be >= 1")
     cfg = _cfg_from_args(args)
     base = dyadic_grid(args.grid_exponent)
     filt = random_haar_filtration(base, args.steps, kind="dyadic", seed=seed)
@@ -528,10 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--grid-exponent", type=_at_least(1), default=6, dest="grid_exponent")
     sp.add_argument("--steps", type=_at_least(0), default=6)
-    sp.add_argument("--eps", type=float, default=0.125)
+    sp.add_argument("--eps", type=_positive, default=0.125)
     sp.add_argument("--perturb", action="store_true",
                     help="move one atom across the last split first")
-    sp.add_argument("--subsample", type=int, default=1,
+    sp.add_argument("--subsample", type=_at_least(1), default=1,
                     help="keep every n-th level so the embedding is nontrivial")
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":2}')
     _add_common(sp)
@@ -579,17 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sanitize(obj):
-    """Replace non-finite floats so the report is strict JSON."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return float.__repr__(obj)
-    return obj
-
-
 def _csv_field(text: str) -> str:
     """``text`` quoted as ``csv.writer`` quotes a field inside a row."""
     buf = io.StringIO()
@@ -606,7 +593,7 @@ def _table_cells(table: dict, quote) -> list[list[str]]:
     """Cell texts of each column, each distinct bit pattern formatted once.
 
     Floats take ``float.__repr__``, as json and csv do, a non-finite one
-    quoted as a string (``_sanitize``); ints take ``str``, strings ``quote``.
+    quoted as a string (``_json_scalar``); ints take ``str``, strings ``quote``.
     Int columns are formatted cell by cell: ``str`` of an int costs less
     than the sort that finds the distinct ones.  A column equal bit for bit
     to an earlier one reuses its text.
@@ -629,10 +616,49 @@ def _table_cells(table: dict, quote) -> list[list[str]]:
     return [done[key] for key in keys]
 
 
+# scalar types one json.dumps call writes as indent=2 would write them
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_scalar(value) -> str:
+    """A scalar as json writes it, a non-finite float quoted as a string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        value = float.__repr__(value)
+    return json.dumps(value)
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` at
+    nesting ``indent``, byte for byte, with every non-finite float written
+    as a quoted ``float.__repr__`` so the report is strict JSON.
+
+    Dict keys are strings.  A list or tuple of plain scalars goes to json's
+    C encoder in one call, its separator carrying the newline and indent.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _json_scalar(obj)
+    if not obj:
+        return "[]"
+    if set(map(type, obj)) <= _JSON_SCALARS:
+        try:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "), allow_nan=False)[1:-1]
+        except ValueError:  # a non-finite float
+            body = (",\n" + inner).join(map(_json_scalar, obj))
+    else:
+        body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def _render_json(payload, table=None) -> str:
     """Sorted keys at indent 2; ``table`` goes under the top-level key ``rows``."""
     if table is None:
-        return json.dumps(_sanitize(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _json_text(payload) + "\n"
     slot = "\0rows\0"
     text = _render_json({**payload, "rows": slot})
     names = sorted(table)

@@ -6,20 +6,22 @@ interval.
 A finite algebra is encoded by its generating partition (one block id per
 atom).  A filtration is an increasing (refining) sequence of partitions,
 stored as one read-only (levels, atoms) label matrix: builders write its
-rows, one constructor checks them, and each level's partition is a view of
-its row.  A Haar filtration splits exactly one block per level,
-dyadic/standard Haar filtrations constrain the split mass ratios to dyadic
-fractions / exact halves.  Split tests are exact: every float is a dyadic
-rational, so they run on atom masses as integers in one dyadic unit;
-``fractions.Fraction`` is left only where a ratio's dyadic depth is read.
-Blocks are integer labels numbered by first occurrence, which is
-recognized without a sort.  Grids are capped at 2^MAX_GRID_EXPONENT atoms,
-checked before anything is built.
+rows, one constructor checks them all at once, and each level's partition
+is a view of its row.  A Haar filtration splits exactly one block per
+level, dyadic/standard Haar filtrations constrain the split mass ratios to
+dyadic fractions / exact halves; every level's split is read off the
+matrix at once.  Split tests are exact: every float is a dyadic rational,
+so they run on atom masses as integers in one dyadic unit, which a space
+takes once; ``fractions.Fraction`` is left only where a ratio's dyadic
+depth is read.  Blocks are integer labels numbered by first occurrence,
+which is recognized without a sort.  Grids are capped at
+2^MAX_GRID_EXPONENT atoms, checked before anything is built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -52,12 +54,20 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class AtomicMeasureSpace:
-    """Finitely many atoms with positive masses."""
+    """Finitely many atoms with positive masses.
+
+    Masses are read-only; only writeable ones are copied.  Their exact
+    integer units are taken on first use and kept.
+    """
 
     masses: np.ndarray = field(repr=False)
+    _units: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float).ravel()
+        m = self.masses
+        kept = isinstance(m, np.ndarray) and m.dtype == float and m.ndim == 1 and not m.flags.writeable
+        if not kept:
+            m = _read_only(np.array(m, dtype=float).ravel())
         object.__setattr__(self, "masses", m)
         if m.size == 0:
             raise ValueError("need at least one atom")
@@ -73,7 +83,20 @@ class AtomicMeasureSpace:
         return float(np.sum(self.masses))
 
     def normalized(self) -> "AtomicMeasureSpace":
-        return AtomicMeasureSpace(self.masses / self.total_mass)
+        return AtomicMeasureSpace(_read_only(self.masses / self.total_mass))
+
+    def mass_units(self) -> np.ndarray:
+        """Atom masses as exact integers in one dyadic unit, read-only and
+        taken once: int64 if all sums fit, Python ints otherwise."""
+        if self._units is None:
+            uniq, inverse = np.unique(self.masses, return_inverse=True)
+            fracs = [Fraction(m) for m in uniq.tolist()]
+            unit = max(f.denominator for f in fracs)
+            units = [f.numerator * (unit // f.denominator) for f in fracs]
+            fits = max(units) * self.masses.size < 2**62
+            kept = np.array(units, dtype=np.int64 if fits else object)[inverse]
+            object.__setattr__(self, "_units", _read_only(kept))
+        return self._units
 
     def __eq__(self, other):
         return other is self or (
@@ -110,14 +133,19 @@ class Partition:
     Block ids are canonical: numbered by first atom occurrence, so two
     partitions with the same blocks compare equal.  Labels are read-only;
     only writeable ones are copied.  Block masses are summed on first use.
+    ``_first_atoms`` is for :class:`Filtration`, which hands over read-only
+    canonical rows with the first atoms it found; the labels are then kept
+    unchecked.
     """
 
     block_of: np.ndarray = field(repr=False)
     space: AtomicMeasureSpace
-    _first_atoms: np.ndarray = field(init=False, repr=False)
+    _first_atoms: np.ndarray | None = field(default=None, repr=False)
     _block_masses: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        if self._first_atoms is not None:
+            return
         labels = _read_only_labels(self.block_of).ravel()
         if labels.size != self.space.n_atoms:
             raise ValueError("label count must match atom count")
@@ -178,10 +206,10 @@ class Partition:
         return hash(self.block_of.tobytes())
 
 
-def _read_only(labels: np.ndarray) -> np.ndarray:
-    """A builder's own labels, handed to a constructor uncopied."""
-    labels.flags.writeable = False
-    return labels
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A builder's own labels or masses, handed to a constructor uncopied."""
+    array.flags.writeable = False
+    return array
 
 
 def _read_only_labels(labels) -> np.ndarray:
@@ -230,11 +258,46 @@ def split_blocks(
     return parents, (b, int(c1), int(c2))
 
 
+def _canonical_rows(labels: np.ndarray):
+    """A read-only label matrix with its rows renumbered by first occurrence.
+
+    Returns the matrix, whether its rows are sorted, its (levels, atoms)
+    mask of first atoms, and their flat indices: row j's run from
+    ``bounds[j]`` to ``bounds[j + 1]``.  The test of ``_canonical_labels``
+    runs on the whole matrix: a row is canonical when it starts at 0 and
+    its running maximum rises by one at a time, as often as its final
+    value.  Sorted rows are their own running maximum, so a matrix of
+    sorted rows takes no accumulation.  Only rows that fail are
+    renumbered, each by ``_canonical_labels``.
+    """
+    n_levels, n_atoms = labels.shape
+    sorted_rows = not (labels[:, 1:] < labels[:, :-1]).any()
+    top = labels if sorted_rows else np.maximum.accumulate(labels, axis=1)
+    first = np.empty(labels.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(top[:, 1:], top[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    bounds = np.searchsorted(starts, np.arange(n_levels + 1) * n_atoms)
+    canonical = (labels[:, 0] == 0) & (np.diff(bounds) - 1 == top[:, -1])
+    if not sorted_rows:
+        canonical &= labels.min(axis=1) >= 0
+    if canonical.all():
+        return labels, sorted_rows, first, starts, bounds
+    renumbered = labels.copy()
+    for j in np.flatnonzero(~canonical):
+        renumbered[j] = _canonical_labels(labels[j])[0]
+    return _canonical_rows(_read_only(renumbered))
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Increasing sequence of partitions: one read-only (levels, atoms)
     label matrix, each row renumbered by first occurrence and refining the
-    row before it, and one :class:`Partition` per row on a view of it."""
+    row before it, and one :class:`Partition` per row on a view of it.
+
+    Both properties are checked on the whole matrix at once, and each
+    level's partition takes the first atoms found there.
+    """
 
     labels: np.ndarray = field(repr=False, compare=False)
     space: AtomicMeasureSpace
@@ -244,13 +307,25 @@ class Filtration:
         labels = _read_only_labels(self.labels)
         if labels.ndim != 2 or labels.shape[0] == 0:
             raise ValueError("labels must be a (levels, atoms) matrix with at least one level")
-        levels = tuple(Partition(row, self.space) for row in labels)
-        if not all(np.may_share_memory(pi.block_of, labels) for pi in levels):  # renumbered
-            labels = _read_only(np.stack([pi.block_of for pi in levels]))
-            levels = tuple(Partition(row, self.space) for row in labels)
-        for prev, nxt in zip(levels, levels[1:]):
-            if not is_refinement(nxt, prev):
-                raise ValueError("each level must refine its predecessor")
+        n_atoms = labels.shape[1]
+        if n_atoms != self.space.n_atoms:
+            raise ValueError("label count must match atom count")
+        labels, sorted_rows, first, starts, bounds = _canonical_rows(labels)
+        if sorted_rows:
+            # rows of intervals: each keeps every first atom of the row before
+            refining = not (first[:-1] > first[1:]).any()
+        else:
+            # block c of row j is slot bounds[j] + c; every atom of it has
+            # the label one row up of its first atom (row 0's parents wrap
+            # around and go unread)
+            parent = labels.ravel()[starts - n_atoms]
+            refining = np.array_equal(parent[labels[1:] + bounds[1:-1, None]], labels[:-1])
+        if not refining:
+            raise ValueError("each level must refine its predecessor")
+        atoms, ends = starts % n_atoms, bounds.tolist()
+        levels = tuple(
+            Partition(row, self.space, atoms[a:z]) for row, a, z in zip(labels, ends, ends[1:])
+        )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "levels", levels)
 
@@ -334,16 +409,6 @@ def dyadic_partition(space: AtomicMeasureSpace, level: int, k: int) -> Partition
     return Partition(np.arange(space.n_atoms) >> (k - level), space)
 
 
-def _mass_units(masses: np.ndarray) -> np.ndarray:
-    """Atom masses as exact integers in one dyadic unit, int64 if all sums fit."""
-    uniq, inverse = np.unique(masses, return_inverse=True)
-    fracs = [Fraction(m) for m in uniq.tolist()]
-    unit = max(f.denominator for f in fracs)
-    units = [f.numerator * (unit // f.denominator) for f in fracs]
-    fits = max(units) * masses.size < 2**62
-    return np.array(units, dtype=np.int64 if fits else object)[inverse]
-
-
 def _is_dyadic_split(part, whole):
     """part / whole has a power-of-two denominator: odd(whole) divides part."""
     return part % (whole // (whole & -whole)) == 0
@@ -363,9 +428,14 @@ def random_haar_filtration(
     pair (in atom-index order), so blocks are intervals of atoms and a
     level is a sorted list of cuts.  ``kind`` constrains the split masses:
     dyadic requires the child/parent mass ratio to be a dyadic fraction,
-    standard requires exact halves; both are decided on one cumulative sum
-    of integer mass units.  A block, then a cut inside it, is drawn
-    uniformly among the admissible ones.
+    standard requires exact halves, both decided on integer mass units.
+    A block, then a cut inside it, is drawn uniformly among the admissible
+    ones.  The blocks with an admissible cut are kept in atom order with
+    their cuts, so a step finds the cuts of its two children only.  On a
+    run of s equal atoms the standard cut is the midpoint of an even run
+    and the dyadic cuts are the multiples of the odd part of s; other
+    blocks are read off one cumulative sum of the mass units.  The label
+    matrix is written from the drawn cuts at the end.
     """
     if kind not in (GENERAL, DYADIC, STANDARD):
         raise ValueError(f"unknown Haar kind {kind!r}")
@@ -373,13 +443,25 @@ def random_haar_filtration(
         raise ValueError("steps must be >= 0")
     rng = np.random.default_rng(seed)
     n = space.n_atoms
-    units = _mass_units(space.masses)
+    units = space.mass_units()
     prefix = np.zeros(n + 1, dtype=units.dtype)
     np.cumsum(units, out=prefix[1:])
     # atoms lo..hi-1 have equal masses iff run_end[lo] >= hi
     run_ends = np.append(np.flatnonzero(units[1:] != units[:-1]) + 1, n)
-    run_end = run_ends[np.searchsorted(run_ends, np.arange(n), side="right")]
+    run_end = run_ends[np.searchsorted(run_ends, np.arange(n), side="right")].tolist()
     memo: dict[tuple[int, int], int] = {}
+
+    def admissible(lo: int, hi: int) -> np.ndarray:
+        # the cuts that split atoms lo..hi-1 as ``kind`` asks, in atom order
+        if kind == GENERAL:
+            return np.arange(lo + 1, hi)
+        if run_end[lo] >= hi:  # s equal atoms: the midpoint, or the multiples of odd(s)
+            s = hi - lo
+            d = (s // 2 if s % 2 == 0 else s) if kind == STANDARD else s // (s & -s)
+            return np.arange(lo + d, hi, d)
+        part, whole = prefix[lo + 1 : hi] - prefix[lo], prefix[hi] - prefix[lo]
+        ok = 2 * part == whole if kind == STANDARD else _is_dyadic_split(part, whole)
+        return lo + 1 + np.flatnonzero(ok)
 
     def capacity(lo: int, hi: int) -> int:
         # most dyadic splits, one after another, atoms lo..hi-1 take; any
@@ -387,71 +469,95 @@ def random_haar_filtration(
         if run_end[lo] >= hi:
             return _uniform_capacity(hi - lo)
         if (lo, hi) not in memo:
-            part = prefix[lo + 1 : hi] - prefix[lo]
-            dyadic = lo + 1 + np.flatnonzero(_is_dyadic_split(part, prefix[hi] - prefix[lo]))
-            memo[lo, hi] = max((1 + capacity(lo, c) + capacity(c, hi) for c in dyadic.tolist()), default=0)
+            cuts = admissible(lo, hi).tolist()
+            memo[lo, hi] = max((1 + capacity(lo, c) + capacity(c, hi) for c in cuts), default=0)
         return memo[lo, hi]
 
     if kind == DYADIC and capacity(0, n) < steps:
         raise ValueError(f"no dyadic Haar filtration of {steps} steps exists on this space")
-    cuts = [0, n]
-    rows = np.zeros((steps + 1, n), dtype=np.int64)
+    # the blocks with an admissible cut by first atom, and their ends and cuts
+    los: list[int] = []
+    blocks: dict[int, tuple[int, np.ndarray]] = {}
+
+    def keep(lo: int, hi: int):
+        cuts = admissible(lo, hi)
+        if cuts.size:
+            insort(los, lo)
+            blocks[lo] = (hi, cuts)
+
+    keep(0, n)
+    # dyadic capacity of all blocks beyond the steps still to take
+    spare = capacity(0, n) - steps if kind == DYADIC else 0
+    drawn = []
     for step in range(steps):
-        labels = rows[step]
-        # cut position p (before atom p) is interior when atoms p-1 and p
-        # share a block; positions in atom order are (block, offset) order
-        block, edges = labels[1:], np.array(cuts)
-        lo, hi = edges[block], edges[block + 1]
-        ok = labels[:-1] == block
-        if kind != GENERAL:
-            part, whole = prefix[1:-1] - prefix[lo], prefix[hi] - prefix[lo]
-            ok &= 2 * part == whole if kind == STANDARD else _is_dyadic_split(part, whole)
-        at, block, lo, hi = np.flatnonzero(ok) + 1, block[ok], lo[ok], hi[ok]
-        if at.size == 0:
+        if not los:
             raise ValueError(f"no admissible {kind} split exists after {step} steps")
-        if kind == DYADIC and step < steps - 1:
+        lo = los.pop(int(rng.integers(len(los))))
+        hi, cuts = blocks.pop(lo)
+        if kind == DYADIC:
             # keep only cuts after which the remaining steps can still be
-            # split dyadically; the check above makes one such cut exist
-            caps = np.array([capacity(a, z) for a, z in zip(cuts, cuts[1:])])
-            rest = _uniform_capacity(at - lo) + _uniform_capacity(hi - at)
-            mixed = np.flatnonzero(run_end[lo] < hi)
-            ends = zip(lo[mixed].tolist(), at[mixed].tolist(), hi[mixed].tolist())
-            rest[mixed] = [capacity(a, c) + capacity(c, z) for a, c, z in ends]
-            keep = caps.sum() - caps[block] + rest >= steps - step - 1
-            at, block = at[keep], block[keep]
-        blocks = np.flatnonzero(np.bincount(block))
-        b = int(blocks[int(rng.integers(blocks.size))])
-        at = at[block == b]
-        cut = int(at[int(rng.integers(at.size))])
-        cuts.insert(b + 1, cut)
-        rows[step + 1] = labels
-        rows[step + 1, cut:] += 1  # later atoms move up one block id
+            # split dyadically: the children of a cut take at most cap - 1
+            # splits, and no more than ``spare`` fewer
+            cap = capacity(lo, hi)
+            if run_end[lo] >= hi:
+                rest = _uniform_capacity(cuts - lo) + _uniform_capacity(hi - cuts)
+            else:
+                rest = np.array([capacity(lo, c) + capacity(c, hi) for c in cuts.tolist()])
+            kept = rest >= cap - 1 - spare
+            cuts, rest = cuts[kept], rest[kept]
+        i = int(rng.integers(cuts.size))
+        cut = int(cuts[i])
+        if kind == DYADIC:
+            spare -= cap - 1 - int(rest[i])
+        keep(lo, cut)
+        keep(cut, hi)
+        drawn.append(cut)
+    # row j counts the cuts among the first j that lie at or before each atom
+    rows = np.zeros((steps + 1, n), dtype=np.int64)
+    rows[np.arange(1, steps + 1), drawn] = 1
+    np.cumsum(rows, axis=0, out=rows)
+    np.cumsum(rows, axis=1, out=rows)
     return Filtration(_read_only(rows), space)
+
+
+def _split_units(filt: Filtration) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of the two children of each level's split, as exact integers
+    in the unit of ``AtomicMeasureSpace.mass_units``.
+
+    Rows are canonical and refine each other, so one more block per level
+    is one two-way split, and the first atom where a row differs from the
+    row before is the first atom of the new child: a parent's first atom
+    stays in the child that keeps the parent's label.
+    """
+    labels = filt.labels
+    top = labels.max(axis=1)
+    if np.any(top[1:] - top[:-1] != 1):
+        raise ValueError("not a Haar filtration: block count must grow by one")
+    if top[0] != 0:
+        raise ValueError("Haar filtrations start from the trivial algebra")
+    fine, coarse = labels[1:], labels[:-1]
+    new = (fine != coarse).argmax(axis=1)
+    level = np.arange(fine.shape[0])
+    units = filt.space.mass_units()
+    m1 = (fine == coarse[level, new][:, None]) @ units
+    m2 = (fine == fine[level, new][:, None]) @ units
+    return m1, m2
 
 
 def haar_splits(filt: Filtration) -> list[tuple[int, int, int]]:
     """(parent, child1, child2) masses per level of a Haar filtration, as
-    exact integers in the unit of ``_mass_units``.
+    exact integers in the unit of ``AtomicMeasureSpace.mass_units``.
 
     Raises unless level 0 is trivial and every transition is a single
     two-way split (levels refine, so one more block means exactly that).
     """
-    units = _mass_units(filt.space.masses)
-    out = []
-    for prev, nxt in zip(filt.levels, filt.levels[1:]):
-        if nxt.n_blocks != prev.n_blocks + 1:
-            raise ValueError("not a Haar filtration: block count must grow by one")
-        _, (_, c1, c2) = split_blocks(prev, nxt)
-        m1, m2 = (int(units[nxt.block_of == c].sum()) for c in (c1, c2))
-        out.append((m1 + m2, m1, m2))
-    if filt.levels[0].n_blocks != 1:
-        raise ValueError("Haar filtrations start from the trivial algebra")
-    return out
+    m1, m2 = _split_units(filt)
+    return list(zip((m1 + m2).tolist(), m1.tolist(), m2.tolist()))
 
 
 def is_haar(filt: Filtration) -> bool:
     try:
-        haar_splits(filt)
+        _split_units(filt)
     except ValueError:
         return False
     return True
@@ -459,10 +565,10 @@ def is_haar(filt: Filtration) -> bool:
 
 def haar_kind(filt: Filtration) -> str:
     """Finest split-mass class of a Haar filtration: standard < dyadic < general."""
-    splits = haar_splits(filt)
-    if all(c1 == c2 for _, c1, c2 in splits):
+    m1, m2 = _split_units(filt)
+    if np.array_equal(m1, m2):
         return STANDARD
-    if all(_is_dyadic_split(c1, p) for p, c1, _ in splits):
+    if np.all(_is_dyadic_split(m1, m1 + m2)):
         return DYADIC
     return GENERAL
 
@@ -783,7 +889,7 @@ def filtration_to_json(filt: Filtration) -> dict:
 
 
 def filtration_from_json(obj: dict) -> Filtration:
-    space = AtomicMeasureSpace(np.asarray(obj["masses"], dtype=float))
+    space = AtomicMeasureSpace(obj["masses"])
     if any(len(lv) != space.n_atoms for lv in obj["levels"]):
         raise ValueError("label count must match atom count")
     return Filtration(np.array(obj["levels"], dtype=np.int64), space)

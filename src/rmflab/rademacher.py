@@ -252,7 +252,16 @@ def _mc_table(n: int, rows: int, seed: int) -> np.ndarray:
     return signs
 
 
-def make_moment_evaluator(n: int, space: Space, p: float, cfg: EnumConfig, grad: bool = False):
+def _sign_table(n: int, cfg: EnumConfig) -> np.ndarray:
+    """Every sign pattern of n signs within the exact threshold, else the frozen Monte Carlo table."""
+    if n <= cfg.exact_threshold:
+        return sign_patterns(n)
+    return _mc_table(n, _table_rows(n, cfg), cfg.seed)
+
+
+def make_moment_evaluator(
+    n: int, space: Space, p: float, cfg: EnumConfig, grad: bool = False, *, table: np.ndarray | None = None
+):
     """Fast repeated-evaluation closure for the p-th randomized moment.
 
     The closure maps a (batch, n, dim) stack of tuples to their (batch,)
@@ -260,22 +269,31 @@ def make_moment_evaluator(n: int, space: Space, p: float, cfg: EnumConfig, grad:
     gradients.  Exact enumeration with a cached pattern table when n is
     within the exact threshold; otherwise Monte Carlo with a frozen sign
     table (common random numbers) so that optimizers see a smooth
-    objective.
+    objective.  ``table`` hands in that table when it is already built
+    (``table_evaluators``).
     """
+    signs = _sign_table(n, cfg) if table is None else table
     if n <= cfg.exact_threshold:
-        pats = sign_patterns(n)
 
         def evaluate(vmats: np.ndarray):
-            return _table_moments(pats, vmats, space, p, grad)
+            return _table_moments(signs, vmats, space, p, grad)
 
         return evaluate
-
-    signs = _mc_table(n, _table_rows(n, cfg), cfg.seed)
 
     def evaluate_mc(vmats: np.ndarray):
         return _table_moments(signs, vmats, space, p, grad)
 
     return evaluate_mc
+
+
+def table_evaluators(n: int, space: Space, p: float, cfg: EnumConfig):
+    """The values and the (values, gradients) closures of the p-th moment of
+    n-tuples, both on one sign table built once."""
+    table = _sign_table(n, cfg)
+    return (
+        make_moment_evaluator(n, space, p, cfg, table=table),
+        make_moment_evaluator(n, space, p, cfg, grad=True, table=table),
+    )
 
 
 def hilbert_moment2(vmats: np.ndarray, grad: bool = False):
@@ -299,7 +317,7 @@ def moment_evaluators(n: int, space: Space, p: float, cfg: EnumConfig):
     """
     if p == 2 and space.is_hilbert:
         return hilbert_moment2, partial(hilbert_moment2, grad=True)
-    return make_moment_evaluator(n, space, p, cfg), make_moment_evaluator(n, space, p, cfg, grad=True)
+    return table_evaluators(n, space, p, cfg)
 
 
 def kk_ratio_estimate(
@@ -353,8 +371,7 @@ def type_cotype_estimate(
     if n < 1:
         raise ValueError("need at least one vector")
 
-    moment2 = make_moment_evaluator(n, space, 2.0, cfg)
-    moment2_grad = make_moment_evaluator(n, space, 2.0, cfg, grad=True)
+    moment2, moment2_grad = table_evaluators(n, space, 2.0, cfg)
     norm_sum = lp_space(exponent, n)
 
     def lp_sums(vmats: np.ndarray) -> np.ndarray:

@@ -34,9 +34,9 @@ from .rademacher import (
     EnumConfig,
     hilbert_moment2,
     ladder_rungs,
-    make_moment_evaluator,
     moment_evaluators,
     sign_patterns,
+    table_evaluators,
 )
 from .spaces import HILBERT_OP, Space, Vector, lp_space, norms_of
 
@@ -133,8 +133,7 @@ def _sphere_lower(
     for subs in [sets[:, :head], sets] if 2 <= head < sets.shape[1] else [sets]:
         k = subs.shape[1]
         extra = [s[:k] for s in extra_starts if not np.any(s[k:])] + list(_face_starts(k))
-        vector_moment = make_moment_evaluator(k, space, p, cfg)
-        vector_grad = make_moment_evaluator(k, space, p, cfg, grad=True)
+        vector_moment, vector_grad = table_evaluators(k, space, p, cfg)
         # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
         if p == 2 and k <= cfg.exact_threshold:
             scalar_moment, scalar_grad = hilbert_moment2, partial(hilbert_moment2, grad=True)

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmflab import cli, optim, rbound
 from rmflab.cli import build_parser, main
@@ -104,6 +106,11 @@ GOLDEN_REPORTS += [
       "--grid-exponent", "3", "--steps", "1", "--seed", "4", "--lambda-points", "4",
       "--restarts", "2"),
      "5e37668096e1c9e844eb24d98a089a9c299331c40280fec4a25182621b7249ba"),
+    # empty tables ("rows": []) and a non-finite payload float written as "-inf"
+    (("goodlambda", "--instances", "0", "--seed", "23"),
+     "f2eaffc9638558240bdcd18e84923103665b00dec4522e8e70baf78a3303537d"),
+    (("gundy", "--instances", "0", "--seed", "23"),
+     "e193eb2f9ef700106760dd301af34574a1b379ddcf88345e1824127942a20f28"),
 ]
 
 
@@ -368,17 +375,35 @@ class TestReduce:
         # a grid over the cap is not offered as one that suffices
         assert err.rstrip().endswith("the equivalent filtration needs a 2^27 grid")
 
-    @pytest.mark.parametrize("eps", ["0", "-1"])
-    def test_nonpositive_eps_exits_contract(self, capsys, eps):
-        code, _, err = run(capsys, "reduce", "--seed", "1", "--eps", eps)
-        assert code == 1
-        assert "eps must be positive" in err and "Traceback" not in err
+    @staticmethod
+    def flag_exit(capsys, tmp_path, flag, value):
+        """Exit code and stderr of reduce given ``value`` by the flag, then by the config."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: float(value) if flag == "--eps" else int(value)}))
+        out = []
+        for extra in ([f"{flag}={value}"], ["--config", str(cfg)]):
+            try:
+                code = main(["reduce", "--seed", "1", *extra])
+            except SystemExit as exc:
+                code = exc.code
+            out.append((code, capsys.readouterr().err))
+        return out
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_nonpositive_eps_exits_contract(self, capsys, tmp_path, eps):
+        # the flag is read as the config schema reads it: a finite number > 0
+        for code, err in self.flag_exit(capsys, tmp_path, "--eps", eps):
+            assert code == 2
+            # json writes nan and inf as NaN and Infinity, which the flag reads back
+            assert "argument --eps: " in err and "is not a finite number > 0" in err or "$['eps']" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("subsample", ["0", "-1"])
-    def test_subsample_below_one_exits_contract(self, capsys, subsample):
-        code, _, err = run(capsys, "reduce", "--seed", "1", "--subsample", subsample)
-        assert code == 1
-        assert "subsample must be >= 1" in err and "Traceback" not in err
+    def test_subsample_below_one_exits_contract(self, capsys, tmp_path, subsample):
+        for code, err in self.flag_exit(capsys, tmp_path, "--subsample", subsample):
+            assert code == 2
+            assert f"argument --subsample: '{subsample}' is not an integer >= 1" in err or "$['subsample']" in err
+            assert "Traceback" not in err
 
 
 class TestGridCap:
@@ -688,7 +713,8 @@ class TestFlagDomains:
         code, out, _ = run(capsys, "weak-rmf", "--p", "1", "--instances", "1", "--seed", "1")
         assert code == 0
         assert json.loads(out)["strong_constant"] == "inf"
-        assert cli._sanitize({"x": [np.float64("nan"), -np.float64("inf")]}) == {"x": ["nan", "-inf"]}
+        rendered = cli._render_json({"x": [np.float64("nan"), -np.float64("inf")]})
+        assert rendered == '{\n  "x": [\n    "nan",\n    "-inf"\n  ]\n}\n'
 
 
 class TestSchemas:
@@ -838,6 +864,55 @@ class TestDeterminism:
         code, _, err = run(capsys, "gundy", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+
+def strict_json_reference(obj):
+    """A report as the renderer wrote it before: non-finite floats replaced
+    by their ``float.__repr__`` text, then json's indent=2 encoder."""
+
+    def sanitize(x):
+        if isinstance(x, dict):
+            return {k: sanitize(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [sanitize(v) for v in x]
+        if isinstance(x, float) and not math.isfinite(x):
+            return float.__repr__(x)
+        return x
+
+    return json.dumps(sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+JSON_TEXT = st.text(alphabet=st.sampled_from('[]{}"\\,: abc\n\t\x00\u00e9\u20ac\U0001f600'), max_size=6)
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]),
+)
+JSON_SCALAR_VALUES = st.one_of(
+    st.integers(), st.booleans(), st.none(), JSON_FLOATS, JSON_FLOATS.map(np.float64), JSON_TEXT, st.text(max_size=4)
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALAR_VALUES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestPayloadRenderer:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_PAYLOADS)
+    def test_matches_the_indent_encoder(self, payload):
+        assert cli._render_json(payload) == strict_json_reference(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), {"a": []}, {"a": {}}, [[], {}, ()], {"x": [1.5, math.nan, "inf", None, True]},
+        {"k": [[1, 2], [3, [4, -math.inf]]], "\u00e9": ["[", "{", '"', "\\"]},
+    ])
+    def test_edge_shapes(self, payload):
+        assert cli._render_json(payload) == strict_json_reference(payload)
 
 
 class TestGoldenReports:

@@ -378,6 +378,24 @@ def test_hilbert_second_moment_is_exact(space):
 
 
 
+def test_value_and_gradient_closures_share_one_sign_table():
+    # 18 vectors: a 2^17-row exact table of 18.9 MB, built once for both closures
+    space = lp_space(1, 2)
+    table_bytes = (1 << 17) * 18 * 8
+    tracemalloc.start()
+    try:
+        moment, with_grad = moment_evaluators(18, space, 3.0, EnumConfig())
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table_bytes <= held < 1.5 * table_bytes
+    vmats = np.random.default_rng(18).standard_normal((2, 18, 2))
+    values, grads = with_grad(vmats)
+    alone = make_moment_evaluator(18, space, 3.0, EnumConfig(), grad=True)(vmats)
+    assert np.array_equal(moment(vmats), make_moment_evaluator(18, space, 3.0, EnumConfig())(vmats))
+    assert np.array_equal(values, alone[0]) and np.array_equal(grads, alone[1])
+
+
 def _digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
 
