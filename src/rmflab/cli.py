@@ -254,7 +254,7 @@ def cmd_typecotype(args):
         "kind": args.kind,
         "exponent": _parse_exponent(args.exponent),
         "count": args.count,
-        "mode": "exact" if args.count <= args.exact_threshold else "monte_carlo",
+        "mode": est.mode,
         "value": est.value,
         "witness": [v.coords.tolist() for v in est.witness],
     }, None

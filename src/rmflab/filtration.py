@@ -24,6 +24,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -381,9 +382,12 @@ def conditional_expectation(f: StepFunction, pi: Partition) -> StepFunction:
     return StepFunction(averages[pi.block_of], f.space, f.base)
 
 
+@lru_cache(maxsize=8)
 def dyadic_grid(k: int) -> AtomicMeasureSpace:
     """2^k equal atoms modeling [0,1); k over MAX_GRID_EXPONENT raises
-    ``ResolutionError`` before anything is allocated."""
+    ``ResolutionError`` before anything is allocated.  The space is
+    read-only, so one is kept per exponent (the last eight used), with its
+    mass units once taken."""
     if k > MAX_GRID_EXPONENT:
         raise ResolutionError(
             f"a 2^{k}-atom grid is over the cap of 2^{MAX_GRID_EXPONENT} atoms "

@@ -10,8 +10,9 @@ entry (see ``sign_patterns``), and the exact moment of N > 15 vectors
 walks it in aligned 2^14-row chunks of one buffer, rewriting only the
 columns past bit 14 per chunk: the sign patterns cost a copy, and the
 products and norms of the 2^(N-1) combinations are the work.
-The evaluators that optimizers call also give the gradient in every x_j,
-and at exponent 2 on a Hilbert space the moment has a closed form.
+A moment evaluator (``moment_evaluator``) also gives the gradient in
+every x_j; it is a closed form at exponent 2 on a Hilbert space and one
+sign table otherwise.  Every ratio search is one ``maximize_ratio`` call.
 """
 
 from __future__ import annotations
@@ -74,9 +75,11 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Best found value of a randomized-norm ratio, with witness tuple."""
+    """Best found value of a randomized-norm ratio, with witness tuple;
+    ``mode`` is MONTE_CARLO when a moment in it samples signs."""
 
     value: float
+    mode: str
     witness: list[Vector] = field(repr=False)
 
 
@@ -132,6 +135,7 @@ def sign_patterns(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
 
 
 def _stack(vectors: list[Vector]) -> tuple[np.ndarray, Space]:
+    """The coordinates of a nonempty list of vectors of one space as rows, and the space."""
     if not vectors:
         raise ValueError("vector list must be nonempty")
     space = vectors[0].space
@@ -202,7 +206,7 @@ def ladder_rungs(n: int, cfg: EnumConfig) -> int:
     return max(1, _CHUNK // _table_rows(n, cfg))
 
 
-def _table_moments(table: np.ndarray, vmats: np.ndarray, space: Space, p: float, grad: bool = False):
+def _table_moments(table: np.ndarray, space: Space, p: float, vmats: np.ndarray, grad: bool = False):
     """(mean over the table's rows of ||sign row @ vmat||^p)^(1/p) per tuple.
 
     ``vmats`` is a (batch, n, dim) stack; tuples are taken in chunks so no
@@ -244,8 +248,7 @@ def _table_moments(table: np.ndarray, vmats: np.ndarray, space: Space, p: float,
 
 @lru_cache(maxsize=1)
 def _mc_table(n: int, rows: int, seed: int) -> np.ndarray:
-    """The frozen Monte Carlo sign table; the value and gradient evaluators of
-    one objective share it."""
+    """The frozen Monte Carlo sign table of n signs."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     signs = rng.integers(0, 2, size=(rows, n)) * 2.0 - 1.0
     signs.setflags(write=False)
@@ -257,43 +260,6 @@ def _sign_table(n: int, cfg: EnumConfig) -> np.ndarray:
     if n <= cfg.exact_threshold:
         return sign_patterns(n)
     return _mc_table(n, _table_rows(n, cfg), cfg.seed)
-
-
-def make_moment_evaluator(
-    n: int, space: Space, p: float, cfg: EnumConfig, grad: bool = False, *, table: np.ndarray | None = None
-):
-    """Fast repeated-evaluation closure for the p-th randomized moment.
-
-    The closure maps a (batch, n, dim) stack of tuples to their (batch,)
-    moments, and with ``grad`` to the moments and their (batch, n, dim)
-    gradients.  Exact enumeration with a cached pattern table when n is
-    within the exact threshold; otherwise Monte Carlo with a frozen sign
-    table (common random numbers) so that optimizers see a smooth
-    objective.  ``table`` hands in that table when it is already built
-    (``table_evaluators``).
-    """
-    signs = _sign_table(n, cfg) if table is None else table
-    if n <= cfg.exact_threshold:
-
-        def evaluate(vmats: np.ndarray):
-            return _table_moments(signs, vmats, space, p, grad)
-
-        return evaluate
-
-    def evaluate_mc(vmats: np.ndarray):
-        return _table_moments(signs, vmats, space, p, grad)
-
-    return evaluate_mc
-
-
-def table_evaluators(n: int, space: Space, p: float, cfg: EnumConfig):
-    """The values and the (values, gradients) closures of the p-th moment of
-    n-tuples, both on one sign table built once."""
-    table = _sign_table(n, cfg)
-    return (
-        make_moment_evaluator(n, space, p, cfg, table=table),
-        make_moment_evaluator(n, space, p, cfg, grad=True, table=table),
-    )
 
 
 def hilbert_moment2(vmats: np.ndarray, grad: bool = False):
@@ -310,14 +276,46 @@ def hilbert_moment2(vmats: np.ndarray, grad: bool = False):
     return moments, optim.ratio_or_zero(vmats, moments[:, None, None])
 
 
-def moment_evaluators(n: int, space: Space, p: float, cfg: EnumConfig):
-    """The values and the (values, gradients) closures of the p-th moment of n-tuples.
+def _moment_mode(n: int, space: Space, p: float, cfg: EnumConfig) -> str:
+    """Whether ``moment_evaluator(n, space, p, cfg)`` is exact (a closed form or every sign pattern)."""
+    return EXACT if p == 2 and space.is_hilbert or n <= cfg.exact_threshold else MONTE_CARLO
 
-    At p = 2 on a Hilbert space both are ``hilbert_moment2``.
+
+def moment_evaluator(n: int, space: Space, p: float, cfg: EnumConfig):
+    """The p-th randomized moment of n-tuples, as one function ``moments(vmats, grad=False)``.
+
+    It maps a (batch, n, dim) stack of tuples to their (batch,) moments, and
+    with ``grad`` to the moments and their (batch, n, dim) gradients.  At
+    p = 2 on a Hilbert space it is ``hilbert_moment2``, at every n.
+    Otherwise it averages over one sign table built here: every pattern
+    when n is within the exact threshold, else a frozen Monte Carlo table
+    (common random numbers) so that optimizers see a smooth objective.
     """
     if p == 2 and space.is_hilbert:
-        return hilbert_moment2, partial(hilbert_moment2, grad=True)
-    return table_evaluators(n, space, p, cfg)
+        return hilbert_moment2
+    return partial(_table_moments, _sign_table(n, cfg), space, p)
+
+
+def maximize_ratio(
+    numerator, denominator, space: Space, n: int, table_n: int, cfg: EnumConfig, extra_starts=(), problems=1
+) -> list[tuple[float, np.ndarray]]:
+    """``optim.maximize_on_spheres`` of numerator / denominator (0 where it is 0) on ``space``^n.
+
+    Each part maps a stack of points, their problem indices and ``grad`` to
+    values, and with ``grad`` to values and gradients in the points' shape.
+    Starts are ``cfg.restarts`` plus ``extra_starts``; a line-search block
+    is ``ladder_rungs(table_n, cfg)`` rungs.
+    """
+
+    def objective(x: np.ndarray, group=0, grad=False):
+        if not grad:
+            return optim.ratio_or_zero(numerator(x, group, False), denominator(x, group, False))
+        return optim.ratio_and_grad(*numerator(x, group, True), *denominator(x, group, True))
+
+    return optim.maximize_on_spheres(
+        objective, space, n, cfg.restarts + len(extra_starts), cfg.seed, cfg.tol,
+        extra_starts, rungs_per_call=ladder_rungs(table_n, cfg), problems=problems,
+    )
 
 
 def kk_ratio_estimate(
@@ -333,19 +331,14 @@ def kk_ratio_estimate(
         raise ValueError("exponents must lie in [1, inf)")
     if n < 1:
         raise ValueError("need at least one vector")
-    moment_p, grad_p = moment_evaluators(n, space, p, cfg)
-    moment_q, grad_q = moment_evaluators(n, space, q, cfg)
-
-    def objective(vmats: np.ndarray, group=0, grad=False):
-        if not grad:
-            return optim.ratio_or_zero(moment_p(vmats), moment_q(vmats))
-        return optim.ratio_and_grad(*grad_p(vmats), *grad_q(vmats))
-
-    [(val, x)] = optim.maximize_on_spheres(
-        objective, space, n, cfg.restarts, cfg.seed, cfg.tol,
-        rungs_per_call=ladder_rungs(n, cfg),
+    moment_p, moment_q = moment_evaluator(n, space, p, cfg), moment_evaluator(n, space, q, cfg)
+    [(val, x)] = maximize_ratio(
+        lambda vmats, group, grad: moment_p(vmats, grad),
+        lambda vmats, group, grad: moment_q(vmats, grad),
+        space, n, n, cfg,
     )
-    return RatioEstimate(val, [Vector(row, space) for row in x])
+    mode = EXACT if _moment_mode(n, space, p, cfg) == _moment_mode(n, space, q, cfg) == EXACT else MONTE_CARLO
+    return RatioEstimate(val, mode, [Vector(row, space) for row in x])
 
 
 def type_cotype_estimate(
@@ -356,11 +349,11 @@ def type_cotype_estimate(
     Type p compares (E||sum eps x||^2)^(1/2) against (sum ||x_j||^p)^(1/p);
     cotype q inverts the ratio, with a max-norm right side when q = inf.
     The search runs over n-tuples of unit vectors, where the lp sum of
-    norms is constant.  When ``n <= cfg.exact_threshold`` the moment is
-    enumerated over every sign pattern, so the value is a true lower bound
-    on the constant in the defining inequality.  Above the threshold the
-    moment comes from a Monte Carlo sign table, and the value is an
-    estimate that may exceed the constant.
+    norms is constant.  On a Hilbert space the moment is a closed form and
+    elsewhere, when ``n <= cfg.exact_threshold``, it is enumerated over
+    every sign pattern: the value is then exact, a true lower bound on the
+    constant in the defining inequality.  Above the threshold, off Hilbert
+    spaces, a Monte Carlo sign table gives an estimate that may exceed it.
     """
     if kind not in ("type", "cotype"):
         raise ValueError("kind must be 'type' or 'cotype'")
@@ -371,29 +364,22 @@ def type_cotype_estimate(
     if n < 1:
         raise ValueError("need at least one vector")
 
-    moment2, moment2_grad = table_evaluators(n, space, 2.0, cfg)
+    moment2 = moment_evaluator(n, space, 2.0, cfg)
     norm_sum = lp_space(exponent, n)
 
-    def lp_sums(vmats: np.ndarray) -> np.ndarray:
-        return norms_of(norms_of(vmats.reshape(-1, space.total_dim), space).reshape(-1, n), norm_sum)
+    def moments(vmats: np.ndarray, group, grad):
+        return moment2(vmats, grad)
 
-    def lp_sums_grad(vmats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def lp_sums(vmats: np.ndarray, group, grad):
+        if not grad:
+            return norms_of(norms_of(vmats.reshape(-1, space.total_dim), space).reshape(-1, n), norm_sum)
         ns, dns = norms_and_grads_of(vmats.reshape(-1, space.total_dim), space)
         sums, dsums = norms_and_grads_of(ns.reshape(-1, n), norm_sum)
         return sums, dsums[:, :, None] * dns.reshape(vmats.shape)
 
-    def objective(vmats: np.ndarray, group=0, grad=False):
-        if not grad:
-            m2, s = moment2(vmats), lp_sums(vmats)
-            return optim.ratio_or_zero(m2, s) if kind == "type" else optim.ratio_or_zero(s, m2)
-        m2, s = moment2_grad(vmats), lp_sums_grad(vmats)
-        return optim.ratio_and_grad(*m2, *s) if kind == "type" else optim.ratio_and_grad(*s, *m2)
-
-    [(val, x)] = optim.maximize_on_spheres(
-        objective, space, n, cfg.restarts, cfg.seed, cfg.tol,
-        rungs_per_call=ladder_rungs(n, cfg),
-    )
-    return RatioEstimate(val, [Vector(row, space) for row in x])
+    parts = (moments, lp_sums) if kind == "type" else (lp_sums, moments)
+    [(val, x)] = maximize_ratio(*parts, space, n, n, cfg)
+    return RatioEstimate(val, _moment_mode(n, space, 2.0, cfg), [Vector(row, space) for row in x])
 
 
 def scalar_moment(coeffs: np.ndarray, p: float, cfg: EnumConfig) -> MomentEstimate:

@@ -9,7 +9,8 @@ between two) it is the largest member norm, reported as a collapsed
 bracket.  Otherwise this module reports certified lower bounds found by
 one search on the unit sphere of the arguments of the members tiled to a
 stack, whose faces are the sub-selections, together with the summability
-upper bound sum_j ||member_j||.
+upper bound sum_j ||member_j||.  Each search is one
+``rademacher.maximize_ratio`` call on a ratio of moment evaluators.
 
 The per-atom kernel ``atomwise_rbound`` finds every atom's distinct rows,
 their byte keys and their norms in one pass over the stack, taken in
@@ -25,18 +26,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from . import optim
 from .rademacher import (
     EnumConfig,
+    _stack,
     hilbert_moment2,
     ladder_rungs,
-    moment_evaluators,
+    maximize_ratio,
+    moment_evaluator,
     sign_patterns,
-    table_evaluators,
 )
 from .spaces import HILBERT_OP, Space, Vector, lp_space, norms_of
 
@@ -91,16 +91,6 @@ class RBoundBracket:
             raise ValueError("bracket ordering violated: lower > upper")
 
 
-def _stack(vectors: list[Vector]) -> tuple[np.ndarray, Space]:
-    if not vectors:
-        raise ValueError("R-bound of the empty set is not defined here")
-    space = vectors[0].space
-    for v in vectors[1:]:
-        if v.space != space:
-            raise ValueError("all members must live in the same space")
-    return np.vstack([v.coords for v in vectors]), space
-
-
 def _face_starts(k: int) -> np.ndarray:
     """Uniform points (unnormalized) of the proper faces of S^(k-1) with >= 2 rows.
 
@@ -133,12 +123,17 @@ def _sphere_lower(
     for subs in [sets[:, :head], sets] if 2 <= head < sets.shape[1] else [sets]:
         k = subs.shape[1]
         extra = [s[:k] for s in extra_starts if not np.any(s[k:])] + list(_face_starts(k))
-        vector_moment, vector_grad = table_evaluators(k, space, p, cfg)
+        vector_moments = moment_evaluator(k, space, p, cfg)
         # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
-        if p == 2 and k <= cfg.exact_threshold:
-            scalar_moment, scalar_grad = hilbert_moment2, partial(hilbert_moment2, grad=True)
+        if p == 2 and k <= head:
+            scalar_moments = hilbert_moment2
         else:
-            scalar_moment, scalar_grad = moment_evaluators(k, lp_space(1, 1), p, cfg)
+            scalar_moments = moment_evaluator(k, lp_space(1, 1), p, cfg)
+
+        def coefficients(lams: np.ndarray, group, grad):
+            found = scalar_moments(lams[:, 0, :, None], grad)
+            return (found[0], found[1].reshape(lams.shape)) if grad else found
+
         # a ladder call scores a block of rungs of every start, each a (k, dim)
         # product, and a ladder from a unit length has 25 rungs; the gradient
         # call that follows scores one tuple per start
@@ -148,19 +143,14 @@ def _sphere_lower(
         for lo in range(0, subs.shape[0], per):
             batch = subs[lo : lo + per]
 
-            def objective(lams: np.ndarray, group=0, grad=False):
+            def combos(lams: np.ndarray, group, grad):
                 # the rows of a single set broadcast over every tuple; only several sets are gathered
-                lam, rows = lams[:, 0, :, None], batch[group] if batch.shape[0] > 1 else batch[0]
-                if not grad:
-                    return optim.ratio_or_zero(vector_moment(lam * rows), scalar_moment(lam))
-                num, dnum = vector_grad(lam * rows)
-                den, dden = scalar_grad(lam)
-                ratio, dratio = optim.ratio_and_grad(num, np.add.reduce(dnum * rows, axis=2), den, dden[..., 0])
-                return ratio, dratio[:, None, :]
+                rows = batch[group] if batch.shape[0] > 1 else batch[0]
+                found = vector_moments(lams[:, 0, :, None] * rows, grad)
+                return (found[0], np.add.reduce(found[1] * rows, axis=2)[:, None, :]) if grad else found
 
-            found = optim.maximize_on_spheres(
-                objective, lp_space(2, k), 1, cfg.restarts + len(extra), cfg.seed, cfg.tol,
-                extra_starts=extra, rungs_per_call=rungs, problems=batch.shape[0],
+            found = maximize_ratio(
+                combos, coefficients, lp_space(2, k), 1, k, cfg, extra, problems=batch.shape[0]
             )
             for i, (val, lam) in enumerate(found, lo):
                 if val > best[i][0]:
@@ -395,25 +385,20 @@ def rbound_operator(
     if n_args > 1:
         members = np.arange(n_args) % m
         tiled = mats[members]
-        out_moment, out_grad = moment_evaluators(n_args, lp_space(2, dim_e), p, cfg)
-        arg_moment, arg_grad = moment_evaluators(n_args, lp_space(2, dim_h), p, cfg)
+        out_moments = moment_evaluator(n_args, lp_space(2, dim_e), p, cfg)
+        arg_moments = moment_evaluator(n_args, lp_space(2, dim_h), p, cfg)
 
-        def objective(xs: np.ndarray, group=0, grad=False):
-            args = xs.reshape(-1, n_args, dim_h)
-            out = (tiled @ args[..., None])[..., 0]
-            if not grad:
-                return optim.ratio_or_zero(out_moment(out), arg_moment(args))
-            num, dout = out_grad(out)
-            dnum = (dout[..., None, :] @ tiled)[..., 0, :]
-            ratio, dratio = optim.ratio_and_grad(num, dnum, *arg_grad(args))
-            return ratio, dratio.reshape(xs.shape)
+        def outputs(xs: np.ndarray, group, grad):
+            found = out_moments((tiled @ xs.reshape(-1, n_args, dim_h, 1))[..., 0], grad)
+            return (found[0], (found[1][..., None, :] @ tiled).reshape(xs.shape)) if grad else found
+
+        def arguments(xs: np.ndarray, group, grad):
+            found = arg_moments(xs.reshape(-1, n_args, dim_h), grad)
+            return (found[0], found[1].reshape(xs.shape)) if grad else found
 
         masks = [np.ones(n_args), *_face_starts(n_args)]
         extra = [mask[:, None] * top[members] for mask in masks]
-        [(val, x)] = optim.maximize_on_spheres(
-            objective, lp_space(2, n_args * dim_h), 1, cfg.restarts + len(extra), cfg.seed, cfg.tol,
-            extra_starts=extra, rungs_per_call=ladder_rungs(n_args, cfg),
-        )
+        [(val, x)] = maximize_ratio(outputs, arguments, lp_space(2, n_args * dim_h), 1, n_args, cfg, extra)
         if val > lower + 1e-12:
             lower, wit = val, SelectionWitness(tuple(members.tolist()), x.reshape(n_args, dim_h))
     return RBoundBracket(lower, float(np.sum(op_norms)), wit, OPTIMIZED, p)

@@ -6,6 +6,8 @@ repository; SCHEMA_VERSION names that directory.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import jsonschema
 
 SCHEMA_VERSION = "v1"
@@ -212,10 +214,14 @@ class SchemaViolation(ValueError):
     """Input failed schema validation; message carries the JSON path."""
 
 
+@lru_cache(maxsize=None)
+def _validator(schema_name: str) -> jsonschema.Draft202012Validator:
+    """The validator of one schema, built on first use and kept."""
+    return jsonschema.Draft202012Validator(ALL_SCHEMAS[schema_name])
+
+
 def validate(obj, schema_name: str, source: str = "<input>") -> None:
-    schema = ALL_SCHEMAS[schema_name]
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator(schema_name).iter_errors(obj), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = "$" + "".join(

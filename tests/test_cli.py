@@ -220,6 +220,30 @@ class TestTypecotype:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("kind", ["type", "cotype"])
+    @pytest.mark.parametrize(
+        "space",
+        ['{"kind":"lp","p":2,"dim":3}', '{"kind":"schatten","p":2,"rows":2,"cols":2}'],
+        ids=["lp2", "schatten2"],
+    )
+    def test_hilbert_constant_is_exact_past_the_threshold(self, capsys, space, kind):
+        code, out, _ = run(
+            capsys, "typecotype", "--kind", kind, "--space", space, "--exponent", "2", "--count", "4",
+            "--exact-threshold", "2", "--mc-samples", "50", "--restarts", "2", "--seed", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mode"] == "exact"
+        assert abs(payload["value"] - 1.0) <= 1e-15
+
+    def test_monte_carlo_mode_past_the_threshold(self, capsys):
+        code, out, _ = run(
+            capsys, "typecotype", "--kind", "type", "--space", L1_PLANE, "--exponent", "2", "--count", "3",
+            "--exact-threshold", "2", "--mc-samples", "50", "--restarts", "2", "--seed", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["mode"] == "monte_carlo"
+
     def test_seed_mandatory(self, capsys):
         code, _, err = run(
             capsys,
@@ -730,6 +754,28 @@ class TestSchemas:
             path = root / f"{name}.schema.json"
             assert path.exists(), path
             assert json.loads(path.read_text()) == schema
+
+    def test_one_validator_per_schema(self, monkeypatch):
+        import jsonschema
+
+        from rmflab import schemas
+
+        built = []
+        real = jsonschema.Draft202012Validator
+
+        def counting(schema):
+            built.append(schema)
+            return real(schema)
+
+        monkeypatch.setattr(jsonschema, "Draft202012Validator", counting)
+        schemas._validator.cache_clear()
+        try:
+            schemas.validate({"kind": "lp", "p": 1, "dim": 2}, "space")
+            with pytest.raises(schemas.SchemaViolation, match=r"^<input>: space schema violated at \$: "):
+                schemas.validate({"kind": "lp", "p": 1, "dim": 0}, "space")
+        finally:
+            schemas._validator.cache_clear()
+        assert built == [schemas.SPACE_SCHEMA]
 
 
 class TestEmptyGenerator:

@@ -17,6 +17,7 @@ from rmflab.filtration import (
     AtomicMeasureSpace,
     Filtration,
     atom_partition,
+    dyadic_grid,
     make_dyadic_filtration,
     random_step_function,
     trivial_partition,
@@ -155,6 +156,12 @@ class TestTransform:
         t = martingale_transform(v, x)
         for lvl in t.levels:
             np.testing.assert_allclose(lvl.values, 0.0)
+
+    def test_generated_instances_share_one_grid(self):
+        assert dyadic_grid(6) is dyadic_grid(6)
+        x = random_haar_martingale(lp_space(1, 3), 6, 4, seed=1)
+        y = random_haar_martingale(lp_space(1, 3), 6, 4, seed=2)
+        assert x.base is y.base is dyadic_grid(6)
 
     def test_random_signs_is_martingale_and_preserves_jumps(self):
         x = random_haar_martingale(lp_space(1, 3), 4, 6, seed=19)

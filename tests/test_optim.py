@@ -1,5 +1,6 @@
 """The lock-step ascent against a sequential reference and against itself."""
 
+import hashlib
 import math
 import warnings
 
@@ -12,11 +13,11 @@ from rmflab import optim, rademacher
 from rmflab.rademacher import (
     EnumConfig,
     kk_ratio_estimate,
-    make_moment_evaluator,
+    moment_evaluator,
     moment_from_matrix,
     type_cotype_estimate,
 )
-from rmflab.rbound import rbound_operator, rbound_scalar
+from rmflab.rbound import SelectionWitness, atomwise_rbound, rbound_operator, rbound_scalar
 from rmflab.spaces import (
     Vector,
     hilbert_op_space,
@@ -199,7 +200,7 @@ def test_ladder_block_does_not_change_the_path(monkeypatch, run):
 def test_evaluator_batch_equals_points(space, n, cfg):
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((70, n, space.total_dim))
-    evaluate = make_moment_evaluator(n, space, 3.0, cfg)
+    evaluate = moment_evaluator(n, space, 3.0, cfg)
     batch = evaluate(stack)
     alone = np.array([evaluate(stack[i : i + 1])[0] for i in range(stack.shape[0])])
     assert batch.shape == (70,)
@@ -207,13 +208,12 @@ def test_evaluator_batch_equals_points(space, n, cfg):
     if n <= cfg.exact_threshold:
         want = moment_from_matrix(stack[0], space, 3.0, cfg).value
         assert batch[0] == pytest.approx(want, rel=1e-12)
-    evaluate_grad = make_moment_evaluator(n, space, 3.0, cfg, grad=True)
-    values, grads = evaluate_grad(stack)
+    values, grads = evaluate(stack, grad=True)
     assert grads.shape == stack.shape
     # an SVD with vectors can differ from one without in the last bit
     assert np.array_equal(values, batch) or space.kind != "lp"
     for i in range(stack.shape[0]):
-        value, grad = evaluate_grad(stack[i : i + 1])
+        value, grad = evaluate(stack[i : i + 1], grad=True)
         assert value[0] == values[i]
         assert np.array_equal(grad[0], grads[i])
 
@@ -227,14 +227,13 @@ def test_single_block_moments_equal_a_multi_chunk_call(space):
     n, cfg = 6, EnumConfig()
     per = rademacher._CHUNK // rademacher._table_rows(n, cfg)
     stack = np.random.default_rng(3).standard_normal((2 * per + 5, n, space.total_dim))
-    evaluate = make_moment_evaluator(n, space, 1.5, cfg)
-    evaluate_grad = make_moment_evaluator(n, space, 1.5, cfg, grad=True)
+    evaluate = moment_evaluator(n, space, 1.5, cfg)
     values = evaluate(stack)
-    grad_values, grads = evaluate_grad(stack)
+    grad_values, grads = evaluate(stack, grad=True)
     assert np.array_equal(grad_values, values) or space.kind != "lp"
     for lo in (0, 3, per - 1, per, 2 * per + 4):
         part = stack[lo : lo + 1] if lo % 2 else stack[lo : lo + per][:7]
-        one_values, one_grads = evaluate_grad(part)
+        one_values, one_grads = evaluate(part, grad=True)
         assert np.array_equal(evaluate(part), values[lo : lo + len(part)])
         assert np.array_equal(one_values, grad_values[lo : lo + len(part)])
         assert np.array_equal(one_grads, grads[lo : lo + len(part)])
@@ -353,3 +352,60 @@ def test_l1_basis_climbs_to_sqrt_n_from_random_starts(n, signs, seed):
     vals, _ = optim.ascend(captured[0], starts, lp_space(2, n), CFG.tol, 1)
     np.testing.assert_allclose(vals, math.sqrt(n), atol=1e-6)
 
+
+
+MC = EnumConfig(restarts=4, seed=5, exact_threshold=4, mc_samples=64)
+
+
+def _bracket_values(bracket):
+    return [bracket.lower, bracket.upper, *bracket.witness.indices, *np.ravel(bracket.witness.coeffs)]
+
+
+def _search_results():
+    """Values and witnesses of seeded searches through every ratio objective, flattened."""
+    out = []
+    for space in SEARCH_SPACES:
+        members = _members(space, 3, 13)
+        warm = SelectionWitness((0, 2), np.array([0.6, 0.8]))
+        # 6 stack rows: exact under CFG; under MC a 4-row exact head and a Monte Carlo stack
+        for cfg in (CFG, MC):
+            out += _bracket_values(rbound_scalar(members, 3.0, 2, cfg))
+            out += _bracket_values(rbound_scalar(members, 1.5, 2, cfg, warm))
+    # atoms of 1, 2 and 3 distinct rows, one repeated set, searched as several problems at once
+    rng = np.random.default_rng(17)
+    stack = rng.standard_normal((3, 6, 2))
+    stack[1, 0] = stack[0, 0]
+    stack[:, 1] = stack[0, 1]
+    stack[:, 4] = stack[:, 3]
+    for space in (lp_space(1, 2), lp_space(3, 2)):
+        lower, upper, _ = atomwise_rbound(stack, space, CFG, 3.0)
+        out += [*lower, *upper]
+    for p in (1.0, 1.5, 3.0):
+        for n_args in (2, 3):
+            out += _bracket_values(rbound_operator(OPERATORS, p, n_args, CFG))
+    estimates = [
+        type_cotype_estimate("type", lp_space(1, 2), 1.5, 3, CFG),
+        type_cotype_estimate("cotype", schatten_space(1, 2, 2), 2, 3, CFG),
+        type_cotype_estimate("cotype", lp_space(math.inf, 2), math.inf, 3, CFG),
+        type_cotype_estimate("type", lp_space(1, 2), 2, 6, MC),
+        type_cotype_estimate("cotype", lp_space(3, 2), 3, 6, MC),
+        kk_ratio_estimate(lp_space(1, 3), 3, 1, 3, CFG),
+        kk_ratio_estimate(schatten_space(1, 2, 2), 1.5, 3, 2, CFG),
+        # exponent 2 on a Hilbert space takes the closed form on one side only
+        kk_ratio_estimate(lp_space(2, 2), 3, 2, 3, CFG),
+        kk_ratio_estimate(lp_space(3, 2), 3, 1.5, 6, MC),
+    ]
+    for est in estimates:
+        out += [est.value, *np.ravel([w.coords for w in est.witness])]
+    return np.array(out, dtype=float)
+
+
+# computed before the four ratio objectives were folded into one search
+# helper and the three evaluator constructors into one
+SEARCH_DIGEST = "4826ad7542062926e04d3730018144f4aaa120e65326e511b233853dde5125a9"
+
+
+def test_searches_are_pinned():
+    values = _search_results()
+    assert np.all(np.isfinite(values))
+    assert hashlib.sha256(values.tobytes()).hexdigest() == SEARCH_DIGEST

@@ -13,8 +13,7 @@ from rmflab.rademacher import (
     EnumConfig,
     hilbert_moment2,
     kk_ratio_estimate,
-    make_moment_evaluator,
-    moment_evaluators,
+    moment_evaluator,
     moment_from_matrix,
     rademacher_moment,
     scalar_moment,
@@ -226,6 +225,21 @@ class TestTypeCotype:
             est = type_cotype_estimate(kind, lp_space(2, 3), 2, 3, FAST)
             assert est.value == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("space", [lp_space(2, 3), schatten_space(2, 2, 2)], ids=["lp2", "schatten2"])
+    def test_hilbert_constants_are_exact_past_the_threshold(self, space, n):
+        # the second moment of a Hilbert space is a closed form, so no sign is sampled
+        cfg = EnumConfig(exact_threshold=2, mc_samples=50, restarts=2, seed=1)
+        for kind in ("type", "cotype"):
+            est = type_cotype_estimate(kind, space, 2, n, cfg)
+            assert est.mode == "exact"
+            assert abs(est.value - 1.0) <= 1e-15
+
+    def test_monte_carlo_constants_say_so(self):
+        cfg = EnumConfig(exact_threshold=2, mc_samples=50, restarts=2, seed=1)
+        assert type_cotype_estimate("type", lp_space(1, 2), 2, 3, cfg).mode == "monte_carlo"
+        assert type_cotype_estimate("type", lp_space(1, 2), 2, 2, cfg).mode == "exact"
+
     def test_cotype_infinity_uses_max(self):
         est = type_cotype_estimate("cotype", lp_space(math.inf, 2), math.inf, 2, FAST)
         # max-norm right side: ratio 1/moment2, moment2 >= 1 on unit vectors
@@ -317,8 +331,8 @@ def test_moment_gradients_match_central_differences(space, n, p, cfg):
     # random tuples are smooth points; central differences with h = 1e-6
     # are good to about 1e-9 here, so 1e-6 is asked
     vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
-    values, grads = make_moment_evaluator(n, space, p, cfg, grad=True)(vmats)
-    evaluate = make_moment_evaluator(n, space, p, cfg)
+    evaluate = moment_evaluator(n, space, p, cfg)
+    values, grads = evaluate(vmats, grad=True)
     np.testing.assert_allclose(values, evaluate(vmats), rtol=1e-14)
     np.testing.assert_allclose(grads, _central_differences(evaluate, vmats), atol=1e-6)
 
@@ -328,9 +342,7 @@ def test_moment_gradient_at_zero_is_zero_without_warning(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for space in (lp_space(1, 2), schatten_space(1, 2, 2), hilbert_op_space(2, 2)):
-            values, grads = make_moment_evaluator(3, space, p, CFG, grad=True)(
-                np.zeros((2, 3, space.total_dim))
-            )
+            values, grads = moment_evaluator(3, space, p, CFG)(np.zeros((2, 3, space.total_dim)), grad=True)
             assert not np.any(values) and not np.any(grads)
         values, grads = hilbert_moment2(np.zeros((2, 3, 2)), grad=True)
         assert not np.any(values) and not np.any(grads)
@@ -351,12 +363,12 @@ def test_row_blocked_product_matches_the_whole_table(monkeypatch, n, space):
         ** (1 / 3)
         for v in vmats
     ]
-    np.testing.assert_allclose(rademacher._table_moments(table, vmats, space, 3.0), whole, rtol=1e-15)
-    values, grads = rademacher._table_moments(table, vmats, space, 3.0, grad=True)
+    np.testing.assert_allclose(rademacher._table_moments(table, space, 3.0, vmats), whole, rtol=1e-15)
+    values, grads = rademacher._table_moments(table, space, 3.0, vmats, grad=True)
     np.testing.assert_allclose(values, whole, rtol=1e-15)
     assert grads.shape == vmats.shape
     monkeypatch.setattr(rademacher, "_ROW_BLOCK", len(table))
-    _, whole_grads = rademacher._table_moments(table, vmats, space, 3.0, grad=True)
+    _, whole_grads = rademacher._table_moments(table, space, 3.0, vmats, grad=True)
     np.testing.assert_allclose(grads, whole_grads, rtol=1e-12, atol=1e-14)
 
 
@@ -369,31 +381,25 @@ def test_hilbert_second_moment_is_exact(space):
     want = [moment_from_matrix(v, space, 2.0, CFG).value for v in vmats]
     np.testing.assert_allclose(values, want, rtol=1e-13)
     np.testing.assert_allclose(grads, _central_differences(hilbert_moment2, vmats), atol=1e-8)
-    # the evaluators of a Hilbert space at exponent 2 are this closed form
+    # the evaluator of a Hilbert space at exponent 2 is this closed form
     # with no sign table, also beyond the exact threshold
-    small = EnumConfig(exact_threshold=2, mc_samples=8)
-    moment, with_grad = moment_evaluators(5, space, 2.0, small)
-    assert np.array_equal(moment(vmats), values)
-    assert np.array_equal(with_grad(vmats)[1], grads)
+    assert moment_evaluator(5, space, 2.0, EnumConfig(exact_threshold=2, mc_samples=8)) is hilbert_moment2
 
 
-
-def test_value_and_gradient_closures_share_one_sign_table():
-    # 18 vectors: a 2^17-row exact table of 18.9 MB, built once for both closures
+def test_one_evaluator_holds_one_sign_table():
+    # 18 vectors: a 2^17-row exact table of 18.9 MB, held once for values and gradients
     space = lp_space(1, 2)
     table_bytes = (1 << 17) * 18 * 8
     tracemalloc.start()
     try:
-        moment, with_grad = moment_evaluators(18, space, 3.0, EnumConfig())
+        moments = moment_evaluator(18, space, 3.0, EnumConfig())
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert table_bytes <= held < 1.5 * table_bytes
     vmats = np.random.default_rng(18).standard_normal((2, 18, 2))
-    values, grads = with_grad(vmats)
-    alone = make_moment_evaluator(18, space, 3.0, EnumConfig(), grad=True)(vmats)
-    assert np.array_equal(moment(vmats), make_moment_evaluator(18, space, 3.0, EnumConfig())(vmats))
-    assert np.array_equal(values, alone[0]) and np.array_equal(grads, alone[1])
+    values, grads = moments(vmats, grad=True)
+    assert np.array_equal(moments(vmats), values) and grads.shape == vmats.shape
 
 
 def _digest(values):
@@ -436,8 +442,9 @@ def test_exact_evaluators_are_pinned(n):
     parts = []
     for space in (lp_space(1, 2), schatten_space(1, 2, 2)):
         vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
-        values = make_moment_evaluator(n, space, 3.0, CFG)(vmats)
-        with_grad, grads = make_moment_evaluator(n, space, 3.0, CFG, grad=True)(vmats)
+        moments = moment_evaluator(n, space, 3.0, CFG)
+        values = moments(vmats)
+        with_grad, grads = moments(vmats, grad=True)
         assert np.array_equal(values, with_grad)
         parts += [values, grads.ravel()]
     assert _digest(np.concatenate(parts)) == EVALUATOR_DIGESTS[n]
