@@ -188,15 +188,17 @@ def _function_from_args(args):
     return f, filt
 
 
-def _maximal_rows(f, filt, cfg, truncation=None):
+def _maximal_rows(f, filt, cfg, truncation=None, norm_exponents=maximal_mod.DEFAULT_NORM_EXPONENTS):
+    """Table of both maximal functions, plus the Doob and Rademacher reports,
+    each with its Lp norms at ``norm_exponents``."""
     if truncation is not None and truncation < 0:
         raise SchemaViolation("--truncation must be >= 0")
-    rad = maximal_mod.rademacher_maximal(f, filt, cfg, truncation)
+    rad = maximal_mod.rademacher_maximal(f, filt, cfg, truncation, norm_exponents=norm_exponents)
     # in exact mode the Rademacher report is the Doob one, bit for bit
     if rad.mode == HILBERT_EXACT:
         doob = rad
     else:
-        doob = maximal_mod.doob_maximal(f, filt, truncation)
+        doob = maximal_mod.doob_maximal(f, filt, truncation, norm_exponents)
     return {
         "atom_index": np.arange(f.base.n_atoms),
         "mass": f.base.masses,
@@ -280,8 +282,8 @@ def cmd_rmf_ratio(args):
     fnorm = maximal_mod.lp_norm(f, p, f.base)
     if fnorm == 0:
         raise ValueError("RMF ratio of the zero function is undefined")
-    table, _, rad = _maximal_rows(f, filt, cfg, args.truncation)
-    ratio = maximal_mod.lp_norm(rad.pointwise, p, f.base) / fnorm
+    table, _, rad = _maximal_rows(f, filt, cfg, args.truncation, (p,))
+    ratio = rad.lp_norms[p] / fnorm
     return {"subcommand": "rmf-ratio", "p": p, "ratio": ratio, "mode": rad.mode}, table
 
 
@@ -595,8 +597,9 @@ def _table_cells(table: dict, quote) -> list[list[str]]:
     Floats take ``float.__repr__``, as json and csv do, a non-finite one
     quoted as a string (``_json_scalar``); ints take ``str``, strings ``quote``.
     Int columns are formatted cell by cell: ``str`` of an int costs less
-    than the sort that finds the distinct ones.  A column equal bit for bit
-    to an earlier one reuses its text.
+    than the sort that finds the distinct ones.  A float column of one bit
+    pattern (a mix of -0.0 and 0.0, or of NaN payloads, is two) formats
+    it once.  A column equal bit for bit to an earlier one reuses its text.
     """
     keys = [(column.dtype.str, column.tobytes()) for column in table.values()]
     done = {}
@@ -606,13 +609,19 @@ def _table_cells(table: dict, quote) -> list[list[str]]:
         floats, ints = column.dtype.kind == "f", column.dtype.kind in "iu"
         values, inverse = column, None
         if column.size >= _DEDUPE_ROWS and not ints:
-            uniq, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
-            values = uniq.view(column.dtype)
+            bits = column.view(np.uint64) if floats else column
+            if floats and (bits == bits[0]).all():
+                values = column[:1]  # one text, repeated below
+            else:
+                uniq, inverse = np.unique(bits, return_inverse=True)
+                values = uniq.view(column.dtype)
         fmt = float.__repr__ if floats else str if ints else quote
         text = list(map(fmt, values.tolist()))
         for i in np.flatnonzero(~np.isfinite(values)) if floats else ():
             text[i] = quote(text[i])
-        done[key] = text if inverse is None else np.array(text, dtype=object)[inverse].tolist()
+        if inverse is not None:
+            text = np.array(text, dtype=object)[inverse].tolist()
+        done[key] = text if len(text) == column.size else text * column.size
     return [done[key] for key in keys]
 
 
@@ -656,15 +665,32 @@ def _json_text(obj, indent: str = "") -> str:
 
 
 def _render_json(payload, table=None) -> str:
-    """Sorted keys at indent 2; ``table`` goes under the top-level key ``rows``."""
+    """Sorted keys at indent 2; ``table`` goes under the top-level key ``rows``.
+
+    The table's text is one join over a flat list: cell ``j`` of row ``i``
+    sits at ``2 * (i * width + j) + 1``, after the key (and braces) before
+    it, and each column's cells and keys go in by one slice assignment.
+    """
     if table is None:
         return _json_text(payload) + "\n"
     slot = "\0rows\0"
-    text = _render_json({**payload, "rows": slot})
+    head, _, tail = _render_json({**payload, "rows": slot}).partition(json.dumps(slot))
     names = sorted(table)
-    template = "    {\n" + ",\n".join(f"      {json.dumps(n)}: %s" for n in names) + "\n    }"
-    rows = [template % row for row in zip(*_table_cells({n: table[n] for n in names}, json.dumps))]
-    return text.replace(json.dumps(slot), "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]")
+    cells = _table_cells({n: table[n] for n in names}, json.dumps)
+    n_rows = len(cells[0]) if cells else 0
+    if not n_rows:
+        return head + "[]" + tail
+    keys = [f",\n      {json.dumps(n)}: " for n in names]
+    opening = "{" + keys[0][1:]
+    keys[0] = "\n    },\n    " + opening
+    step = 2 * len(names)
+    parts = [""] * (step * n_rows)
+    for j, (key, column) in enumerate(zip(keys, cells)):
+        parts[2 * j::step] = [key] * n_rows
+        parts[2 * j + 1::step] = column
+    parts[0] = head + "[\n    " + opening
+    parts.append("\n    }\n  ]" + tail)
+    return "".join(parts)
 
 
 def _render_csv(table) -> str:

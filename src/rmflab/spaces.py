@@ -184,10 +184,27 @@ def _lp_norms(vals: np.ndarray, p: float) -> np.ndarray:
     if p == math.inf:
         return np.maximum.reduce(np.abs(vals), axis=1)
     if p == 2:
-        return np.sqrt(np.add.reduce(vals * vals, axis=1))
+        return np.sqrt(_row_sums(vals * vals))
     if p == 1:
-        return np.add.reduce(np.abs(vals), axis=1)
-    return np.add.reduce(np.abs(vals) ** p, axis=1) ** (1.0 / p)
+        return _row_sums(np.abs(vals))
+    return _row_sums(np.abs(vals) ** p) ** (1.0 / p)
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(terms, axis=1)``, bit for bit.
+
+    NumPy adds a row of fewer than 8 entries left to right (its pairwise
+    sum unrolls by 8 from 8 entries on), so short rows are summed by
+    column adds in that order, which is several times faster than a
+    reduction over a short last axis.
+    """
+    d = terms.shape[1]
+    if not 1 < d < 8:
+        return np.add.reduce(terms, axis=1)
+    total = terms[:, 0] + terms[:, 1]
+    for j in range(2, d):
+        total += terms[:, j]
+    return total
 
 
 def _lp_grads(vals: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:

@@ -111,6 +111,11 @@ GOLDEN_REPORTS += [
      "f2eaffc9638558240bdcd18e84923103665b00dec4522e8e70baf78a3303537d"),
     (("gundy", "--instances", "0", "--seed", "23"),
      "e193eb2f9ef700106760dd301af34574a1b379ddcf88345e1824127942a20f28"),
+    # the grid bench's shapes: 2^11 JSON rows and 2^12 CSV rows, each with a constant mass column
+    (("rmf-ratio", "--space", HILBERT_PLANE, "--grid-exponent", "11", "--seed", "5"),
+     "44dc00f86c15853ee8559549a9bc3432bbf33ffac0f35c4503af278ba66fe923"),
+    (("maximal", "--space", HILBERT_PLANE, "--grid-exponent", "12", "--seed", "5", "--format", "csv"),
+     "5293938a1ddc5444964655a9a8db536836a70774efd78e856bafe237e069a0ad"),
 ]
 
 
@@ -959,6 +964,75 @@ class TestPayloadRenderer:
     ])
     def test_edge_shapes(self, payload):
         assert cli._render_json(payload) == strict_json_reference(payload)
+
+
+# a NaN whose payload differs from float("nan")'s: bit-distinct, same text
+OTHER_NAN = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+TABLE_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, OTHER_NAN, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.0**-1022, 1e300, -1e-300]),
+)
+TABLE_TEXT = st.text(alphabet=st.sampled_from('"\\,; ab\n\u00e9\u20ac\U0001f600'), max_size=6)
+COLUMN_NAMES = ["atom_index", "mass", "doob", "mode", "lambda", "a", "b_2", "z"]
+
+
+@st.composite
+def tables(draw):
+    """Columns of one row count: ints, floats (constant, mixed +-0.0, non-finite,
+    subnormal), strings, and copies of an earlier column."""
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 300]))
+    # two columns at least: csv.writer quotes a row holding one empty field
+    names = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=2, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = {}
+    for name in names:
+        kind = draw(st.sampled_from(["int", "float", "constant", "zeros", "string", "copy"]))
+        if kind == "copy" and table:
+            table[name] = table[draw(st.sampled_from(sorted(table)))].copy()
+            continue
+        if kind == "int":
+            pool = draw(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=8))
+        elif kind == "string":
+            pool = draw(st.lists(TABLE_TEXT, min_size=1, max_size=8))
+        elif kind == "constant":
+            pool = [draw(TABLE_FLOATS)]
+        elif kind == "zeros":
+            pool = [0.0, -0.0]
+        else:
+            pool = draw(st.lists(TABLE_FLOATS, min_size=1, max_size=8))
+        table[name] = np.array(pool)[rng.integers(len(pool), size=n)]
+    return table
+
+
+class TestTableRenderer:
+    """Column renderers against the row-dict path: sanitized json.dumps and csv.writer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables(), st.dictionaries(JSON_TEXT, JSON_SCALAR_VALUES, max_size=3))
+    def test_matches_the_row_dict_reference(self, table, payload):
+        rows = [dict(zip(table, values)) for values in zip(*(c.tolist() for c in table.values()))]
+        assert cli._render_json(payload, table) == strict_json_reference({**payload, "rows": rows})
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows(row.values() for row in rows)
+        assert cli._render_csv(table) == buf.getvalue()
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 300])
+    def test_constant_and_signed_zero_columns(self, n):
+        table = {
+            "mass": np.full(n, 2.0**-11),
+            "zero": np.zeros(n),
+            "signed": np.where(np.arange(n) == n - 1, -0.0, 0.0),
+            "nan": np.full(n, math.nan),
+        }
+        json_text, csv_text = cli._render_json({}, table), cli._render_csv(table)
+        assert json_text.count('"mass": 0.00048828125,') == n
+        assert json_text.count('"signed": -0.0') == 1 and json_text.count('"signed": 0.0') == n - 1
+        assert json_text.count('"nan": "nan"') == n
+        assert csv_text.splitlines()[1:] == ["0.00048828125,0.0,0.0,nan"] * (n - 1) + [
+            "0.00048828125,0.0,-0.0,nan"
+        ]
 
 
 class TestGoldenReports:

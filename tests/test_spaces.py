@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from rmflab import spaces
 from rmflab.spaces import (
     Vector,
     dual_exponent,
@@ -227,3 +229,48 @@ def test_norm_gradient_is_a_dual_unit_vector_without_warning(space):
     if space.kind == "lp":
         assert not np.any(grads[0])
 
+
+
+SPECIAL_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -(2.0**-1030), 2.0**-1022, 1e300, -1e300, 1e-300, -1e-300]
+)
+
+
+def reduced_lp_norms(vals, p):
+    """Row norms by ``np.add.reduce`` over the last axis, the reference order."""
+    if p == math.inf:
+        return np.maximum.reduce(np.abs(vals), axis=1)
+    if p == 2:
+        return np.sqrt(np.add.reduce(vals * vals, axis=1))
+    if p == 1:
+        return np.add.reduce(np.abs(vals), axis=1)
+    return np.add.reduce(np.abs(vals) ** p, axis=1) ** (1.0 / p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 16),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+    st.sampled_from(["contiguous", "sliced", "strided", "transposed"]),
+    st.data(),
+)
+def test_lp_norms_equal_the_reduction_bit_for_bit(d, rows, seed, p, layout, data):
+    """Column adds on short rows give exactly the bits of ``np.add.reduce``."""
+    rng = np.random.default_rng(seed)
+    # full random mantissas over six decades, so any other summation order shows
+    wide = rng.standard_normal((rows, 2 * d)) * 10.0 ** rng.integers(-3, 4, (rows, 2 * d))
+    specials = data.draw(arrays(np.float64, wide.shape, elements=SPECIAL_ENTRIES))
+    wide = np.where(data.draw(arrays(np.bool_, wide.shape)), specials, wide)
+    wide[data.draw(arrays(np.bool_, rows))] = 0.0  # zero rows
+    vals = {
+        "contiguous": np.ascontiguousarray(wide[:, :d]),
+        "sliced": wide[::2, d:],
+        "strided": wide[:, ::2],
+        "transposed": np.ascontiguousarray(wide[:, :d].T).T,
+    }[layout]
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = spaces._lp_norms(vals, p), reduced_lp_norms(vals, p)
+    assert got.dtype == want.dtype and got.shape == want.shape == (vals.shape[0],)
+    assert got.tobytes() == want.tobytes()
