@@ -31,7 +31,6 @@ from .maximal import doob_maximal, lp_norm, rademacher_maximal, rmf_ratio
 from .rademacher import (
     EnumConfig,
     MomentEstimate,
-    kk_ratio_estimate,
     rademacher_moment,
     type_cotype_estimate,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "gundy_decompose",
     "haar_embed",
     "hilbert_op_space",
-    "kk_ratio_estimate",
     "lp_norm",
     "lp_space",
     "make_dyadic_filtration",

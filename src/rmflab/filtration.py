@@ -244,21 +244,6 @@ def is_refinement(fine: Partition, coarse: Partition) -> bool:
     return bool(np.array_equal(block_parents(fine, coarse)[fine.block_of], coarse.block_of))
 
 
-def split_blocks(
-    prev: Partition, nxt: Partition
-) -> tuple[np.ndarray, tuple[int, int, int] | None]:
-    """Parent in ``prev`` of each block of its refinement ``nxt``, plus
-    (parent, child1, child2) for the first block of ``prev`` that splits
-    into exactly two (None when none does)."""
-    parents = block_parents(nxt, prev)
-    two_way = np.flatnonzero(np.bincount(parents) == 2)
-    if two_way.size == 0:
-        return parents, None
-    b = int(two_way[0])
-    c1, c2 = np.flatnonzero(parents == b)
-    return parents, (b, int(c1), int(c2))
-
-
 def _canonical_rows(labels: np.ndarray):
     """A read-only label matrix with its rows renumbered by first occurrence.
 
@@ -524,14 +509,17 @@ def random_haar_filtration(
     return Filtration(_read_only(rows), space)
 
 
-def _split_units(filt: Filtration) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of the two children of each level's split, as exact integers
-    in the unit of ``AtomicMeasureSpace.mass_units``.
+def _split_units(filt: Filtration) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each level's split of a Haar filtration: the parent's label, the new
+    child's label and the masses of the two children, as exact integers in
+    the unit of ``AtomicMeasureSpace.mass_units``.
 
     Rows are canonical and refine each other, so one more block per level
     is one two-way split, and the first atom where a row differs from the
-    row before is the first atom of the new child: a parent's first atom
-    stays in the child that keeps the parent's label.
+    row before is the first atom of the new child.  The parent's first atom
+    stays in the child that keeps the parent's label, and every older label
+    at or above the new child's moves up one: a block ``ids`` of the row
+    before is ``ids + (ids >= child)`` in the row.
     """
     labels = filt.labels
     top = labels.max(axis=1)
@@ -542,10 +530,19 @@ def _split_units(filt: Filtration) -> tuple[np.ndarray, np.ndarray]:
     fine, coarse = labels[1:], labels[:-1]
     new = (fine != coarse).argmax(axis=1)
     level = np.arange(fine.shape[0])
+    parent, child = coarse[level, new], fine[level, new]
     units = filt.space.mass_units()
-    m1 = (fine == coarse[level, new][:, None]) @ units
-    m2 = (fine == fine[level, new][:, None]) @ units
-    return m1, m2
+    m1 = (fine == parent[:, None]) @ units
+    m2 = (fine == child[:, None]) @ units
+    return parent, child, m1, m2
+
+
+def _input_splits(filt: Filtration):
+    """``_split_units`` of a construction's input, which must be Haar."""
+    try:
+        return _split_units(filt)
+    except ValueError:
+        raise ValueError("input must be a Haar filtration") from None
 
 
 def haar_splits(filt: Filtration) -> list[tuple[int, int, int]]:
@@ -555,7 +552,7 @@ def haar_splits(filt: Filtration) -> list[tuple[int, int, int]]:
     Raises unless level 0 is trivial and every transition is a single
     two-way split (levels refine, so one more block means exactly that).
     """
-    m1, m2 = _split_units(filt)
+    _, _, m1, m2 = _split_units(filt)
     return list(zip((m1 + m2).tolist(), m1.tolist(), m2.tolist()))
 
 
@@ -569,7 +566,7 @@ def is_haar(filt: Filtration) -> bool:
 
 def haar_kind(filt: Filtration) -> str:
     """Finest split-mass class of a Haar filtration: standard < dyadic < general."""
-    m1, m2 = _split_units(filt)
+    _, _, m1, m2 = _split_units(filt)
     if np.array_equal(m1, m2):
         return STANDARD
     if np.all(_is_dyadic_split(m1, m1 + m2)):
@@ -666,9 +663,8 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
     if not eps > 0:
         raise ValueError("eps must be positive")
     k = _grid_exponent(filt.space)
-    if not is_haar(filt):
-        raise ValueError("input must be a Haar filtration")
-    n_levels = len(filt.levels) - 1
+    parents, children, _, _ = _input_splits(filt)
+    n_levels = len(parents)
     atom_mass = float(filt.space.masses[0])
     if eps <= atom_mass * max(n_levels, 1):
         raise ResolutionError(
@@ -684,9 +680,9 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
     out = np.zeros((n_levels + 1, filt.space.n_atoms), dtype=np.int64)
     symdiffs = [np.zeros(1)]
 
-    for j in range(1, n_levels + 1):
-        prev, nxt = filt.levels[j - 1], filt.levels[j]
-        parents, (b, c1, c2) = split_blocks(prev, nxt)
+    for j, (b, c2) in enumerate(zip(parents.tolist(), children.tolist()), start=1):
+        # B splits into B' = c1, which keeps B's label, and B'' = c2
+        prev, nxt, c1 = filt.levels[j - 1], filt.levels[j], b
         tilde_b = np.flatnonzero(tilde == b)
         in_c1 = nxt.block_of[tilde_b] == c1
         s = tilde_b.size
@@ -719,9 +715,7 @@ def dyadic_haar_approximate(filt: Filtration, eps: float) -> DyadicHaarApproxima
         filler = np.concatenate([rest[~in_parent], rest[in_parent]])
 
         # unchanged blocks keep their parent's atoms under the new block id
-        relabel = np.empty(prev.n_blocks, dtype=np.int64)
-        relabel[parents] = np.arange(nxt.n_blocks)
-        tilde = relabel[tilde]
+        tilde += tilde >= c2
         tilde[tilde_b] = c2
         tilde[tilde_b[in_c1]] = c1
         tilde[filler[: i - i0]] = c1
@@ -750,15 +744,13 @@ def perturb_last_split(filt: Filtration) -> Filtration:
 
     Starting from a dyadic Haar filtration this typically produces a last
     split whose mass ratio is no longer dyadic, which is the mildest
-    input that makes the dyadic approximation do actual work.
+    input that makes the dyadic approximation do actual work.  Any other
+    input raises ``ValueError``, as in :func:`dyadic_haar_approximate`.
     """
-    if len(filt.levels) < 2:
+    parents, children, _, _ = _input_splits(filt)
+    if parents.size == 0:
         return filt
-    prev, last = filt.levels[-2], filt.levels[-1]
-    _, split = split_blocks(prev, last)
-    if split is None:
-        return filt
-    _, c1, c2 = split
+    c1, c2, last = int(parents[-1]), int(children[-1]), filt.levels[-1]
     atoms_c1 = np.flatnonzero(last.block_of == c1)
     atoms_c2 = np.flatnonzero(last.block_of == c2)
     labels = filt.labels.copy()
@@ -810,13 +802,10 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
     follows from the split ratios and atom masses alone, so a grid over
     2^MAX_GRID_EXPONENT atoms raises ``ResolutionError`` before any work.
     """
-    try:
-        splits = haar_splits(filt)
-    except ValueError:
-        raise ValueError("input must be a Haar filtration") from None
+    parents, children, m1, m2 = _input_splits(filt)
     if abs(filt.space.total_mass - 1.0) > 1e-12:
         raise ValueError("construction requires a probability space")
-    ratios = [Fraction(c1, p) for p, c1, _ in splits]
+    ratios = [Fraction(c1, c1 + c2) for c1, c2 in zip(m1.tolist(), m2.tolist())]
     if any(q.denominator & (q.denominator - 1) for q in ratios):
         raise ValueError("split mass ratios must be dyadic fractions")
     dyadic_levels = list(accumulate((q.denominator.bit_length() - 1 for q in ratios), initial=0))
@@ -829,15 +818,13 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
         raise ResolutionError(f"the equivalent filtration needs a 2^{k_out} grid", k_out)
 
     cells = [np.zeros(1, dtype=np.int64)]
-    for j, (q, prev, nxt) in enumerate(zip(ratios, filt.levels, filt.levels[1:]), start=1):
-        parents, (b, c1, c2) = split_blocks(prev, nxt)
-        # unchanged blocks keep their parent's cells under the new block id
-        relabel = np.empty(prev.n_blocks, dtype=np.int64)
-        relabel[parents] = np.arange(nxt.n_blocks)
+    for j, (q, b, c2) in enumerate(zip(ratios, parents.tolist(), children.tolist()), start=1):
+        # unchanged blocks keep their parent's cells under the new block id;
+        # the child keeping b's first cell keeps its label
         n_sub = 1 << (dyadic_levels[j] - dyadic_levels[j - 1])
-        grown = np.repeat(relabel[cells[-1]], n_sub).reshape(-1, n_sub)
+        grown = np.repeat(cells[-1] + (cells[-1] >= c2), n_sub).reshape(-1, n_sub)
         in_b = cells[-1] == b
-        grown[in_b, : q.numerator] = c1
+        grown[in_b, : q.numerator] = b
         grown[in_b, q.numerator :] = c2
         cells.append(grown.ravel())
     grid = dyadic_grid(k_out)

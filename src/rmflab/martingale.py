@@ -563,7 +563,6 @@ def good_lambda_experiment(
     delta: float,
     lam: float,
     cfg: EnumConfig | None = None,
-    weak_constant: float = 1.0,
     prefixes: np.ndarray | None = None,
 ) -> GoodLambdaReport:
     """Build the two R-bound stopping times and the norm stopping time,
@@ -572,7 +571,7 @@ def good_lambda_experiment(
     (a) on { X_R* > beta lam, X* <= delta lam } the transform satisfies
         (v * X)_R* > (beta - 2 delta - 1) lam;
     (b) (v * X)* <= 4 delta lam 1{tau_1 < infinity} everywhere;
-    (c) the measure inequality with factor alpha(delta).
+    (c) the measure inequality with factor alpha(delta), weak constant 1.
 
     (b) is a pure norm identity and is asserted in every mode; (a)
     involves R-bounds on both sides, so it is asserted only in exact mode
@@ -583,7 +582,7 @@ def good_lambda_experiment(
     """
     if prefixes is None:
         prefixes = prefix_rbounds(x, cfg)
-    return good_lambda_experiments([(x, lam, prefixes)], beta, delta, cfg, weak_constant)[0]
+    return good_lambda_experiments([(x, lam, prefixes)], beta, delta, cfg)[0]
 
 
 def good_lambda_experiments(
@@ -591,7 +590,6 @@ def good_lambda_experiments(
     beta: float,
     delta: float,
     cfg: EnumConfig | None = None,
-    weak_constant: float = 1.0,
 ) -> list[GoodLambdaReport]:
     """:func:`good_lambda_experiment` of every ``(x, lam, prefixes)`` item,
     with ``prefixes`` from :func:`prefix_rbounds` or
@@ -602,7 +600,7 @@ def good_lambda_experiments(
     """
     if cfg is None:
         cfg = EnumConfig()
-    alpha = alpha_of(delta, beta, weak_constant)
+    alpha = alpha_of(delta, beta, 1.0)
     if any(lam <= 0 for _, lam, _ in items):
         raise ValueError("height must be positive")
     # the CLI's items share one martingale per instance: check each once

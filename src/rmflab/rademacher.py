@@ -1,5 +1,5 @@
-"""Randomized moments over sign patterns, Khintchine-Kahane ratios, and
-type/cotype constant estimation.
+"""Randomized moments over sign patterns and type/cotype constant
+estimation.
 
 The p-th randomized moment of vectors x_1..x_N is
 (E || sum_j eps_j x_j ||^p)^(1/p) with independent uniform signs eps_j.
@@ -316,29 +316,6 @@ def maximize_ratio(
         objective, space, n, cfg.restarts + len(extra_starts), cfg.seed, cfg.tol,
         extra_starts, rungs_per_call=ladder_rungs(table_n, cfg), problems=problems,
     )
-
-
-def kk_ratio_estimate(
-    space: Space, p: float, q: float, n: int, cfg: EnumConfig
-) -> RatioEstimate:
-    """Best found moment_p / moment_q over n-tuples of unit vectors.
-
-    A lower bound for the comparability constant between the two
-    randomized norms on this space; never claimed to attain the supremum.
-    A moment at exponent 2 on a Hilbert space is taken in closed form.
-    """
-    if not (1 <= p < math.inf and 1 <= q < math.inf):
-        raise ValueError("exponents must lie in [1, inf)")
-    if n < 1:
-        raise ValueError("need at least one vector")
-    moment_p, moment_q = moment_evaluator(n, space, p, cfg), moment_evaluator(n, space, q, cfg)
-    [(val, x)] = maximize_ratio(
-        lambda vmats, group, grad: moment_p(vmats, grad),
-        lambda vmats, group, grad: moment_q(vmats, grad),
-        space, n, n, cfg,
-    )
-    mode = EXACT if _moment_mode(n, space, p, cfg) == _moment_mode(n, space, q, cfg) == EXACT else MONTE_CARLO
-    return RatioEstimate(val, mode, [Vector(row, space) for row in x])
 
 
 def type_cotype_estimate(

@@ -331,15 +331,6 @@ def _lower_side_by_side(
     return found
 
 
-def rbound_hilbert_exact(values: np.ndarray, space: Space) -> float:
-    """Exact R-bound (p = 2, Hilbert space): the maximal member norm."""
-    if not space.is_hilbert:
-        raise ValueError("exact oracle requires a Hilbert space")
-    if values.size == 0:
-        return 0.0
-    return float(np.max(norms_of(values, space)))
-
-
 def rbound_operator(
     operators: list[Vector],
     p: float = 2.0,

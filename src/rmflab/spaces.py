@@ -112,22 +112,6 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def singular_values(mat: np.ndarray, return_right_vectors: bool = False):
-    """Singular values of a real matrix, sorted descending.
-
-    When ``return_right_vectors`` is set, the matching right singular
-    vectors are returned as well, as the columns of a
-    (cols, min(rows, cols)) array in the same order.
-    """
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not return_right_vectors:
-        return np.linalg.svd(a, compute_uv=False)
-    _, sv, vt = np.linalg.svd(a, full_matrices=False)
-    return sv, vt.T
-
-
 def norm(v: Vector) -> float:
     """Norm of ``v`` in its own space."""
     return norm_of(v.coords, v.space)

@@ -161,6 +161,15 @@ def samples_file(tmp_path):
     return str(path)
 
 
+def test_every_exported_name_imports():
+    import rmflab
+
+    namespace = {}
+    exec("from rmflab import *", namespace)
+    assert sorted(set(rmflab.__all__)) == sorted(rmflab.__all__)
+    assert set(rmflab.__all__) <= set(namespace)
+
+
 class TestRandnorm:
     def test_l1_basis_moment(self, capsys, l1_basis_file):
         code, out, _ = run(capsys, "randnorm", "--vectors", l1_basis_file, "--p", "2")

@@ -593,6 +593,21 @@ class TestDyadicApproximation:
             assert is_dyadic_haar(approx.filtration)
             assert approx.max_symdiff < 0.125
 
+    @pytest.mark.parametrize(
+        "labels", [[[0, 1, 1, 1]], [[0, 0, 0, 0], [0, 1, 1, 2]], [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]]
+    )
+    def test_reductions_reject_a_non_haar_filtration(self, labels):
+        filt = Filtration(labels, AtomicMeasureSpace(np.full(4, 0.25)))
+        assert not is_haar(filt)
+        for construction in (perturb_last_split, boolean_isomorphism, lambda f: dyadic_haar_approximate(f, 0.9)):
+            with pytest.raises(ValueError, match="input must be a Haar filtration"):
+                construction(filt)
+
+    def test_perturbing_a_trivial_filtration_keeps_it(self):
+        filt = make_dyadic_filtration(2)[1]
+        trivial = Filtration(filt.labels[:1], filt.space)
+        assert perturb_last_split(trivial) is trivial
+
     def test_random_general_inputs_never_silently_wrong(self):
         # hostile inputs may exceed the grid resolution; the contract is
         # either a valid approximation or a ResolutionError, never a bad one

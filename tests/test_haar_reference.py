@@ -2,10 +2,11 @@
 against frozen copies of the per-level code they replaced.
 
 The frozen copies below run one numpy round per level: a pass over every
-cut position per generator step, one ``split_blocks`` and two mask sums
-per level, and one canonical check and one refinement check per row.  The
-current code must give the same labels, the same split masses and the
-same error text on every input.
+cut position per generator step, one search of the block parents for the
+block that splits in two and two mask sums per level, and one canonical
+check and one refinement check per row.  The current code, which reads
+every level's split at once, must give the same labels, the same split
+labels and masses and the same error text on every input.
 """
 
 from fractions import Fraction
@@ -16,6 +17,8 @@ import pytest
 from rmflab.filtration import (
     AtomicMeasureSpace,
     Filtration,
+    _split_units,
+    block_parents,
     haar_kind,
     haar_splits,
     is_haar,
@@ -190,6 +193,50 @@ def test_generator_and_splits_match_frozen_copies(kind, k, mixed):
                 continue
             assert got.labels.tolist() == want.tolist(), (steps, seed)
             assert haar_splits(got) == frozen_haar_splits(want, masses), (steps, seed)
+
+
+def frozen_split_labels(filt):
+    """Per level, the block parents and the labels (parent, child1, child2)
+    of the first block that splits in two, read one level at a time."""
+    out = []
+    for prev, nxt in zip(filt.levels, filt.levels[1:]):
+        parents = block_parents(nxt, prev)
+        b = int(np.flatnonzero(np.bincount(parents) == 2)[0])
+        c1, c2 = np.flatnonzero(parents == b)
+        out.append((parents, b, int(c1), int(c2)))
+    return out
+
+
+SPLIT_CASES = [
+    ("general", sweep_masses(6, True), 20),
+    ("dyadic", sweep_masses(6, True), 8),
+    ("dyadic", sweep_masses(6, False), 20),
+    ("standard", sweep_masses(6, False), 20),
+    ("general", sweep_masses(3, True), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, masses, steps", SPLIT_CASES, ids=["general-uneven", "dyadic-uneven", "dyadic-grid", "standard-grid", "no-steps"]
+)
+def test_split_table_matches_the_per_level_reference(kind, masses, steps):
+    space = AtomicMeasureSpace(masses)
+    for seed in range(6):
+        filt = random_haar_filtration(space, steps, kind, seed)
+        parent, child, m1, m2 = _split_units(filt)
+        want = frozen_split_labels(filt)
+        assert len(parent) == len(child) == len(want) == steps
+        assert list(zip((m1 + m2).tolist(), m1.tolist(), m2.tolist())) == haar_splits(filt)
+        for j, (parents, b, c1, c2) in enumerate(want):
+            # the child keeping the parent's first atom keeps its label
+            assert (parent[j], child[j], c1) == (b, c2, b), (seed, j)
+            # every other child is its parent's label, moved up one at or above c2
+            ids = np.arange(parents.size)
+            kept = ids != c2
+            assert np.array_equal(ids[kept], (parents + (parents >= c2))[kept]), (seed, j)
+            # so each row is the row before relabelled, plus the new child
+            coarse, fine = filt.labels[j], filt.labels[j + 1]
+            assert np.array_equal(fine, np.where(fine == c2, c2, coarse + (coarse >= c2))), (seed, j)
 
 
 def test_large_unit_masses_split_exactly():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from rmflab import optim, rademacher
 from rmflab.rademacher import (
     EnumConfig,
-    kk_ratio_estimate,
     moment_evaluator,
     moment_from_matrix,
     type_cotype_estimate,
@@ -158,9 +157,8 @@ def test_matches_sequential_reference(monkeypatch, run):
         _rbound_run(lp_space(3, 2)),
         # at p = 2 the operator bound is a closed form, so no search runs
         lambda: rbound_operator([Vector(np.arange(6.0) - 2, hilbert_op_space(3, 2))] * 2, 3.0, cfg=CFG),
-        lambda: kk_ratio_estimate(lp_space(1, 3), 3, 1, 3, CFG),
     ],
-    ids=["cotype-schatten1", "rbound-lp3", "operator", "kk-ratio"],
+    ids=["cotype-schatten1", "rbound-lp3", "operator"],
 )
 def test_stack_equals_each_start_alone(monkeypatch, run):
     def check(objective, starts, space, tol, rungs):
@@ -245,11 +243,10 @@ def test_single_block_moments_equal_a_multi_chunk_call(space):
         _rbound_run(lp_space(1, 2)),
         _type_run(lp_space(1, 2)),
         _cotype_run(lp_space(1, 2)),
-        lambda: kk_ratio_estimate(lp_space(1, 2), 2, 1, 2, CFG),
         # at p = 2 the operator bound is a closed form, so no search runs
         lambda: rbound_operator([Vector(np.arange(6.0) - 2, hilbert_op_space(3, 2))] * 2, 3.0, cfg=CFG),
     ],
-    ids=["rbound", "type", "cotype", "kk-ratio", "operator"],
+    ids=["rbound", "type", "cotype", "operator"],
 )
 def test_zero_denominator_scores_zero_without_warning(monkeypatch, run):
     def check(objective, starts, *_):
@@ -278,11 +275,6 @@ OPERATORS = [
 OBJECTIVE_RUNS = [
     pytest.param(make(space), id=f"{make.__name__[1:-4]}-{space.kind}{space.p:g}")
     for make in (_rbound_run, _cotype_run, _type_run)
-    for space in GRADIENT_SPACES
-] + [
-    pytest.param(
-        lambda space=space: kk_ratio_estimate(space, 3, 1, 3, CFG), id=f"kk-{space.kind}{space.p:g}"
-    )
     for space in GRADIENT_SPACES
 ] + [
     pytest.param(lambda: rbound_operator(OPERATORS, 1.5, cfg=CFG), id="operator-p1.5"),
@@ -389,15 +381,27 @@ def _search_results():
         type_cotype_estimate("cotype", lp_space(math.inf, 2), math.inf, 3, CFG),
         type_cotype_estimate("type", lp_space(1, 2), 2, 6, MC),
         type_cotype_estimate("cotype", lp_space(3, 2), 3, 6, MC),
-        kk_ratio_estimate(lp_space(1, 3), 3, 1, 3, CFG),
-        kk_ratio_estimate(schatten_space(1, 2, 2), 1.5, 3, 2, CFG),
-        # exponent 2 on a Hilbert space takes the closed form on one side only
-        kk_ratio_estimate(lp_space(2, 2), 3, 2, 3, CFG),
-        kk_ratio_estimate(lp_space(3, 2), 3, 1.5, 6, MC),
     ]
     for est in estimates:
         out += [est.value, *np.ravel([w.coords for w in est.witness])]
-    return np.array(out, dtype=float)
+    return np.array(out + KK_RATIO_VALUES, dtype=float)
+
+
+# values and witnesses of four searches of the Khintchine-Kahane ratio
+# moment_p / moment_q, whose estimator is gone; kept as numbers so the
+# digest below, taken while it existed, still pins every other search
+KK_RATIO_VALUES = [
+    1.304955880389621, 0.22148747034200975, -0.38558376151473545, -0.3929287681432548,
+    -0.39666672425846916, 0.10726571266598577, 0.496067563075545, -0.3254733693014933,
+    0.4752641776600012, 0.19926245303850545,
+    1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+    1.1301249432352993, 0.7071067811865476, 0.7071067811865476, 0.7071067811865476,
+    0.7071067811865476, 0.7071067811865476, 0.7071067811865476,
+    1.3252301871067218, 0.7667319096928615, -0.8189513242201036, -0.7667285360700885,
+    0.8189542813059841, 0.7667173057376483, -0.8189641247022811, 0.7667147497895174,
+    -0.8189663649197378, 0.7667298526895967, -0.818953127253441, 0.7667282167969436,
+    -0.818954561156428,
+]
 
 
 # computed before the four ratio objectives were folded into one search

@@ -12,7 +12,6 @@ from rmflab import rademacher
 from rmflab.rademacher import (
     EnumConfig,
     hilbert_moment2,
-    kk_ratio_estimate,
     moment_evaluator,
     moment_from_matrix,
     rademacher_moment,
@@ -162,22 +161,6 @@ class TestMoment:
         a = rademacher_moment(vs, 2, mc_cfg)
         b = rademacher_moment(vs, 2, mc_cfg)
         assert a.value == b.value
-
-
-class TestKKRatio:
-    def test_single_vector_ratio_one(self):
-        est = kk_ratio_estimate(lp_space(1, 2), 2, 1, 1, FAST)
-        assert est.value == pytest.approx(1.0, abs=1e-9)
-
-    def test_equal_exponents(self):
-        est = kk_ratio_estimate(lp_space(1, 2), 2, 2, 2, FAST)
-        assert est.value == pytest.approx(1.0, abs=1e-9)
-
-    def test_scalar_l2_over_l1(self):
-        # the pair (1, 1) gives L2/L1 = sqrt(2)/1 by enumeration
-        est = kk_ratio_estimate(lp_space(1, 1), 2, 1, 2, FAST)
-        assert est.value >= math.sqrt(2) - 1e-3
-        assert len(est.witness) == 2
 
 
 def _unit_sphere_angles(space, count):

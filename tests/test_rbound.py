@@ -16,7 +16,6 @@ from rmflab.rbound import (
     SelectionWitness,
     atomwise_rbound,
     rbound_certify_grid,
-    rbound_hilbert_exact,
     rbound_operator,
     rbound_scalar,
 )
@@ -220,6 +219,13 @@ def test_witness_names_the_member_of_each_stack_row(p):
     assert (num / den) ** (1 / p) == pytest.approx(br.lower, abs=1e-12)
 
 
+def hilbert_rbound(values, space):
+    """The closed-form R-bound of a nonempty set at p = 2 on a Hilbert space."""
+    bracket = rbound_scalar([Vector(v, space) for v in values], 2.0, cfg=FAST)
+    assert bracket.mode == HILBERT_EXACT
+    return bracket.lower
+
+
 class TestHilbertOracleIdentities:
     def test_one_step_bound(self):
         # R(y_1..y_j) <= R(y_1..y_{j-1}) + ||y_j - y_{j-1}|| in max-norm form
@@ -227,8 +233,8 @@ class TestHilbertOracleIdentities:
         space = lp_space(2, 3)
         ys = rng.standard_normal((6, 3))
         for j in range(1, 6):
-            r_all = rbound_hilbert_exact(ys[: j + 1], space)
-            r_prev = rbound_hilbert_exact(ys[:j], space)
+            r_all = hilbert_rbound(ys[: j + 1], space)
+            r_prev = hilbert_rbound(ys[:j], space)
             step = float(np.linalg.norm(ys[j] - ys[j - 1]))
             assert r_all <= r_prev + step + 1e-12
 
@@ -238,9 +244,9 @@ class TestHilbertOracleIdentities:
         t = rng.standard_normal((4, 3))
         s = rng.standard_normal((3, 3))
         sumset = np.array([a + b for a in t for b in s])
-        assert rbound_hilbert_exact(sumset, space) <= rbound_hilbert_exact(
-            t, space
-        ) + rbound_hilbert_exact(s, space) + 1e-12
+        assert hilbert_rbound(sumset, space) <= hilbert_rbound(t, space) + hilbert_rbound(
+            s, space
+        ) + 1e-12
 
 
 class TestGrid:

@@ -19,7 +19,6 @@ from rmflab.spaces import (
     norms_of,
     random_unit_vector,
     schatten_space,
-    singular_values,
     space_from_json,
     space_to_json,
 )
@@ -63,36 +62,26 @@ class TestNorm:
 
 
 class TestJacobiSVD:
+    """Schatten and operator norms of ``norms_of`` against numpy's SVD."""
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 2), (2, 5)])
     def test_matches_numpy(self, shape):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            m = rng.standard_normal(shape)
-            got = singular_values(m)
-            want = np.linalg.svd(m, compute_uv=False)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_right_vectors(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((3, 3))
-        sv, v = singular_values(m, return_right_vectors=True)
-        # A v_i has length sigma_i
-        for i in range(3):
-            assert np.linalg.norm(m @ v[:, i]) == pytest.approx(sv[i], abs=1e-10)
+        mats = rng.standard_normal((20,) + shape)
+        sv = np.linalg.svd(mats, compute_uv=False)
+        flat = mats.reshape(20, -1)
+        for p in (1, 1.5, 2, 3):
+            got = norms_of(flat, schatten_space(p, *shape))
+            want = np.linalg.norm(sv, ord=p, axis=1)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(norms_of(flat, hilbert_op_space(*shape[::-1])), sv[:, 0], atol=1e-12)
 
     def test_tiny_entry_emits_no_warning(self):
+        tiny = np.array([1.0, 1e-310, 0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sv = singular_values([[1.0, 1e-310], [0.0, 0.0]])
-        np.testing.assert_allclose(sv, [1.0, 0.0], atol=1e-300)
-
-    def test_right_vectors_wide_matrix(self):
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((2, 4))
-        sv, v = singular_values(m, return_right_vectors=True)
-        np.testing.assert_allclose(sv, np.linalg.svd(m, compute_uv=False), atol=1e-10)
-        for i in range(2):
-            assert np.linalg.norm(m @ v[:, i]) == pytest.approx(sv[i], abs=1e-10)
+            got = [norm_of(tiny, space) for space in (schatten_space(1, 2, 2), hilbert_op_space(2, 2))]
+        np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-300)
 
 
 class TestDualExponent:
