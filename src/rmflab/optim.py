@@ -23,11 +23,12 @@ One iteration costs one value call per block of rungs (one, as a rule),
 one gradient call and a fixed few dozen numpy calls of bookkeeping,
 whatever the number of starts: candidates are normalized in place and
 scalars stay Python floats.  The starts are scored by a value call of
-their own rather than by the first gradient call: on matrix spaces the
-value path takes the SVD without vectors and the gradient path with
-them, which differ in the last bit (5,383 of 20,000 random 2 x 2
-Schatten-1 norms, by up to 4.9e-16 relative), and a start's value is
-compared against line-search values from the value path.
+their own rather than by the first gradient call: on matrix spaces other
+than 2 x 2 the value path takes LAPACK's SVD without vectors and the
+gradient path with them, which differ in the last bit (3,879 of 20,000
+random 2 x 3 Schatten-1 norms, by up to 4.4e-16 relative), and a start's
+value is compared against line-search values from the value path.  On
+lp and 2 x 2 matrix spaces the two paths give the same bits.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ columns past bit 14 per chunk: the sign patterns cost a copy, and the
 products and norms of the 2^(N-1) combinations are the work.
 A moment evaluator (``moment_evaluator``) also gives the gradient in
 every x_j; it is a closed form at exponent 2 on a Hilbert space and one
-sign table otherwise.  Every ratio search is one ``maximize_ratio`` call.
+sign table otherwise, refused before it is built when the table would pass
+``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes`` prices it).  Every ratio
+search is one ``maximize_ratio`` call.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ _CHUNK = 1 << _CHUNK_BITS
 _HEAD_BITS = 10
 # rows of the frozen Monte Carlo sign table of a moment evaluator, at most
 _MC_TABLE = 1 << 15
+# desk-scale cap on the sign table a moment evaluator holds (sign_table_bytes):
+# 256 MiB, above the 84 MB exact table of 20 vectors, the default threshold
+MAX_SIGN_TABLE_BYTES = 1 << 28
 # sign-table rows multiplied at a time once a table has twice as many: a
 # 2^15-row product is memory-bound; 2^11 rows at a time took 1.5 ms against
 # 2.0-2.1 ms per tuple (lp1, 16 vectors of dimension 16, on a 2-core machine)
@@ -255,6 +260,28 @@ def _mc_table(n: int, rows: int, seed: int) -> np.ndarray:
     return signs
 
 
+def sign_table_bytes(n: int, cfg: EnumConfig) -> int:
+    """Bytes of the float64 sign table that ``moment_evaluator(n, ...)`` holds under ``cfg``."""
+    return 8 * n * _table_rows(n, cfg)
+
+
+def _over_cap_message(n: int, cfg: EnumConfig) -> str:
+    """Why a moment evaluator of n vectors is refused, and a setting that fits."""
+    size = sign_table_bytes(n, cfg)
+    if n <= cfg.exact_threshold:
+        kind = "an exact"
+        fits = max(k for k in range(1, n) if 8 * k << (k - 1) <= MAX_SIGN_TABLE_BYTES)
+        remedy = f"--exact-threshold {fits} fits"
+    else:
+        kind = "a Monte Carlo"
+        remedy = f"--mc-samples {MAX_SIGN_TABLE_BYTES // (8 * n)} fits"
+    return (
+        f"{kind} moment of {n} vectors needs a sign table of {size / 2**20:,.0f} MiB, over the cap "
+        f"of {MAX_SIGN_TABLE_BYTES >> 20} MiB (rademacher.MAX_SIGN_TABLE_BYTES = {MAX_SIGN_TABLE_BYTES}); "
+        f"{remedy}"
+    )
+
+
 def _sign_table(n: int, cfg: EnumConfig) -> np.ndarray:
     """Every sign pattern of n signs within the exact threshold, else the frozen Monte Carlo table."""
     if n <= cfg.exact_threshold:
@@ -290,9 +317,13 @@ def moment_evaluator(n: int, space: Space, p: float, cfg: EnumConfig):
     Otherwise it averages over one sign table built here: every pattern
     when n is within the exact threshold, else a frozen Monte Carlo table
     (common random numbers) so that optimizers see a smooth objective.
+    A table over ``MAX_SIGN_TABLE_BYTES`` raises ``ValueError`` before
+    anything is allocated.
     """
     if p == 2 and space.is_hilbert:
         return hilbert_moment2
+    if sign_table_bytes(n, cfg) > MAX_SIGN_TABLE_BYTES:
+        raise ValueError(_over_cap_message(n, cfg))
     return partial(_table_moments, _sign_table(n, cfg), space, p)
 
 

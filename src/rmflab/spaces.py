@@ -3,6 +3,8 @@
 Three families are supported: ell^p sequence spaces, Schatten classes of
 real matrices (ell^p norm of the singular values), and spaces of operators
 between finite-dimensional Hilbert spaces carrying the operator norm.
+Matrix norms of 2 x 2 matrices, and their gradients, are a closed form in
+the entries (``_norms_2x2``); other shapes take numpy's batched LAPACK SVD.
 """
 
 from __future__ import annotations
@@ -128,16 +130,19 @@ def norm_of(coords: np.ndarray, space: Space) -> float:
 def norms_of(values: np.ndarray, space: Space) -> np.ndarray:
     """Row-wise norms of a (n, total_dim) array.
 
-    Matrix spaces take the singular values of all rows in one batched SVD.
+    A 2 x 2 matrix space takes the singular values of every row in closed
+    form (``_norms_2x2``); other matrix shapes take them from one batched
+    LAPACK SVD.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 1:
         vals = vals[None, :]
-    if space.kind != LP:
-        vals = np.linalg.svd(vals.reshape(-1, space.rows, space.cols), compute_uv=False)
-        if space.kind == HILBERT_OP:
-            return vals[:, 0]
-    return _lp_norms(vals, space.p)
+    if space.kind == LP:
+        return _lp_norms(vals, space.p)
+    if space.rows == space.cols == 2:
+        return _norms_2x2(vals, space)
+    sv = np.linalg.svd(vals.reshape(-1, space.rows, space.cols), compute_uv=False)
+    return sv[:, 0] if space.kind == HILBERT_OP else _lp_norms(sv, space.p)
 
 
 def norms_and_grads_of(values: np.ndarray, space: Space) -> tuple[np.ndarray, np.ndarray]:
@@ -145,9 +150,13 @@ def norms_and_grads_of(values: np.ndarray, space: Space) -> tuple[np.ndarray, np
 
     On lp the gradient is sign(c) (|c| / ||c||)^(p-1): sign(c) at p = 1 and,
     at p = inf, the sign of the first largest coordinate in its place.  On a
-    Schatten class it is U diag(s^(p-1)) V^T / ||s||_p^(p-1), and under the
-    operator norm u_1 v_1^T, from one batched SVD of all rows.  A zero row
-    of an lp space has gradient 0.
+    Schatten class it is U diag(w) V^T with w = s^(p-1) / ||s||_p^(p-1), and
+    under the operator norm u_1 v_1^T.  A zero row has gradient 0.  On 2 x 2
+    matrices both come in closed form (``_norms_2x2``) and the norms are the
+    bits ``norms_of`` gives; a rank-one row gets u_1 v_1^T at every p.
+    Other matrix shapes take one batched LAPACK SVD with vectors, whose
+    norms may differ from ``norms_of``'s in the last bit and whose
+    subgradient at a rank-deficient row is the one LAPACK's vectors give.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim == 1:
@@ -155,6 +164,8 @@ def norms_and_grads_of(values: np.ndarray, space: Space) -> tuple[np.ndarray, np
     if space.kind == LP:
         norms = _lp_norms(vals, space.p)
         return norms, _lp_grads(vals, norms, space.p)
+    if space.rows == space.cols == 2:
+        return _norms_2x2(vals, space, grad=True)
     u, sv, vt = np.linalg.svd(vals.reshape(-1, space.rows, space.cols), full_matrices=False)
     if space.kind == HILBERT_OP:
         norms, grads = sv[:, 0], u[:, :, :1] @ vt[:, :1, :]
@@ -162,6 +173,71 @@ def norms_and_grads_of(values: np.ndarray, space: Space) -> tuple[np.ndarray, np
         norms = _lp_norms(sv, space.p)
         grads = (u * _lp_grads(sv, norms, space.p)[:, None, :]) @ vt
     return norms, grads.reshape(vals.shape)
+
+
+# (x, z, y, w) = (a + d, a - d, c - b, b + c) is _MIX @ (a, b, c, d); the
+# closed form takes them and (s, t) a quarter size, so that no sum of two
+# finite entries overflows
+_MIX = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [0.0, -1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+_QUARTER_MIX = 0.25 * _MIX
+_HALF_MIX = 0.5 * _MIX
+# (s, t) / 4 to ((s + t) / 2, (s - t) / 2)
+_SUM_DIFF = np.array([[2.0, 2.0], [2.0, -2.0]])
+_PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]])
+# a nonzero row whose sigma_1 is below this is rescaled, so that no rounding
+# happens in the subnormal range
+_TINY_2X2 = 2.0**-900
+
+
+def _norms_2x2(vals: np.ndarray, space: Space, grad: bool = False):
+    """Norms of the rows (a, b, c, d) of a (n, 4) array, the matrices [[a, b], [c, d]], and with ``grad`` their gradients.
+
+    With s = hypot(a + d, c - b) and t = hypot(a - d, b + c) the singular
+    values are (s + t) / 2 and |s - t| / 2 (Blinn, "Consider the lowly
+    2 x 2 matrix", IEEE CG&A 16(2), 1996), so the nuclear norm is max(s, t).
+    Each of a + d, ..., b + c and (s + t) / 2 rounds once, so a row's bits
+    do not depend on the batch.  The gradients of s and t are
+    (a + d, b - c, c - b, a + d) / s and (a - d, b + c, b + c, d - a) / t,
+    each 0 where s or t is 0; with e = sign(s - t) the gradient of the norm
+    is w_1 (ds + dt) / 2 + w_2 e (ds - dt) / 2 for the singular-value
+    weights (w_1, w_2) of ``_lp_grads``, (1, 0) under the operator norm.  A
+    rank-one row, where s = t, gets (ds + dt) / 2 = u_1 v_1^T at every p,
+    and a zero row gets 0.  A row whose sigma_1 is subnormal-sized is taken
+    scaled by a power of two, exactly, and its norm scaled back.
+    """
+    parts, st, sv = _svd_2x2_parts(vals)
+    tiny = None
+    if not np.minimum.reduce(sv[0], initial=np.inf) >= _TINY_2X2:
+        # a quarter of a subnormal entry may round to 0, so zero rows are told by their entries
+        rows = np.flatnonzero(sv[0] < _TINY_2X2)
+        top = np.maximum.reduce(np.abs(vals[rows]), axis=1)
+        tiny = rows[top > 0]
+        _, exps = np.frexp(top[top > 0])
+        parts[:, tiny], st[:, tiny], sv[:, tiny] = _svd_2x2_parts(np.ldexp(vals[tiny], -exps[:, None]))
+    # sv holds (sigma_1, e sigma_2): lp norms see only |e sigma_2|, and the
+    # weights _lp_grads gives are (w_1, e w_2)
+    if space.kind == HILBERT_OP:
+        norms = sv[0]
+    elif space.p == 1:
+        norms = 4.0 * np.maximum(st[0], st[1])
+    else:
+        norms = _lp_norms(sv.T, space.p)
+    if grad:
+        # (x, z, y, w) / (s, t, s, t) times their weights, mapped back by _MIX transposed
+        units = np.divide(parts.reshape(2, 2, -1), st, out=np.zeros((2,) + st.shape), where=st > 0)
+        if space.kind != HILBERT_OP:
+            units *= _PLUS_MINUS @ _lp_grads(sv.T, norms, space.p).T
+        grads = units.reshape(4, -1).T @ _HALF_MIX
+    if tiny is not None:
+        norms[tiny] = np.ldexp(norms[tiny], exps)
+    return (norms, grads) if grad else norms
+
+
+def _svd_2x2_parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, z, y, w) / 4 as a (4, n) array, and (s, t) / 4 and ((s + t) / 2, (s - t) / 2) as (2, n) arrays."""
+    parts = _QUARTER_MIX @ vals.T
+    st = np.hypot(parts[:2], parts[2:])
+    return parts, st, _SUM_DIFF @ st
 
 
 def _lp_norms(vals: np.ndarray, p: float) -> np.ndarray:

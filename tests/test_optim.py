@@ -193,6 +193,7 @@ def test_ladder_block_does_not_change_the_path(monkeypatch, run):
         (schatten_space(1, 2, 2), 9, EnumConfig()),
         (lp_space(math.inf, 2), 6, EnumConfig(exact_threshold=4, mc_samples=5000, seed=2)),
         (lp_space(2, 2), 5, EnumConfig(exact_threshold=4, mc_samples=20000, seed=2)),
+        (hilbert_op_space(3, 2), 4, EnumConfig()),
     ],
 )
 def test_evaluator_batch_equals_points(space, n, cfg):
@@ -208,8 +209,8 @@ def test_evaluator_batch_equals_points(space, n, cfg):
         assert batch[0] == pytest.approx(want, rel=1e-12)
     values, grads = evaluate(stack, grad=True)
     assert grads.shape == stack.shape
-    # an SVD with vectors can differ from one without in the last bit
-    assert np.array_equal(values, batch) or space.kind != "lp"
+    # off 2 x 2, LAPACK's SVD with vectors can differ from one without in the last bit
+    assert np.array_equal(values, batch) or (space.kind != "lp" and (space.rows, space.cols) != (2, 2))
     for i in range(stack.shape[0]):
         value, grad = evaluate(stack[i : i + 1], grad=True)
         assert value[0] == values[i]
@@ -405,8 +406,10 @@ KK_RATIO_VALUES = [
 
 
 # computed before the four ratio objectives were folded into one search
-# helper and the three evaluator constructors into one
-SEARCH_DIGEST = "4826ad7542062926e04d3730018144f4aaa120e65326e511b233853dde5125a9"
+# helper and the three evaluator constructors into one; re-pinned when 2 x 2
+# norms took the closed form (23 of 308 numbers moved: values by 2.0e-16
+# relative at most, witness coordinates by 4.6e-13)
+SEARCH_DIGEST = "e1e508621e340a0aba5b863bef74a72ffea0a6f9da9271489a5bb07429e14f9c"
 
 
 def test_searches_are_pinned():

@@ -13,10 +13,12 @@ from rmflab.rademacher import (
     EnumConfig,
     hilbert_moment2,
     moment_evaluator,
+    MAX_SIGN_TABLE_BYTES,
     moment_from_matrix,
     rademacher_moment,
     scalar_moment,
     sign_patterns,
+    sign_table_bytes,
     type_cotype_estimate,
 )
 from rmflab.spaces import Vector, hilbert_op_space, lp_space, norm, norms_of, schatten_space
@@ -385,15 +387,52 @@ def test_one_evaluator_holds_one_sign_table():
     assert np.array_equal(moments(vmats), values) and grads.shape == vmats.shape
 
 
+def test_sign_table_price_and_cap():
+    # 2^(n-1) n floats within the threshold: 84 MB at 20 vectors, 7.0 GB at 26
+    assert sign_table_bytes(20, EnumConfig()) == 83_886_080
+    assert sign_table_bytes(26, EnumConfig(exact_threshold=26)) == 6_979_321_856
+    # beyond it, min(mc_samples, 2^15) rows of n signs
+    assert sign_table_bytes(26, EnumConfig()) == (1 << 15) * 26 * 8
+    assert sign_table_bytes(26, EnumConfig(mc_samples=100)) == 100 * 26 * 8
+    # 21 vectors are the most an exact table fits; 1024 the most a Monte Carlo one does
+    assert sign_table_bytes(21, EnumConfig(exact_threshold=21)) <= MAX_SIGN_TABLE_BYTES
+    assert sign_table_bytes(22, EnumConfig(exact_threshold=22)) > MAX_SIGN_TABLE_BYTES
+    assert sign_table_bytes(1024, EnumConfig()) <= MAX_SIGN_TABLE_BYTES
+    assert sign_table_bytes(1025, EnumConfig()) > MAX_SIGN_TABLE_BYTES
+
+
+@pytest.mark.parametrize(
+    "n,cfg,remedy",
+    [
+        (22, EnumConfig(exact_threshold=22), "--exact-threshold 21 fits"),
+        (1025, EnumConfig(), "--mc-samples 32736 fits"),
+    ],
+)
+def test_evaluator_over_the_cap_raises_before_allocating(n, cfg, remedy):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the cap of 256 MiB") as err:
+            moment_evaluator(n, lp_space(1, 2), 3.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).endswith(remedy)
+    assert peak < 1 << 20
+    # the Hilbert closed form at exponent 2 holds no table
+    assert moment_evaluator(n, lp_space(2, 2), 2.0, cfg) is hilbert_moment2
+
+
 def _digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
 
 
-# pinned while every sign table was computed entry by entry from bit shifts
+# pinned while every sign table was computed entry by entry from bit shifts;
+# schatten1 re-pinned when 2 x 2 norms took the closed form (one of four
+# moments moved, by 2.0e-16 relative)
 EXACT_MOMENT_DIGESTS = {
     "lp1": "2889f12823da8fd66d43a00a130502c2c8ca47c528ca444be0d0aa1a98026498",
     "lp3": "2eeee8f773116e69411030fc88276bbcab6794d4ad0895f92364b41e97ad6af7",
-    "schatten1": "456ace6637d7e0f2b102d0414116aa8c2af4e6dd83f63050940271201650b9c5",
+    "schatten1": "9d914266b2e2c622fad442a20065bf55dcb39547a687260fe1edd1ad84efb180",
 }
 
 
@@ -414,9 +453,11 @@ def test_exact_moments_past_one_chunk_are_pinned(name, space):
     assert _digest(values) == EXACT_MOMENT_DIGESTS[name]
 
 
+# re-pinned when 2 x 2 norms took the closed form: one of the six Schatten-1
+# moments moved, by 1.6e-16 relative, and gradient entries by 1.1e-16 at most
 EVALUATOR_DIGESTS = {
-    16: "f1e4803c00967e6e65202beb509433e552dd4205a9915ff3da94fb4d4f90ee76",
-    17: "d9cb34507e9a63d66fec89cdb9d53f5b7f3caafa803be5d4440c07788999de94",
+    16: "ccdc000d2ff345abfe0ae8974768c89a9b32839423ccf8beb7cabda10125f923",
+    17: "74c5eb577c4e20bbe077e8fc232df445e0747940df6749654474a02c7d06242a",
 }
 
 

@@ -61,8 +61,11 @@ class TestNorm:
         assert got == pytest.approx(want, abs=1e-10)
 
 
-class TestJacobiSVD:
-    """Schatten and operator norms of ``norms_of`` against numpy's SVD."""
+class TestMatrixNorms:
+    """Schatten and operator norms of ``norms_of`` against numpy's SVD.
+
+    2 x 2 matrices take a closed form; the other shapes take LAPACK's SVD.
+    """
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 2), (2, 5)])
     def test_matches_numpy(self, shape):
@@ -75,6 +78,21 @@ class TestJacobiSVD:
             want = np.linalg.norm(sv, ord=p, axis=1)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(norms_of(flat, hilbert_op_space(*shape[::-1])), sv[:, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 2), (2, 5)])
+    def test_gradients_are_u_diag_w_vt(self, shape):
+        # random matrices have distinct nonzero singular values, where the
+        # gradient U diag(w) V^T is unique whichever signs the vectors take
+        rng = np.random.default_rng(12)
+        mats = rng.standard_normal((20,) + shape)
+        u, sv, vt = np.linalg.svd(mats, full_matrices=False)
+        flat = mats.reshape(20, -1)
+        for p in (1, 1.5, 2, 3):
+            w = (sv / np.linalg.norm(sv, ord=p, axis=1)[:, None]) ** (p - 1)
+            _, got = norms_and_grads_of(flat, schatten_space(p, *shape))
+            np.testing.assert_allclose(got, ((u * w[:, None, :]) @ vt).reshape(20, -1), atol=1e-13)
+        _, got = norms_and_grads_of(flat, hilbert_op_space(*shape[::-1]))
+        np.testing.assert_allclose(got, (u[:, :, :1] @ vt[:, :1, :]).reshape(20, -1), atol=1e-13)
 
     def test_tiny_entry_emits_no_warning(self):
         tiny = np.array([1.0, 1e-310, 0.0, 0.0])
@@ -186,7 +204,15 @@ GRADIENT_SPACES = [
     schatten_space(2, 2, 2),
     schatten_space(3, 3, 2),
     hilbert_op_space(3, 2),
+    pytest.param(schatten_space(1, 2, 2), id="schatten1_2x2"),
+    pytest.param(schatten_space(3, 2, 2), id="schatten3_2x2"),
+    pytest.param(hilbert_op_space(2, 2), id="hilbert_op_2x2"),
 ]
+
+
+def takes_lapack(space):
+    """Whether the norms of ``space`` come from LAPACK's SVD (matrix shapes other than 2 x 2)."""
+    return space.kind != "lp" and (space.rows, space.cols) != (2, 2)
 
 
 @pytest.mark.parametrize("space", GRADIENT_SPACES, ids=lambda s: f"{s.kind}{s.p:g}")
@@ -196,7 +222,8 @@ def test_norm_gradients_match_central_differences(space):
     rows = np.random.default_rng(3).standard_normal((6, space.total_dim))
     norms, grads = norms_and_grads_of(rows, space)
     np.testing.assert_allclose(norms, norms_of(rows, space), rtol=1e-15, atol=0)
-    if space.kind == "lp":
+    # an SVD with vectors can differ from one without in the last bit
+    if not takes_lapack(space):
         assert np.array_equal(norms, norms_of(rows, space))
     h = 1e-6
     for i in range(space.total_dim):
@@ -213,9 +240,10 @@ def test_norm_gradient_is_a_dual_unit_vector_without_warning(space):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         norms, grads = norms_and_grads_of(rows, space)
-    # Euler: <x, dN(x)> = N(x); an lp zero row has gradient 0
+    # Euler: <x, dN(x)> = N(x); a zero row has norm 0, and gradient 0 off LAPACK
     assert float(rows[1] @ grads[1]) == pytest.approx(norms[1], rel=1e-12)
-    if space.kind == "lp":
+    assert norms[0] == 0
+    if not takes_lapack(space):
         assert not np.any(grads[0])
 
 
@@ -263,3 +291,68 @@ def test_lp_norms_equal_the_reduction_bit_for_bit(d, rows, seed, p, layout, data
         got, want = spaces._lp_norms(vals, p), reduced_lp_norms(vals, p)
     assert got.dtype == want.dtype and got.shape == want.shape == (vals.shape[0],)
     assert got.tobytes() == want.tobytes()
+
+
+# subnormal, +-1e+-150 and near-overflow entries; a + d overflows for the
+# largest, where LAPACK's SVD does not
+EXTREME_ENTRIES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -(2.0**-1030), 2.0**-1022, 1e-150, -1e-150, 1e150, -1e150, 1e300, -1e300, 1.5e308, -1.5e308]
+)
+
+
+@st.composite
+def two_by_two_rows(draw):
+    """A row (a, b, c, d); about half are rank one, (c, d) an exact multiple of (a, b)."""
+    entries = st.one_of(st.floats(-4.0, 4.0), EXTREME_ENTRIES)
+    row = draw(arrays(np.float64, 4, elements=entries))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([0.0, 1.0, -1.0, 0.5, -4.0, 2.0**-600]))
+        with np.errstate(over="ignore"):
+            lower = scale * row[:2]
+        row[2:] = lower if np.all(np.isfinite(lower)) else row[:2]
+    return row
+
+
+def lapack_norms_and_grads(rows, space):
+    """Norms and gradients of 2 x 2 rows from LAPACK's SVD with vectors, and the singular values."""
+    u, sv, vt = np.linalg.svd(rows.reshape(-1, 2, 2))
+    if space.kind == "hilbert_op":
+        norms, weights = sv[:, 0], np.array([1.0, 0.0])
+    else:
+        norms = spaces._lp_norms(sv, space.p)
+        weights = spaces._lp_grads(sv, norms, space.p)
+    return norms, ((u * weights[..., None, :]) @ vt).reshape(-1, 4), sv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(two_by_two_rows(), min_size=1, max_size=8))
+def test_2x2_closed_form_matches_lapack(rows):
+    rows = np.vstack(rows)
+    for space in [schatten_space(p, 2, 2) for p in (1, 1.5, 2, 3)] + [hilbert_op_space(2, 2)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            norms = norms_of(rows, space)
+            values, grads = norms_and_grads_of(rows, space)
+        with np.errstate(all="ignore"):
+            want, want_grads, sv = lapack_norms_and_grads(rows, space)
+        # the value and gradient paths share their arithmetic
+        assert values.tobytes() == norms.tobytes()
+        top = sv[:, 0]
+        if space.kind == "hilbert_op" or space.p == 1:
+            # no sum of entries overflows: only a norm past the largest float warns
+            assert not caught or not np.all(np.isfinite(want))
+            fits = np.ones(len(rows), dtype=bool)
+        else:
+            # where the sum of p-th powers of the singular values under- or
+            # overflows, the lp norm of them does, as on lp spaces
+            with np.errstate(all="ignore"):
+                powers = np.sum(sv**space.p, axis=1)
+            fits = (top == 0) | ((powers >= np.finfo(float).tiny) & (powers < np.inf))
+        # a few units in the last place, also when the norm is subnormal
+        np.testing.assert_allclose(norms[fits], want[fits], rtol=2e-15, atol=1e-322)
+        # where sigma_2 and sigma_1 - sigma_2 are both at least sigma_1 / 100 the
+        # singular vectors, and so the gradients, are good to eps * 100
+        with np.errstate(over="ignore"):
+            well = (100 * sv[:, 1] >= top) & (100 * (top - sv[:, 1]) >= top)
+        well &= fits & (top > 0) & np.isfinite(want)
+        np.testing.assert_allclose(grads[well], want_grads[well], rtol=0, atol=1e-13)
