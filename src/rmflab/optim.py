@@ -19,6 +19,18 @@ Numer. Anal. 8, 1988).  Each start takes the path it takes alone, and per
 problem the first restart achieving the maximum within 1e-12 wins, so
 results never depend on batching.
 
+A problem may come with a ceiling, a proved upper bound on its objective
+(callers give N^(1-1/p) and N^(1/q) for type and cotype ratios over exact
+moments, and the summability and Cauchy-Schwarz bounds for R-bound
+ratios; see ``rademacher`` and ``rbound``).  Once the problem's winner is
+sure to score at least ceiling (1 + 1e-13) - 1e-12, every start ordered
+after the one that makes it sure stops where it is: no value of such a
+start can beat the winner by more than 1e-12, so the winner, its value
+and its point keep their bits, and the winner and every earlier start
+climb as they would without a ceiling.  A search that never meets its
+ceiling pays one comparison of the start values with their limits per
+iteration.
+
 One iteration costs one value call per block of rungs (one, as a rule),
 one gradient call and a fixed few dozen numpy calls of bookkeeping,
 whatever the number of starts: candidates are normalized in place and
@@ -42,6 +54,15 @@ from .spaces import Space, norms_and_grads_of, norms_of, unit_vector
 
 MAX_ITERS = 60
 MIN_STEP = 1e-7
+# a later start wins a problem only by beating the best value so far by more than _TIE
+_TIE = 1e-12
+# computed objective values may pass a proved ceiling by this much, relative (rounding)
+_CEILING_SLACK = 1e-13
+# desk-scale cap on the floats of the start stack maximize_on_spheres tiles
+# (start_stack_floats), 8 MiB: the largest stacks the tests and the bench
+# tile hold 5,220 and 192 floats, and the line search scores up to 25 times
+# the stack per call
+MAX_START_FLOATS = 1 << 20
 
 Objective = Callable[..., np.ndarray]
 
@@ -99,11 +120,15 @@ def ascend(
     tol: float,
     rungs_per_call: int,
     group: np.ndarray | None = None,
+    ceiling=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian ascent from each tuple of a (starts, n, d) stack, in lock step.
 
-    ``group`` holds the problem index of each start (all 0 by default).
-    Returns the (starts,) values and the (starts, n, d) points reached.
+    ``group`` holds the problem index of each start (all 0 by default), and
+    ``ceiling`` (a float, or one per problem; inf for none) a proved upper
+    bound on each problem's objective: a start that can no longer win its
+    problem stops (see ``_sure_winner``), and the others climb as without
+    it.  Returns the (starts,) values and the (starts, n, d) points reached.
     The line search halves the step from the start's first trial length
     down to ``MIN_STEP`` and takes the first rung that improves by more
     than ``tol``.  A start stops when no rung improves or its tangent
@@ -123,6 +148,10 @@ def ascend(
     direction[flat], length[flat] = _tangent(x[flat], np.broadcast_to(probe, x[flat].shape), space)
     step = np.full(x.shape[0], 0.5)
     active = (length > 0).nonzero()[0]
+    if ceiling is not None:
+        watch = _CeilingWatch(fx, group, ceiling)
+        if watch.watching():
+            active = active[watch.keep(active)]
     for _ in range(MAX_ITERS):
         before = x[active]
         unit = direction[active] / length[active, None, None]
@@ -130,6 +159,9 @@ def ascend(
             objective, x, fx, step, active, group[active], unit, space, tol, rungs_per_call
         )
         moved = active[improved]
+        if ceiling is not None and watch.watching():
+            improved[improved] = watch.keep(moved)
+            moved = active[improved]
         if moved.size == 0:
             break
         new_grad, new_norm = _tangent(x[moved], objective(x[moved], group[moved], grad=True)[1], space)
@@ -142,6 +174,71 @@ def ascend(
         length[moved] = new_norm
         active = moved[new_norm > math.sqrt(tol)]
     return fx, x
+
+
+class _CeilingWatch:
+    """Stops the starts of a lock-step ascent that can no longer win their problem.
+
+    ``fx`` is the ascent's (starts,) value array, read as it climbs.  A
+    problem is watched from the first time one of its starts scores at
+    least its limit, ceiling (1 + _CEILING_SLACK) - _TIE, until
+    ``_sure_winner`` finds the start after which none can win; then its
+    limit becomes inf.
+    """
+
+    def __init__(self, fx: np.ndarray, group: np.ndarray, ceiling):
+        limits = np.asarray(ceiling, dtype=float) * (1 + _CEILING_SLACK) - _TIE
+        self.fx, self.group = fx, group
+        self.limit = limits[group] if limits.ndim else np.full(fx.shape, limits)
+        self.watched: set[int] = set()
+        self.stopped = np.zeros(fx.shape, dtype=bool)
+        self.reached = np.zeros(fx.shape, dtype=bool)
+
+    def watching(self) -> bool:
+        """Whether any problem is watched, with the values ``fx`` holds now."""
+        if np.greater_equal(self.fx, self.limit, out=self.reached).any():
+            self.watched.update(self.group[self.reached].tolist())
+        return bool(self.watched)
+
+    def keep(self, running: np.ndarray) -> np.ndarray:
+        """A mask of the ``running`` starts that may still win; every other start has its final value."""
+        climbing = np.zeros(self.fx.shape, dtype=bool)
+        climbing[running] = True
+        for g in sorted(self.watched):
+            members = (self.group == g).nonzero()[0]
+            last = _sure_winner(self.fx[members], climbing[members], self.limit[members[0]])
+            if last is not None:
+                self.stopped[members[last + 1 :]] = True
+                self.limit[members] = math.inf
+                self.watched.discard(g)
+        return ~self.stopped[running]
+
+
+def _sure_winner(vals: np.ndarray, climbing: np.ndarray, limit: float) -> int | None:
+    """The first position after which no start of one problem can win, or None.
+
+    ``vals`` are the problem's start values in start order, ``climbing``
+    marks the starts whose values may still rise.  The winner is picked
+    by a scan (``maximize_on_spheres``) whose best value only rises, and a
+    start displaces it only by more than ``_TIE``; values never fall.  So
+    the final best after position i is at least: the scan's own best while
+    every start up to i is final; then, at the first climbing start, its
+    value if that beats the best so far by more than ``_TIE``, else the best
+    so far; then the largest value so far minus ``_TIE``.  Once that is at
+    least ``limit``, no later start can win: its values never pass
+    ceiling (1 + _CEILING_SLACK) = limit + _TIE.
+    """
+    best, final = -math.inf, True
+    for i, (val, moving) in enumerate(zip(vals.tolist(), climbing.tolist())):
+        if final:
+            if val > best + _TIE:
+                best = val
+            final = not moving
+        else:
+            best = max(best, val - _TIE)
+        if best >= limit:
+            return i
+    return None
 
 
 def _line_search(objective, x, fx, step, who, owner, direction, space, tol, rungs_per_call):
@@ -202,6 +299,27 @@ def restart_stack(
     return np.stack(starts)
 
 
+def start_stack_floats(space: Space, n_vectors: int, restarts: int, extra: int = 0, problems: int = 1) -> int:
+    """Floats of the start stack ``maximize_on_spheres`` tiles: ``problems``
+    copies of ``restart_stack`` with ``extra`` supplied starts, whose two
+    canonical starts come on top of the supplied ones when ``restarts`` is
+    smaller."""
+    return problems * max(restarts, 2 + extra) * n_vectors * space.total_dim
+
+
+def _over_cap_message(space: Space, n_vectors: int, restarts: int, extra: int, problems: int) -> str:
+    """Why a start stack is refused, and a ``--restarts`` that fits: the CLI's
+    restarts are the searches' ``restarts`` less their supplied starts."""
+    size = n_vectors * space.total_dim
+    starts = start_stack_floats(space, n_vectors, restarts, extra) // size
+    fits = max(0, MAX_START_FLOATS // (problems * size) - extra)
+    return (
+        f"a search of {problems} problem(s) from {starts:,} starts of {size} floats tiles "
+        f"{problems * starts * size:,} floats, over the cap of {MAX_START_FLOATS:,} "
+        f"(optim.MAX_START_FLOATS); --restarts {fits} fits"
+    )
+
+
 def maximize_on_spheres(
     objective: Objective,
     space: Space,
@@ -213,6 +331,7 @@ def maximize_on_spheres(
     *,
     rungs_per_call: int,
     problems: int = 1,
+    ceiling=None,
 ) -> list[tuple[float, np.ndarray]]:
     """Best objective value and point of each problem over its restarts.
 
@@ -220,17 +339,27 @@ def maximize_on_spheres(
     supplied and random starts, and all of them climb in one ``ascend``
     whose objective is told the problem of each tuple.  A problem's first
     start achieving its maximum within 1e-12 wins.  ``rungs_per_call`` is
-    the line-search block of ``ascend``.
+    the line-search block of ``ascend``, and ``ceiling`` (a float, or one
+    per problem) its proved upper bound on the objective, with which
+    starts that can no longer win stop early and the results keep their
+    bits.  A start stack of more than ``MAX_START_FLOATS`` floats
+    (``start_stack_floats``) raises ``ValueError`` before any start is
+    built.
     """
+    extra_starts = list(extra_starts)
+    if start_stack_floats(space, n_vectors, restarts, len(extra_starts), problems) > MAX_START_FLOATS:
+        raise ValueError(_over_cap_message(space, n_vectors, restarts, len(extra_starts), problems))
     starts = restart_stack(space, n_vectors, restarts, seed, extra_starts)
     per = starts.shape[0]
     group = np.repeat(np.arange(problems), per)
-    vals, xs = ascend(objective, np.tile(starts, (problems, 1, 1)), space, tol, rungs_per_call, group)
+    vals, xs = ascend(
+        objective, np.tile(starts, (problems, 1, 1)), space, tol, rungs_per_call, group, ceiling
+    )
     best = []
     for p_vals, p_xs in zip(vals.reshape(problems, per), xs.reshape((problems,) + starts.shape)):
         best_val, best_x = -np.inf, starts[0]
         for val, x in zip(p_vals, p_xs):
-            if val > best_val + 1e-12:
+            if val > best_val + _TIE:
                 best_val, best_x = float(val), x
         best.append((best_val, best_x))
     return best

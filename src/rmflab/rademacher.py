@@ -14,7 +14,12 @@ A moment evaluator (``moment_evaluator``) also gives the gradient in
 every x_j; it is a closed form at exponent 2 on a Hilbert space and one
 sign table otherwise, refused before it is built when the table would pass
 ``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes`` prices it).  Every ratio
-search is one ``maximize_ratio`` call.
+search is one ``maximize_ratio`` call, given a proved ceiling on the ratio
+where its moments are exact: ``type_cotype_ceiling`` for type and cotype
+(n^(1-1/p) and n^(1/q)), and ``rbound``'s summability and Cauchy-Schwarz
+bounds for R-bounds.  A search that meets its ceiling stops every start
+that can no longer win (see ``optim``); none is given to a Monte Carlo
+search.
 """
 
 from __future__ import annotations
@@ -328,14 +333,25 @@ def moment_evaluator(n: int, space: Space, p: float, cfg: EnumConfig):
 
 
 def maximize_ratio(
-    numerator, denominator, space: Space, n: int, table_n: int, cfg: EnumConfig, extra_starts=(), problems=1
+    numerator,
+    denominator,
+    space: Space,
+    n: int,
+    table_n: int,
+    cfg: EnumConfig,
+    extra_starts=(),
+    problems=1,
+    ceiling=None,
 ) -> list[tuple[float, np.ndarray]]:
     """``optim.maximize_on_spheres`` of numerator / denominator (0 where it is 0) on ``space``^n.
 
     Each part maps a stack of points, their problem indices and ``grad`` to
     values, and with ``grad`` to values and gradients in the points' shape.
     Starts are ``cfg.restarts`` plus ``extra_starts``; a line-search block
-    is ``ladder_rungs(table_n, cfg)`` rungs.
+    is ``ladder_rungs(table_n, cfg)`` rungs.  ``ceiling`` (a float, or one
+    per problem) is a proved upper bound on the ratio, given only where
+    both moments are exact: a start that can no longer beat the winner
+    then stops (see ``optim``), and the results keep their bits.
     """
 
     def objective(x: np.ndarray, group=0, grad=False):
@@ -345,8 +361,25 @@ def maximize_ratio(
 
     return optim.maximize_on_spheres(
         objective, space, n, cfg.restarts + len(extra_starts), cfg.seed, cfg.tol,
-        extra_starts, rungs_per_call=ladder_rungs(table_n, cfg), problems=problems,
+        extra_starts, rungs_per_call=ladder_rungs(table_n, cfg), problems=problems, ceiling=ceiling,
     )
+
+
+def type_cotype_ceiling(kind: str, exponent: float, n: int) -> float:
+    """Upper bound on the type-p or cotype-q ratio of n vectors over exact moments.
+
+    Type p: by the triangle inequality and Hoelder,
+    (E||sum eps x||^2)^(1/2) <= sum_j ||x_j|| <= n^(1-1/p) (sum_j ||x_j||^p)^(1/p),
+    so the ratio is at most n^(1-1/p).  Cotype q: eps_j x_j is the
+    conditional mean of sum_k eps_k x_k given eps_j, so by Jensen (or
+    Kahane's contraction principle) (E||sum eps x||^2)^(1/2) >=
+    E||sum eps x|| >= max_j ||x_j||, while (sum_j ||x_j||^q)^(1/q) <=
+    n^(1/q) max_j ||x_j||; the ratio is at most n^(1/q), 1 at q = inf.
+    The l1 type-2 and l-infinity cotype-2 ratios reach sqrt(n) at n
+    disjointly supported unit vectors.  A Monte Carlo moment obeys neither
+    bound.
+    """
+    return n ** (1.0 - 1.0 / exponent) if kind == "type" else n ** (1.0 / exponent)
 
 
 def type_cotype_estimate(
@@ -362,6 +395,8 @@ def type_cotype_estimate(
     every sign pattern: the value is then exact, a true lower bound on the
     constant in the defining inequality.  Above the threshold, off Hilbert
     spaces, a Monte Carlo sign table gives an estimate that may exceed it.
+    An exact search is given ``type_cotype_ceiling``, so once a start
+    reaches it the starts after it stop.
     """
     if kind not in ("type", "cotype"):
         raise ValueError("kind must be 'type' or 'cotype'")
@@ -386,8 +421,10 @@ def type_cotype_estimate(
         return sums, dsums[:, :, None] * dns.reshape(vmats.shape)
 
     parts = (moments, lp_sums) if kind == "type" else (lp_sums, moments)
-    [(val, x)] = maximize_ratio(*parts, space, n, n, cfg)
-    return RatioEstimate(val, _moment_mode(n, space, 2.0, cfg), [Vector(row, space) for row in x])
+    mode = _moment_mode(n, space, 2.0, cfg)
+    ceiling = type_cotype_ceiling(kind, exponent, n) if mode == EXACT else None
+    [(val, x)] = maximize_ratio(*parts, space, n, n, cfg, ceiling=ceiling)
+    return RatioEstimate(val, mode, [Vector(row, space) for row in x])
 
 
 def scalar_moment(coeffs: np.ndarray, p: float, cfg: EnumConfig) -> MomentEstimate:

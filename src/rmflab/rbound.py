@@ -50,6 +50,11 @@ GRID_CERTIFIED = "grid_certified"
 # slower than prefix faces alone and raised one value in 256, by 0.2%
 _ALL_FACES_ROWS = 6
 
+# desk-scale cap on the points of a certifying grid (sphere_grid_points): the
+# default step 1e-3 builds about 12.6M points on 3 vectors, in 4.3 s at a
+# peak RSS of 1.4 GB, so a step of 3e-4 would not fit in 8 GB
+MAX_GRID_POINTS = 1 << 24
+
 # sets searched in one ascent are capped so that the coefficient-times-row
 # products of one line-search call hold at most this many floats (2 MB): on
 # lp1 rmf-ratio at grid exponent 9 (512 sets of 10 rows) peak memory was
@@ -103,6 +108,25 @@ def _face_starts(k: int) -> np.ndarray:
     return masks[(size >= 2) & (size < k)]
 
 
+def _ratio_ceiling(norms: np.ndarray, p: float) -> np.ndarray:
+    """Upper bound on the R_p ratio on the coefficient sphere of each set, from its (b, k) row norms.
+
+    The ratio at lambda is (E||sum eps_j lam_j y_j||^p)^(1/p) over
+    (E|sum eps_j lam_j|^p)^(1/p).  The numerator is at most
+    sum_j |lam_j| ||y_j|| (triangle inequality, sign by sign).  The
+    denominator is at least ||lam||_inf at every p, since
+    (E|sum eps lam|^p)^(1/p) >= E|sum eps lam| >= max_j |lam_j| (eps_j lam_j
+    is the conditional mean of the sum given eps_j), and at least
+    ||lam||_2 = (E|sum eps lam|^2)^(1/2) at p >= 2.  So the ratio is at most
+    sum_j ||y_j||, and at p >= 2 at most (sum_j ||y_j||^2)^(1/2) by
+    Cauchy-Schwarz, the smaller of the two; the l1^n basis at p = 2
+    attains sqrt(n).
+    """
+    if p >= 2:
+        return np.sqrt(np.add.reduce(norms * norms, axis=1))
+    return np.add.reduce(norms, axis=1)
+
+
 def _sphere_lower(
     sets: np.ndarray, space: Space, p: float, cfg: EnumConfig, extra_starts=()
 ) -> list[tuple[float, np.ndarray]]:
@@ -116,12 +140,16 @@ def _sphere_lower(
     start follows the path it follows alone.  Sets longer than
     ``cfg.exact_threshold`` have Monte Carlo moments, so their first
     ``exact_threshold`` rows are searched too, exactly, from the supplied
-    starts that lie in them; the first of the best values wins.
+    starts that lie in them; the first of the best values wins.  Each
+    exactly enumerated set's search is given ``_ratio_ceiling`` of its rows,
+    so once a start reaches it the starts after it stop.
     """
     head = cfg.exact_threshold
     best = [(-math.inf, None)] * sets.shape[0]
+    row_norms = norms_of(sets.reshape(-1, sets.shape[2]), space).reshape(sets.shape[:2])
     for subs in [sets[:, :head], sets] if 2 <= head < sets.shape[1] else [sets]:
         k = subs.shape[1]
+        ceilings = _ratio_ceiling(row_norms[:, :k], p) if k <= head else None
         extra = [s[:k] for s in extra_starts if not np.any(s[k:])] + list(_face_starts(k))
         vector_moments = moment_evaluator(k, space, p, cfg)
         # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
@@ -150,7 +178,8 @@ def _sphere_lower(
                 return (found[0], np.add.reduce(found[1] * rows, axis=2)[:, None, :]) if grad else found
 
             found = maximize_ratio(
-                combos, coefficients, lp_space(2, k), 1, k, cfg, extra, problems=batch.shape[0]
+                combos, coefficients, lp_space(2, k), 1, k, cfg, extra, problems=batch.shape[0],
+                ceiling=None if ceilings is None else ceilings[lo : lo + per],
             )
             for i, (val, lam) in enumerate(found, lo):
                 if val > best[i][0]:
@@ -395,6 +424,37 @@ def rbound_operator(
     return RBoundBracket(lower, float(np.sum(op_norms)), wit, OPTIMIZED, p)
 
 
+def sphere_grid_points(k: int, step: float) -> float:
+    """Upper bound on the points ``_sphere_grid(k, step)`` builds, for 1 <= k <= 3, in O(1).
+
+    Exact for k <= 2.  On S^2 the n = max(2, ceil(pi / step)) latitudes
+    hold 2 poles and n - 1 rings of max(4, ceil(2 pi sin(phi_i) / step))
+    points, at most 2 pi sin(phi_i) / step + 5 each, and the sines sum to
+    cot(pi / 2n) <= 2n / pi.  With n <= N = max(2, pi / step + 1) the count
+    is at most 2 + 5 (N - 1) + 4 N / step: 4 pi / step^2 + (5 pi + 4) / step
+    + 2 once step <= pi, at most (5 pi + 4) / step + 2 above the count.
+    """
+    if k == 1:
+        return 2.0
+    if k == 2:
+        ring = 2 * math.pi / step
+        return float(max(4, math.ceil(ring))) if math.isfinite(ring) else math.inf
+    lat = max(2.0, math.pi / step + 1)
+    return 2 + 5 * (lat - 1) + 4 * lat / step
+
+
+def _grid_step_that_fits(k: int) -> float:
+    """A step, of two significant digits, whose grid on S^(k-1) prices at most MAX_GRID_POINTS."""
+    if k == 2:
+        step = 2 * math.pi / MAX_GRID_POINTS
+    else:
+        # the positive root in 1 / step of sphere_grid_points(3, step) = MAX_GRID_POINTS
+        b = 5 * math.pi + 4
+        step = 8 * math.pi / (math.sqrt(b * b + 16 * math.pi * (MAX_GRID_POINTS - 2)) - b)
+    digits = 10 ** (math.floor(math.log10(step)) - 1)
+    return math.ceil(step / digits) * digits
+
+
 def _sphere_grid(k: int, step: float) -> np.ndarray:
     """Points covering the Euclidean unit sphere S^(k-1), spacing <= step."""
     if k == 1:
@@ -430,7 +490,8 @@ def rbound_certify_grid(
     point is feasible, so the reported lower bound is certified; the gap
     to the supremum over single selections of the full set is bounded by a
     Lipschitz argument and reported in ``sup_gap``.  ``grid_step`` must be
-    a finite number > 0.
+    a finite number > 0, and a grid that ``sphere_grid_points`` prices
+    over ``MAX_GRID_POINTS`` raises ``ValueError`` before it is built.
     """
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError("grid_step must be a finite number > 0")
@@ -438,6 +499,12 @@ def rbound_certify_grid(
     k = len(vectors)
     if k > 3:
         raise ValueError("grid certification supports at most 3 vectors")
+    points = sphere_grid_points(k, grid_step)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a grid of step {grid_step:g} on {k} vectors has up to {points:,.0f} points, over the cap of "
+            f"{MAX_GRID_POINTS:,} (rbound.MAX_GRID_POINTS); --grid-step {_grid_step_that_fits(k):.2g} fits"
+        )
     member_norms = norms_of(vmat, space)
     upper = float(np.sum(member_norms))
 

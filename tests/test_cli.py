@@ -482,6 +482,40 @@ def test_sign_table_over_cap_exits_before_allocating(capsys):
     assert peak < 4 << 20
 
 
+def _traced_run(capsys, *argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, peak
+
+
+def test_grid_step_over_cap_exits_before_building(capsys, tmp_path):
+    path = tmp_path / "l1basis3.json"
+    path.write_text(json.dumps({"space": {"kind": "lp", "p": 1, "dim": 3}, "vectors": np.eye(3).tolist()}))
+    code, out, err, peak = _traced_run(capsys, "rbound", "--vectors", str(path), "--grid-step", "3e-4")
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith(
+        "a grid of step 0.0003 on 3 vectors has up to 139,692,035 points, over the cap of 16,777,216 "
+        "(rbound.MAX_GRID_POINTS); --grid-step 0.00087 fits"
+    )
+    assert peak < 4 << 20
+
+
+def test_restarts_over_cap_exit_before_any_start_is_built(capsys, l1_basis_file):
+    code, out, err, peak = _traced_run(
+        capsys, "rbound", "--vectors", l1_basis_file, "--p", "3", "--restarts", "100000000", "--seed", "1"
+    )
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith(
+        "a search of 1 problem(s) from 100,000,000 starts of 2 floats tiles 200,000,000 floats, over the "
+        "cap of 1,048,576 (optim.MAX_START_FLOATS); --restarts 524288 fits"
+    )
+    assert peak < 4 << 20
+
+
 class TestGundy:
     def test_batch_zero_violations(self, capsys):
         code, out, _ = run(

@@ -416,3 +416,28 @@ def test_searches_are_pinned():
     values = _search_results()
     assert np.all(np.isfinite(values))
     assert hashlib.sha256(values.tobytes()).hexdigest() == SEARCH_DIGEST
+
+
+def test_start_stack_price_is_the_stack_maximize_on_spheres_tiles():
+    space = lp_space(1, 3)
+    extra = [np.ones((2, 3))]
+    for restarts in (0, 1, 2, 3, 7):
+        stack = optim.restart_stack(space, 2, restarts, 1, extra)
+        assert optim.start_stack_floats(space, 2, restarts, 1, problems=5) == 5 * stack.size
+
+
+def test_start_stack_over_the_cap_raises_before_any_start_is_built():
+    space = lp_space(1, 4)
+    calls = []
+
+    def objective(x, group=0, grad=False):
+        calls.append(x.shape)
+        raise AssertionError("scored a start")
+
+    fits = optim.MAX_START_FLOATS // (3 * 2 * 4)
+    assert optim.start_stack_floats(space, 2, fits, problems=3) <= optim.MAX_START_FLOATS
+    assert optim.start_stack_floats(space, 2, fits + 1, problems=3) > optim.MAX_START_FLOATS
+    assert optim.start_stack_floats(space, 2, 10**8) > optim.MAX_START_FLOATS
+    with pytest.raises(ValueError, match=rf"optim.MAX_START_FLOATS\); --restarts {fits} fits"):
+        optim.maximize_on_spheres(objective, space, 2, 10**8, 1, 1e-9, rungs_per_call=1, problems=3)
+    assert calls == []

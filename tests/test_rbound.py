@@ -292,6 +292,37 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid_step"):
             rbound_certify_grid(basis(lp_space(1, 2)), 2, grid_step=step)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("step", [100.0, 4.0, 2.0, 1.0, 0.3, 0.07, 0.02, 4e-3])
+    def test_grid_price_bounds_the_points_built(self, k, step):
+        points = len(rbound._sphere_grid(k, step))
+        price = rbound.sphere_grid_points(k, step)
+        assert points <= price <= points + (5 * math.pi + 4) / step + 2
+        if k < 3:
+            assert price == points
+
+    def test_grid_price_over_the_cap(self):
+        cap = rbound.MAX_GRID_POINTS
+        assert rbound.sphere_grid_points(3, 1e-3) <= cap
+        assert rbound.sphere_grid_points(3, 3e-4) > cap
+        assert rbound.sphere_grid_points(2, 2 * math.pi / cap) <= cap < rbound.sphere_grid_points(2, 6 / cap)
+        for k in (2, 3):
+            fits = rbound._grid_step_that_fits(k)
+            assert rbound.sphere_grid_points(k, fits) <= cap < rbound.sphere_grid_points(k, 0.9 * fits)
+        # no step overflows the price, down to the smallest subnormal
+        for step in (1e-100, 1e-200, 5e-324):
+            assert rbound.sphere_grid_points(2, step) > cap and rbound.sphere_grid_points(3, step) > cap
+
+    def test_grid_over_the_cap_raises_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"rbound.MAX_GRID_POINTS\); --grid-step 0.00087 fits"):
+                rbound_certify_grid(basis(lp_space(1, 3)), 2, grid_step=1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestOperator:
     def test_identity_family(self):
