@@ -114,7 +114,10 @@ def _load_json(path: str, schema: str):
     return obj
 
 
+@functools.lru_cache(maxsize=16)
 def _space_from_arg(text: str):
+    """The space a ``--space`` JSON text names, parsed and validated once per
+    process: spaces are frozen, and a refused text raises again each time."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -340,6 +343,7 @@ def cmd_reduce(args):
 
 def _generated_family(args, seed):
     space = _space_from_arg(args.space)
+    mart.check_family_price(args.instances, args.grid_exponent, args.steps, space.total_dim)
     return [
         mart.random_haar_martingale(
             space,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtration import (
+    MAX_GRID_EXPONENT,
     AtomicMeasureSpace,
     Filtration,
     StepFunction,
@@ -42,6 +43,13 @@ from .spaces import Space, Vector, dual_exponent, norms_of
 INF_TIME = np.iinfo(np.int64).max
 
 _MARTINGALE_TOL = 1e-9
+
+# desk-scale cap on the labels and floats of a generated family
+# (family_entries), 2^24 entries or 128 MiB: a gundy run peaks near 51
+# traced bytes per entry (36.8 MB for one instance of 10 steps on 2^14
+# atoms in dim 3), and the largest families the tests, the README and the
+# bench generate hold 563,200 entries (gundy --instances 200)
+MAX_FAMILY_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,32 @@ def random_haar_martingale(
         scale * rng.standard_normal((base.n_atoms, space.total_dim)), space, base
     )
     return from_function(f, filt)
+
+
+def family_entries(instances: int, grid_exponent: int, steps: int, dim: int) -> int:
+    """Labels and floats of ``instances`` martingales ``random_haar_martingale``
+    generates: each of the steps + 1 levels holds one label and ``dim``
+    values per atom of the 2^grid_exponent grid."""
+    return instances * (steps + 1) * (1 << grid_exponent) * (1 + dim)
+
+
+def check_family_price(instances: int, grid_exponent: int, steps: int, dim: int) -> None:
+    """Raise ``ValueError`` naming the cap and an ``--instances`` that fits
+    when ``family_entries`` is over ``MAX_FAMILY_ENTRIES``.  A grid over
+    ``MAX_GRID_EXPONENT`` is left to the grid's own cap, which refuses it
+    when the first instance is built."""
+    if grid_exponent > MAX_GRID_EXPONENT:
+        return
+    entries = family_entries(instances, grid_exponent, steps, dim)
+    if entries <= MAX_FAMILY_ENTRIES:
+        return
+    fits = MAX_FAMILY_ENTRIES // family_entries(1, grid_exponent, steps, dim)
+    remedy = f"--instances {fits} fits" if fits else "not one instance fits"
+    raise ValueError(
+        f"a family of {instances:,} instance(s) of {steps + 1} levels on 2^{grid_exponent} atoms in dim "
+        f"{dim} holds {entries:,} labels and floats, over the cap of {MAX_FAMILY_ENTRIES:,} "
+        f"(martingale.MAX_FAMILY_ENTRIES); {remedy}"
+    )
 
 
 def constant_martingale(

@@ -516,6 +516,38 @@ def test_restarts_over_cap_exit_before_any_start_is_built(capsys, l1_basis_file)
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("subcommand", ["gundy", "goodlambda", "weak-rmf"])
+def test_instances_over_cap_exit_before_any_instance_is_built(capsys, subcommand):
+    code, out, err, peak = _traced_run(
+        capsys, subcommand, "--space", L1_PLANE, "--instances", "100000000", "--grid-exponent", "6",
+        "--steps", "10", "--seed", "1",
+    )
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith(
+        "a family of 100,000,000 instance(s) of 11 levels on 2^6 atoms in dim 2 holds 211,200,000,000 labels "
+        "and floats, over the cap of 16,777,216 (martingale.MAX_FAMILY_ENTRIES); --instances 7943 fits"
+    )
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "space,reason",
+    [('{"kind":"lp","p":0.5,"dim":2}', "--space: space schema violated"), ('{"kind":"lp",', "--space: malformed JSON")],
+    ids=["schema", "malformed"],
+)
+def test_a_refused_space_exits_2_on_every_call(capsys, space, reason):
+    argv = ("gundy", "--space", space, "--instances", "1", "--seed", "1")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == second[0] == 2
+    assert first[2] == second[2] and reason in first[2]
+
+
+def test_a_space_text_is_parsed_once():
+    cli._space_from_arg.cache_clear()
+    assert cli._space_from_arg(L1_PLANE) is cli._space_from_arg(L1_PLANE)
+    assert cli._space_from_arg.cache_info().misses == 1
+
+
 class TestGundy:
     def test_batch_zero_violations(self, capsys):
         code, out, _ = run(

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rmflab
 
@@ -24,12 +26,15 @@ from rmflab.filtration import (
 )
 from rmflab.martingale import (
     INF_TIME,
+    MAX_FAMILY_ENTRIES,
     GundyCertificates,
     PredictableProcess,
     SimpleMartingale,
     StoppingTime,
     alpha_of,
+    check_family_price,
     constant_martingale,
+    family_entries,
     family_prefix_rbounds,
     first_hit,
     from_function,
@@ -1042,3 +1047,30 @@ def test_internal_constructions_are_martingales(name):
     # promise is checked here instead
     for x in _CONSTRUCTIONS[name]():
         validate_martingale(x)
+
+
+@pytest.mark.parametrize("grid_exponent,steps,dim", [(1, 0, 1), (3, 4, 2), (5, 9, 4)])
+def test_family_price_counts_the_labels_and_floats_an_instance_holds(grid_exponent, steps, dim):
+    x = random_haar_martingale(lp_space(1, dim), grid_exponent, steps, seed=3)
+    held = x.filtration.labels.size + x.values_stack().size
+    assert family_entries(1, grid_exponent, steps, dim) == held
+    assert family_entries(7, grid_exponent, steps, dim) == 7 * held
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_exponent=st.integers(1, 22), steps=st.integers(0, 400), dim=st.integers(1, 9))
+def test_family_price_refuses_one_instance_over_what_fits(grid_exponent, steps, dim):
+    fits = MAX_FAMILY_ENTRIES // family_entries(1, grid_exponent, steps, dim)
+    check_family_price(fits, grid_exponent, steps, dim)
+    remedy = f"--instances {fits} fits" if fits else "not one instance fits"
+    with pytest.raises(ValueError, match=rf"\(martingale.MAX_FAMILY_ENTRIES\); {remedy}$"):
+        check_family_price(fits + 1, grid_exponent, steps, dim)
+
+
+def test_family_price_with_no_instance_that_fits():
+    assert family_entries(1, 22, 10, 3) > MAX_FAMILY_ENTRIES
+    with pytest.raises(ValueError, match="not one instance fits$"):
+        check_family_price(1, 22, 10, 3)
+    check_family_price(0, 22, 10, 3)
+    # a grid over its own cap is refused where the grid is built, not here
+    check_family_price(10**6, 40, 10, 3)

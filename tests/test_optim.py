@@ -171,17 +171,80 @@ def test_stack_equals_each_start_alone(monkeypatch, run):
     _each_search(monkeypatch, run, check)
 
 
+# line-search blocks: one rung per call, the first block's own two rungs,
+# blocks of three after it, and the whole rest of the ladder in one call
+LADDER_BLOCKS = (1, 2, 3, 1 << 20)
+
+
 @pytest.mark.parametrize(
     "run", [_rbound_run(lp_space(1, 2)), _cotype_run(schatten_space(1, 2, 2))], ids=["rbound", "cotype"]
 )
 def test_ladder_block_does_not_change_the_path(monkeypatch, run):
     def check(objective, starts, space, tol, rungs):
         one = optim.ascend(objective, starts, space, tol, 1)
-        whole = optim.ascend(objective, starts, space, tol, 1 << 20)
-        assert np.array_equal(one[0], whole[0])
-        assert np.array_equal(one[1], whole[1])
+        for block in LADDER_BLOCKS[1:]:
+            other = optim.ascend(objective, starts, space, tol, block)
+            assert np.array_equal(one[0], other[0])
+            assert np.array_equal(one[1], other[1])
 
     _each_search(monkeypatch, run, check)
+
+
+def _atomwise_searches(stack, block):
+    """``atomwise_rbound`` on an lp1 plane stack with every ladder block set
+    to ``block``, and the (value, point) of each problem its searches found."""
+    found = []
+    real = optim.maximize_on_spheres
+
+    def spy(*args, **kwargs):
+        best = real(*args, **{**kwargs, "rungs_per_call": block})
+        found.extend(best)
+        return best
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optim, "maximize_on_spheres", spy)
+        lower, upper, _ = atomwise_rbound(stack, lp_space(1, 2), EnumConfig(restarts=3, seed=2), 3.0)
+    return lower, upper, found
+
+
+@settings(max_examples=12, deadline=None)
+@given(levels=st.integers(2, 4), atoms=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_atomwise_searches_do_not_depend_on_the_ladder_block(levels, atoms, seed):
+    stack = np.random.default_rng(seed).standard_normal((levels, atoms, 2))
+    lower, upper, found = _atomwise_searches(stack, LADDER_BLOCKS[0])
+    assert found
+    for block in LADDER_BLOCKS[1:]:
+        other_lower, other_upper, other = _atomwise_searches(stack, block)
+        assert np.array_equal(lower, other_lower) and np.array_equal(upper, other_upper)
+        assert len(other) == len(found)
+        for (val, x), (other_val, other_x) in zip(found, other):
+            assert val == other_val and np.array_equal(x, other_x)
+
+
+def test_first_ladder_call_scores_at_most_two_rungs_per_start():
+    first_calls, later_calls = [], []
+    real = optim._line_search
+
+    def spy(objective, x, fx, step, who, *args):
+        calls = []
+
+        def counted(cand, group, grad=False):
+            calls.append(cand.shape[0])
+            return objective(cand, group, grad)
+
+        improved = real(counted, x, fx, step, who, *args)
+        if calls:  # a search whose starts all stopped scores nothing
+            first_calls.append((calls[0], who.size))
+            later_calls.extend(calls[1:])
+        return improved
+
+    stack = np.random.default_rng(7).standard_normal((4, 3, 2))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optim, "_line_search", spy)
+        atomwise_rbound(stack, lp_space(1, 2), CFG, 3.0)
+    # some starts fail both first rungs and go on down the ladder
+    assert first_calls and later_calls
+    assert all(tuples <= 2 * starts for tuples, starts in first_calls)
 
 
 @pytest.mark.parametrize(

@@ -324,6 +324,50 @@ class TestGrid:
         assert peak < 1 << 20
 
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("step", [4.0, 0.3, 0.02, 4e-3])
+    def test_sphere_grid_is_its_rings_stacked(self, k, step):
+        if k < 3:
+            rings = [rbound._sphere_grid(k, step)]
+        else:
+            n_lat = max(2, math.ceil(math.pi / step))
+            rings = [np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])]
+            for i in range(1, n_lat):
+                phi = math.pi * i / n_lat
+                theta = np.arange(max(4, math.ceil(2 * math.pi * math.sin(phi) / step)))
+                theta = theta * (2 * math.pi / theta.size)
+                ring = [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.full(theta.size, math.cos(phi))]
+                rings.append(np.column_stack(ring))
+        assert np.array_equal(rbound._sphere_grid(k, step), np.vstack(rings))
+
+    @pytest.mark.parametrize(
+        "space,step",
+        [(lp_space(1, 3), 1e-2), (lp_space(3, 3), 1e-2), (lp_space(math.inf, 3), 1e-2), (lp_space(3, 3), 3e-3)],
+        ids=["lp1", "lp3", "lpinf", "lp3-fine"],
+    )
+    def test_grid_chunks_give_the_bits_of_one_pass(self, monkeypatch, space, step):
+        rng = np.random.default_rng(19)
+        vs = [Vector(rng.standard_normal(3), space) for _ in range(3)]
+        for p in (1.5, 3.0):
+            chunked = rbound_certify_grid(vs, p, grid_step=step)
+            with monkeypatch.context() as m:
+                m.setattr(rbound, "_GRID_CHUNK", 1 << 40)
+                whole = rbound_certify_grid(vs, p, grid_step=step)
+            assert (chunked.lower, chunked.upper, chunked.sup_gap) == (whole.lower, whole.upper, whole.sup_gap)
+            assert np.array_equal(chunked.witness.coeffs, whole.witness.coeffs)
+
+    def test_grid_holds_little_beside_its_points(self):
+        vs = basis(lp_space(1, 3))
+        grid_bytes = rbound._sphere_grid(3, 1e-2).nbytes
+        tracemalloc.start()
+        try:
+            rbound_certify_grid(vs, 2, grid_step=1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * grid_bytes
+
+
 class TestOperator:
     def test_identity_family(self):
         space = hilbert_op_space(2, 2)
