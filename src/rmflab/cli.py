@@ -594,14 +594,36 @@ def _csv_field(text: str) -> str:
 # that finds its distinct values costs more than it saves
 _DEDUPE_ROWS = 64
 
+# ints below this are written from one table of their texts (atom indices)
+_INT_TEXTS_TOP = 1 << 16
+_int_texts = np.empty(0, dtype=object)
+
+
+def _small_int_cells(column: np.ndarray) -> list[str]:
+    """``str`` of each int of ``column``, all in [0, _INT_TEXTS_TOP), from one table.
+
+    The table is kept for the process, since every report of a grid writes
+    the same atom indices.  It is built on first use and grown to the
+    next power of two the column needs: at most _INT_TEXTS_TOP texts.
+    """
+    global _int_texts
+    texts, top = _int_texts, int(column.max()) + 1
+    if top > texts.size:
+        size = 1 << (top - 1).bit_length()
+        texts = np.concatenate([texts, np.array(list(map(str, range(texts.size, size))), dtype=object)])
+        _int_texts = texts
+    return texts[column].tolist()
+
 
 def _table_cells(table: dict, quote) -> list[list[str]]:
     """Cell texts of each column, each distinct bit pattern formatted once.
 
     Floats take ``float.__repr__``, as json and csv do, a non-finite one
     quoted as a string (``_json_scalar``); ints take ``str``, strings ``quote``.
-    Int columns are formatted cell by cell: ``str`` of an int costs less
-    than the sort that finds the distinct ones.  A float column of one bit
+    An int column of at least _DEDUPE_ROWS cells in [0, _INT_TEXTS_TOP)
+    takes its texts from one table (``_small_int_cells``); other int
+    columns are formatted cell by cell: ``str`` of an int costs less than
+    the sort that finds the distinct ones.  A float column of one bit
     pattern (a mix of -0.0 and 0.0, or of NaN payloads, is two) formats
     it once.  A column equal bit for bit to an earlier one reuses its text.
     """
@@ -611,6 +633,9 @@ def _table_cells(table: dict, quote) -> list[list[str]]:
         if key in done:
             continue
         floats, ints = column.dtype.kind == "f", column.dtype.kind in "iu"
+        if ints and column.size >= _DEDUPE_ROWS and column.min() >= 0 and column.max() < _INT_TEXTS_TOP:
+            done[key] = _small_int_cells(column)
+            continue
         values, inverse = column, None
         if column.size >= _DEDUPE_ROWS and not ints:
             bits = column.view(np.uint64) if floats else column
@@ -698,8 +723,23 @@ def _render_json(payload, table=None) -> str:
 
 
 def _render_csv(table) -> str:
+    """A header line, then one line per row, written by one ``"".join``.
+
+    The flat list holds the header and its newline, then cell ``j`` of row
+    ``i`` at ``2 + 2 * (i * width + j)``, each followed by ``,`` or, at the
+    end of its row, a newline; each column's cells go in by one slice
+    assignment, as in ``_render_json``.
+    """
     cells = _table_cells(table, _csv_field)
-    return "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+    if not cells:
+        return "\n"
+    n_rows, step = len(cells[0]), 2 * len(cells)
+    parts = [","] * (2 + step * n_rows)
+    parts[:2] = ",".join(table), "\n"
+    for j, column in enumerate(cells):
+        parts[2 + 2 * j :: step] = column
+    parts[1 + step :: step] = ["\n"] * n_rows
+    return "".join(parts)
 
 
 def _flags_of(subcommand: str) -> dict:

@@ -133,10 +133,11 @@ class Partition:
 
     Block ids are canonical: numbered by first atom occurrence, so two
     partitions with the same blocks compare equal.  Labels are read-only;
-    only writeable ones are copied.  Block masses are summed on first use.
-    ``_first_atoms`` is for :class:`Filtration`, which hands over read-only
-    canonical rows with the first atoms it found; the labels are then kept
-    unchecked.
+    only writeable ones are copied.  Block masses are summed on first use
+    and kept, unless the function that made the partition knows them
+    exactly and has set them (``make_dyadic_filtration``).  ``_first_atoms`` is for
+    :class:`Filtration`, which hands over read-only canonical rows with
+    the first atoms it found; the labels are then kept unchecked.
     """
 
     block_of: np.ndarray = field(repr=False)
@@ -383,12 +384,20 @@ def dyadic_grid(k: int) -> AtomicMeasureSpace:
 
 
 def make_dyadic_filtration(k: int) -> tuple[AtomicMeasureSpace, Filtration]:
-    """2^k equal atoms modeling [0,1) with the dyadic-interval levels 0..k."""
+    """2^k equal atoms modeling [0,1) with the dyadic-interval levels 0..k.
+
+    Level j is given its 2^j block masses of 2^-j: a sum of 2^(k-j) atom
+    masses of 2^-k is exact for every k <= MAX_GRID_EXPONENT, so these are
+    the summed masses bit for bit, and no level sums them.
+    """
     if k < 1:
         raise ValueError("grid exponent must be >= 1")
     space = dyadic_grid(k)
     labels = np.arange(space.n_atoms) >> np.arange(k, -1, -1)[:, None]
-    return space, Filtration(_read_only(labels), space)
+    filt = Filtration(_read_only(labels), space)
+    for j, level in enumerate(filt.levels):
+        object.__setattr__(level, "_block_masses", _read_only(np.full(1 << j, 2.0**-j)))
+    return space, filt
 
 
 def dyadic_partition(space: AtomicMeasureSpace, level: int, k: int) -> Partition:

@@ -10,15 +10,15 @@ as a search lower bound together with the summability upper bound.
 
 E_j f is constant on the blocks of level j, so both maximal functions
 start from blocks: each kept level's block averages are taken once, from
-one mass-weighted copy of the values.  The Doob maximal function (and the
-Rademacher one on a Hilbert range) takes the norms of each level's block
-averages and carries the running maximum down the filtration, from each
-block to the blocks it splits into, then gathers to atoms once.  A search
-on a non-Hilbert range runs at one atom per block of the last kept level,
-whose atoms share their whole path, and is gathered back the same way; no
-(levels, atoms, dim) stack is built.  Each block average sums its atoms in
-atom order and norms are row-wise, so every value is bit for bit the one
-the per-atom stack gives.
+one mass-weighted copy of the values, stored column-major.  The Doob
+maximal function (and the Rademacher one on a Hilbert range) takes the
+norms of each level's block averages and carries the running maximum
+down the filtration, from each block to the blocks it splits into, then
+gathers to atoms once.  A search on a non-Hilbert range runs at one atom
+per block of the last kept level, whose atoms share their whole path, and
+is gathered back the same way; no (levels, atoms, dim) stack is built.
+Each block average sums its atoms in atom order and norms are row-wise,
+so every value is bit for bit the one the per-atom stack gives.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def _level_averages(f: StepFunction, filt: Filtration, truncation: int | None):
         raise ValueError("function and filtration live on different spaces")
     if truncation is not None and truncation < 0:
         raise ValueError("truncation must be >= 0")
-    weighted = f.base.masses[:, None] * f.values
+    # column-major, so each level's per-column block sums read a contiguous column
+    weighted = np.multiply(f.base.masses[:, None], f.values, order="F")
     kept = filt.levels if truncation is None else filt.levels[: truncation + 1]
     return [(pi, block_averages(weighted, pi)) for pi in kept]
 

@@ -13,9 +13,11 @@ products and norms of the 2^(N-1) combinations are the work.
 A moment evaluator (``moment_evaluator``) also gives the gradient in
 every x_j; it is a closed form at exponent 2 on a Hilbert space and one
 sign table otherwise, refused before it is built when the table would pass
-``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes`` prices it).  Every ratio
-search is one ``maximize_ratio`` call, given a proved ceiling on the ratio
-where its moments are exact: ``type_cotype_ceiling`` for type and cotype
+``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes`` prices it).  A Monte Carlo
+moment that would draw over ``MAX_MC_SIGN_ENTRIES`` signs is refused
+before it draws one (``mc_sign_entries`` prices it).  Every ratio search
+is one ``maximize_ratio`` call, given a proved ceiling on the ratio where
+its moments are exact: ``type_cotype_ceiling`` for type and cotype
 (n^(1-1/p) and n^(1/q)), and ``rbound``'s summability and Cauchy-Schwarz
 bounds for R-bounds.  A search that meets its ceiling stops every start
 that can no longer win (see ``optim``); none is given to a Monte Carlo
@@ -46,6 +48,10 @@ _MC_TABLE = 1 << 15
 # desk-scale cap on the sign table a moment evaluator holds (sign_table_bytes):
 # 256 MiB, above the 84 MB exact table of 20 vectors, the default threshold
 MAX_SIGN_TABLE_BYTES = 1 << 28
+# desk-scale cap on the signs the Monte Carlo moment draws (mc_sign_entries):
+# 2^30, about 20 s at 17-20 ns a sign (2-core machine); the default 100,000
+# samples fit up to 10,737 vectors
+MAX_MC_SIGN_ENTRIES = 1 << 30
 # sign-table rows multiplied at a time once a table has twice as many: a
 # 2^15-row product is memory-bound; 2^11 rows at a time took 1.5 ms against
 # 2.0-2.1 ms per tuple (lp1, 16 vectors of dimension 16, on a 2-core machine)
@@ -158,7 +164,11 @@ def _stack(vectors: list[Vector]) -> tuple[np.ndarray, Space]:
 def moment_from_matrix(
     vmat: np.ndarray, space: Space, p: float, cfg: EnumConfig
 ) -> MomentEstimate:
-    """Randomized p-th moment of the rows of ``vmat`` (coords in ``space``)."""
+    """Randomized p-th moment of the rows of ``vmat`` (coords in ``space``).
+
+    A Monte Carlo moment whose signs ``mc_sign_entries`` prices over
+    ``MAX_MC_SIGN_ENTRIES`` raises ``ValueError`` before it draws any.
+    """
     if not (1 <= p < math.inf):
         raise ValueError("moment exponent must satisfy 1 <= p < inf")
     n = vmat.shape[0]
@@ -175,6 +185,13 @@ def moment_from_matrix(
             total += float(np.sum(norms_of(combos, space) ** p))
         return MomentEstimate((total / count) ** (1.0 / p), EXACT, count, 0.0)
 
+    drawn = mc_sign_entries(n, cfg)
+    if drawn > MAX_MC_SIGN_ENTRIES:
+        raise ValueError(
+            f"a Monte Carlo moment of {n} vectors at {cfg.mc_samples:,} samples draws {drawn:,} signs, over "
+            f"the cap of {MAX_MC_SIGN_ENTRIES:,} (rademacher.MAX_MC_SIGN_ENTRIES); "
+            f"--mc-samples {MAX_MC_SIGN_ENTRIES // n} fits"
+        )
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     remaining = cfg.mc_samples
     s = 0.0
@@ -268,6 +285,11 @@ def _mc_table(n: int, rows: int, seed: int) -> np.ndarray:
 def sign_table_bytes(n: int, cfg: EnumConfig) -> int:
     """Bytes of the float64 sign table that ``moment_evaluator(n, ...)`` holds under ``cfg``."""
     return 8 * n * _table_rows(n, cfg)
+
+
+def mc_sign_entries(n: int, cfg: EnumConfig) -> int:
+    """Signs ``moment_from_matrix`` draws for the Monte Carlo moment of n vectors under ``cfg``."""
+    return cfg.mc_samples * n
 
 
 def _over_cap_message(n: int, cfg: EnumConfig) -> str:

@@ -427,7 +427,7 @@ def rbound_operator(
 
 
 def sphere_grid_points(k: int, step: float) -> float:
-    """Upper bound on the points ``_sphere_grid(k, step)`` builds, for 1 <= k <= 3, in O(1).
+    """Upper bound on the points ``_sphere_grid_chunks(k, step)`` yields, for 1 <= k <= 3, in O(1).
 
     Exact for k <= 2.  On S^2 the n = max(2, ceil(pi / step)) latitudes
     hold 2 poles and n - 1 rings of max(4, ceil(2 pi sin(phi_i) / step))
@@ -457,32 +457,44 @@ def _grid_step_that_fits(k: int) -> float:
     return math.ceil(step / digits) * digits
 
 
-def _sphere_grid(k: int, step: float) -> np.ndarray:
-    """Points covering the Euclidean unit sphere S^(k-1), spacing <= step.
+def _sphere_grid_chunks(k: int, step: float):
+    """Points covering the Euclidean unit sphere S^(k-1), spacing <= step,
+    in grid order, as new arrays of _GRID_CHUNK points (the last fewer).
 
-    On S^2 the two poles come first, then one ring per latitude, each
-    written into one array sized from the ring counts beforehand.
+    S^0 is its two points.  On S^2 the two poles come first, then one ring
+    per latitude; S^1 is the equator ring alone, with no third column (its
+    sine, 1, scales nothing).  A ring may run across chunks: each chunk is
+    written from its own range of the ring's angles, so the whole grid is
+    never held.
     """
     if k == 1:
-        return np.array([[1.0], [-1.0]])
+        yield np.array([[1.0], [-1.0]])
+        return
     if k == 2:
-        m = max(4, int(math.ceil(2 * math.pi / step)))
-        ang = np.arange(m) * (2 * math.pi / m)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    n_lat = max(2, int(math.ceil(math.pi / step)))
-    phis = [math.pi * i / n_lat for i in range(1, n_lat)]
+        phis, at = [math.pi / 2], 0
+    else:
+        n_lat = max(2, int(math.ceil(math.pi / step)))
+        phis, at = [math.pi * i / n_lat for i in range(1, n_lat)], 2
     rings = [max(4, int(math.ceil(2 * math.pi * math.sin(phi) / step))) for phi in phis]
-    out = np.empty((2 + sum(rings), 3))
-    out[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
-    at = 2
+    left = at + sum(rings)
+    out = np.empty((min(_GRID_CHUNK, left), k))
+    if k == 3:
+        out[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
     for phi, ring in zip(phis, rings):
-        theta = np.arange(ring) * (2 * math.pi / ring)
-        block = out[at : at + ring]
-        np.multiply(np.sin(phi), np.cos(theta), out=block[:, 0])
-        np.multiply(np.sin(phi), np.sin(theta), out=block[:, 1])
-        block[:, 2] = math.cos(phi)
-        at += ring
-    return out
+        done = 0
+        while done < ring:
+            take = min(ring - done, out.shape[0] - at)
+            theta = np.arange(done, done + take) * (2 * math.pi / ring)
+            block = out[at : at + take]
+            np.multiply(np.sin(phi), np.cos(theta), out=block[:, 0])
+            np.multiply(np.sin(phi), np.sin(theta), out=block[:, 1])
+            if k == 3:
+                block[:, 2] = math.cos(phi)
+            at, done = at + take, done + take
+            if at == out.shape[0]:
+                yield out
+                left -= at
+                out, at = np.empty((min(_GRID_CHUNK, left), k)), 0
 
 
 def rbound_certify_grid(
@@ -512,14 +524,13 @@ def rbound_certify_grid(
     member_norms = norms_of(vmat, space)
     upper = float(np.sum(member_norms))
 
-    grid = _sphere_grid(k, grid_step)
     pats = sign_patterns(k)
     count = pats.shape[0]
     # the moments of each point depend on that point alone, so chunks of
-    # points give the bits of one pass and keep the temporaries small
-    value, i, num_top, den_low = -math.inf, 0, -math.inf, math.inf
-    for start in range(0, grid.shape[0], _GRID_CHUNK):
-        pts = grid[start : start + _GRID_CHUNK]
+    # points give the bits of one pass; each is scored as it is generated,
+    # and only the best point so far is kept, as a copy
+    value, best, num_top, den_low = -math.inf, None, -math.inf, math.inf
+    for pts in _sphere_grid_chunks(k, grid_step):
         num_p = np.zeros(pts.shape[0])
         den_p = np.zeros(pts.shape[0])
         for s in pats:
@@ -529,9 +540,11 @@ def rbound_certify_grid(
         num = (num_p / count) ** (1.0 / p)
         den = (den_p / count) ** (1.0 / p)
         ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-        best = int(np.argmax(ratio))
-        if ratio[best] > value:  # strictly, so the first maximum over all chunks wins
-            value, i = float(ratio[best]), start + best
+        i = int(np.argmax(ratio))
+        if best is None:  # the first point, while no ratio beats -inf
+            best = pts[0].copy()
+        if ratio[i] > value:  # strictly, so the first maximum over all chunks wins
+            value, best = float(ratio[i]), pts[i].copy()
         num_top, den_low = max(num_top, float(np.max(num))), min(den_low, float(np.min(den)))
 
     # Lipschitz gap: both moments are norms of lambda in R^k, with
@@ -547,5 +560,5 @@ def rbound_certify_grid(
         num_max = num_top + l_num * grid_step
         l_ratio = l_num / den_lb + num_max * l_den / den_lb**2
         gap = l_ratio * grid_step
-    wit = SelectionWitness(tuple(range(k)), grid[i].copy())
+    wit = SelectionWitness(tuple(range(k)), best)
     return RBoundBracket(value, upper, wit, GRID_CERTIFIED, p, sup_gap=gap)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import cli, optim, rbound
+from rmflab import cli, filtration, optim, rbound
 from rmflab.cli import build_parser, main
 
 L1_PLANE = '{"kind":"lp","p":1,"dim":2}'
@@ -512,6 +512,18 @@ def test_restarts_over_cap_exit_before_any_start_is_built(capsys, l1_basis_file)
     assert err.rstrip().endswith(
         "a search of 1 problem(s) from 100,000,000 starts of 2 floats tiles 200,000,000 floats, over the "
         "cap of 1,048,576 (optim.MAX_START_FLOATS); --restarts 524288 fits"
+    )
+    assert peak < 4 << 20
+
+
+def test_mc_samples_over_cap_exit_before_any_sign_is_drawn(capsys, l1_basis_file):
+    code, out, err, peak = _traced_run(
+        capsys, "randnorm", "--vectors", l1_basis_file, "--exact-threshold", "1", "--mc-samples", "1000000000"
+    )
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith(
+        "a Monte Carlo moment of 2 vectors at 1,000,000,000 samples draws 2,000,000,000 signs, over the cap "
+        "of 1,073,741,824 (rademacher.MAX_MC_SIGN_ENTRIES); --mc-samples 536870912 fits"
     )
     assert peak < 4 << 20
 
@@ -1074,20 +1086,23 @@ COLUMN_NAMES = ["atom_index", "mass", "doob", "mode", "lambda", "a", "b_2", "z"]
 
 @st.composite
 def tables(draw):
-    """Columns of one row count: ints, floats (constant, mixed +-0.0, non-finite,
-    subnormal), strings, and copies of an earlier column."""
+    """Columns of one row count: ints (some near the atom indices' range
+    [0, 2^16)), floats (constant, mixed +-0.0, non-finite, subnormal),
+    strings, and copies of an earlier column."""
     n = draw(st.sampled_from([0, 1, 63, 64, 65, 300]))
     # two columns at least: csv.writer quotes a row holding one empty field
     names = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=2, max_size=6, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = {}
     for name in names:
-        kind = draw(st.sampled_from(["int", "float", "constant", "zeros", "string", "copy"]))
+        kind = draw(st.sampled_from(["int", "index", "float", "constant", "zeros", "string", "copy"]))
         if kind == "copy" and table:
             table[name] = table[draw(st.sampled_from(sorted(table)))].copy()
             continue
         if kind == "int":
             pool = draw(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=8))
+        elif kind == "index":
+            pool = draw(st.lists(st.integers(-2, 2**16 + 1), min_size=1, max_size=8))
         elif kind == "string":
             pool = draw(st.lists(TABLE_TEXT, min_size=1, max_size=8))
         elif kind == "constant":
@@ -1129,6 +1144,72 @@ class TestTableRenderer:
         assert csv_text.splitlines()[1:] == ["0.00048828125,0.0,0.0,nan"] * (n - 1) + [
             "0.00048828125,0.0,-0.0,nan"
         ]
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.arange(1 << 16),
+            np.arange(1 << 16)[::-1].copy(),
+            np.arange(5, 200, 3, dtype=np.int32),
+            np.arange(64, dtype=np.uint16),
+            np.arange((1 << 16) - 2, (1 << 16) + 100),
+            np.arange(-3, 100),
+            np.arange(63),
+            np.arange(0),
+        ],
+        ids=["atoms", "reversed", "int32", "uint16", "past-2^16", "negative", "short", "empty"],
+    )
+    def test_int_cells_are_str_of_each_int(self, column):
+        table = {"mass": np.full(column.size, 0.5), "atom_index": column, "label": column.astype(str)}
+        cells = cli._table_cells(table, cli._csv_field)
+        assert cells[1] == [str(i) for i in column.tolist()]
+        assert cells[2] == cells[1]
+        assert cli._int_texts.size <= 1 << 16
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {},
+            {"a": np.arange(0), "b": np.zeros(0)},
+            {"atom_index": np.arange(70)},
+            {"mode": np.array(["a,b", 'q"', "", "x"])},
+            {
+                "atom_index": np.arange(1 << 16),
+                "mass": np.full(1 << 16, 2.0**-16),
+                "doob": np.random.default_rng(16).standard_normal(1 << 16),
+            },
+        ],
+        ids=["no-columns", "no-rows", "one-column", "one-string-column", "2^16-rows"],
+    )
+    def test_csv_is_the_rows_joined_one_by_one(self, table):
+        cells = cli._table_cells(table, cli._csv_field)
+        rows = "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+        # as lists of lines, so a failure names its first differing line
+        # instead of diffing two 2^16-line texts
+        assert cli._render_csv(table).splitlines(keepends=True) == rows.splitlines(keepends=True)
+
+    def test_grid_csv_sums_no_block_masses_and_formats_no_atom_index(self, monkeypatch, capsys):
+        argv = ["maximal", "--space", HILBERT_PLANE, "--grid-exponent", "16", "--seed", "3", "--format", "csv"]
+        assert main(argv) == 0  # the int table is built here, once for the process
+        want = capsys.readouterr().out
+        mass_sums, int_texts = [], []
+        block_sums = filtration.Partition.block_sums
+
+        def counted_block_sums(self, weights):
+            if weights.ndim == 1:
+                mass_sums.append(weights.size)
+            return block_sums(self, weights)
+
+        def counted_str(obj):
+            if isinstance(obj, int):
+                int_texts.append(obj)
+            return str(obj)
+
+        monkeypatch.setattr(filtration.Partition, "block_sums", counted_block_sums)
+        monkeypatch.setattr(cli, "str", counted_str, raising=False)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert mass_sums == [] and int_texts == []
 
 
 class TestGoldenReports:

@@ -174,6 +174,20 @@ class TestDyadicFiltration:
         with pytest.raises(ValueError):
             make_dyadic_filtration(0)
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_level_masses_are_the_summed_masses_bit_for_bit(self, k):
+        space, filt = make_dyadic_filtration(k)
+        for level in filt.levels:
+            masses = level.block_masses()
+            summed = np.bincount(level.block_of, weights=space.masses)
+            assert masses.dtype == summed.dtype and masses.tobytes() == summed.tobytes()
+            assert not masses.flags.writeable
+
+    def test_each_call_builds_a_fresh_filtration(self):
+        (space, a), (_, b) = make_dyadic_filtration(5), make_dyadic_filtration(5)
+        assert a is not b and a == b
+        assert a.levels[3].block_masses() is not b.levels[3].block_masses()
+
 
 class TestRandomHaar:
     def test_zero_steps(self):

@@ -2,11 +2,12 @@
 
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rmflab import optim, rademacher
@@ -487,6 +488,23 @@ def test_start_stack_price_is_the_stack_maximize_on_spheres_tiles():
     for restarts in (0, 1, 2, 3, 7):
         stack = optim.restart_stack(space, 2, restarts, 1, extra)
         assert optim.start_stack_floats(space, 2, restarts, 1, problems=5) == 5 * stack.size
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 16), n_vectors=st.integers(1, 8), extra=st.integers(0, 60), problems=st.integers(1, 1024)
+)
+def test_start_stack_remedy_sits_just_under_the_cap(dim, n_vectors, extra, problems):
+    # prices only: no start is built.  The CLI's --restarts r asks the
+    # search for r + extra starts; a remedy exists once the supplied and
+    # two canonical starts fit
+    space = lp_space(1, dim)
+    assume(optim.start_stack_floats(space, n_vectors, 0, extra, problems) <= optim.MAX_START_FLOATS)
+    message = optim._over_cap_message(space, n_vectors, 10**9, extra, problems)
+    fits = int(re.search(r"--restarts (\d+) fits$", message)[1])
+    under = optim.start_stack_floats(space, n_vectors, fits + extra, extra, problems)
+    over = optim.start_stack_floats(space, n_vectors, fits + extra + 1, extra, problems)
+    assert under <= optim.MAX_START_FLOATS < over
 
 
 def test_start_stack_over_the_cap_raises_before_any_start_is_built():

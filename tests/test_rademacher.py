@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -13,7 +14,9 @@ from rmflab.rademacher import (
     EnumConfig,
     hilbert_moment2,
     moment_evaluator,
+    MAX_MC_SIGN_ENTRIES,
     MAX_SIGN_TABLE_BYTES,
+    mc_sign_entries,
     moment_from_matrix,
     rademacher_moment,
     scalar_moment,
@@ -420,6 +423,47 @@ def test_evaluator_over_the_cap_raises_before_allocating(n, cfg, remedy):
     assert peak < 1 << 20
     # the Hilbert closed form at exponent 2 holds no table
     assert moment_evaluator(n, lp_space(2, 2), 2.0, cfg) is hilbert_moment2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 64), st.integers(1, 1 << 20)),
+    threshold=st.integers(1, 64),
+    samples=st.integers(1, 1 << 40),
+)
+def test_sign_table_remedy_sits_just_under_the_cap(n, threshold, samples):
+    # prices only: no table is built
+    cfg = EnumConfig(exact_threshold=threshold, mc_samples=samples)
+    if sign_table_bytes(n, cfg) <= MAX_SIGN_TABLE_BYTES:
+        return
+    flag, fits = re.search(r"(--[a-z-]+) (\d+) fits$", rademacher._over_cap_message(n, cfg)).groups()
+    fits = int(fits)
+    if flag == "--exact-threshold":
+        # an exact table of the vectors that fits, and of one more
+        under, over = EnumConfig(exact_threshold=fits), EnumConfig(exact_threshold=fits + 1)
+        assert sign_table_bytes(fits, under) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(fits + 1, over)
+    else:
+        under, over = EnumConfig(threshold, mc_samples=fits), EnumConfig(threshold, mc_samples=fits + 1)
+        assert sign_table_bytes(n, under) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(n, over)
+
+
+def test_monte_carlo_draw_price():
+    # one sign per vector per sample: 2.1M at the default samples and threshold
+    assert mc_sign_entries(21, EnumConfig()) == 2_100_000
+    assert mc_sign_entries(10_737, EnumConfig()) <= MAX_MC_SIGN_ENTRIES < mc_sign_entries(10_738, EnumConfig())
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 1 << 16), samples=st.integers(1, 1 << 40))
+def test_monte_carlo_draw_remedy_sits_just_under_the_cap(n, samples):
+    fits = MAX_MC_SIGN_ENTRIES // n
+    under, over = EnumConfig(exact_threshold=1, mc_samples=fits), EnumConfig(exact_threshold=1, mc_samples=fits + 1)
+    assert mc_sign_entries(n, under) <= MAX_MC_SIGN_ENTRIES < mc_sign_entries(n, over)
+    cfg = EnumConfig(exact_threshold=1, mc_samples=samples)
+    if mc_sign_entries(n, cfg) > MAX_MC_SIGN_ENTRIES:
+        # refused before the first sign is drawn
+        with pytest.raises(ValueError, match=rf"\(rademacher.MAX_MC_SIGN_ENTRIES\); --mc-samples {fits} fits$"):
+            moment_from_matrix(np.ones((n, 1)), lp_space(1, 1), 2.0, cfg)
 
 
 def _digest(values):

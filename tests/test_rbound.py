@@ -295,7 +295,7 @@ class TestGrid:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("step", [100.0, 4.0, 2.0, 1.0, 0.3, 0.07, 0.02, 4e-3])
     def test_grid_price_bounds_the_points_built(self, k, step):
-        points = len(rbound._sphere_grid(k, step))
+        points = sum(map(len, rbound._sphere_grid_chunks(k, step)))
         price = rbound.sphere_grid_points(k, step)
         assert points <= price <= points + (5 * math.pi + 4) / step + 2
         if k < 3:
@@ -313,6 +313,17 @@ class TestGrid:
         for step in (1e-100, 1e-200, 5e-324):
             assert rbound.sphere_grid_points(2, step) > cap and rbound.sphere_grid_points(3, step) > cap
 
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.sampled_from([2, 3]), cap=st.integers(64, 1 << 40))
+    def test_grid_remedy_sits_just_under_the_cap(self, k, cap):
+        # prices only, at caps of every size: the step the refusal names is
+        # accepted, and one unit lower in its last digit is refused
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rbound, "MAX_GRID_POINTS", cap)
+            fits = rbound._grid_step_that_fits(k)
+        unit = 10 ** (math.floor(math.log10(fits)) - 1)
+        assert rbound.sphere_grid_points(k, fits) <= cap < rbound.sphere_grid_points(k, fits - unit)
+
     def test_grid_over_the_cap_raises_before_building(self):
         tracemalloc.start()
         try:
@@ -326,9 +337,14 @@ class TestGrid:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("step", [4.0, 0.3, 0.02, 4e-3])
-    def test_sphere_grid_is_its_rings_stacked(self, k, step):
-        if k < 3:
-            rings = [rbound._sphere_grid(k, step)]
+    def test_sphere_grid_is_its_rings_stacked(self, monkeypatch, k, step):
+        # the grid as one array per ring, stacked, was built so before chunks
+        if k == 1:
+            rings = [np.array([[1.0], [-1.0]])]
+        elif k == 2:
+            theta = np.arange(max(4, math.ceil(2 * math.pi / step)))
+            theta = theta * (2 * math.pi / theta.size)
+            rings = [np.column_stack([np.cos(theta), np.sin(theta)])]
         else:
             n_lat = max(2, math.ceil(math.pi / step))
             rings = [np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])]
@@ -338,7 +354,13 @@ class TestGrid:
                 theta = theta * (2 * math.pi / theta.size)
                 ring = [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.full(theta.size, math.cos(phi))]
                 rings.append(np.column_stack(ring))
-        assert np.array_equal(rbound._sphere_grid(k, step), np.vstack(rings))
+        # chunks of 5 points split the poles from rings and most rings in two
+        for chunk in (rbound._GRID_CHUNK, 5):
+            with monkeypatch.context() as m:
+                m.setattr(rbound, "_GRID_CHUNK", chunk)
+                chunks = list(rbound._sphere_grid_chunks(k, step))
+            assert all(len(c) == chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= chunk
+            assert np.array_equal(np.vstack(chunks), np.vstack(rings))
 
     @pytest.mark.parametrize(
         "space,step",
@@ -357,15 +379,18 @@ class TestGrid:
             assert np.array_equal(chunked.witness.coeffs, whole.witness.coeffs)
 
     def test_grid_holds_little_beside_its_points(self):
+        # each chunk is scored as it is generated, so the peak stays near a
+        # few chunks while the grid grows (3 MB at step 1e-2, 34 MB at 3e-3)
         vs = basis(lp_space(1, 3))
-        grid_bytes = rbound._sphere_grid(3, 1e-2).nbytes
-        tracemalloc.start()
-        try:
-            rbound_certify_grid(vs, 2, grid_step=1e-2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * grid_bytes
+        chunk_bytes = rbound._GRID_CHUNK * 3 * 8
+        for step in (1e-2, 3e-3):
+            tracemalloc.start()
+            try:
+                rbound_certify_grid(vs, 2, grid_step=step)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * chunk_bytes < rbound.sphere_grid_points(3, step) * 3 * 8
 
 
 class TestOperator:
