@@ -22,7 +22,6 @@ from .martingale import (
     good_lambda_experiment,
     good_lambda_experiments,
     gundy_decompose,
-    martingale_transform,
     maximal_stars,
     validate_martingale,
     weak_rmf_probe,
@@ -34,7 +33,7 @@ from .rademacher import (
     rademacher_moment,
     type_cotype_estimate,
 )
-from .rbound import RBoundBracket, rbound_certify_grid, rbound_operator, rbound_scalar
+from .rbound import RBoundBracket, rbound_certify_grid, rbound_scalar
 from .spaces import Space, Vector, dual_exponent, hilbert_op_space, lp_space, norm, schatten_space
 
 __version__ = "0.1.0"
@@ -65,14 +64,12 @@ __all__ = [
     "lp_norm",
     "lp_space",
     "make_dyadic_filtration",
-    "martingale_transform",
     "maximal_stars",
     "norm",
     "rademacher_maximal",
     "rademacher_moment",
     "random_haar_filtration",
     "rbound_certify_grid",
-    "rbound_operator",
     "rbound_scalar",
     "rmf_ratio",
     "schatten_space",

@@ -5,10 +5,10 @@ The penalty of a finite vector set at a point is R(set)^p - C ||point||^p.
 The boundedness of the Rademacher maximal operator is equivalent to the
 existence of a majorant of this penalty that never increases along
 martingales; the exact majorant is a supremum over all finite simple
-martingales starting at the point, which this module approximates from
-below over finite families and supplements with the closure operators
-(splicing, standard-Haar splicing, prepending a constant step) that make
-the approximation realize the defining inequalities exactly.
+martingales starting at the point.  This module evaluates the penalty and
+its expectation along a martingale's paths, builds the closure operators
+(splicing, standard-Haar splicing) that realize the defining inequalities
+exactly, and checks a candidate majorant's defining properties on samples.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .filtration import (
 )
 from .martingale import SimpleMartingale
 from .rademacher import EnumConfig
-from .rbound import HILBERT_EXACT, OPTIMIZED, _lower_side_by_side
+from .rbound import HILBERT_EXACT, OPTIMIZED, _lower_side_by_side, atomwise_rbound
 from .spaces import Vector, norm_of
 
 
@@ -48,27 +48,14 @@ class UValue:
     empty_set: bool = False
 
 
-def u_value(
-    members: list[Vector],
-    point: Vector,
-    p: float,
-    c: float,
-    cfg: EnumConfig | None = None,
-) -> UValue:
-    """Penalty R(set)^p - C ||point||^p (R of the empty set is 0, flagged).
-
-    The one-query case of :func:`u_values`.
-    """
-    return u_values([(members, point)], p, c, cfg)[0]
-
-
 def u_values(
     queries: list[tuple[list[Vector], Vector]],
     p: float,
     c: float,
     cfg: EnumConfig | None = None,
 ) -> list[UValue]:
-    """:func:`u_value` of every ``(members, point)`` query.
+    """Penalty R(set)^p - C ||point||^p of every ``(members, point)`` query
+    (R of the empty set is 0, flagged).
 
     Every nonempty set is an atom of one kernel stack per space, shorter
     sets padded by repeating their last row, which the kernel drops along
@@ -230,13 +217,6 @@ def extend_standard_haar(x: SimpleMartingale, extra_steps: int) -> SimpleMarting
     return SimpleMartingale(Filtration(labels, x.base), levels)
 
 
-def prepend_constant(x: SimpleMartingale) -> SimpleMartingale:
-    """Duplicate the starting level (a lazy first step)."""
-    labels = x.filtration.labels[[0, *range(len(x.levels))]]
-    levels = (x.levels[0],) + x.levels
-    return SimpleMartingale(Filtration(labels, x.base), levels)
-
-
 def expected_u_along(
     x: SimpleMartingale,
     members: list[Vector],
@@ -248,74 +228,27 @@ def expected_u_along(
     """E of the penalty of {X_j(omega)} union the set, at X_last(omega).
 
     ``skip_first`` drops that many initial levels from the path set (used
-    to reproduce the monotonicity step that discards the root level).
-    The one-member case of :func:`_expected_us`.
+    to reproduce the monotonicity step that discards the root level).  The
+    path stack (levels, then the set rows) is searched in one kernel call.
+    Acceptance criterion 9 runs it on the change-of-variables identity of
+    splicing.
     """
-    return _expected_us([x], members, p, c, cfg, skip_first)[0]
-
-
-def _expected_us(
-    family: list[SimpleMartingale],
-    members: list[Vector],
-    p: float,
-    c: float,
-    cfg: EnumConfig | None = None,
-    skip_first: int = 0,
-) -> list[float]:
-    """:func:`expected_u_along` of every family member, whose path stacks
-    (levels, then the set rows) are searched in one kernel call per space."""
     if cfg is None:
         cfg = EnumConfig()
-    dim = family[0].space.total_dim
+    dim = x.space.total_dim
     set_rows = np.vstack([m.coords for m in members]) if members else np.empty((0, dim))
-    stacks = [
-        np.concatenate(
-            [
-                x.values_stack()[skip_first:],
-                np.broadcast_to(set_rows[:, None, :], (len(set_rows), x.base.n_atoms, dim)),
-            ]
-        )
-        for x in family
-    ]
-    found = _lower_side_by_side(stacks, [x.space for x in family], cfg)
-    values = []
-    for x, (r_lower, _) in zip(family, found):
-        last = x.levels[-1].values
-        total = 0.0
-        for atom, mass in enumerate(x.base.masses):
-            total += mass * (float(r_lower[atom]) ** p - c * norm_of(last[atom], x.space) ** p)
-        values.append(total)
-    return values
-
-
-def v_lower(
-    members: list[Vector],
-    point: Vector,
-    p: float,
-    c: float,
-    family: list[SimpleMartingale],
-    cfg: EnumConfig | None = None,
-) -> float:
-    """Finite-family lower approximation of the majorant at (set, point).
-
-    Every family member must start at the point; the value is the best
-    expected penalty of the member's path set joined with the given set,
-    with every member searched in one kernel call.  Enlarging the family
-    never decreases the value, and including the constant martingale
-    makes the result at least the penalty itself.
-    """
-    if not family:
-        raise ValueError("need at least one martingale in the family")
-    for x in family:
-        start = _require_starting_constant(x)
-        if x.space != point.space or not np.allclose(
-            start, point.coords, atol=1e-12
-        ):
-            raise ValueError("family members must start at the given point")
-    best = -math.inf
-    for value in _expected_us(family, members, p, c, cfg):
-        best = max(best, value)
-    return best
+    stack = np.concatenate(
+        [
+            x.values_stack()[skip_first:],
+            np.broadcast_to(set_rows[:, None, :], (len(set_rows), x.base.n_atoms, dim)),
+        ]
+    )
+    r_lower = atomwise_rbound(stack, x.space, cfg)[0]
+    last = x.levels[-1].values
+    total = 0.0
+    for atom, mass in enumerate(x.base.masses):
+        total += mass * (float(r_lower[atom]) ** p - c * norm_of(last[atom], x.space) ** p)
+    return total
 
 
 @dataclass(frozen=True)

@@ -184,11 +184,6 @@ class Partition:
         np.minimum.at(lo, self.block_of, vals)
         return hi, lo
 
-    def is_measurable(self, values) -> bool:
-        """True iff per-atom reals are exactly constant on every block."""
-        hi, lo = self.block_extremes(values)
-        return bool(np.array_equal(hi, lo))
-
     def block_masses(self) -> np.ndarray:
         """Mass of each block, read-only: one array shared by every caller."""
         if self._block_masses is None:
@@ -222,27 +217,12 @@ def _read_only_labels(labels) -> np.ndarray:
     return _read_only(np.array(labels, dtype=np.int64, order="C"))
 
 
-def trivial_partition(space: AtomicMeasureSpace) -> Partition:
-    return Partition(np.zeros(space.n_atoms, dtype=np.int64), space)
-
-
-def atom_partition(space: AtomicMeasureSpace) -> Partition:
-    return Partition(np.arange(space.n_atoms, dtype=np.int64), space)
-
-
 def block_parents(fine: Partition, coarse: Partition) -> np.ndarray:
     """Block of ``coarse`` holding the first atom of each block of ``fine``.
 
     When ``fine`` refines ``coarse`` this is the block holding all of it.
     """
     return coarse.block_of[fine.first_atoms()]
-
-
-def is_refinement(fine: Partition, coarse: Partition) -> bool:
-    """True iff every block of ``fine`` lies inside one block of ``coarse``."""
-    if fine.space != coarse.space:
-        raise ValueError("partitions live on different spaces")
-    return bool(np.array_equal(block_parents(fine, coarse)[fine.block_of], coarse.block_of))
 
 
 def _canonical_rows(labels: np.ndarray):
@@ -554,25 +534,6 @@ def _input_splits(filt: Filtration):
         raise ValueError("input must be a Haar filtration") from None
 
 
-def haar_splits(filt: Filtration) -> list[tuple[int, int, int]]:
-    """(parent, child1, child2) masses per level of a Haar filtration, as
-    exact integers in the unit of ``AtomicMeasureSpace.mass_units``.
-
-    Raises unless level 0 is trivial and every transition is a single
-    two-way split (levels refine, so one more block means exactly that).
-    """
-    _, _, m1, m2 = _split_units(filt)
-    return list(zip((m1 + m2).tolist(), m1.tolist(), m2.tolist()))
-
-
-def is_haar(filt: Filtration) -> bool:
-    try:
-        _split_units(filt)
-    except ValueError:
-        return False
-    return True
-
-
 def haar_kind(filt: Filtration) -> str:
     """Finest split-mass class of a Haar filtration: standard < dyadic < general."""
     _, _, m1, m2 = _split_units(filt)
@@ -586,13 +547,6 @@ def haar_kind(filt: Filtration) -> str:
 def is_standard_haar(filt: Filtration) -> bool:
     try:
         return haar_kind(filt) == STANDARD
-    except ValueError:
-        return False
-
-
-def is_dyadic_haar(filt: Filtration) -> bool:
-    try:
-        return haar_kind(filt) in (STANDARD, DYADIC)
     except ValueError:
         return False
 
@@ -855,30 +809,6 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
     pullback[np.argsort(grid_blocks, kind="stable")] = np.repeat(in_atoms, spans[in_atoms])
     mapped = Filtration(_read_only(out), grid)
     return BooleanIsomorphism(grid, k_out, mapped, dyadic_levels, pullback)
-
-
-@dataclass(frozen=True)
-class ProductBase:
-    """Product of two atomic spaces, outer index major."""
-
-    outer: AtomicMeasureSpace
-    inner: AtomicMeasureSpace
-
-    def combined(self) -> AtomicMeasureSpace:
-        return AtomicMeasureSpace(np.kron(self.outer.masses, self.inner.masses))
-
-    def lift_filtration(self, filt: Filtration) -> Filtration:
-        if filt.space != self.outer:
-            raise ValueError("filtration must live on the outer space")
-        labels = np.repeat(filt.labels, self.inner.n_atoms, axis=1)
-        return Filtration(_read_only(labels), self.combined())
-
-    def lift_function(self, f: StepFunction) -> StepFunction:
-        if f.base != self.outer:
-            raise ValueError("function must live on the outer space")
-        return StepFunction(
-            np.repeat(f.values, self.inner.n_atoms, axis=0), f.space, self.combined()
-        )
 
 
 def filtration_to_json(filt: Filtration) -> dict:

@@ -215,35 +215,6 @@ def constant_martingale(
     return SimpleMartingale(filt, levels)
 
 
-@dataclass(frozen=True)
-class PredictableProcess:
-    """Real multipliers v_j, j = 1..N, with v_j known at level j-1."""
-
-    levels: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "levels", tuple(np.asarray(v, dtype=float).ravel() for v in self.levels)
-        )
-
-
-def validate_predictable(v: PredictableProcess, filt: Filtration) -> None:
-    if len(v.levels) != len(filt.levels) - 1:
-        raise ValueError("need one multiplier per martingale difference")
-    for j, vj in enumerate(v.levels):
-        if vj.size != filt.space.n_atoms:
-            raise ValueError("multiplier length must match atom count")
-        if not filt.levels[j].is_measurable(vj):
-            raise ValueError(f"multiplier {j + 1} is not known at level {j}")
-
-
-def martingale_transform(v: PredictableProcess, x: SimpleMartingale) -> SimpleMartingale:
-    """(v * X)_j = sum_{k<=j} v_k D_k; a martingale when v is predictable."""
-    validate_predictable(v, x.filtration)
-    stack = _transform_stack(np.reshape(v.levels, (-1, x.base.n_atoms)), x.values_stack())
-    return _on_filtration_of(x, stack)
-
-
 def _transform_stack(v: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Levels of the transform by a (n_steps, atoms) multiplier of a
     (levels, atoms, dim) value stack, as one cumsum from a zero level 0:
@@ -268,19 +239,12 @@ class StoppingTime:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.int64))
 
 
-def validate_stopping_time(tau: StoppingTime, filt: Filtration) -> None:
-    for j, part in enumerate(filt.levels):
-        if not part.is_measurable(tau.values == j):
-            raise ValueError(f"{{tau = {j}}} is not measurable at level {j}")
-
-
 def first_hit(hit: np.ndarray) -> StoppingTime:
     """First level holding in each column of a boolean (levels, atoms)
     matrix, INF_TIME where none does.
 
     Row j must be level-j measurable (constant on level-j blocks) for this
-    to be a stopping time; this is not checked here, so check a time from a
-    hand-built matrix with :func:`validate_stopping_time`.
+    to be a stopping time; this is not checked here.
     """
     first = np.argmax(hit, axis=0)
     return StoppingTime(np.where(hit[first, np.arange(hit.shape[1])], first, INF_TIME))
@@ -361,15 +325,6 @@ def family_prefix_rbounds(
         levels = [next(lowers)[0] for _ in range(stacks[i].shape[0])]
         found[i] = np.maximum.accumulate(np.stack(levels), axis=0)[:, blocks[i]]
     return found
-
-
-def stopped_value(x: SimpleMartingale, tau: StoppingTime) -> StepFunction:
-    """X_tau = sum_j 1{tau = j} X_j, zero where tau is infinite."""
-    stack = x.values_stack()
-    idx = np.flatnonzero(tau.values != INF_TIME)
-    vals = np.zeros_like(stack[0])
-    vals[idx] = stack[np.minimum(tau.values[idx], len(x.levels) - 1), idx]
-    return StepFunction(vals, x.space, x.base)
 
 
 def stopped_martingale(x: SimpleMartingale, tau: StoppingTime) -> SimpleMartingale:
@@ -538,7 +493,8 @@ def gundy_heights(x: SimpleMartingale, lams: list[float]) -> list[GundyHeight]:
 def gundy_decompose(x: SimpleMartingale, lam: float) -> GundyParts:
     """The decomposition of :func:`gundy_heights` at one height, with its
     parts as martingales: G = X stopped at sigma, H = 0 and B = X - G, or
-    G = 0, H = X_0 and B = X - X_0 when the mean exceeds the height."""
+    G = 0, H = X_0 and B = X - X_0 when the mean exceeds the height.
+    Acceptance criterion 4 runs it."""
     (height,) = gundy_heights(x, [lam])
     x0 = x.levels[0].values[0]
     zero = constant_martingale(Vector(np.zeros_like(x0), x.space), x.filtration)
@@ -612,7 +568,8 @@ def good_lambda_experiment(
     and reported as a diagnostic otherwise.  ``prefixes`` (from
     :func:`prefix_rbounds`) are searched when not given.  The one-item
     case of :func:`good_lambda_experiments`, which runs a grid of heights
-    or martingales with one search for all of them.
+    or martingales with one search for all of them.  Acceptance
+    criterion 5 runs it.
     """
     if prefixes is None:
         prefixes = prefix_rbounds(x, cfg)
@@ -766,17 +723,6 @@ def _weak_ratio_of(x: SimpleMartingale, rstar: np.ndarray) -> float:
             continue
         best = max(best, v * float(np.sum(masses[rstar >= v])))
     return best / l1
-
-
-def martingale_to_json(x: SimpleMartingale) -> dict:
-    from .filtration import filtration_to_json
-    from .spaces import space_to_json
-
-    return {
-        "space": space_to_json(x.space),
-        "filtration": filtration_to_json(x.filtration),
-        "levels": [lvl.values.tolist() for lvl in x.levels],
-    }
 
 
 def martingale_from_json(obj: dict) -> SimpleMartingale:

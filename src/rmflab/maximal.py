@@ -32,14 +32,13 @@ from .filtration import (
     AtomicMeasureSpace,
     Filtration,
     Partition,
-    ProductBase,
     StepFunction,
     block_averages,
     block_parents,
 )
 from .rademacher import EnumConfig
 from .rbound import HILBERT_EXACT, atomwise_rbound
-from .spaces import Vector, lp_space, norms_of
+from .spaces import Vector, norms_of
 
 DEFAULT_NORM_EXPONENTS = (1.0, 2.0, math.inf)
 
@@ -126,7 +125,6 @@ def rademacher_maximal(
     cfg: EnumConfig | None = None,
     truncation: int | None = None,
     atom_indices=None,
-    rbound_p: float = 2.0,
     norm_exponents=DEFAULT_NORM_EXPONENTS,
 ) -> MaximalReport:
     """R-bound of { E_j f(xi) : j } at each atom.
@@ -136,12 +134,13 @@ def rademacher_maximal(
     bracket of the scalar-coefficient R-bound of its conditional
     expectations, with the singleton floor making the result always at
     least the Doob value.  ``atom_indices`` restricts the computation
-    (other atoms report NaN and no Lp norms are taken).
+    (other atoms report NaN and no Lp norms are taken); acceptance
+    criterion 3 runs it at the left edge of the telescoping function.
     """
     if cfg is None:
         cfg = EnumConfig()
     levels = _level_averages(f, filt, truncation)
-    if f.space.is_hilbert and rbound_p == 2:
+    if f.space.is_hilbert:
         lower = _block_peak(levels, lambda avg: norms_of(avg, f.space))
         upper, mode = lower.copy(), HILBERT_EXACT
     else:
@@ -150,7 +149,7 @@ def rademacher_maximal(
         last = levels[-1][0]
         stack = np.stack([avg[pi.block_of[last.first_atoms()]] for pi, avg in levels])
         blocks = None if atom_indices is None else list(dict.fromkeys(last.block_of[atom_indices]))
-        lower, upper, mode = atomwise_rbound(stack, f.space, cfg, rbound_p, blocks)
+        lower, upper, mode = atomwise_rbound(stack, f.space, cfg, 2.0, blocks)
         lower, upper = lower[last.block_of], upper[last.block_of]
     if atom_indices is None:
         lp = {p: lp_norm(lower, p, f.base) for p in norm_exponents}
@@ -187,6 +186,7 @@ def telescoping_function(targets: list[Vector]) -> StepFunction:
     3.  At each point of I_1 all N targets appear among the dyadic
     averages, which makes the Rademacher maximal function as large as the
     R-bound of the target family while ||f||_inf stays bounded.
+    Acceptance criterion 3 runs it.
     """
     if not targets:
         raise ValueError("need at least one target vector")
@@ -203,60 +203,3 @@ def telescoping_function(targets: list[Vector]) -> StepFunction:
         s_j = 2.0 * targets[j - 1].coords - targets[j - 2].coords
         values[1 << (j - 2) : 1 << (j - 1)] = s_j
     return StepFunction(values, space, base)
-
-
-@dataclass(frozen=True)
-class FubiniReport:
-    """Pointwise slack of the product-space maximal inequality.
-
-    ``violation`` is max over outer atoms of lhs - rhs, where lhs is the
-    Rademacher maximal function of the fiber-vector-valued view and rhs
-    the Lp average (over the inner space) of the fiberwise maximal
-    function.  Nonpositive up to numerical noise.
-    """
-
-    lhs: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    violation: float
-    mode: str
-
-
-def fubini_heredity_check(
-    f: StepFunction,
-    product: ProductBase,
-    outer_filtration: Filtration,
-    p: float,
-    cfg: EnumConfig | None = None,
-) -> FubiniReport:
-    """Check M_R of the vector-valued view against the fiberwise bound.
-
-    ``f`` is scalar-valued on the product base.  The left side treats f
-    as a function of the outer variable with values in a weighted lp
-    space over the inner atoms (weights folded into coordinates); the
-    right side takes the fiberwise scalar maximal function (a plain Doob
-    maximum, since the R-bound of a set of scalars is its largest
-    absolute value) and integrates its p-th power over the inner space.
-    """
-    if cfg is None:
-        cfg = EnumConfig()
-    if not (1 <= p < math.inf):
-        raise ValueError("exponent must lie in [1, inf)")
-    combined = product.combined()
-    if f.base != combined:
-        raise ValueError("function must live on the product base")
-    if f.space.total_dim != 1:
-        raise ValueError("fiberwise check needs scalar atom values")
-    n_out, n_in = product.outer.n_atoms, product.inner.n_atoms
-    table = f.values.reshape(n_out, n_in)
-    weights = product.inner.masses ** (1.0 / p)
-
-    folded = StepFunction(table * weights[None, :], lp_space(p, n_in), product.outer)
-    lhs_report = rademacher_maximal(folded, outer_filtration, cfg, rbound_p=p)
-    lhs = lhs_report.pointwise
-
-    fibers = StepFunction(table, lp_space(1, n_in), product.outer)
-    fiber_max = _block_peak(_level_averages(fibers, outer_filtration, None), np.abs)
-    rhs = (fiber_max**p @ product.inner.masses) ** (1.0 / p)
-
-    violation = float(np.max(lhs - rhs))
-    return FubiniReport(lhs, rhs, violation, lhs_report.mode)

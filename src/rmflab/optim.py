@@ -315,14 +315,17 @@ def start_stack_floats(space: Space, n_vectors: int, restarts: int, extra: int =
 
 def _over_cap_message(space: Space, n_vectors: int, restarts: int, extra: int, problems: int) -> str:
     """Why a start stack is refused, and a ``--restarts`` that fits: the CLI's
-    restarts are the searches' ``restarts`` less their supplied starts."""
+    restarts are the searches' ``restarts`` less their supplied starts.  The
+    two canonical starts come on top of the supplied ones, so a cap with
+    room for fewer than 2 starts beyond those fits no ``--restarts``."""
     size = n_vectors * space.total_dim
     starts = start_stack_floats(space, n_vectors, restarts, extra) // size
-    fits = max(0, MAX_START_FLOATS // (problems * size) - extra)
+    fits = MAX_START_FLOATS // (problems * size) - extra
+    remedy = f"--restarts {fits} fits" if fits >= 2 else "no --restarts fits"
     return (
         f"a search of {problems} problem(s) from {starts:,} starts of {size} floats tiles "
         f"{problems * starts * size:,} floats, over the cap of {MAX_START_FLOATS:,} "
-        f"(optim.MAX_START_FLOATS); --restarts {fits} fits"
+        f"(optim.MAX_START_FLOATS); {remedy}"
     )
 
 

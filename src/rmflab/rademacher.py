@@ -447,9 +447,3 @@ def type_cotype_estimate(
     ceiling = type_cotype_ceiling(kind, exponent, n) if mode == EXACT else None
     [(val, x)] = maximize_ratio(*parts, space, n, n, cfg, ceiling=ceiling)
     return RatioEstimate(val, mode, [Vector(row, space) for row in x])
-
-
-def scalar_moment(coeffs: np.ndarray, p: float, cfg: EnumConfig) -> MomentEstimate:
-    """Randomized moment (E | sum_j eps_j c_j |^p)^(1/p) of real scalars."""
-    mat = np.asarray(coeffs, dtype=float).reshape(-1, 1)
-    return moment_from_matrix(mat, lp_space(1, 1), p, cfg)

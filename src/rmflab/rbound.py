@@ -1,15 +1,14 @@
-"""Lower/upper brackets for R-bounds of vector sets and operator families.
+"""Lower/upper brackets for R-bounds of vector sets.
 
-The R-bound of a family is the smallest C with
-E||sum eps_j T_j x_j||^p <= C^p E||sum eps_j x_j||^p over all finite
-selections (with repetition) from the family.  For sets of vectors the
-arguments are scalars.  The exact value is a supremum over all finite
-selections.  At p = 2 on Hilbert spaces (vector sets in one, operators
-between two) it is the largest member norm, reported as a collapsed
-bracket.  Otherwise this module reports certified lower bounds found by
-one search on the unit sphere of the arguments of the members tiled to a
-stack, whose faces are the sub-selections, together with the summability
-upper bound sum_j ||member_j||.  Each search is one
+The R-bound of a set of vectors y_j is the smallest C with
+(E||sum eps_j lam_j y_j||^p)^(1/p) <= C (E|sum eps_j lam_j|^p)^(1/p) over
+all finite selections (with repetition) from the set and all scalars
+lam_j.  The exact value is a supremum over all finite selections.  At
+p = 2 on a Hilbert space it is the largest member norm, reported as a
+collapsed bracket.  Otherwise this module reports certified lower bounds
+found by one search on the unit sphere of the coefficients of the members
+tiled to a stack, whose faces are the sub-selections, together with the
+summability upper bound sum_j ||member_j||.  Each search is one
 ``rademacher.maximize_ratio`` call on a ratio of moment evaluators.
 
 The per-atom kernel ``atomwise_rbound`` finds every atom's distinct rows,
@@ -38,7 +37,7 @@ from .rademacher import (
     moment_evaluator,
     sign_patterns,
 )
-from .spaces import HILBERT_OP, Space, Vector, lp_space, norms_of
+from .spaces import Space, Vector, lp_space, norms_of
 
 HILBERT_EXACT = "hilbert_exact"
 OPTIMIZED = "optimized"
@@ -67,11 +66,7 @@ _BATCH_FLOATS = 1 << 18
 
 @dataclass(frozen=True)
 class SelectionWitness:
-    """A selection of member indices plus the coefficients achieving a ratio.
-
-    For scalar-coefficient brackets ``coeffs`` has shape (k,); for operator
-    brackets it holds the Hilbert-space arguments, shape (k, dim_h).
-    """
+    """A selection of member indices plus the (k,) coefficients achieving a ratio."""
 
     indices: tuple[int, ...]
     coeffs: np.ndarray = field(repr=False)
@@ -130,21 +125,20 @@ def _ratio_ceiling(norms: np.ndarray, p: float) -> np.ndarray:
 
 
 def _sphere_lower(
-    sets: np.ndarray, space: Space, p: float, cfg: EnumConfig, extra_starts=()
+    sets: np.ndarray, space: Space, p: float, cfg: EnumConfig
 ) -> list[tuple[float, np.ndarray]]:
     """Best ratio found on the coefficient sphere of each set of a (b, k, dim) stack, k >= 2.
 
     Returns each set's value and point.  Setting lambda_j = 0 off a subset
     gives that subset's ratio, so the faces of the sphere are the
-    sub-selections.  Every set starts from ``cfg.restarts`` starts plus the
-    supplied ones and ``_face_starts(k)``, and all sets climb in one ascent
-    (several when one would hold more than ``_BATCH_FLOATS`` floats); each
-    start follows the path it follows alone.  Sets longer than
-    ``cfg.exact_threshold`` have Monte Carlo moments, so their first
-    ``exact_threshold`` rows are searched too, exactly, from the supplied
-    starts that lie in them; the first of the best values wins.  Each
-    exactly enumerated set's search is given ``_ratio_ceiling`` of its rows,
-    so once a start reaches it the starts after it stop.
+    sub-selections.  Every set starts from ``cfg.restarts`` starts plus
+    ``_face_starts(k)``, and all sets climb in one ascent (several when one
+    would hold more than ``_BATCH_FLOATS`` floats); each start follows the
+    path it follows alone.  Sets longer than ``cfg.exact_threshold`` have
+    Monte Carlo moments, so their first ``exact_threshold`` rows are
+    searched too, exactly; the first of the best values wins.  Each exactly
+    enumerated set's search is given ``_ratio_ceiling`` of its rows, so
+    once a start reaches it the starts after it stop.
     """
     head = cfg.exact_threshold
     best = [(-math.inf, None)] * sets.shape[0]
@@ -152,7 +146,7 @@ def _sphere_lower(
     for subs in [sets[:, :head], sets] if 2 <= head < sets.shape[1] else [sets]:
         k = subs.shape[1]
         ceilings = _ratio_ceiling(row_norms[:, :k], p) if k <= head else None
-        extra = [s[:k] for s in extra_starts if not np.any(s[k:])] + list(_face_starts(k))
+        extra = list(_face_starts(k))
         vector_moments = moment_evaluator(k, space, p, cfg)
         # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
         if p == 2 and k <= head:
@@ -189,26 +183,11 @@ def _sphere_lower(
     return best
 
 
-def _warm_coeffs(warm_start: SelectionWitness, n: int, k: int) -> np.ndarray:
-    """A witness's coefficients at the rows of a k-row stack of n members tiled round robin.
-
-    The c-th occurrence of member i sits at row c * n + i; other rows are 0.
-    """
-    coeffs, seen = np.zeros(k), [0] * n
-    for i, c in zip(warm_start.indices, np.ravel(warm_start.coeffs)):
-        if seen[i] * n + i >= k:
-            raise ValueError("warm start names more copies of a member than the stack holds")
-        coeffs[seen[i] * n + i] = c
-        seen[i] += 1
-    return coeffs
-
-
 def rbound_scalar(
     vectors: list[Vector],
     p: float = 2.0,
     multiplicity: int = 1,
     cfg: EnumConfig | None = None,
-    warm_start: SelectionWitness | None = None,
 ) -> RBoundBracket:
     """Bracket for the R-bound of a vector set with scalar coefficients.
 
@@ -217,8 +196,7 @@ def rbound_scalar(
     squared norms), reported as a collapsed bracket.  Otherwise the lower
     bound is the best of the member norms (exact singleton ratios) and a
     search on the sphere of the members tiled ``multiplicity`` times,
-    round robin, with ``warm_start`` as one more start; a witness names
-    the member of each stack row.  The upper bound is the summability
+    round robin; a witness names the member of each stack row.  The upper bound is the summability
     ceiling.
     """
     if cfg is None:
@@ -233,8 +211,7 @@ def rbound_scalar(
         return RBoundBracket(lower, lower, wit, HILBERT_EXACT, p, sup_gap=0.0)
     n, stack = len(vectors), np.tile(vmat, (multiplicity, 1))
     if len(stack) > 1:
-        extra = [] if warm_start is None else [_warm_coeffs(warm_start, n, len(stack))]
-        [(val, lam)] = _sphere_lower(stack[None], space, p, cfg, extra)
+        [(val, lam)] = _sphere_lower(stack[None], space, p, cfg)
         if val > lower + 1e-12:
             lower, wit = val, SelectionWitness(tuple(i % n for i in range(len(lam))), lam)
     return RBoundBracket(lower, float(np.sum(member_norms)), wit, OPTIMIZED, p)
@@ -360,70 +337,6 @@ def _lower_side_by_side(
         for i, part in zip(members, np.split(lower, np.cumsum(widths)[:-1])):
             found[i] = (part, mode)
     return found
-
-
-def rbound_operator(
-    operators: list[Vector],
-    p: float = 2.0,
-    n_args: int | None = None,
-    cfg: EnumConfig | None = None,
-) -> RBoundBracket:
-    """Bracket for the R-bound of operators acting on Hilbert-space vectors.
-
-    At p = 2 it is exactly max_j ||T_j||, since E||sum_j eps_j T_j x_j||^2
-    = sum_j |T_j x_j|^2 <= max_j ||T_j||^2 sum_j |x_j|^2 and a singleton
-    attains it, so the collapsed bracket comes without a search.  Otherwise
-    the lower bound is the best of the operator norms (witnessed by the top
-    singular pair) and one search on the unit sphere of H^n_args over the
-    family tiled round robin to ``n_args`` rows: the ratio is scale
-    invariant and a zero row drops its member, so every weighting of every
-    sub-multiset is a point of that sphere.  Starts are the tiled top
-    singular vectors on the stack and on its faces; a witness names the
-    member of each row.  The search takes exact moments only, so ``n_args``
-    above ``cfg.exact_threshold`` raises.  The upper bound is the
-    summability ceiling.
-    """
-    if cfg is None:
-        cfg = EnumConfig()
-    omat, space = _stack(operators)
-    if space.kind != HILBERT_OP:
-        raise ValueError("operator R-bounds require a hilbert_op space")
-    m = len(operators)
-    if n_args is None:
-        n_args = m
-    if n_args < m:
-        raise ValueError("n_args must be at least the number of operators")
-    dim_h, dim_e = space.cols, space.rows
-    mats = omat.reshape(m, dim_e, dim_h)
-    op_norms = norms_of(omat, space)
-    # the top right singular vector of each operator, a witness of its norm
-    top = np.linalg.svd(mats, full_matrices=False)[2][:, 0]
-    j = int(np.argmax(op_norms))
-    lower, wit = float(op_norms[j]), SelectionWitness((j,), top[j].reshape(1, dim_h))
-    if p == 2:
-        return RBoundBracket(lower, lower, wit, HILBERT_EXACT, p, sup_gap=0.0)
-    if n_args > cfg.exact_threshold:
-        raise ValueError("n_args above exact_threshold would search Monte Carlo moments")
-    if n_args > 1:
-        members = np.arange(n_args) % m
-        tiled = mats[members]
-        out_moments = moment_evaluator(n_args, lp_space(2, dim_e), p, cfg)
-        arg_moments = moment_evaluator(n_args, lp_space(2, dim_h), p, cfg)
-
-        def outputs(xs: np.ndarray, group, grad):
-            found = out_moments((tiled @ xs.reshape(-1, n_args, dim_h, 1))[..., 0], grad)
-            return (found[0], (found[1][..., None, :] @ tiled).reshape(xs.shape)) if grad else found
-
-        def arguments(xs: np.ndarray, group, grad):
-            found = arg_moments(xs.reshape(-1, n_args, dim_h), grad)
-            return (found[0], found[1].reshape(xs.shape)) if grad else found
-
-        masks = [np.ones(n_args), *_face_starts(n_args)]
-        extra = [mask[:, None] * top[members] for mask in masks]
-        [(val, x)] = maximize_ratio(outputs, arguments, lp_space(2, n_args * dim_h), 1, n_args, cfg, extra)
-        if val > lower + 1e-12:
-            lower, wit = val, SelectionWitness(tuple(members.tolist()), x.reshape(n_args, dim_h))
-    return RBoundBracket(lower, float(np.sum(op_norms)), wit, OPTIMIZED, p)
 
 
 def sphere_grid_points(k: int, step: float) -> float:

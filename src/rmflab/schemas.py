@@ -6,6 +6,7 @@ repository; SCHEMA_VERSION names that directory.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import jsonschema
@@ -220,13 +221,38 @@ def _validator(schema_name: str) -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(ALL_SCHEMAS[schema_name])
 
 
+def _first_non_finite(obj):
+    """The keys down to the first NaN or infinite float of a parsed JSON
+    document, in document order, and that float; None if there is none.
+    ``json`` reads ``NaN``, ``Infinity`` and overflowing literals such as
+    ``1e999`` as floats."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else ([], obj)
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            found = _first_non_finite(value)
+            if found is not None:
+                found[0].insert(0, key)
+                return found
+    return None
+
+
+def _json_path(keys) -> str:
+    return "$" + "".join(f"[{k!r}]" if isinstance(k, str) else f"[{k}]" for k in keys)
+
+
 def validate(obj, schema_name: str, source: str = "<input>") -> None:
+    """Raise ``SchemaViolation`` at the JSON path of the first schema error,
+    else of the first non-finite number."""
     errors = sorted(_validator(schema_name).iter_errors(obj), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
-        path = "$" + "".join(
-            f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in err.absolute_path
-        )
         raise SchemaViolation(
-            f"{source}: {schema_name} schema violated at {path}: {err.message}"
+            f"{source}: {schema_name} schema violated at {_json_path(err.absolute_path)}: {err.message}"
+        )
+    found = _first_non_finite(obj)
+    if found is not None:
+        keys, value = found
+        raise SchemaViolation(
+            f"{source}: {schema_name} schema violated at {_json_path(keys)}: {value} is not a finite number"
         )

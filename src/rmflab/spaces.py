@@ -79,7 +79,8 @@ def schatten_space(p: float, rows: int, cols: int) -> Space:
 
 
 def hilbert_op_space(dim_h: int, dim_e: int) -> Space:
-    """Operators from an R^dim_h to an R^dim_e Hilbert space (operator norm)."""
+    """Operators from an R^dim_h to an R^dim_e Hilbert space (operator norm),
+    the space a ``{"kind": "hilbert_op"}`` input names."""
     return Space(HILBERT_OP, rows=dim_e, cols=dim_h)
 
 
@@ -280,12 +281,6 @@ def _lp_grads(vals: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
     return scaled if p == 2 else np.sign(scaled) * np.abs(scaled) ** (p - 1)
 
 
-def random_unit_vector(space: Space, seed: int) -> Vector:
-    """Deterministic pseudo-random vector of norm 1 (within 1e-12)."""
-    rng = np.random.default_rng(seed)
-    return unit_vector(space, rng)
-
-
 def unit_vector(space: Space, rng: np.random.Generator) -> Vector:
     """Draw a Gaussian vector from ``rng`` and normalize it in ``space``."""
     coords = rng.standard_normal(space.total_dim)
@@ -297,15 +292,6 @@ def unit_vector(space: Space, rng: np.random.Generator) -> Vector:
     return Vector(coords / n, space)
 
 
-def space_to_json(space: Space) -> dict:
-    if space.kind == LP:
-        p = "inf" if space.p == math.inf else space.p
-        return {"kind": LP, "p": p, "dim": space.dim}
-    if space.kind == SCHATTEN:
-        return {"kind": SCHATTEN, "p": space.p, "rows": space.rows, "cols": space.cols}
-    return {"kind": HILBERT_OP, "rows": space.rows, "cols": space.cols}
-
-
 def space_from_json(obj: dict) -> Space:
     kind = obj["kind"]
     if kind == LP:
@@ -315,5 +301,5 @@ def space_from_json(obj: dict) -> Space:
     if kind == SCHATTEN:
         return schatten_space(float(obj["p"]), int(obj["rows"]), int(obj["cols"]))
     if kind == HILBERT_OP:
-        return Space(HILBERT_OP, rows=int(obj["rows"]), cols=int(obj["cols"]))
+        return hilbert_op_space(int(obj["cols"]), int(obj["rows"]))
     raise ValueError(f"unknown space kind {kind!r}")

@@ -572,7 +572,8 @@ class TestGundy:
         assert all(line.endswith(",0") for line in lines[1:])
 
     def test_single_martingale_file(self, capsys, tmp_path):
-        from rmflab.martingale import martingale_to_json, random_haar_martingale
+        from helpers import martingale_to_json
+        from rmflab.martingale import random_haar_martingale
         from rmflab.spaces import lp_space
 
         x = random_haar_martingale(lp_space(2, 2), 4, 5, seed=3)
@@ -619,7 +620,8 @@ class TestGundy:
         ids=["unmeasurable-level", "broken-property", "label-over-int64", "ragged-level", "non-refining-level"],
     )
     def test_martingale_file_checked_where_it_enters(self, capsys, tmp_path, edit, code, message):
-        from rmflab.martingale import martingale_to_json, random_haar_martingale
+        from helpers import martingale_to_json
+        from rmflab.martingale import random_haar_martingale
         from rmflab.spaces import lp_space
 
         obj = martingale_to_json(random_haar_martingale(lp_space(2, 2), 4, 5, seed=3))
@@ -743,10 +745,12 @@ class TestFlagDomains:
     def test_non_finite_number(self, capsys, tmp_path, subcommand, flag, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({flag[2:]: float(value)}))
-        for argv in ([f"{flag}={value}"], ["--config", str(cfg)]):
+        # a flag is refused by its type, a config file where it is read
+        routes = [([f"{flag}={value}"], f"argument {flag}: "), (["--config", str(cfg)], f"$['{flag[2:]}']: ")]
+        for argv, where in routes:
             assert self.exit_code([subcommand, "--space", HILBERT_PLANE, "--seed", "1", *argv]) == 2
             err = capsys.readouterr().err
-            assert f"argument {flag}: " in err and "is not a finite number" in err
+            assert where in err and "is not a finite number" in err
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -889,6 +893,59 @@ class TestSchemas:
         finally:
             schemas._validator.cache_clear()
         assert built == [schemas.SPACE_SCHEMA]
+
+
+# each input holds the number 12345.5 once, at the path given, where a
+# non-finite literal is put in its place
+NON_FINITE_INPUTS = {
+    "vectors": (
+        ["rbound", "--vectors", "{path}", "--seed", "1"],
+        {"space": {"kind": "lp", "p": 1, "dim": 2}, "vectors": [[1, 0], [0, 12345.5]]},
+        "$['vectors'][1][1]",
+    ),
+    "space": (
+        ["maximal", "--space", "{text}", "--grid-exponent", "2", "--seed", "1"],
+        {"kind": "lp", "p": 12345.5, "dim": 2},
+        "$['p']",
+    ),
+    "config": (
+        ["maximal", "--space", HILBERT_PLANE, "--seed", "1", "--config", "{path}"],
+        {"tol": 12345.5},
+        "$['tol']",
+    ),
+    "function": (
+        ["rmf-ratio", "--function", "{path}", "--p", "2"],
+        {"space": {"kind": "lp", "p": 2, "dim": 2}, "masses": [0.5, 0.5], "values": [[1, 12345.5], [1, 1]]},
+        "$['values'][0][1]",
+    ),
+    "martingale": (
+        ["gundy", "--martingale", "{path}"],
+        {
+            "space": {"kind": "lp", "p": 2, "dim": 1},
+            "filtration": {"masses": [0.5, 0.5], "levels": [[0, 0], [0, 1]]},
+            "levels": [[[0.0], [0.0]], [[12345.5], [-1.0]]],
+        },
+        "$['levels'][1][0][0]",
+    ),
+    "samples": (
+        ["concave", "--samples", "{path}", "--candidate", "zero"],
+        {"space": {"kind": "lp", "p": 2, "dim": 2}, "samples": [{"set": [[1, 0]], "point": [0, 12345.5]}]},
+        "$['samples'][0]['point'][1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("source", list(NON_FINITE_INPUTS))
+def test_a_non_finite_number_exits_2_at_its_path(capsys, tmp_path, source, literal):
+    argv, doc, where = NON_FINITE_INPUTS[source]
+    text = json.dumps(doc).replace("12345.5", literal)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *[{"{path}": str(path), "{text}": text}.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert f" schema violated at {where}: " in err and err.endswith(" is not a finite number\n")
+    assert "Traceback" not in err
 
 
 class TestEmptyGenerator:
@@ -1222,7 +1279,8 @@ class TestGoldenReports:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_martingale_file_report_bytes(self, tmp_path):
-        from rmflab.martingale import martingale_to_json, random_haar_martingale
+        from helpers import martingale_to_json
+        from rmflab.martingale import random_haar_martingale
         from rmflab.spaces import lp_space
 
         path = tmp_path / "m.json"

@@ -12,11 +12,8 @@ from rmflab.concave import (
     extend_standard_haar,
     haar_splice,
     penalty_candidate,
-    prepend_constant,
     splice,
-    u_value,
     u_values,
-    v_lower,
 )
 from rmflab.filtration import (
     StepFunction,
@@ -58,7 +55,7 @@ class TestUValue:
     def test_singleton_hilbert_zero(self):
         space = lp_space(2, 3)
         t = Vector(np.array([1.0, 2.0, -1.0]), space)
-        u = u_value([t], t, p=2, c=1.0, cfg=FAST)
+        [u] = u_values([([t], t)], p=2, c=1.0, cfg=FAST)
         assert u.r_mode == "hilbert_exact"
         assert u.value == pytest.approx(0.0, abs=1e-12)
 
@@ -66,19 +63,19 @@ class TestUValue:
         space = lp_space(1, 2)
         basis = [Vector(np.eye(2)[j], space) for j in range(2)]
         zero = Vector(np.zeros(2), space)
-        u = u_value(basis, zero, p=2, c=1.0, cfg=FAST)
+        [u] = u_values([(basis, zero)], p=2, c=1.0, cfg=FAST)
         assert u.value == pytest.approx(2.0, abs=1e-6)
 
     def test_monotone_in_c(self):
         space = lp_space(2, 2)
         t = Vector(np.array([1.0, 1.0]), space)
-        vals = [u_value([t], t, 2, c, FAST).value for c in (0.5, 1, 10, 1000)]
+        vals = [u_values([([t], t)], 2, c, FAST)[0].value for c in (0.5, 1, 10, 1000)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_empty_set_flagged(self):
         space = lp_space(2, 2)
         t = Vector(np.array([1.0, 0.0]), space)
-        u = u_value([], t, 2, 1.0, FAST)
+        [u] = u_values([([], t)], 2, 1.0, FAST)
         assert u.empty_set
         assert u.value == pytest.approx(-1.0, abs=1e-12)
 
@@ -178,74 +175,21 @@ class TestHaarSplice:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-class TestVLower:
-    def test_constant_family_majorizes_u(self):
-        space = lp_space(2, 3)
-        rng = np.random.default_rng(13)
-        members = [Vector(rng.standard_normal(3), space) for _ in range(3)]
-        t = Vector(rng.standard_normal(3), space)
-        _, filt = make_dyadic_filtration(1)
-        fam = [constant_martingale(t, filt)]
-        got = v_lower(members, t, 2, 1.0, fam, FAST)
-        u_plain = u_value(members, t, 2, 1.0, FAST).value
-        u_joined = u_value(members + [t], t, 2, 1.0, FAST).value
-        assert got == pytest.approx(u_joined, abs=1e-12)
-        assert got >= u_plain - 1e-9
-
-    def test_empty_set_large_c_nonpositive(self):
-        space = lp_space(2, 2)
-        t = Vector(np.array([0.5, 0.5]), space)
-        fam = standard_family(t, [14, 15])
-        _, filt = make_dyadic_filtration(1)
-        fam.append(constant_martingale(t, filt))
-        assert v_lower([], t, 2, 1e6, fam, FAST) <= 0
-
-    def test_family_monotone(self):
-        space = lp_space(2, 2)
-        t = Vector(np.array([1.0, 0.0]), space)
-        fam = standard_family(t, [16, 17, 18])
-        members = [Vector(np.array([0.0, 2.0]), space)]
-        small = v_lower(members, t, 2, 1.0, fam[:1], FAST)
-        big = v_lower(members, t, 2, 1.0, fam, FAST)
-        assert big >= small - 1e-12
-
-    def test_absorbs_point_exactly(self):
-        space = lp_space(2, 2)
-        t = Vector(np.array([1.0, 1.0]), space)
-        fam = standard_family(t, [19, 20])
-        members = [Vector(np.array([2.0, 0.0]), space)]
-        a = v_lower(members, t, 2, 1.0, fam, FAST)
-        b = v_lower(members + [t], t, 2, 1.0, fam, FAST)
-        assert a == b
-
-    def test_wrong_start_rejected(self):
-        space = lp_space(2, 2)
-        t = Vector(np.array([1.0, 0.0]), space)
-        fam = standard_family(Vector(np.array([0.0, 1.0]), space), [21])
-        with pytest.raises(ValueError):
-            v_lower([], t, 2, 1.0, fam, FAST)
-
-    def test_midpoint_witness_via_haar_splice(self):
-        space = lp_space(2, 2)
-        t1 = Vector(np.array([1.0, 0.0]), space)
-        t2 = Vector(np.array([0.0, 1.0]), space)
-        mid = Vector(0.5 * (t1.coords + t2.coords), space)
-        fam1 = standard_family(t1, [22, 23])
-        fam2 = standard_family(t2, [24, 25])
-        fam_mid = [haar_splice(a, b) for a in fam1 for b in fam2]
-        members = [Vector(np.array([0.8, -0.2]), space)]
-        v1 = v_lower(members, t1, 2, 1.0, fam1, FAST)
-        v2 = v_lower(members, t2, 2, 1.0, fam2, FAST)
-        vm = v_lower(members, mid, 2, 1.0, fam_mid, FAST)
-        assert vm >= 0.5 * (v1 + v2) - 1e-9
-
-    def test_prepend_constant_keeps_value(self):
-        space = lp_space(2, 2)
-        t = Vector(np.array([1.0, 0.5]), space)
-        fam = standard_family(t, [26])
-        v_plain = v_lower([], t, 2, 1.0, fam, FAST)
-        v_prepended = v_lower([], t, 2, 1.0, [prepend_constant(fam[0])], FAST)
-        assert v_prepended == pytest.approx(v_plain, abs=1e-12)
+def test_expected_u_along_holds_the_start_in_its_path_set():
+    # X_0 = t lies on every path, so t joins the set at no cost, and along a
+    # constant martingale the expectation is the penalty of the joined set
+    space = lp_space(2, 3)
+    rng = np.random.default_rng(13)
+    members = [Vector(rng.standard_normal(3), space) for _ in range(3)]
+    t = Vector(rng.standard_normal(3), space)
+    _, filt = make_dyadic_filtration(1)
+    flat = expected_u_along(constant_martingale(t, filt), members, 2, 1.0, FAST)
+    assert flat == pytest.approx(u_values([(members + [t], t)], 2, 1.0, FAST)[0].value, abs=1e-12)
+    space = lp_space(2, 2)
+    t = Vector(np.array([1.0, 1.0]), space)
+    members = [Vector(np.array([2.0, 0.0]), space)]
+    for x in standard_family(t, [19, 20]):
+        assert expected_u_along(x, members + [t], 2, 1.0, FAST) == expected_u_along(x, members, 2, 1.0, FAST)
 
 
 class TestCheckCandidate:
@@ -287,24 +231,6 @@ class TestCheckCandidate:
         assert report.midpoint_concave.passed
         assert report.all_passed()
 
-    def test_v_lower_majorizes_on_samples(self):
-        space = lp_space(2, 2)
-        samples, _ = self._samples()
-        _, filt = make_dyadic_filtration(1)
-
-        def from_family(queries):
-            return [
-                v_lower(members, point, 2, 1.0, [constant_martingale(point, filt)]
-                        + standard_family(point, [31]), FAST)
-                for members, point in queries
-            ]
-
-        candidate = VCandidate(from_family, "family lower approximation")
-        report = check_v_candidate(candidate, samples, [], 2, 1.0, FAST)
-        assert report.majorizes_penalty.passed
-        assert report.absorbs_point.passed
-
-
 @pytest.mark.parametrize(
     "space",
     [lp_space(1, 3), lp_space(math.inf, 3), schatten_space(1, 2, 2)],
@@ -318,7 +244,7 @@ def test_u_values_equal_each_query_alone(space):
     sets = [[], [a], [a, b], [a, b, c], [a, b], [b, a], [c, d, a], [a, a, b], []]
     queries = [(members, point if i % 2 else d) for i, members in enumerate(sets)]
     got = u_values(queries, 2, 0.5, FAST)
-    assert got == [u_value(members, t, 2, 0.5, FAST) for members, t in queries]
+    assert got == [u_values([query], 2, 0.5, FAST)[0] for query in queries]
     assert u_values([], 2, 0.5, FAST) == []
 
 
@@ -327,7 +253,7 @@ def _check_one_at_a_time(v, samples, midpoints, p, c, cfg, tol=1e-9):
     slack1 = slack2 = -math.inf
     slack3 = 0.0
     for members, point in samples:
-        u = u_value(members, point, p, c, cfg).value
+        u = u_values([(members, point)], p, c, cfg)[0].value
         slack1 = max(slack1, u - v(members, point))
         slack2 = max(slack2, v([point], point))
         slack3 = max(slack3, abs(v(members + [point], point) - v(members, point)))
@@ -357,7 +283,7 @@ def test_check_v_candidate_equals_one_query_at_a_time(c):
     batched = VCandidate(lambda queries: [u.value for u in u_values(queries, 2, c, FAST)])
     report = check_v_candidate(batched, samples, midpoints, 2, c, FAST)
     alone = _check_one_at_a_time(
-        lambda members, point: u_value(members, point, 2, c, FAST).value,
+        lambda members, point: u_values([(members, point)], 2, c, FAST)[0].value,
         samples, midpoints, 2, c, FAST,
     )
     assert [
@@ -404,21 +330,6 @@ def test_check_v_candidate_rejects_a_short_answer():
     t = Vector(np.array([1.0, 0.0]), space)
     with pytest.raises(ValueError, match="values for"):
         check_v_candidate(VCandidate(lambda queries: [0.0]), [([], t)], [], 2, 1.0, FAST)
-
-
-def test_v_lower_is_the_best_member_of_one_search():
-    # members of unequal depth and atom count share one kernel call
-    space = lp_space(1, 2)
-    point = Vector(np.array([0.7, -0.2]), space)
-    _, filt = make_dyadic_filtration(2)
-    family = [constant_martingale(point, filt)] + [
-        shifted_to(random_haar_martingale(space, k, steps, kind="standard", seed=s), point)
-        for k, steps, s in [(3, 4, 51), (2, 2, 52), (4, 5, 53), (3, 3, 54)]
-    ]
-    members = [Vector(np.array([0.3, 0.9]), space), Vector(np.array([-1.0, 0.4]), space)]
-    for given in ([], members[:1], members):
-        alone = [expected_u_along(x, given, 2, 1.0, FAST) for x in family]
-        assert v_lower(given, point, 2, 1.0, family, FAST) == max(alone)
 
 
 def test_extend_standard_haar_preserves_values():

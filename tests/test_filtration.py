@@ -16,10 +16,8 @@ from rmflab.filtration import (
     AtomicMeasureSpace,
     Filtration,
     Partition,
-    ProductBase,
     ResolutionError,
     StepFunction,
-    atom_partition,
     block_averages,
     boolean_isomorphism,
     conditional_expectation,
@@ -30,17 +28,15 @@ from rmflab.filtration import (
     filtration_to_json,
     haar_embed,
     haar_kind,
-    is_dyadic_haar,
-    is_haar,
-    is_refinement,
     is_standard_haar,
     make_dyadic_filtration,
     random_haar_filtration,
     random_step_function,
-    trivial_partition,
 )
 from rmflab.maximal import lp_norm
 from rmflab.spaces import lp_space
+
+from helpers import atom_partition, is_dyadic_haar, is_haar, is_refinement, trivial_partition
 
 
 def stacked(*parts):
@@ -536,13 +532,6 @@ class TestLabelMatrix:
         assert Filtration(filt.labels, AtomicMeasureSpace(np.ones(4))) != filt
         assert Filtration(filt.labels[:2], space) != filt
 
-    def test_lift_needs_the_outer_space(self):
-        space, filt = make_dyadic_filtration(2)
-        product = ProductBase(AtomicMeasureSpace(np.ones(4)), space)
-        with pytest.raises(ValueError, match="outer space"):
-            product.lift_filtration(filt)
-
-
 class TestHaarEmbed:
     def test_already_haar_fixed_point(self):
         space = AtomicMeasureSpace(np.full(8, 0.125))
@@ -739,22 +728,6 @@ class TestBooleanIsomorphism:
         assert err.value.required_k == 27
 
 
-class TestProductLift:
-    def test_lifted_conditional_expectations(self):
-        outer, filt = make_dyadic_filtration(2)
-        inner = AtomicMeasureSpace(np.full(3, 1 / 3))
-        product = ProductBase(outer, inner)
-        f = random_step_function(outer, lp_space(2, 2), 55)
-        lifted_f = product.lift_function(f)
-        lifted_filt = product.lift_filtration(filt)
-        for j in range(len(filt.levels)):
-            want = conditional_expectation(f, filt.levels[j]).values
-            got = conditional_expectation(lifted_f, lifted_filt.levels[j]).values
-            np.testing.assert_allclose(
-                got, np.repeat(want, inner.n_atoms, axis=0), atol=1e-12
-            )
-
-
 class TestJson:
     def test_roundtrip(self):
         space = AtomicMeasureSpace(np.full(8, 0.125))
@@ -813,8 +786,6 @@ def _builder_outputs():
     out["haar-embed"] = (embedded, [np.array(index_map)])
     out["dyadic-approx"] = (approx.filtration, approx.symdiff)
     out["boolean-iso"] = (iso.filtration, [iso.pullback, np.array(iso.dyadic_levels)])
-    product = ProductBase(uneven, AtomicMeasureSpace(np.full(3, 1 / 3)))
-    out["lift"] = (product.lift_filtration(out["haar-general"][0]), [])
 
     # the splices and their helpers carry values too
     x1 = random_haar_martingale(lp_space(2, 2), 4, 5, seed=3)
@@ -828,7 +799,6 @@ def _builder_outputs():
         ("haar-splice", concave.haar_splice(x1, x2)),
         ("extend-haar", concave.extend_standard_haar(x2, 3)),
         ("pad-levels", concave._pad_levels(x2, 5)),
-        ("prepend", concave.prepend_constant(x2)),
     ]:
         out[name] = (x.filtration, [x.values_stack()])
     return out
@@ -854,10 +824,8 @@ BUILDER_DIGESTS = {
     "haar-general": "416e8064bfd035426f6bc8b16f2cbad35dd1abb0b5c947f7746a7938784693fc",
     "haar-splice": "0c67fa06e5f9bbc3139e28d911506dc4076ff73dbebd11bcb2012b570060ed0e",
     "haar-standard": "b9b674a5831b76430e725830129970650e2084708fdf9d46ad24e31d79fcf5ab",
-    "lift": "32f44f95c74e1bd885e3401f34c9fbb29ad2db2482e4ada1f90b7849f96e3c7c",
     "pad-levels": "09252d280e96a05e5a810644334c86e4d8b95d71b284634c5495b5a7efa58469",
     "perturb": "87182411c8ea01463588c3f8e97bd065ca72094261fd0ad2b122b4dfcd8c4f87",
-    "prepend": "ae32b894a333a59d10e0f434940cc6539804062ad189d3d1efb0566b2d8bc7d4",
     "splice": "173c702327b3db3f53c372e1114e0ec52c112e649f76faa1a46dc2bc89237039",
 }
 

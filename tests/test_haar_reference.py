@@ -20,10 +20,10 @@ from rmflab.filtration import (
     _split_units,
     block_parents,
     haar_kind,
-    haar_splits,
-    is_haar,
     random_haar_filtration,
 )
+
+from helpers import haar_splits, is_haar
 
 
 # ------------------------------------------------------------ frozen copies

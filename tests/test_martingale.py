@@ -14,21 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rmflab
-
+from rmflab import martingale
 from rmflab.filtration import (
     AtomicMeasureSpace,
     Filtration,
-    atom_partition,
     dyadic_grid,
     make_dyadic_filtration,
     random_step_function,
-    trivial_partition,
 )
 from rmflab.martingale import (
     INF_TIME,
     MAX_FAMILY_ENTRIES,
     GundyCertificates,
-    PredictableProcess,
     SimpleMartingale,
     StoppingTime,
     alpha_of,
@@ -42,18 +39,14 @@ from rmflab.martingale import (
     good_lambda_experiments,
     gundy_decompose,
     gundy_heights,
-    martingale_transform,
     maximal_stars,
     predictable_jump_norms,
     prefix_rbounds,
     random_haar_martingale,
     stopped_martingale,
-    stopped_value,
     strong_type_constant,
     subtract,
     validate_martingale,
-    validate_predictable,
-    validate_stopping_time,
     weak_ratio,
     weak_rmf_probe,
 )
@@ -61,6 +54,8 @@ from rmflab.rademacher import EnumConfig
 from rmflab import rbound
 from rmflab.rbound import atomwise_rbound
 from rmflab.spaces import Vector, dual_exponent, lp_space, norms_of, schatten_space
+
+from helpers import atom_partition, martingale_to_json, trivial_partition, validate_stopping_time
 
 FAST = EnumConfig(seed=5, restarts=4)
 
@@ -143,11 +138,16 @@ class TestConstruction:
         assert x.levels[0].values[0, 0] == pytest.approx((1 + 2 + 6 + 16) / 8)
 
 
+def transform(v_levels, x):
+    """(v * X)_j = sum_{k<=j} v_k D_k, by the kernel of the good-lambda window."""
+    stack = martingale._transform_stack(np.stack(v_levels), x.values_stack())
+    return martingale._on_filtration_of(x, stack)
+
+
 class TestTransform:
     def test_all_ones_recovers_centered(self):
         x = dyadic_martingale(lp_space(2, 2), 3, 13)
-        v = PredictableProcess(tuple(np.ones(8) for _ in range(x.n_steps)))
-        t = martingale_transform(v, x)
+        t = transform([np.ones(8) for _ in range(x.n_steps)], x)
         for j in range(len(x.levels)):
             np.testing.assert_allclose(
                 t.levels[j].values,
@@ -157,8 +157,7 @@ class TestTransform:
 
     def test_zero_multiplier(self):
         x = dyadic_martingale(lp_space(2, 2), 2, 17)
-        v = PredictableProcess(tuple(np.zeros(4) for _ in range(x.n_steps)))
-        t = martingale_transform(v, x)
+        t = transform([np.zeros(4) for _ in range(x.n_steps)], x)
         for lvl in t.levels:
             np.testing.assert_allclose(lvl.values, 0.0)
 
@@ -176,21 +175,13 @@ class TestTransform:
             prev = x.filtration.levels[j]
             block_signs = rng.choice([-1.0, 1.0], size=prev.n_blocks)
             v_levels.append(block_signs[prev.block_of])
-        v = PredictableProcess(tuple(v_levels))
-        t = martingale_transform(v, x)
+        t = transform(v_levels, x)
         validate_martingale(t)
         np.testing.assert_allclose(
             np.stack([norms_of(d, x.space) for d in t.differences()]),
             np.stack([norms_of(d, x.space) for d in x.differences()]),
             atol=1e-12,
         )
-
-    def test_non_predictable_rejected(self):
-        x = dyadic_martingale(lp_space(2, 1), 2, 23)
-        bad = [np.ones(4) for _ in range(x.n_steps)]
-        bad[0] = np.array([1.0, -1.0, 1.0, 1.0])  # not constant on level 0
-        with pytest.raises(ValueError):
-            martingale_transform(v=PredictableProcess(tuple(bad)), x=x)
 
 
 def level_norms(x):
@@ -251,19 +242,14 @@ class TestStoppingTimes:
         n = x.n_steps
         tau = StoppingTime(np.full(8, n))
         np.testing.assert_array_equal(
-            stopped_value(x, tau).values, x.levels[n].values
+            stopped_martingale(x, tau).levels[-1].values, x.levels[n].values
         )
-
-    def test_stopped_value_infinite_is_zero(self):
-        x = dyadic_martingale(lp_space(2, 2), 2, 41)
-        tau = StoppingTime(np.full(4, INF_TIME))
-        np.testing.assert_allclose(stopped_value(x, tau).values, 0.0)
 
     def test_stopped_expectation_below_l1(self):
         for seed in range(6):
             x = random_haar_martingale(lp_space(1, 3), 5, 7, seed=seed)
             tau = first_hit(level_norms(x) > 0.7)
-            stopped = stopped_value(x, tau)
+            stopped = stopped_martingale(x, tau).levels[-1]
             e_norm = float(np.sum(x.base.masses * stopped.atom_norms()))
             assert e_norm <= x.lp_bound(1) + 1e-10
 
@@ -700,7 +686,9 @@ class TestGoodLambdaWindow:
             assert np.array_equal(multipliers[i], want_v)
             # bit for bit, so a -0.0 where the running sum has +0.0 fails
             assert report.transform.values_stack().tobytes() == want_t.tobytes()
-            validate_predictable(PredictableProcess(tuple(multipliers[i])), x.filtration)
+            # each multiplier is known a level early
+            for part, v in zip(x.filtration.levels, multipliers[i]):
+                assert np.array_equal(*part.block_extremes(v))
             opened += bool(np.any(want_v))
         # every atom stops at level 1 at the smallest height; none reaches the largest
         assert np.all(taus[0] == 1) and np.all(taus[2] == 1)
@@ -952,7 +940,7 @@ def test_generated_level_values_are_pinned():
 
 
 def test_martingale_json_roundtrip():
-    from rmflab.martingale import martingale_from_json, martingale_to_json
+    from rmflab.martingale import martingale_from_json
 
     x = random_haar_martingale(lp_space(1, 3), 4, 6, seed=101)
     back = martingale_from_json(martingale_to_json(x))
@@ -966,16 +954,6 @@ def test_subtract_requires_same_filtration():
     y = random_haar_martingale(lp_space(2, 2), 4, 5, seed=2)
     with pytest.raises(ValueError):
         subtract(x, y)
-
-
-def _random_signs(x, seed):
-    """A transform by signs constant on the blocks of the preceding level."""
-    rng = np.random.default_rng(seed)
-    signs = [
-        rng.choice([-1.0, 1.0], size=part.n_blocks)[part.block_of]
-        for part in x.filtration.levels[:-1]
-    ]
-    return martingale_transform(PredictableProcess(tuple(signs)), x)
 
 
 def _good_lambda_transforms(x):
@@ -1003,7 +981,7 @@ def _shifted(x, shift):
 
 
 def _internal_constructions():
-    from rmflab.concave import haar_splice, prepend_constant, splice
+    from rmflab.concave import haar_splice, splice
 
     space = lp_space(1, 2)
     x = random_haar_martingale(space, 5, 8, seed=7)
@@ -1022,7 +1000,6 @@ def _internal_constructions():
     }
     cases.update({
         "constant_martingale": lambda: [constant_martingale(point, x.filtration)],
-        "martingale_transform": lambda: [_random_signs(x, 5)],
         "good_lambda_transform": lambda: _good_lambda_transforms(x),
         "stopped_martingale": lambda: [
             stopped_martingale(x, first_hit(level_norms(x) > 0.5))
@@ -1033,7 +1010,6 @@ def _internal_constructions():
         ),
         "splice-unequal-steps": lambda: [splice(short, long, 0.25), splice(long, short, 0.75)],
         "haar_splice-unequal-steps": lambda: [haar_splice(short, long), haar_splice(long, short)],
-        "prepend_constant": lambda: [prepend_constant(x)],
     })
     return cases
 

@@ -7,7 +7,6 @@ import pytest
 from rmflab.filtration import (
     AtomicMeasureSpace,
     Filtration,
-    ProductBase,
     StepFunction,
     boolean_isomorphism,
     conditional_expectation,
@@ -15,12 +14,10 @@ from rmflab.filtration import (
     make_dyadic_filtration,
     random_haar_filtration,
     random_step_function,
-    trivial_partition,
 )
 from rmflab import maximal as maximal_mod
 from rmflab.maximal import (
     doob_maximal,
-    fubini_heredity_check,
     lp_norm,
     rademacher_maximal,
     rmf_ratio,
@@ -36,6 +33,8 @@ from rmflab.spaces import (
     norms_of,
     schatten_space,
 )
+
+from helpers import atom_partition, trivial_partition
 
 FAST = EnumConfig(seed=3, restarts=4)
 
@@ -85,8 +84,6 @@ class TestDoob:
             *stacked(trivial_partition(base), Filtration(*stacked(trivial_partition(base))).levels[0])
         )
         # levels: trivial then atoms
-        from rmflab.filtration import atom_partition
-
         filt = Filtration(*stacked(trivial_partition(base), atom_partition(base)))
         report = doob_maximal(f, filt)
         np.testing.assert_allclose(report.pointwise, [2.0, 1.0])
@@ -231,56 +228,6 @@ class TestRmfRatio:
             assert r_in == pytest.approx(r_out, abs=1e-10)
 
 
-class TestFubini:
-    def _setup(self, seed, n_outer_k=2, n_inner=4):
-        outer, filt = make_dyadic_filtration(n_outer_k)
-        inner = AtomicMeasureSpace(np.full(n_inner, 1.0 / n_inner))
-        product = ProductBase(outer, inner)
-        rng = np.random.default_rng(seed)
-        f = StepFunction(
-            rng.standard_normal((outer.n_atoms * n_inner, 1)),
-            lp_space(1, 1),
-            product.combined(),
-        )
-        return f, product, filt
-
-    def test_inner_dim_one_equal(self):
-        outer, filt = make_dyadic_filtration(2)
-        inner = AtomicMeasureSpace(np.array([1.0]))
-        product = ProductBase(outer, inner)
-        rng = np.random.default_rng(7)
-        f = StepFunction(
-            rng.standard_normal((outer.n_atoms, 1)), lp_space(1, 1), product.combined()
-        )
-        report = fubini_heredity_check(f, product, filt, 2, FAST)
-        np.testing.assert_allclose(report.lhs, report.rhs, atol=1e-9)
-
-    def test_constant_in_inner_equal(self):
-        outer, filt = make_dyadic_filtration(2)
-        inner = AtomicMeasureSpace(np.full(3, 1 / 3))
-        product = ProductBase(outer, inner)
-        rng = np.random.default_rng(8)
-        outer_vals = rng.standard_normal(outer.n_atoms)
-        f = StepFunction(
-            np.repeat(outer_vals, 3)[:, None], lp_space(1, 1), product.combined()
-        )
-        report = fubini_heredity_check(f, product, filt, 2, FAST)
-        np.testing.assert_allclose(report.lhs, report.rhs, atol=1e-9)
-
-    def test_random_product_no_violation(self):
-        for seed in range(5):
-            f, product, filt = self._setup(seed, n_outer_k=3, n_inner=4)
-            report = fubini_heredity_check(f, product, filt, 2, FAST)
-            assert report.violation <= 1e-6
-
-    @pytest.mark.parametrize("p", [1.5, 3])
-    def test_non_hilbert_moments(self, p):
-        f, product, filt = self._setup(11, n_outer_k=2, n_inner=3)
-        report = fubini_heredity_check(f, product, filt, p, FAST)
-        assert report.mode == "optimized"
-        assert report.violation <= 1e-6
-
-
 def _subsampled(filt, step):
     """Every ``step``-th level plus the last, as ``reduce --subsample`` keeps them."""
     kept = list(filt.levels[::step])
@@ -396,25 +343,6 @@ class TestBlockPath:
         np.testing.assert_array_equal(report.pointwise, want[0])
         np.testing.assert_array_equal(report.pointwise_upper, want[1])
         assert report.lp_norms == ({} if restricted else {p: lp_norm(want[0], p, f.base) for p in report.lp_norms})
-
-    @pytest.mark.parametrize("p", [1.5, 2])
-    @pytest.mark.parametrize("filt", _filtrations())
-    def test_fubini_matches_per_atom_stack(self, filt, p):
-        inner = AtomicMeasureSpace(np.array([0.125, 0.375, 0.5]))
-        product = ProductBase(filt.space, inner)
-        rng = np.random.default_rng(53)
-        table = rng.standard_normal((filt.space.n_atoms, inner.n_atoms))
-        f = StepFunction(table.reshape(-1, 1), lp_space(1, 1), product.combined())
-        report = fubini_heredity_check(f, product, filt, p, FAST)
-
-        folded = StepFunction(table * inner.masses ** (1.0 / p), lp_space(p, 3), filt.space)
-        lhs = atomwise_rbound(_reference_stack(folded, filt, None), folded.space, FAST, p)[0]
-        fibers = StepFunction(table, lp_space(1, 3), filt.space)
-        fiber_max = np.max(np.abs(_reference_stack(fibers, filt, None)), axis=0)
-        rhs = (fiber_max**p @ inner.masses) ** (1.0 / p)
-        np.testing.assert_array_equal(report.lhs, lhs)
-        np.testing.assert_array_equal(report.rhs, rhs)
-        assert report.violation == float(np.max(lhs - rhs))
 
     def test_hilbert_atom_restriction_masks_the_rest(self):
         space, filt = make_dyadic_filtration(4)

@@ -19,7 +19,6 @@ from rmflab.rademacher import (
     mc_sign_entries,
     moment_from_matrix,
     rademacher_moment,
-    scalar_moment,
     sign_patterns,
     sign_table_bytes,
     type_cotype_estimate,
@@ -282,13 +281,6 @@ class TestMatrixSpaces:
             )
         )
         assert est.value == pytest.approx(manual, abs=1e-10)
-
-
-def test_scalar_moment_matches_vector_form():
-    lam = np.array([0.6, -0.8])
-    est = scalar_moment(lam, 3, CFG)
-    vs = [Vector(np.array([c]), lp_space(1, 1)) for c in lam]
-    assert est.value == pytest.approx(rademacher_moment(vs, 3, CFG).value, abs=1e-12)
 
 
 def _central_differences(evaluate, vmats, h=1e-6):

@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import optim, rbound
-from rmflab.rademacher import EnumConfig, moment_from_matrix, sign_patterns
+from rmflab import rbound
+from rmflab.rademacher import EnumConfig, sign_patterns
 from rmflab.rbound import (
     HILBERT_EXACT,
-    OPTIMIZED,
     RBoundBracket,
-    SelectionWitness,
     atomwise_rbound,
     rbound_certify_grid,
-    rbound_operator,
     rbound_scalar,
 )
 from rmflab.filtration import conditional_expectation, make_dyadic_filtration, random_step_function
 from rmflab.maximal import doob_maximal
-from rmflab.spaces import Vector, hilbert_op_space, lp_space, norm, norms_of, schatten_space
+from rmflab.spaces import Vector, lp_space, norm, norms_of, schatten_space
 
 FAST = EnumConfig(seed=2, restarts=6)
 
@@ -78,28 +75,6 @@ class TestScalar:
         b = rbound_scalar(with_zero, 2, cfg=FAST)
         assert b.lower <= a.lower + 1e-9
         assert b.upper == a.upper
-
-    def test_set_inclusion_monotone_with_witness_seeding(self):
-        rng = np.random.default_rng(7)
-        space = lp_space(1, 3)
-        vs = [Vector(rng.standard_normal(3), space) for _ in range(3)]
-        small = rbound_scalar(vs[:2], 2, cfg=FAST)
-        big = rbound_scalar(vs, 2, cfg=FAST, warm_start=small.witness)
-        assert small.lower <= big.lower + 1e-9
-
-    def test_multiplicity_monotone_with_witness_seeding(self):
-        rng = np.random.default_rng(8)
-        space = lp_space(1, 2)
-        vs = [Vector(rng.standard_normal(2), space) for _ in range(2)]
-        m1 = rbound_scalar(vs, 2, multiplicity=1, cfg=FAST)
-        m2 = rbound_scalar(vs, 2, multiplicity=2, cfg=FAST, warm_start=m1.witness)
-        assert m1.lower <= m2.lower + 1e-9
-
-    def test_warm_start_with_too_many_copies_rejected(self):
-        vs = basis(lp_space(1, 2))
-        warm = SelectionWitness((0, 0), np.array([0.6, 0.8]))
-        with pytest.raises(ValueError):
-            rbound_scalar(vs, 2, multiplicity=1, cfg=FAST, warm_start=warm)
 
     def test_bracket_ordering_validated(self):
         with pytest.raises(ValueError):
@@ -391,104 +366,6 @@ class TestGrid:
             finally:
                 tracemalloc.stop()
             assert peak <= 16 * chunk_bytes < rbound.sphere_grid_points(3, step) * 3 * 8
-
-
-class TestOperator:
-    def test_identity_family(self):
-        space = hilbert_op_space(2, 2)
-        eye = Vector(np.eye(2).ravel(), space)
-        br = rbound_operator([eye, eye], 2, cfg=FAST)
-        assert br.lower == pytest.approx(1.0, abs=1e-6)
-
-    def test_singleton_operator_norm(self):
-        space = hilbert_op_space(2, 2)
-        t = Vector(np.array([[2.0, 0.0], [0.0, 0.5]]).ravel(), space)
-        br = rbound_operator([t], 2, cfg=FAST)
-        assert br.lower == pytest.approx(2.0, abs=1e-9)
-        assert br.upper == pytest.approx(2.0, abs=1e-9)
-
-    def test_diagonal_projections(self):
-        space = hilbert_op_space(2, 2)
-        d1 = Vector(np.array([[1.0, 0.0], [0.0, 0.0]]).ravel(), space)
-        d2 = Vector(np.array([[0.0, 0.0], [0.0, 1.0]]).ravel(), space)
-        br = rbound_operator([d1, d2], 2, cfg=FAST)
-        assert br.lower == br.upper == 1.0
-        assert br.mode == HILBERT_EXACT
-
-    def test_non_operator_space_rejected(self):
-        with pytest.raises(ValueError):
-            rbound_operator(basis(lp_space(2, 2)), 2, cfg=FAST)
-
-    @pytest.mark.parametrize("p", [1, 3])
-    def test_singleton_any_moment(self, p):
-        # the argument cancels, so every moment gives the operator norm
-        space = hilbert_op_space(2, 2)
-        t = Vector(np.array([[0.0, 1.5], [0.0, 0.0]]).ravel(), space)
-        br = rbound_operator([t], p, cfg=FAST)
-        assert br.lower == pytest.approx(1.5, abs=1e-9)
-
-    def test_witness_recorded(self):
-        space = hilbert_op_space(2, 2)
-        t = Vector(np.array([[0.0, 1.0], [1.0, 0.0]]).ravel(), space)
-        br = rbound_operator([t], 2, cfg=FAST)
-        assert isinstance(br.witness, SelectionWitness)
-        assert br.witness.indices == (0,)
-
-    @staticmethod
-    def family(m, seed):
-        rng = np.random.default_rng([seed, m])
-        return [Vector(rng.standard_normal(6), hilbert_op_space(3, 2)) for _ in range(m)]
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_p2_is_the_top_operator_norm_without_search(self, monkeypatch, m, seed):
-        def no_search(*args, **kwargs):
-            raise AssertionError("searched at p = 2")
-
-        monkeypatch.setattr(optim, "maximize_on_spheres", no_search)
-        ops = self.family(m, seed)
-        want = max(np.linalg.norm(t.coords.reshape(2, 3), 2) for t in ops)
-        for n_args in (m, m + 1):
-            br = rbound_operator(ops, 2, n_args=n_args, cfg=FAST)
-            assert br.mode == HILBERT_EXACT and br.sup_gap == 0.0
-            assert br.lower == br.upper == want
-            [j] = br.witness.indices
-            x = br.witness.coeffs[0]
-            assert np.linalg.norm(ops[j].coords.reshape(2, 3) @ x) == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "p, m, seed, before",
-        [
-            # the lower of the search over multisets one by one on a product of spheres
-            (4.0, 2, 0, 2.7246404636783277),
-            (3.0, 4, 2, 2.920759931833358),
-            (1.0, 3, 1, 2.591458143681714),
-        ],
-    )
-    def test_joint_sphere_witness_ratio_is_the_lower(self, p, m, seed, before):
-        ops = self.family(m, seed)
-        br = rbound_operator(ops, p, cfg=EnumConfig(restarts=8, seed=1))
-        assert br.mode == OPTIMIZED
-        assert br.lower >= before
-        # these searches beat the top singleton
-        assert br.lower > max(np.linalg.norm(t.coords.reshape(2, 3), 2) for t in ops) + 1e-6
-        wit = br.witness
-        assert wit.indices == tuple(j % m for j in range(m)) and wit.coeffs.shape == (m, 3)
-        out = np.stack([ops[j].coords.reshape(2, 3) @ x for j, x in zip(wit.indices, wit.coeffs)])
-        ratio = (
-            moment_from_matrix(out, lp_space(2, 2), p, EnumConfig()).value
-            / moment_from_matrix(wit.coeffs, lp_space(2, 3), p, EnumConfig()).value
-        )
-        assert ratio == pytest.approx(br.lower, rel=1e-12, abs=0)
-
-    def test_n_args_above_exact_threshold_rejected(self):
-        ops = self.family(2, 0)
-        cfg = EnumConfig(exact_threshold=3, seed=1)
-        with pytest.raises(ValueError, match="exact_threshold"):
-            rbound_operator(ops, 3, n_args=4, cfg=cfg)
-        assert rbound_operator(ops, 3, n_args=3, cfg=cfg).mode == OPTIMIZED
-        # at p = 2 no moment is taken, so the closed form stands at any n_args
-        assert rbound_operator(ops, 2, n_args=4, cfg=cfg).mode == HILBERT_EXACT
 
 
 class TestAtomwise:
