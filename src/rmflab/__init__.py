@@ -22,7 +22,6 @@ from .martingale import (
     good_lambda_experiment,
     good_lambda_experiments,
     gundy_decompose,
-    maximal_stars,
     validate_martingale,
     weak_rmf_probe,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "lp_norm",
     "lp_space",
     "make_dyadic_filtration",
-    "maximal_stars",
     "norm",
     "rademacher_maximal",
     "rademacher_moment",

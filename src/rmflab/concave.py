@@ -35,6 +35,9 @@ from .rademacher import EnumConfig
 from .rbound import HILBERT_EXACT, OPTIMIZED, _lower_side_by_side, atomwise_rbound
 from .spaces import Vector, norm_of
 
+# a majorant property holds when its worst slack is at most this
+_PROPERTY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class UValue:
@@ -318,7 +321,6 @@ def check_v_candidate(
     p: float,
     c: float,
     cfg: EnumConfig | None = None,
-    tol: float = 1e-9,
 ) -> VCandidateReport:
     """Evaluate the four majorant properties on finite sample sets.
 
@@ -363,8 +365,8 @@ def check_v_candidate(
     if not midpoints:
         slack4 = 0.0
     return VCandidateReport(
-        majorizes_penalty=PropertyCheck(slack1 <= tol, slack1),
-        diagonal_nonpositive=PropertyCheck(slack2 <= tol, slack2),
-        absorbs_point=PropertyCheck(slack3 <= tol, slack3),
-        midpoint_concave=PropertyCheck(slack4 <= tol, slack4),
+        majorizes_penalty=PropertyCheck(slack1 <= _PROPERTY_TOL, slack1),
+        diagonal_nonpositive=PropertyCheck(slack2 <= _PROPERTY_TOL, slack2),
+        absorbs_point=PropertyCheck(slack3 <= _PROPERTY_TOL, slack3),
+        midpoint_concave=PropertyCheck(slack4 <= _PROPERTY_TOL, slack4),
     )

@@ -175,15 +175,6 @@ class Partition:
             [np.bincount(self.block_of, weights=w, minlength=nb) for w in weights.T], axis=1
         )
 
-    def block_extremes(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """Largest and smallest of per-atom reals over each block."""
-        vals = np.asarray(values, dtype=float)
-        hi = np.full(self.n_blocks, -np.inf)
-        lo = np.full(self.n_blocks, np.inf)
-        np.maximum.at(hi, self.block_of, vals)
-        np.minimum.at(lo, self.block_of, vals)
-        return hi, lo
-
     def block_masses(self) -> np.ndarray:
         """Mass of each block, read-only: one array shared by every caller."""
         if self._block_masses is None:

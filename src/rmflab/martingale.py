@@ -22,7 +22,7 @@ of :func:`good_lambda_experiments`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,14 @@ from .filtration import (
     random_haar_filtration,
 )
 from .rademacher import EnumConfig
-from .rbound import HILBERT_EXACT, _lower_side_by_side, atomwise_rbound
+from .rbound import HILBERT_EXACT, _lower_side_by_side
 from .spaces import Space, Vector, dual_exponent, norms_of
 
 INF_TIME = np.iinfo(np.int64).max
 
 _MARTINGALE_TOL = 1e-9
+# jump norms of one block may differ by this much and still count as predictable
+_JUMP_TOL = 1e-9
 
 # desk-scale cap on the labels and floats of a generated family
 # (family_entries), 2^24 entries or 128 MiB: a gundy run peaks near 51
@@ -255,13 +257,13 @@ def _level_norms(stack: np.ndarray, space: Space) -> np.ndarray:
     return norms_of(stack.reshape(-1, stack.shape[2]), space).reshape(stack.shape[:2])
 
 
-def predictable_jump_norms(x: SimpleMartingale, atol: float = 1e-9) -> np.ndarray:
+def predictable_jump_norms(x: SimpleMartingale) -> np.ndarray:
     """Jump norms ||D_j||, shape (n_steps, atoms), flattened to exact
     constants on the preceding level.
 
     For standard Haar martingales ||D_{j+1}|| is measurable at level j up
     to floating-point summation noise; this validates the constancy
-    within ``atol`` and returns the blockwise maximum so that first-hit
+    within ``_JUMP_TOL`` and returns the blockwise maximum so that first-hit
     rows built from it are exactly level-measurable.  Every level's blocks
     are one set of slots (:func:`_level_slots`).
     """
@@ -271,7 +273,7 @@ def predictable_jump_norms(x: SimpleMartingale, atol: float = 1e-9) -> np.ndarra
     lo = np.full(jumps.size, np.inf)
     np.maximum.at(hi, slots, jumps.ravel())
     np.minimum.at(lo, slots, jumps.ravel())
-    if np.any(hi - lo > atol):
+    if np.any(hi - lo > _JUMP_TOL):
         raise ValueError(
             "jump norms are not predictable; this construction is "
             "valid only for standard Haar martingales"
@@ -285,10 +287,9 @@ def prefix_rbounds(x: SimpleMartingale, cfg: EnumConfig | None = None) -> np.nda
     Exact (running maximal norm) on Hilbert ranges; otherwise searched
     lower bounds from one kernel call over every prefix, made
     nondecreasing in j: a lower bound for a prefix is one for every longer
-    prefix.  The last row is therefore at least
-    ``maximal_stars(x, cfg).rademacher_star``, which searches the full set
-    alone, and exceeds it only by search noise.  The one-martingale case
-    of :func:`family_prefix_rbounds`.
+    prefix.  The last row is therefore at least the search of the full set
+    alone (the stars X_R* of ``weak_rmf_probe``), and exceeds it only by
+    search noise.  The one-martingale case of :func:`family_prefix_rbounds`.
     """
     return family_prefix_rbounds([x], cfg)[0]
 
@@ -335,34 +336,9 @@ def stopped_martingale(x: SimpleMartingale, tau: StoppingTime) -> SimpleMartinga
     return _on_filtration_of(x, stack[gather, np.arange(x.base.n_atoms)])
 
 
-@dataclass(frozen=True)
-class MartingaleStars:
-    """Doob and Rademacher maximal functions of a martingale, atomwise."""
-
-    star: np.ndarray = field(repr=False)
-    rademacher_star: np.ndarray = field(repr=False)
-    rademacher_star_upper: np.ndarray = field(repr=False)
-    mode: str
-    lp: float
-    p: float
-
-
 def _star_levels(x: SimpleMartingale) -> np.ndarray:
     """The levels X_j, j >= 1, whose atomwise norms and R-bound are the stars."""
     return x.values_stack()[1:] if x.n_steps >= 1 else x.values_stack()
-
-
-def maximal_stars(
-    x: SimpleMartingale, cfg: EnumConfig | None = None, p: float = 1.0
-) -> MartingaleStars:
-    """X* = sup_{j>=1} ||X_j|| and X_R* = R(X_j : j >= 1) per atom,
-    together with ||X||_p."""
-    if cfg is None:
-        cfg = EnumConfig()
-    stack = _star_levels(x)
-    star = np.max(_level_norms(stack, x.space), axis=0)
-    lower, upper, mode = atomwise_rbound(stack, x.space, cfg)
-    return MartingaleStars(star, lower, upper, mode, x.lp_bound(p), p)
 
 
 def subtract(x: SimpleMartingale, y: SimpleMartingale) -> SimpleMartingale:
@@ -698,12 +674,6 @@ class WeakRmfReport:
     p: float
     beta: float
     delta: float
-
-
-def weak_ratio(x: SimpleMartingale, cfg: EnumConfig | None = None) -> tuple[float, str]:
-    """sup over lam > 0 of lam P(X_R* > lam) / ||X||_1 for one martingale."""
-    stars = maximal_stars(x, cfg)
-    return _weak_ratio_of(x, stars.rademacher_star), stars.mode
 
 
 def _weak_ratio_of(x: SimpleMartingale, rstar: np.ndarray) -> float:

@@ -3,25 +3,28 @@ estimation.
 
 The p-th randomized moment of vectors x_1..x_N is
 (E || sum_j eps_j x_j ||^p)^(1/p) with independent uniform signs eps_j.
-Small N is handled by exact enumeration over sign patterns (halved by the
-eps -> -eps symmetry); larger N falls back to counter-based Monte Carlo.
+N up to ``EnumConfig.exact_threshold`` is handled by exact enumeration over
+sign patterns (halved by the eps -> -eps symmetry); larger N falls back to
+counter-based Monte Carlo (``moment_from_matrix``).
 A sign table is copied in blocks from a small head, not computed entry by
 entry (see ``sign_patterns``), and the exact moment of N > 15 vectors
 walks it in aligned 2^14-row chunks of one buffer, rewriting only the
 columns past bit 14 per chunk: the sign patterns cost a copy, and the
-products and norms of the 2^(N-1) combinations are the work.
-A moment evaluator (``moment_evaluator``) also gives the gradient in
-every x_j; it is a closed form at exponent 2 on a Hilbert space and one
-sign table otherwise, refused before it is built when the table would pass
-``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes`` prices it).  A Monte Carlo
-moment that would draw over ``MAX_MC_SIGN_ENTRIES`` signs is refused
-before it draws one (``mc_sign_entries`` prices it).  Every ratio search
-is one ``maximize_ratio`` call, given a proved ceiling on the ratio where
-its moments are exact: ``type_cotype_ceiling`` for type and cotype
-(n^(1-1/p) and n^(1/q)), and ``rbound``'s summability and Cauchy-Schwarz
-bounds for R-bounds.  A search that meets its ceiling stops every start
-that can no longer win (see ``optim``); none is given to a Monte Carlo
-search.
+products and norms of the 2^(N-1) combinations are the work.  A Monte
+Carlo moment that would draw over ``MAX_MC_SIGN_ENTRIES`` signs is
+refused before it draws one (``mc_sign_entries`` prices it).
+
+Searches use no Monte Carlo value.  A moment evaluator
+(``moment_evaluator``) also gives the gradient in every x_j; it is a
+closed form at exponent 2 on a Hilbert space and otherwise the table of
+every sign pattern, of at most ``_EXACT_ROWS`` (21) vectors, the most
+whose table fits under ``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes``
+prices it).  So every searched ratio is exact and its best value is a
+lower bound.  Every ratio search is one ``maximize_ratio`` call, given a
+proved ceiling on the ratio: ``type_cotype_ceiling`` for type and cotype
+(n^(1-1/p) and n^(1/q)), and ``rbound``'s summability and
+Cauchy-Schwarz bounds for R-bounds.  A search that meets its ceiling
+stops every start that can no longer win (see ``optim``).
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ _CHUNK_BITS = 14
 _CHUNK = 1 << _CHUNK_BITS
 # a sign table is copied from its first 2^_HEAD_BITS rows (all of them when shorter)
 _HEAD_BITS = 10
-# rows of the frozen Monte Carlo sign table of a moment evaluator, at most
-_MC_TABLE = 1 << 15
 # desk-scale cap on the sign table a moment evaluator holds (sign_table_bytes):
-# 256 MiB, above the 84 MB exact table of 20 vectors, the default threshold
+# 256 MiB, above the 168 MiB table of 21 vectors (_EXACT_ROWS)
 MAX_SIGN_TABLE_BYTES = 1 << 28
 # desk-scale cap on the signs the Monte Carlo moment draws (mc_sign_entries):
 # 2^30, about 20 s at 17-20 ns a sign (2-core machine); the default 100,000
@@ -60,7 +61,11 @@ _ROW_BLOCK = 1 << 11
 
 @dataclass(frozen=True)
 class EnumConfig:
-    """Knobs for sign enumeration, sampling and ratio optimization."""
+    """Knobs for sign enumeration, sampling and ratio optimization.
+
+    ``exact_threshold`` and ``mc_samples`` steer ``moment_from_matrix``
+    alone; searches always enumerate every sign pattern.
+    """
 
     exact_threshold: int = 20
     mc_samples: int = 100_000
@@ -91,8 +96,7 @@ class MomentEstimate:
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """Best found value of a randomized-norm ratio, with witness tuple;
-    ``mode`` is MONTE_CARLO when a moment in it samples signs."""
+    """Best found value of a randomized-norm ratio over exact moments, with witness tuple."""
 
     value: float
     mode: str
@@ -217,20 +221,24 @@ def rademacher_moment(vectors: list[Vector], p: float, cfg: EnumConfig) -> Momen
     return moment_from_matrix(vmat, space, p, cfg)
 
 
-def _table_rows(n: int, cfg: EnumConfig) -> int:
-    """Length of the sign table a moment evaluator of n vectors uses."""
-    if n <= cfg.exact_threshold:
-        return 1 << (n - 1)
-    return min(cfg.mc_samples, _MC_TABLE)
+def sign_table_bytes(n: int) -> int:
+    """Bytes of the float64 table of every sign pattern of n signs (``moment_evaluator``)."""
+    return 8 * n << (n - 1)
 
 
-def ladder_rungs(n: int, cfg: EnumConfig) -> int:
+# the most vectors whose sign table fits under the cap: 21, at 168 MiB; a
+# search scores every sign pattern of at most this many vectors
+_EXACT_ROWS = max(n for n in range(1, 64) if sign_table_bytes(n) <= MAX_SIGN_TABLE_BYTES)
+
+
+def ladder_rungs(n: int) -> int:
     """Line-search rungs to score per objective call over n-vector moments.
 
-    One rung costs one sign table per restart, so a block of
-    ``_CHUNK // P`` rungs (at least one) keeps a call near one chunk.
+    One rung costs one sign table of 2^(n-1) rows per restart, so a block
+    of ``_CHUNK >> (n - 1)`` rungs (at least one) keeps a call near one
+    chunk.
     """
-    return max(1, _CHUNK // _table_rows(n, cfg))
+    return max(1, _CHUNK >> (n - 1))
 
 
 def _table_moments(table: np.ndarray, space: Space, p: float, vmats: np.ndarray, grad: bool = False):
@@ -273,47 +281,18 @@ def _table_moments(table: np.ndarray, space: Space, p: float, vmats: np.ndarray,
     return moments, grads * scale[:, None, None]
 
 
-@lru_cache(maxsize=1)
-def _mc_table(n: int, rows: int, seed: int) -> np.ndarray:
-    """The frozen Monte Carlo sign table of n signs."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    signs = rng.integers(0, 2, size=(rows, n)) * 2.0 - 1.0
-    signs.setflags(write=False)
-    return signs
-
-
-def sign_table_bytes(n: int, cfg: EnumConfig) -> int:
-    """Bytes of the float64 sign table that ``moment_evaluator(n, ...)`` holds under ``cfg``."""
-    return 8 * n * _table_rows(n, cfg)
-
-
 def mc_sign_entries(n: int, cfg: EnumConfig) -> int:
     """Signs ``moment_from_matrix`` draws for the Monte Carlo moment of n vectors under ``cfg``."""
     return cfg.mc_samples * n
 
 
-def _over_cap_message(n: int, cfg: EnumConfig) -> str:
-    """Why a moment evaluator of n vectors is refused, and a setting that fits."""
-    size = sign_table_bytes(n, cfg)
-    if n <= cfg.exact_threshold:
-        kind = "an exact"
-        fits = max(k for k in range(1, n) if 8 * k << (k - 1) <= MAX_SIGN_TABLE_BYTES)
-        remedy = f"--exact-threshold {fits} fits"
-    else:
-        kind = "a Monte Carlo"
-        remedy = f"--mc-samples {MAX_SIGN_TABLE_BYTES // (8 * n)} fits"
+def _over_cap_message(n: int) -> str:
+    """Why a moment evaluator of n vectors is refused."""
     return (
-        f"{kind} moment of {n} vectors needs a sign table of {size / 2**20:,.0f} MiB, over the cap "
+        f"an exact moment of {n} vectors needs a sign table of 2^{n - 1} rows of {n} signs, over the cap "
         f"of {MAX_SIGN_TABLE_BYTES >> 20} MiB (rademacher.MAX_SIGN_TABLE_BYTES = {MAX_SIGN_TABLE_BYTES}); "
-        f"{remedy}"
+        f"{_EXACT_ROWS} vectors fit"
     )
-
-
-def _sign_table(n: int, cfg: EnumConfig) -> np.ndarray:
-    """Every sign pattern of n signs within the exact threshold, else the frozen Monte Carlo table."""
-    if n <= cfg.exact_threshold:
-        return sign_patterns(n)
-    return _mc_table(n, _table_rows(n, cfg), cfg.seed)
 
 
 def hilbert_moment2(vmats: np.ndarray, grad: bool = False):
@@ -330,28 +309,22 @@ def hilbert_moment2(vmats: np.ndarray, grad: bool = False):
     return moments, optim.ratio_or_zero(vmats, moments[:, None, None])
 
 
-def _moment_mode(n: int, space: Space, p: float, cfg: EnumConfig) -> str:
-    """Whether ``moment_evaluator(n, space, p, cfg)`` is exact (a closed form or every sign pattern)."""
-    return EXACT if p == 2 and space.is_hilbert or n <= cfg.exact_threshold else MONTE_CARLO
-
-
-def moment_evaluator(n: int, space: Space, p: float, cfg: EnumConfig):
+def moment_evaluator(n: int, space: Space, p: float):
     """The p-th randomized moment of n-tuples, as one function ``moments(vmats, grad=False)``.
 
     It maps a (batch, n, dim) stack of tuples to their (batch,) moments, and
     with ``grad`` to the moments and their (batch, n, dim) gradients.  At
     p = 2 on a Hilbert space it is ``hilbert_moment2``, at every n.
-    Otherwise it averages over one sign table built here: every pattern
-    when n is within the exact threshold, else a frozen Monte Carlo table
-    (common random numbers) so that optimizers see a smooth objective.
-    A table over ``MAX_SIGN_TABLE_BYTES`` raises ``ValueError`` before
-    anything is allocated.
+    Otherwise it averages over the table of every sign pattern, built here;
+    past ``_EXACT_ROWS`` vectors that table would pass
+    ``MAX_SIGN_TABLE_BYTES``, and ``ValueError`` is raised before anything
+    is allocated.
     """
     if p == 2 and space.is_hilbert:
         return hilbert_moment2
-    if sign_table_bytes(n, cfg) > MAX_SIGN_TABLE_BYTES:
-        raise ValueError(_over_cap_message(n, cfg))
-    return partial(_table_moments, _sign_table(n, cfg), space, p)
+    if n > _EXACT_ROWS:
+        raise ValueError(_over_cap_message(n))
+    return partial(_table_moments, sign_patterns(n), space, p)
 
 
 def maximize_ratio(
@@ -361,19 +334,19 @@ def maximize_ratio(
     n: int,
     table_n: int,
     cfg: EnumConfig,
+    ceiling,
     extra_starts=(),
     problems=1,
-    ceiling=None,
 ) -> list[tuple[float, np.ndarray]]:
     """``optim.maximize_on_spheres`` of numerator / denominator (0 where it is 0) on ``space``^n.
 
     Each part maps a stack of points, their problem indices and ``grad`` to
     values, and with ``grad`` to values and gradients in the points' shape.
     Starts are ``cfg.restarts`` plus ``extra_starts``; a line-search block
-    is ``ladder_rungs(table_n, cfg)`` rungs.  ``ceiling`` (a float, or one
-    per problem) is a proved upper bound on the ratio, given only where
-    both moments are exact: a start that can no longer beat the winner
-    then stops (see ``optim``), and the results keep their bits.
+    is ``ladder_rungs(table_n)`` rungs.  ``ceiling`` (a float, or one per
+    problem) is a proved upper bound on the ratio: a start that can no
+    longer beat the winner then stops (see ``optim``), and the results
+    keep their bits.
     """
 
     def objective(x: np.ndarray, group=0, grad=False):
@@ -383,7 +356,7 @@ def maximize_ratio(
 
     return optim.maximize_on_spheres(
         objective, space, n, cfg.restarts + len(extra_starts), cfg.seed, cfg.tol,
-        extra_starts, rungs_per_call=ladder_rungs(table_n, cfg), problems=problems, ceiling=ceiling,
+        extra_starts, rungs_per_call=ladder_rungs(table_n), problems=problems, ceiling=ceiling,
     )
 
 
@@ -398,8 +371,7 @@ def type_cotype_ceiling(kind: str, exponent: float, n: int) -> float:
     E||sum eps x|| >= max_j ||x_j||, while (sum_j ||x_j||^q)^(1/q) <=
     n^(1/q) max_j ||x_j||; the ratio is at most n^(1/q), 1 at q = inf.
     The l1 type-2 and l-infinity cotype-2 ratios reach sqrt(n) at n
-    disjointly supported unit vectors.  A Monte Carlo moment obeys neither
-    bound.
+    disjointly supported unit vectors.
     """
     return n ** (1.0 - 1.0 / exponent) if kind == "type" else n ** (1.0 / exponent)
 
@@ -411,14 +383,14 @@ def type_cotype_estimate(
 
     Type p compares (E||sum eps x||^2)^(1/2) against (sum ||x_j||^p)^(1/p);
     cotype q inverts the ratio, with a max-norm right side when q = inf.
-    The search runs over n-tuples of unit vectors, where the lp sum of
-    norms is constant.  On a Hilbert space the moment is a closed form and
-    elsewhere, when ``n <= cfg.exact_threshold``, it is enumerated over
-    every sign pattern: the value is then exact, a true lower bound on the
-    constant in the defining inequality.  Above the threshold, off Hilbert
-    spaces, a Monte Carlo sign table gives an estimate that may exceed it.
-    An exact search is given ``type_cotype_ceiling``, so once a start
-    reaches it the starts after it stop.
+    The search runs over tuples of unit vectors, where the lp sum of norms
+    is constant.  On a Hilbert space the moment is a closed form and
+    elsewhere it is enumerated over every sign pattern, so the value is
+    exact, a true lower bound on the constant in the defining inequality.
+    Off Hilbert spaces at most ``_EXACT_ROWS`` vectors are searched and
+    the witness is padded to n with zero vectors, which change neither
+    side of the ratio.  The search is given ``type_cotype_ceiling``, so
+    once a start reaches it the starts after it stop.
     """
     if kind not in ("type", "cotype"):
         raise ValueError("kind must be 'type' or 'cotype'")
@@ -429,21 +401,21 @@ def type_cotype_estimate(
     if n < 1:
         raise ValueError("need at least one vector")
 
-    moment2 = moment_evaluator(n, space, 2.0, cfg)
-    norm_sum = lp_space(exponent, n)
+    m = n if space.is_hilbert else min(n, _EXACT_ROWS)
+    moment2 = moment_evaluator(m, space, 2.0)
+    norm_sum = lp_space(exponent, m)
 
     def moments(vmats: np.ndarray, group, grad):
         return moment2(vmats, grad)
 
     def lp_sums(vmats: np.ndarray, group, grad):
         if not grad:
-            return norms_of(norms_of(vmats.reshape(-1, space.total_dim), space).reshape(-1, n), norm_sum)
+            return norms_of(norms_of(vmats.reshape(-1, space.total_dim), space).reshape(-1, m), norm_sum)
         ns, dns = norms_and_grads_of(vmats.reshape(-1, space.total_dim), space)
-        sums, dsums = norms_and_grads_of(ns.reshape(-1, n), norm_sum)
+        sums, dsums = norms_and_grads_of(ns.reshape(-1, m), norm_sum)
         return sums, dsums[:, :, None] * dns.reshape(vmats.shape)
 
     parts = (moments, lp_sums) if kind == "type" else (lp_sums, moments)
-    mode = _moment_mode(n, space, 2.0, cfg)
-    ceiling = type_cotype_ceiling(kind, exponent, n) if mode == EXACT else None
-    [(val, x)] = maximize_ratio(*parts, space, n, n, cfg, ceiling=ceiling)
-    return RatioEstimate(val, mode, [Vector(row, space) for row in x])
+    [(val, x)] = maximize_ratio(*parts, space, m, m, cfg, type_cotype_ceiling(kind, exponent, m))
+    padding = [Vector(np.zeros(space.total_dim), space) for _ in range(n - m)]
+    return RatioEstimate(val, EXACT, [Vector(row, space) for row in x] + padding)

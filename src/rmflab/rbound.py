@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rademacher import (
+    _EXACT_ROWS,
     EnumConfig,
     _stack,
     hilbert_moment2,
@@ -131,55 +132,50 @@ def _sphere_lower(
 
     Returns each set's value and point.  Setting lambda_j = 0 off a subset
     gives that subset's ratio, so the faces of the sphere are the
-    sub-selections.  Every set starts from ``cfg.restarts`` starts plus
-    ``_face_starts(k)``, and all sets climb in one ascent (several when one
-    would hold more than ``_BATCH_FLOATS`` floats); each start follows the
-    path it follows alone.  Sets longer than ``cfg.exact_threshold`` have
-    Monte Carlo moments, so their first ``exact_threshold`` rows are
-    searched too, exactly; the first of the best values wins.  Each exactly
-    enumerated set's search is given ``_ratio_ceiling`` of its rows, so
-    once a start reaches it the starts after it stop.
+    sub-selections.  The first ``_EXACT_ROWS`` rows of each set are
+    searched, over every sign pattern, so the value is a lower bound: the
+    R-bound of a set is at least that of a subset.  Every set starts from
+    ``cfg.restarts`` starts plus ``_face_starts(k)``, and all sets climb
+    in one ascent (several when one would hold more than ``_BATCH_FLOATS``
+    floats); each start follows the path it follows alone.  Each set's
+    search is given ``_ratio_ceiling`` of its rows, so once a start
+    reaches it the starts after it stop.
     """
-    head = cfg.exact_threshold
-    best = [(-math.inf, None)] * sets.shape[0]
-    row_norms = norms_of(sets.reshape(-1, sets.shape[2]), space).reshape(sets.shape[:2])
-    for subs in [sets[:, :head], sets] if 2 <= head < sets.shape[1] else [sets]:
-        k = subs.shape[1]
-        ceilings = _ratio_ceiling(row_norms[:, :k], p) if k <= head else None
-        extra = list(_face_starts(k))
-        vector_moments = moment_evaluator(k, space, p, cfg)
-        # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
-        if p == 2 and k <= head:
-            scalar_moments = hilbert_moment2
-        else:
-            scalar_moments = moment_evaluator(k, lp_space(1, 1), p, cfg)
+    sets = sets[:, :_EXACT_ROWS]
+    k = sets.shape[1]
+    ceilings = _ratio_ceiling(norms_of(sets.reshape(-1, sets.shape[2]), space).reshape(sets.shape[:2]), p)
+    extra = list(_face_starts(k))
+    vector_moments = moment_evaluator(k, space, p)
+    # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
+    scalar_moments = hilbert_moment2 if p == 2 else moment_evaluator(k, lp_space(1, 1), p)
 
-        def coefficients(lams: np.ndarray, group, grad):
-            found = scalar_moments(lams[:, 0, :, None], grad)
-            return (found[0], found[1].reshape(lams.shape)) if grad else found
+    def coefficients(lams: np.ndarray, group, grad):
+        found = scalar_moments(lams[:, 0, :, None], grad)
+        return (found[0], found[1].reshape(lams.shape)) if grad else found
 
-        # a ladder call scores a block of rungs of every start, each a (k, dim)
-        # product, and a ladder from a unit length has 25 rungs; the gradient
-        # call that follows scores one tuple per start
-        rungs = ladder_rungs(k, cfg)
-        starts = len(extra) + max(cfg.restarts, 2)
-        per = max(1, _BATCH_FLOATS // (starts * min(rungs, 25) * k * space.total_dim))
-        for lo in range(0, subs.shape[0], per):
-            batch = subs[lo : lo + per]
+    # a ladder call scores a block of rungs of every start, each a (k, dim)
+    # product, and a ladder from a unit length has 25 rungs; the gradient
+    # call that follows scores one tuple per start
+    rungs = ladder_rungs(k)
+    starts = len(extra) + max(cfg.restarts, 2)
+    per = max(1, _BATCH_FLOATS // (starts * min(rungs, 25) * k * space.total_dim))
+    best = []
+    for lo in range(0, sets.shape[0], per):
+        batch = sets[lo : lo + per]
 
-            def combos(lams: np.ndarray, group, grad):
-                # the rows of a single set broadcast over every tuple; only several sets are gathered
-                rows = batch[group] if batch.shape[0] > 1 else batch[0]
-                found = vector_moments(lams[:, 0, :, None] * rows, grad)
-                return (found[0], np.add.reduce(found[1] * rows, axis=2)[:, None, :]) if grad else found
+        def combos(lams: np.ndarray, group, grad):
+            # the rows of a single set broadcast over every tuple; only several sets are gathered
+            rows = batch[group] if batch.shape[0] > 1 else batch[0]
+            found = vector_moments(lams[:, 0, :, None] * rows, grad)
+            return (found[0], np.add.reduce(found[1] * rows, axis=2)[:, None, :]) if grad else found
 
-            found = maximize_ratio(
-                combos, coefficients, lp_space(2, k), 1, k, cfg, extra, problems=batch.shape[0],
-                ceiling=None if ceilings is None else ceilings[lo : lo + per],
+        best += [
+            (val, lam[0])
+            for val, lam in maximize_ratio(
+                combos, coefficients, lp_space(2, k), 1, k, cfg, ceilings[lo : lo + per], extra,
+                problems=batch.shape[0],
             )
-            for i, (val, lam) in enumerate(found, lo):
-                if val > best[i][0]:
-                    best[i] = (val, lam[0])
+        ]
     return best
 
 
@@ -195,9 +191,9 @@ def rbound_scalar(
     randomized square identity turns the ratio into a weighted mean of
     squared norms), reported as a collapsed bracket.  Otherwise the lower
     bound is the best of the member norms (exact singleton ratios) and a
-    search on the sphere of the members tiled ``multiplicity`` times,
-    round robin; a witness names the member of each stack row.  The upper bound is the summability
-    ceiling.
+    search on the sphere of the first ``_EXACT_ROWS`` rows of the members
+    tiled ``multiplicity`` times, round robin; a witness names the member
+    of each stack row.  The upper bound is the summability ceiling.
     """
     if cfg is None:
         cfg = EnumConfig()
@@ -229,8 +225,8 @@ def atomwise_rbound(
     On a Hilbert space at p = 2 both sides are exactly the largest norm
     over levels.  Otherwise an atom's repeated rows are dropped (first
     occurrences kept in order), the lower side is the best of the
-    distinct norms and a search on the sphere of the distinct rows, and
-    the upper side is the sum of the distinct norms.  Equal row sets are
+    distinct norms and a search on the sphere of the first ``_EXACT_ROWS``
+    distinct rows, and the upper side is the sum of the distinct norms.  Equal row sets are
     searched once per call, and all distinct sets of k rows are searched
     by one ``_sphere_lower`` call, one per k.  Atoms outside ``atoms`` hold
     NaN.

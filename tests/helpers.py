@@ -53,10 +53,20 @@ def is_dyadic_haar(filt):
         return False
 
 
+def block_extremes(part, values):
+    """Largest and smallest of per-atom reals over each block of ``part``."""
+    vals = np.asarray(values, dtype=float)
+    hi = np.full(part.n_blocks, -np.inf)
+    lo = np.full(part.n_blocks, np.inf)
+    np.maximum.at(hi, part.block_of, vals)
+    np.minimum.at(lo, part.block_of, vals)
+    return hi, lo
+
+
 def validate_stopping_time(tau, filt):
     """Raise unless every {tau = j} is a union of level-j blocks."""
     for j, part in enumerate(filt.levels):
-        hi, lo = part.block_extremes(tau.values == j)
+        hi, lo = block_extremes(part, tau.values == j)
         if not np.array_equal(hi, lo):
             raise ValueError(f"{{tau = {j}}} is not measurable at level {j}")
 

@@ -71,8 +71,8 @@ def _checked(run):
 def test_rbound_ceilings_bound_every_searched_value(space, k, p, seed, scale):
     rng = np.random.default_rng(seed)
     rows = scale * rng.standard_normal((k, space.total_dim))
-    # an exact search of every row, and one of the first 3 rows beside a Monte Carlo search of all
-    cfg = EnumConfig(restarts=2, seed=seed % 97, exact_threshold=5 if k < 5 else 3, mc_samples=64)
+    # one exact search of every row, also past an exact threshold of 3, which steers no search
+    cfg = EnumConfig(restarts=2, seed=seed % 97, exact_threshold=3, mc_samples=64)
     assert _checked(lambda: rbound_scalar([Vector(r, space) for r in rows], p, cfg=cfg)) == 1
     # atoms of 2 to k distinct rows, several of each row count
     levels = rng.integers(0, k, size=(k, 6))
@@ -168,18 +168,6 @@ def test_lp1_type2_search_stops_after_three_calls():
         est = type_cotype_estimate("type", lp_space(1, 4), 2.0, 4, EnumConfig())
     assert est.value == 2.0
     assert calls[0] <= 4
-
-
-def test_monte_carlo_searches_get_no_ceiling():
-    cfg = EnumConfig(restarts=2, seed=4, exact_threshold=3, mc_samples=64)
-    [(_, _, kwargs)] = _searches(lambda: type_cotype_estimate("type", lp_space(1, 4), 2.0, 4, cfg))
-    assert kwargs["ceiling"] is None
-    # a 5-row stack over a threshold of 3: its first 3 rows are searched exactly, with a ceiling
-    rows = np.random.default_rng(4).standard_normal((5, 3))
-    head, full = _searches(lambda: rbound_scalar([Vector(r, lp_space(1, 3)) for r in rows], 3.0, cfg=cfg))
-    assert head[1][1] == 1 and len(head[2]["ceiling"]) == 1
-    assert full[2]["ceiling"] is None
-    _same_result(*full)
 
 
 def test_ceiling_below_every_value_stops_all_but_the_first_start():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import cli, filtration, optim, rbound
+from rmflab import cli, filtration, optim, rademacher, rbound
 from rmflab.cli import build_parser, main
 
 L1_PLANE = '{"kind":"lp","p":1,"dim":2}'
@@ -191,6 +191,19 @@ class TestRbound:
         assert payload["upper"] == 2.0
         assert payload["mode"] == "optimized"
 
+    @pytest.mark.parametrize("samples", ["64", "8"])
+    def test_monte_carlo_settings_leave_the_lower_bound_true(self, capsys, tmp_path, samples):
+        # R_2 of the l1^4 basis is 2, and the threshold and the samples steer
+        # no search, so the lower bound stays at most 2 and the bracket ordered
+        path = tmp_path / "l1basis4.json"
+        path.write_text(json.dumps({"space": {"kind": "lp", "p": 1, "dim": 4}, "vectors": np.eye(4).tolist()}))
+        code, out, _ = run(
+            capsys, "rbound", "--vectors", str(path), "--exact-threshold", "2", "--mc-samples", samples,
+            "--seed", "1", "--restarts", "2",
+        )
+        assert code == 0
+        assert 2 - 1e-3 <= json.loads(out)["lower"] <= 2 + 1e-9
+
     def test_grid_mode(self, capsys, l1_basis_file):
         code, out, _ = run(
             capsys, "rbound", "--vectors", l1_basis_file, "--grid-step", "1e-3"
@@ -253,13 +266,14 @@ class TestTypecotype:
         assert payload["mode"] == "exact"
         assert abs(payload["value"] - 1.0) <= 1e-15
 
-    def test_monte_carlo_mode_past_the_threshold(self, capsys):
-        code, out, _ = run(
-            capsys, "typecotype", "--kind", "type", "--space", L1_PLANE, "--exponent", "2", "--count", "3",
-            "--exact-threshold", "2", "--mc-samples", "50", "--restarts", "2", "--seed", "1",
-        )
+    def test_exact_mode_past_the_threshold(self, capsys):
+        # the threshold and the samples steer randnorm alone: the search is the default one, bit for bit
+        argv = ["typecotype", "--kind", "type", "--space", L1_PLANE, "--exponent", "2", "--count", "3",
+                "--restarts", "2", "--seed", "1"]
+        code, out, _ = run(capsys, *argv, "--exact-threshold", "2", "--mc-samples", "50")
         assert code == 0
-        assert json.loads(out)["mode"] == "monte_carlo"
+        assert json.loads(out)["mode"] == "exact"
+        assert run(capsys, *argv) == (0, out, "")
 
     def test_seed_mandatory(self, capsys):
         code, _, err = run(
@@ -464,22 +478,17 @@ class TestGridCap:
         )
 
 
-def test_sign_table_over_cap_exits_before_allocating(capsys):
-    tracemalloc.start()
-    try:
-        code, out, err = run(
-            capsys, "typecotype", "--kind", "type", "--space", L1_PLANE, "--exponent", "2",
-            "--count", "22", "--exact-threshold", "22", "--seed", "1",
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1 and out == ""
-    assert err.rstrip().endswith(
-        "an exact moment of 22 vectors needs a sign table of 352 MiB, over the cap of 256 MiB "
-        "(rademacher.MAX_SIGN_TABLE_BYTES = 268435456); --exact-threshold 21 fits"
-    )
-    assert peak < 4 << 20
+def test_count_past_the_exact_rows_pads_the_witness(capsys, monkeypatch):
+    # off Hilbert spaces a search takes at most rademacher._EXACT_ROWS (21)
+    # vectors; zero vectors pad the witness and leave the ratio as it is
+    monkeypatch.setattr(rademacher, "_EXACT_ROWS", 3)
+    argv = ["typecotype", "--kind", "type", "--space", L1_PLANE, "--exponent", "2", "--seed", "1", "--restarts", "2"]
+    code, out, _ = run(capsys, *argv, "--count", "5")
+    assert code == 0
+    payload, searched = json.loads(out), json.loads(run(capsys, *argv, "--count", "3")[1])
+    assert payload["count"] == 5 and payload["mode"] == "exact"
+    assert payload["value"] == searched["value"]
+    assert payload["witness"] == searched["witness"] + [[0.0, 0.0]] * 2
 
 
 def _traced_run(capsys, *argv):

@@ -39,7 +39,6 @@ from rmflab.martingale import (
     good_lambda_experiments,
     gundy_decompose,
     gundy_heights,
-    maximal_stars,
     predictable_jump_norms,
     prefix_rbounds,
     random_haar_martingale,
@@ -47,7 +46,6 @@ from rmflab.martingale import (
     strong_type_constant,
     subtract,
     validate_martingale,
-    weak_ratio,
     weak_rmf_probe,
 )
 from rmflab.rademacher import EnumConfig
@@ -55,7 +53,7 @@ from rmflab import rbound
 from rmflab.rbound import atomwise_rbound
 from rmflab.spaces import Vector, dual_exponent, lp_space, norms_of, schatten_space
 
-from helpers import atom_partition, martingale_to_json, trivial_partition, validate_stopping_time
+from helpers import atom_partition, block_extremes, martingale_to_json, trivial_partition, validate_stopping_time
 
 FAST = EnumConfig(seed=5, restarts=4)
 
@@ -63,6 +61,14 @@ FAST = EnumConfig(seed=5, restarts=4)
 def stacked(*parts):
     """The label matrix and space of a filtration with these levels."""
     return np.stack([p.block_of for p in parts]), parts[0].space
+
+
+def stars(x, cfg=FAST):
+    """X* = max_j ||X_j|| per atom, and the ``atomwise_rbound`` bracket and
+    mode of X_R* = R(X_j : j >= 1) per atom, as weak-rmf takes its stars."""
+    stack = x.values_stack()[1:]
+    star = np.max(norms_of(stack.reshape(-1, stack.shape[2]), x.space).reshape(stack.shape[:2]), axis=0)
+    return (star, *atomwise_rbound(stack, x.space, cfg))
 
 
 def dyadic_martingale(space, k, seed, scale=1.0):
@@ -277,49 +283,47 @@ class TestMaximalStars:
         base, filt = make_dyadic_filtration(2)
         v = Vector(np.array([3.0, 4.0]), lp_space(2, 2))
         x = constant_martingale(v, filt)
-        stars = maximal_stars(x, FAST)
-        np.testing.assert_allclose(stars.star, 5.0)
-        np.testing.assert_allclose(stars.rademacher_star, 5.0)
+        star, rstar, _, _ = stars(x)
+        np.testing.assert_allclose(star, 5.0)
+        np.testing.assert_allclose(rstar, 5.0)
 
     def test_hilbert_stars_equal(self):
         x = random_haar_martingale(lp_space(2, 3), 5, 8, seed=47)
-        stars = maximal_stars(x, FAST)
-        assert stars.mode == "hilbert_exact"
-        np.testing.assert_array_equal(stars.star, stars.rademacher_star)
+        star, rstar, _, mode = stars(x)
+        assert mode == "hilbert_exact"
+        np.testing.assert_array_equal(star, rstar)
 
     def test_star_dominated_by_rademacher(self):
         x = random_haar_martingale(lp_space(1, 3), 4, 6, seed=53)
-        stars = maximal_stars(x, FAST)
-        assert stars.mode == "optimized"
-        assert np.all(stars.star <= stars.rademacher_star + 1e-9)
-        assert np.all(stars.rademacher_star <= stars.rademacher_star_upper + 1e-9)
+        star, rstar, rstar_upper, mode = stars(x)
+        assert mode == "optimized"
+        assert np.all(star <= rstar + 1e-9)
+        assert np.all(rstar <= rstar_upper + 1e-9)
 
     def test_doob_weak_bound(self):
         for seed in range(8):
             x = random_haar_martingale(lp_space(2, 2), 5, 9, seed=seed)
-            stars = maximal_stars(x, FAST)
+            star = stars(x)[0]
             l1 = x.lp_bound(1)
             for lam in [0.25 * l1, l1, 4 * l1]:
-                prob = float(np.sum(x.base.masses[stars.star > lam]))
+                prob = float(np.sum(x.base.masses[star > lam]))
                 assert lam * prob <= l1 + 1e-9
 
     @pytest.mark.parametrize("p", [1.5, 2, 3])
     def test_doob_strong_bound(self, p):
         for seed in range(5):
             x = random_haar_martingale(lp_space(2, 2), 5, 9, seed=seed)
-            stars = maximal_stars(x, FAST)
-            e_star_p = float(np.sum(x.base.masses * stars.star**p))
+            e_star_p = float(np.sum(x.base.masses * stars(x)[0] ** p))
             assert e_star_p <= dual_exponent(p) ** p * x.lp_bound(p) ** p + 1e-9
 
     def test_rearrangement_bound(self):
         # X_R* <= ||X_1|| + sum ||D_j|| pointwise (exact mode)
         for seed in range(5):
             x = random_haar_martingale(lp_space(2, 2), 4, 6, seed=seed)
-            stars = maximal_stars(x, FAST)
             bound = norms_of(x.levels[1].values, x.space) + np.sum(
                 np.stack([norms_of(d, x.space) for d in x.differences()[1:]]), axis=0
             )
-            assert np.all(stars.rademacher_star <= bound + 1e-9)
+            assert np.all(stars(x)[1] <= bound + 1e-9)
 
 
 class TestGundy:
@@ -370,8 +374,8 @@ class TestGundy:
         # B_R* > 0 exactly where B* > 0
         x = random_haar_martingale(lp_space(1, 2), 4, 6, seed=67)
         parts = gundy_decompose(x, 0.5 * x.lp_bound(1))
-        stars = maximal_stars(parts.b, FAST)
-        np.testing.assert_array_equal(stars.star > 0, stars.rademacher_star > 0)
+        star, rstar, _, _ = stars(parts.b)
+        np.testing.assert_array_equal(star > 0, rstar > 0)
 
     def test_large_mean_goes_to_flat_part(self):
         from rmflab.filtration import StepFunction, random_haar_filtration
@@ -589,8 +593,7 @@ class TestGoodLambda:
     def test_hilbert_grid_no_violations(self):
         for seed in range(10):
             x = random_haar_martingale(lp_space(2, 3), 5, 8, seed=seed)
-            stars = maximal_stars(x, FAST)
-            top = float(np.max(stars.rademacher_star))
+            top = float(np.max(stars(x)[1]))
             for lam in np.linspace(0.1, 1.1, 5) * top:
                 report = good_lambda_experiment(
                     x, beta=4.0, delta=0.1, lam=float(lam), cfg=FAST
@@ -688,7 +691,7 @@ class TestGoodLambdaWindow:
             assert report.transform.values_stack().tobytes() == want_t.tobytes()
             # each multiplier is known a level early
             for part, v in zip(x.filtration.levels, multipliers[i]):
-                assert np.array_equal(*part.block_extremes(v))
+                assert np.array_equal(*block_extremes(part, v))
             opened += bool(np.any(want_v))
         # every atom stops at level 1 at the smallest height; none reaches the largest
         assert np.all(taus[0] == 1) and np.all(taus[2] == 1)
@@ -740,8 +743,7 @@ class TestWeakRmf:
         x = from_function(f, filt)
         # members (j >= 1) are just X_1 = (3, 1), so X_R* = (3, 1);
         # sup_lam lam P(X_R* > lam) = max(3 * 1/2, 1 * 1) = 3/2; ||X||_1 = 2
-        ratio, _ = weak_ratio(x, FAST)
-        assert ratio == pytest.approx(0.75, abs=1e-9)
+        assert weak_rmf_probe([x], FAST).constant == pytest.approx(0.75, abs=1e-9)
 
     def test_l1_family_at_least_one(self):
         base, filt = make_dyadic_filtration(4)
@@ -764,8 +766,7 @@ class TestWeakRmf:
 def test_prefix_rbounds_match_stars_at_final_level():
     x = random_haar_martingale(lp_space(2, 3), 4, 6, seed=97)
     prefixes = prefix_rbounds(x, FAST)
-    stars = maximal_stars(x, FAST)
-    np.testing.assert_allclose(prefixes[-1], stars.rademacher_star, atol=1e-12)
+    np.testing.assert_allclose(prefixes[-1], stars(x)[1], atol=1e-12)
 
 
 def test_prefix_rbounds_cover_stars_at_final_level_on_l1():
@@ -773,9 +774,9 @@ def test_prefix_rbounds_cover_stars_at_final_level_on_l1():
     # prefix's search that ended higher; at this seed one atom by 1.7e-11
     x = random_haar_martingale(lp_space(1, 3), 4, 6, seed=122)
     prefixes = prefix_rbounds(x, FAST)
-    stars = maximal_stars(x, FAST)
-    assert np.all(prefixes[-1] >= stars.rademacher_star)
-    np.testing.assert_allclose(prefixes[-1], stars.rademacher_star, atol=1e-9)
+    rstar = stars(x)[1]
+    assert np.all(prefixes[-1] >= rstar)
+    np.testing.assert_allclose(prefixes[-1], rstar, atol=1e-9)
 
 
 def test_prefix_rbounds_nondecreasing_on_l1():
@@ -818,7 +819,7 @@ def _mixed_level_family():
 )
 def test_weak_rmf_probe_equals_each_martingale_alone(family):
     report = weak_rmf_probe(family, FAST)
-    alone = [weak_ratio(x, FAST) for x in family]
+    alone = [(row.weak_ratio, row.mode) for x in family for row in weak_rmf_probe([x], FAST).rows]
     assert [(row.weak_ratio, row.mode) for row in report.rows] == alone
     assert report.constant == max((ratio for ratio, _ in alone), default=0.0)
 

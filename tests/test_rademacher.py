@@ -222,10 +222,35 @@ class TestTypeCotype:
             assert est.mode == "exact"
             assert abs(est.value - 1.0) <= 1e-15
 
-    def test_monte_carlo_constants_say_so(self):
-        cfg = EnumConfig(exact_threshold=2, mc_samples=50, restarts=2, seed=1)
-        assert type_cotype_estimate("type", lp_space(1, 2), 2, 3, cfg).mode == "monte_carlo"
-        assert type_cotype_estimate("type", lp_space(1, 2), 2, 2, cfg).mode == "exact"
+    @pytest.mark.parametrize(
+        "kind,space,exponent,n",
+        [("type", lp_space(1, 2), 2, 3), ("cotype", lp_space(3, 2), 3, 4), ("cotype", schatten_space(1, 2, 2), 2, 2)],
+        ids=["type-lp1", "cotype-lp3", "cotype-schatten1"],
+    )
+    def test_values_ignore_the_monte_carlo_settings(self, kind, space, exponent, n):
+        default = type_cotype_estimate(kind, space, exponent, n, EnumConfig(seed=1, restarts=2))
+        low = type_cotype_estimate(kind, space, exponent, n, EnumConfig(exact_threshold=1, mc_samples=8, seed=1, restarts=2))
+        assert low.mode == default.mode == "exact" and low.value == default.value
+        assert all(np.array_equal(a.coords, b.coords) for a, b in zip(low.witness, default.witness))
+
+    @pytest.mark.parametrize(
+        "kind,space,exponent", [("type", lp_space(1, 2), 2), ("cotype", lp_space(3, 2), 3)], ids=["type-lp1", "cotype-lp3"]
+    )
+    def test_counts_past_the_exact_rows_pad_the_witness(self, monkeypatch, kind, space, exponent):
+        # off Hilbert spaces _EXACT_ROWS vectors are searched and zero vectors
+        # pad the witness, which leave both sides of the ratio as they are
+        monkeypatch.setattr(rademacher, "_EXACT_ROWS", 3)
+        cfg = EnumConfig(restarts=2, seed=1)
+        searched = type_cotype_estimate(kind, space, exponent, 3, cfg)
+        est = type_cotype_estimate(kind, space, exponent, 5, cfg)
+        assert est.mode == "exact" and est.value == searched.value
+        coords = np.array([w.coords for w in est.witness])
+        assert coords.shape == (5, 2) and not np.any(coords[3:])
+        np.testing.assert_array_equal(coords[:3], [w.coords for w in searched.witness])
+        moment = moment_from_matrix(coords, space, 2.0, CFG).value
+        sums = norms_of(norms_of(coords, space)[None], lp_space(exponent, 5))[0]
+        ratio = moment / sums if kind == "type" else sums / moment
+        assert ratio == pytest.approx(est.value, rel=1e-12)
 
     def test_cotype_infinity_uses_max(self):
         est = type_cotype_estimate("cotype", lp_space(math.inf, 2), math.inf, 2, FAST)
@@ -294,24 +319,23 @@ def _central_differences(evaluate, vmats, h=1e-6):
 
 
 @pytest.mark.parametrize(
-    "space,n,p,cfg",
+    "space,n,p",
     [
-        (lp_space(1, 3), 4, 1.0, CFG),
-        (lp_space(3, 3), 3, 3.0, CFG),
-        (lp_space(math.inf, 2), 4, 2.0, CFG),
-        (schatten_space(1, 2, 2), 3, 3.0, CFG),
-        (schatten_space(3, 2, 2), 3, 1.0, CFG),
-        (hilbert_op_space(3, 2), 3, 2.0, CFG),
-        # a frozen Monte Carlo table is a smooth objective as well
-        (lp_space(3, 2), 6, 3.0, EnumConfig(exact_threshold=4, mc_samples=300, seed=2)),
+        (lp_space(1, 3), 4, 1.0),
+        (lp_space(3, 3), 3, 3.0),
+        (lp_space(math.inf, 2), 4, 2.0),
+        (schatten_space(1, 2, 2), 3, 3.0),
+        (schatten_space(3, 2, 2), 3, 1.0),
+        (hilbert_op_space(3, 2), 3, 2.0),
+        (lp_space(3, 2), 6, 3.0),
     ],
-    ids=["lp1", "lp3", "lpinf", "schatten1", "schatten3", "hilbert_op", "lp3-mc"],
+    ids=["lp1", "lp3", "lpinf", "schatten1", "schatten3", "hilbert_op", "lp3-6"],
 )
-def test_moment_gradients_match_central_differences(space, n, p, cfg):
+def test_moment_gradients_match_central_differences(space, n, p):
     # random tuples are smooth points; central differences with h = 1e-6
     # are good to about 1e-9 here, so 1e-6 is asked
     vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
-    evaluate = moment_evaluator(n, space, p, cfg)
+    evaluate = moment_evaluator(n, space, p)
     values, grads = evaluate(vmats, grad=True)
     np.testing.assert_allclose(values, evaluate(vmats), rtol=1e-14)
     np.testing.assert_allclose(grads, _central_differences(evaluate, vmats), atol=1e-6)
@@ -322,7 +346,7 @@ def test_moment_gradient_at_zero_is_zero_without_warning(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for space in (lp_space(1, 2), schatten_space(1, 2, 2), hilbert_op_space(2, 2)):
-            values, grads = moment_evaluator(3, space, p, CFG)(np.zeros((2, 3, space.total_dim)), grad=True)
+            values, grads = moment_evaluator(3, space, p)(np.zeros((2, 3, space.total_dim)), grad=True)
             assert not np.any(values) and not np.any(grads)
         values, grads = hilbert_moment2(np.zeros((2, 3, 2)), grad=True)
         assert not np.any(values) and not np.any(grads)
@@ -362,8 +386,9 @@ def test_hilbert_second_moment_is_exact(space):
     np.testing.assert_allclose(values, want, rtol=1e-13)
     np.testing.assert_allclose(grads, _central_differences(hilbert_moment2, vmats), atol=1e-8)
     # the evaluator of a Hilbert space at exponent 2 is this closed form
-    # with no sign table, also beyond the exact threshold
-    assert moment_evaluator(5, space, 2.0, EnumConfig(exact_threshold=2, mc_samples=8)) is hilbert_moment2
+    # with no sign table, also past the most vectors a sign table fits
+    assert moment_evaluator(5, space, 2.0) is hilbert_moment2
+    assert moment_evaluator(rademacher._EXACT_ROWS + 1, space, 2.0) is hilbert_moment2
 
 
 def test_one_evaluator_holds_one_sign_table():
@@ -372,7 +397,7 @@ def test_one_evaluator_holds_one_sign_table():
     table_bytes = (1 << 17) * 18 * 8
     tracemalloc.start()
     try:
-        moments = moment_evaluator(18, space, 3.0, EnumConfig())
+        moments = moment_evaluator(18, space, 3.0)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -383,60 +408,39 @@ def test_one_evaluator_holds_one_sign_table():
 
 
 def test_sign_table_price_and_cap():
-    # 2^(n-1) n floats within the threshold: 84 MB at 20 vectors, 7.0 GB at 26
-    assert sign_table_bytes(20, EnumConfig()) == 83_886_080
-    assert sign_table_bytes(26, EnumConfig(exact_threshold=26)) == 6_979_321_856
-    # beyond it, min(mc_samples, 2^15) rows of n signs
-    assert sign_table_bytes(26, EnumConfig()) == (1 << 15) * 26 * 8
-    assert sign_table_bytes(26, EnumConfig(mc_samples=100)) == 100 * 26 * 8
-    # 21 vectors are the most an exact table fits; 1024 the most a Monte Carlo one does
-    assert sign_table_bytes(21, EnumConfig(exact_threshold=21)) <= MAX_SIGN_TABLE_BYTES
-    assert sign_table_bytes(22, EnumConfig(exact_threshold=22)) > MAX_SIGN_TABLE_BYTES
-    assert sign_table_bytes(1024, EnumConfig()) <= MAX_SIGN_TABLE_BYTES
-    assert sign_table_bytes(1025, EnumConfig()) > MAX_SIGN_TABLE_BYTES
+    # 2^(n-1) n floats: 84 MB at 20 vectors, 168 MiB at 21, 7.0 GB at 26
+    assert sign_table_bytes(20) == 83_886_080
+    assert sign_table_bytes(21) == 168 << 20
+    assert sign_table_bytes(26) == 6_979_321_856
+    # 21 vectors are the most a table fits, and the most a search takes
+    assert sign_table_bytes(21) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(22)
+    assert rademacher._EXACT_ROWS == 21
 
 
-@pytest.mark.parametrize(
-    "n,cfg,remedy",
-    [
-        (22, EnumConfig(exact_threshold=22), "--exact-threshold 21 fits"),
-        (1025, EnumConfig(), "--mc-samples 32736 fits"),
-    ],
-)
-def test_evaluator_over_the_cap_raises_before_allocating(n, cfg, remedy):
+@pytest.mark.parametrize("n", [22, 64])
+def test_evaluator_past_the_exact_rows_raises_before_allocating(n):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="over the cap of 256 MiB") as err:
-            moment_evaluator(n, lp_space(1, 2), 3.0, cfg)
+            moment_evaluator(n, lp_space(1, 2), 3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value).endswith(remedy)
+    assert str(err.value).endswith("; 21 vectors fit")
     assert peak < 1 << 20
     # the Hilbert closed form at exponent 2 holds no table
-    assert moment_evaluator(n, lp_space(2, 2), 2.0, cfg) is hilbert_moment2
+    assert moment_evaluator(n, lp_space(2, 2), 2.0) is hilbert_moment2
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    n=st.one_of(st.integers(1, 64), st.integers(1, 1 << 20)),
-    threshold=st.integers(1, 64),
-    samples=st.integers(1, 1 << 40),
-)
-def test_sign_table_remedy_sits_just_under_the_cap(n, threshold, samples):
+@given(n=st.one_of(st.integers(1, 64), st.integers(1, 1 << 20)))
+def test_sign_table_remedy_sits_just_under_the_cap(n):
     # prices only: no table is built
-    cfg = EnumConfig(exact_threshold=threshold, mc_samples=samples)
-    if sign_table_bytes(n, cfg) <= MAX_SIGN_TABLE_BYTES:
-        return
-    flag, fits = re.search(r"(--[a-z-]+) (\d+) fits$", rademacher._over_cap_message(n, cfg)).groups()
-    fits = int(fits)
-    if flag == "--exact-threshold":
-        # an exact table of the vectors that fits, and of one more
-        under, over = EnumConfig(exact_threshold=fits), EnumConfig(exact_threshold=fits + 1)
-        assert sign_table_bytes(fits, under) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(fits + 1, over)
-    else:
-        under, over = EnumConfig(threshold, mc_samples=fits), EnumConfig(threshold, mc_samples=fits + 1)
-        assert sign_table_bytes(n, under) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(n, over)
+    message = rademacher._over_cap_message(n)
+    assert message.startswith(f"an exact moment of {n} vectors needs a sign table of 2^{n - 1} rows of {n} signs")
+    fits = int(re.search(r"; (\d+) vectors fit$", message).group(1))
+    assert fits == rademacher._EXACT_ROWS
+    assert sign_table_bytes(fits) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(fits + 1)
 
 
 def test_monte_carlo_draw_price():
@@ -502,7 +506,7 @@ def test_exact_evaluators_are_pinned(n):
     parts = []
     for space in (lp_space(1, 2), schatten_space(1, 2, 2)):
         vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
-        moments = moment_evaluator(n, space, 3.0, CFG)
+        moments = moment_evaluator(n, space, 3.0)
         values = moments(vmats)
         with_grad, grads = moments(vmats, grad=True)
         assert np.array_equal(values, with_grad)

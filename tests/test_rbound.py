@@ -160,8 +160,8 @@ def test_batched_sets_equal_each_set_alone(space, p):
 
 @pytest.mark.parametrize("cap", [None, 1], ids=["one-ascent", "one-set-per-ascent"])
 def test_batched_monte_carlo_sets_equal_each_set_alone(monkeypatch, cap):
-    # 5 rows above an exact threshold of 3: an exact head of 3 rows and the
-    # whole set on a Monte Carlo table, per set
+    # 5 rows above an exact threshold of 3, which steers no search: every
+    # set is searched over every sign pattern
     space = lp_space(1, 2)
     sets = np.random.default_rng(32).standard_normal((3, 5, 2))
     cfg = EnumConfig(exact_threshold=3, mc_samples=256, seed=4, restarts=3)
@@ -171,6 +171,61 @@ def test_batched_monte_carlo_sets_equal_each_set_alone(monkeypatch, cap):
     for (val, lam), (want, lam_alone) in zip(rbound._sphere_lower(sets, space, 2.0, cfg), alone):
         assert val == want
         assert np.array_equal(lam, lam_alone)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 6), threshold=st.integers(1, 3), samples=st.integers(8, 64), seed=st.integers(0, 99))
+def test_monte_carlo_settings_leave_the_l1_basis_exact(n, threshold, samples, seed):
+    # R_2 of the l1^n basis is sqrt(n); the threshold and the samples steer no search
+    cfg = EnumConfig(exact_threshold=threshold, mc_samples=samples, seed=seed, restarts=2)
+    lower = rbound_scalar(basis(lp_space(1, n)), 2.0, cfg=cfg).lower
+    assert abs(lower - math.sqrt(n)) <= 1e-6
+    assert lower <= math.sqrt(n) + 1e-12
+
+
+def _norm_by_definition(rows, space):
+    """Norms of (m, dim) coordinate rows, by numpy's own reductions."""
+    if space.kind == "schatten":
+        return np.linalg.svd(rows.reshape(-1, space.rows, space.cols), compute_uv=False).sum(axis=1)
+    return np.linalg.norm(rows, ord=space.p, axis=1)
+
+
+def _rescore(bracket, vectors, p):
+    """The R_p ratio of a bracket's witness over all 2^k sign vectors, by definition."""
+    rows = np.stack([vectors[i].coords for i in bracket.witness.indices])
+    coeffs = np.asarray(bracket.witness.coeffs)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(coeffs))))
+    num = np.mean(_norm_by_definition((signs * coeffs) @ rows, vectors[0].space) ** p) ** (1 / p)
+    return num / np.mean(np.abs(signs @ coeffs) ** p) ** (1 / p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    space=st.sampled_from([lp_space(1, 3), lp_space(3, 3), lp_space(math.inf, 3), schatten_space(1, 2, 2)]),
+    k=st.integers(1, 6),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    threshold=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_searched_lower_equals_a_full_rescore_of_its_witness(space, k, p, threshold, seed):
+    rng = np.random.default_rng(seed)
+    vectors = [Vector(rng.standard_normal(space.total_dim), space) for _ in range(k)]
+    cfg = EnumConfig(exact_threshold=threshold, mc_samples=16, seed=seed % 97, restarts=2)
+    bracket = rbound_scalar(vectors, p, cfg=cfg)
+    assert _rescore(bracket, vectors, p) == pytest.approx(bracket.lower, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "space", [lp_space(1, 2), lp_space(3, 2), schatten_space(1, 2, 2)], ids=["lp1", "lp3", "schatten1"]
+)
+def test_atomwise_brackets_ignore_the_monte_carlo_settings(space):
+    # atoms of up to 5 distinct rows, past a threshold of 1
+    stack = np.random.default_rng(33).standard_normal((5, 6, space.total_dim))
+    stack[2:, 0] = stack[1, 0]
+    default = atomwise_rbound(stack, space, EnumConfig(seed=3, restarts=2), 3.0)
+    low = atomwise_rbound(stack, space, EnumConfig(exact_threshold=1, mc_samples=8, seed=3, restarts=2), 3.0)
+    for want, got in zip(default, low):
+        assert np.array_equal(want, got)
 
 
 def test_face_starts_every_face_up_to_six_rows_then_prefixes():
