@@ -477,6 +477,8 @@ def cmd_concave(args):
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
     parser.add_argument("--seed", type=int, default=None)
+    # only randnorm's moment reads these two; every subcommand still accepts
+    # them, as scripts and config files set them (ROADMAP item 1)
     parser.add_argument("--exact-threshold", type=_at_least(1), default=20, dest="exact_threshold")
     parser.add_argument("--mc-samples", type=_at_least(1), default=100_000, dest="mc_samples")
     parser.add_argument("--restarts", type=_at_least(0), default=8)

@@ -17,13 +17,14 @@ refused before it draws one (``mc_sign_entries`` prices it).
 Searches use no Monte Carlo value.  A moment evaluator
 (``moment_evaluator``) also gives the gradient in every x_j; it is a
 closed form at exponent 2 on a Hilbert space and otherwise the table of
-every sign pattern, of at most ``_EXACT_ROWS`` (21) vectors, the most
-whose table fits under ``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes``
-prices it).  So every searched ratio is exact and its best value is a
-lower bound.  Every ratio search is one ``maximize_ratio`` call, given a
-proved ceiling on the ratio: ``type_cotype_ceiling`` for type and cotype
-(n^(1-1/p) and n^(1/q)), and ``rbound``'s summability and
-Cauchy-Schwarz bounds for R-bounds.  A search that meets its ceiling
+every sign pattern, of at most ``_EXACT_ROWS`` (20) vectors, the most
+of which the two tables an R-bound search holds fit under
+``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes`` prices one).  So every
+searched ratio is exact and its best value is a lower bound.  Every
+ratio search is one ``maximize_ratio`` call, given a proved ceiling on
+the ratio: ``type_cotype_ceiling`` for type and cotype (n^(1-1/p) and
+n^(1/q)), and ``rbound``'s summability and Cauchy-Schwarz bounds for
+R-bounds.  A search that meets its ceiling
 stops every start that can no longer win (see ``optim``).
 """
 
@@ -46,8 +47,8 @@ _CHUNK_BITS = 14
 _CHUNK = 1 << _CHUNK_BITS
 # a sign table is copied from its first 2^_HEAD_BITS rows (all of them when shorter)
 _HEAD_BITS = 10
-# desk-scale cap on the sign table a moment evaluator holds (sign_table_bytes):
-# 256 MiB, above the 168 MiB table of 21 vectors (_EXACT_ROWS)
+# desk-scale cap on the sign tables a search holds (sign_table_bytes prices
+# one): 256 MiB, above the two 80 MiB tables of 20 vectors (_EXACT_ROWS)
 MAX_SIGN_TABLE_BYTES = 1 << 28
 # desk-scale cap on the signs the Monte Carlo moment draws (mc_sign_entries):
 # 2^30, about 20 s at 17-20 ns a sign (2-core machine); the default 100,000
@@ -226,9 +227,10 @@ def sign_table_bytes(n: int) -> int:
     return 8 * n << (n - 1)
 
 
-# the most vectors whose sign table fits under the cap: 21, at 168 MiB; a
-# search scores every sign pattern of at most this many vectors
-_EXACT_ROWS = max(n for n in range(1, 64) if sign_table_bytes(n) <= MAX_SIGN_TABLE_BYTES)
+# a search scores every sign pattern of at most this many vectors: the most
+# of which two tables fit under the cap, 20, since an R-bound search off
+# p = 2 holds one for its vector and one for its scalar moments
+_EXACT_ROWS = max(n for n in range(1, 64) if 2 * sign_table_bytes(n) <= MAX_SIGN_TABLE_BYTES)
 
 
 def ladder_rungs(n: int) -> int:
@@ -289,7 +291,7 @@ def mc_sign_entries(n: int, cfg: EnumConfig) -> int:
 def _over_cap_message(n: int) -> str:
     """Why a moment evaluator of n vectors is refused."""
     return (
-        f"an exact moment of {n} vectors needs a sign table of 2^{n - 1} rows of {n} signs, over the cap "
+        f"an exact search of {n} vectors holds two sign tables of 2^{n - 1} rows of {n} signs, over the cap "
         f"of {MAX_SIGN_TABLE_BYTES >> 20} MiB (rademacher.MAX_SIGN_TABLE_BYTES = {MAX_SIGN_TABLE_BYTES}); "
         f"{_EXACT_ROWS} vectors fit"
     )
@@ -316,9 +318,9 @@ def moment_evaluator(n: int, space: Space, p: float):
     with ``grad`` to the moments and their (batch, n, dim) gradients.  At
     p = 2 on a Hilbert space it is ``hilbert_moment2``, at every n.
     Otherwise it averages over the table of every sign pattern, built here;
-    past ``_EXACT_ROWS`` vectors that table would pass
-    ``MAX_SIGN_TABLE_BYTES``, and ``ValueError`` is raised before anything
-    is allocated.
+    past ``_EXACT_ROWS`` vectors the two tables of an R-bound search would
+    pass ``MAX_SIGN_TABLE_BYTES``, and ``ValueError`` is raised before
+    anything is allocated.
     """
     if p == 2 and space.is_hilbert:
         return hilbert_moment2
@@ -389,8 +391,10 @@ def type_cotype_estimate(
     exact, a true lower bound on the constant in the defining inequality.
     Off Hilbert spaces at most ``_EXACT_ROWS`` vectors are searched and
     the witness is padded to n with zero vectors, which change neither
-    side of the ratio.  The search is given ``type_cotype_ceiling``, so
-    once a start reaches it the starts after it stop.
+    side of the ratio; a padded witness of more than
+    ``optim.MAX_START_FLOATS`` floats raises ``ValueError`` before the
+    search.  The search is given ``type_cotype_ceiling``, so once a start
+    reaches it the starts after it stop.
     """
     if kind not in ("type", "cotype"):
         raise ValueError("kind must be 'type' or 'cotype'")
@@ -402,6 +406,13 @@ def type_cotype_estimate(
         raise ValueError("need at least one vector")
 
     m = n if space.is_hilbert else min(n, _EXACT_ROWS)
+    # the start stack prices the m searched vectors; a padded witness is priced here
+    if m < n and n * space.total_dim > optim.MAX_START_FLOATS:
+        raise ValueError(
+            f"a witness of {n:,} vectors of {space.total_dim} floats holds {n * space.total_dim:,} floats, over "
+            f"the cap of {optim.MAX_START_FLOATS:,} (optim.MAX_START_FLOATS); "
+            f"--count {optim.MAX_START_FLOATS // space.total_dim} fits"
+        )
     moment2 = moment_evaluator(m, space, 2.0)
     norm_sum = lp_space(exponent, m)
 

@@ -226,10 +226,10 @@ def atomwise_rbound(
     over levels.  Otherwise an atom's repeated rows are dropped (first
     occurrences kept in order), the lower side is the best of the
     distinct norms and a search on the sphere of the first ``_EXACT_ROWS``
-    distinct rows, and the upper side is the sum of the distinct norms.  Equal row sets are
-    searched once per call, and all distinct sets of k rows are searched
-    by one ``_sphere_lower`` call, one per k.  Atoms outside ``atoms`` hold
-    NaN.
+    distinct rows, and the upper side is the sum of the distinct norms.
+    Equal row sets are searched once per call, and all sets of k searched
+    rows are searched by one ``_sphere_lower`` call, one per k.  Atoms
+    outside ``atoms`` hold NaN.
     """
     n_atoms = stack.shape[1]
     if space.is_hilbert and p == 2:
@@ -251,7 +251,8 @@ def atomwise_rbound(
         if key not in memo:
             memo[key] = (peak, total)
             if len(distinct) > 1:
-                pending.setdefault(len(distinct), {})[key] = distinct
+                searched = distinct[:_EXACT_ROWS]
+                pending.setdefault(len(searched), {})[key] = searched
     for sets in pending.values():
         for key, (val, _) in zip(sets, _sphere_lower(np.stack(list(sets.values())), space, p, cfg)):
             lo, up = memo[key]

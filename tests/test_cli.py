@@ -479,7 +479,7 @@ class TestGridCap:
 
 
 def test_count_past_the_exact_rows_pads_the_witness(capsys, monkeypatch):
-    # off Hilbert spaces a search takes at most rademacher._EXACT_ROWS (21)
+    # off Hilbert spaces a search takes at most rademacher._EXACT_ROWS (20)
     # vectors; zero vectors pad the witness and leave the ratio as it is
     monkeypatch.setattr(rademacher, "_EXACT_ROWS", 3)
     argv = ["typecotype", "--kind", "type", "--space", L1_PLANE, "--exponent", "2", "--seed", "1", "--restarts", "2"]
@@ -521,6 +521,19 @@ def test_restarts_over_cap_exit_before_any_start_is_built(capsys, l1_basis_file)
     assert err.rstrip().endswith(
         "a search of 1 problem(s) from 100,000,000 starts of 2 floats tiles 200,000,000 floats, over the "
         "cap of 1,048,576 (optim.MAX_START_FLOATS); --restarts 524288 fits"
+    )
+    assert peak < 4 << 20
+
+
+def test_count_over_the_witness_cap_exits_before_the_search(capsys):
+    code, out, err, peak = _traced_run(
+        capsys, "typecotype", "--kind", "type", "--space", L1_PLANE, "--exponent", "2",
+        "--count", str(10**9), "--seed", "1", "--restarts", "2",
+    )
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith(
+        "a witness of 1,000,000,000 vectors of 2 floats holds 2,000,000,000 floats, over the cap of 1,048,576 "
+        "(optim.MAX_START_FLOATS); --count 524288 fits"
     )
     assert peak < 4 << 20
 

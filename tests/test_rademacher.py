@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import rademacher
+from rmflab import optim, rademacher
 from rmflab.rademacher import (
     EnumConfig,
     hilbert_moment2,
@@ -252,6 +252,22 @@ class TestTypeCotype:
         ratio = moment / sums if kind == "type" else sums / moment
         assert ratio == pytest.approx(est.value, rel=1e-12)
 
+    def test_a_padded_witness_over_the_start_cap_is_refused(self, monkeypatch):
+        # the padded witness is priced as a start stack is: a count whose
+        # witness of count x dim floats passes the cap raises before the search
+        monkeypatch.setattr(rademacher, "_EXACT_ROWS", 3)
+        monkeypatch.setattr(optim, "MAX_START_FLOATS", 64)
+        cfg = EnumConfig(restarts=2, seed=1)
+        assert len(type_cotype_estimate("type", lp_space(1, 2), 2, 32, cfg).witness) == 32
+        with pytest.raises(ValueError) as err:
+            type_cotype_estimate("type", lp_space(1, 2), 2, 33, cfg)
+        assert str(err.value) == (
+            "a witness of 33 vectors of 2 floats holds 66 floats, over the cap of 64 "
+            "(optim.MAX_START_FLOATS); --count 32 fits"
+        )
+        # a Hilbert witness is the searched tuple, priced by the start stack alone
+        assert len(type_cotype_estimate("type", lp_space(2, 2), 2, 16, cfg).witness) == 16
+
     def test_cotype_infinity_uses_max(self):
         est = type_cotype_estimate("cotype", lp_space(math.inf, 2), math.inf, 2, FAST)
         # max-norm right side: ratio 1/moment2, moment2 >= 1 on unit vectors
@@ -412,12 +428,13 @@ def test_sign_table_price_and_cap():
     assert sign_table_bytes(20) == 83_886_080
     assert sign_table_bytes(21) == 168 << 20
     assert sign_table_bytes(26) == 6_979_321_856
-    # 21 vectors are the most a table fits, and the most a search takes
-    assert sign_table_bytes(21) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(22)
-    assert rademacher._EXACT_ROWS == 21
+    # an R-bound search holds two tables: 20 vectors are the most whose
+    # two tables fit, and the most a search takes
+    assert 2 * sign_table_bytes(20) <= MAX_SIGN_TABLE_BYTES < 2 * sign_table_bytes(21)
+    assert rademacher._EXACT_ROWS == 20
 
 
-@pytest.mark.parametrize("n", [22, 64])
+@pytest.mark.parametrize("n", [21, 22, 64])
 def test_evaluator_past_the_exact_rows_raises_before_allocating(n):
     tracemalloc.start()
     try:
@@ -426,7 +443,7 @@ def test_evaluator_past_the_exact_rows_raises_before_allocating(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value).endswith("; 21 vectors fit")
+    assert str(err.value).endswith("; 20 vectors fit")
     assert peak < 1 << 20
     # the Hilbert closed form at exponent 2 holds no table
     assert moment_evaluator(n, lp_space(2, 2), 2.0) is hilbert_moment2
@@ -437,10 +454,10 @@ def test_evaluator_past_the_exact_rows_raises_before_allocating(n):
 def test_sign_table_remedy_sits_just_under_the_cap(n):
     # prices only: no table is built
     message = rademacher._over_cap_message(n)
-    assert message.startswith(f"an exact moment of {n} vectors needs a sign table of 2^{n - 1} rows of {n} signs")
+    assert message.startswith(f"an exact search of {n} vectors holds two sign tables of 2^{n - 1} rows of {n} signs")
     fits = int(re.search(r"; (\d+) vectors fit$", message).group(1))
     assert fits == rademacher._EXACT_ROWS
-    assert sign_table_bytes(fits) <= MAX_SIGN_TABLE_BYTES < sign_table_bytes(fits + 1)
+    assert 2 * sign_table_bytes(fits) <= MAX_SIGN_TABLE_BYTES < 2 * sign_table_bytes(fits + 1)
 
 
 def test_monte_carlo_draw_price():

@@ -544,6 +544,29 @@ class TestDistinctSets:
     def _fake_search(sets, *args, **kwargs):
         return [(float(np.sum(np.abs(s))), None) for s in sets]
 
+    def test_sets_past_the_exact_rows_are_cut_before_they_are_grouped(self, monkeypatch):
+        # atoms of 4, 5 and 3 distinct rows are all searched on their first
+        # 3 rows, in one call; their upper side keeps every distinct norm
+        monkeypatch.setattr(rbound, "_EXACT_ROWS", 3)
+        space, cfg = lp_space(1, 2), EnumConfig(seed=2, restarts=2)
+        pool = np.random.default_rng(7).standard_normal((5, 2))
+        picks = [[0, 1, 2, 3, 3], [0, 1, 2, 3, 4], [4, 3, 2, 4, 4]]
+        stack = np.stack([pool[rows] for rows in picks], axis=1)
+        real, searched = rbound._sphere_lower, []
+
+        def recording(sets, *args, **kwargs):
+            searched.append(sets.shape)
+            return real(sets, *args, **kwargs)
+
+        monkeypatch.setattr(rbound, "_sphere_lower", recording)
+        lower, upper, _ = atomwise_rbound(stack, space, cfg)
+        assert searched == [(3, 3, 2)]
+        for a, rows in enumerate(picks):
+            norms = norms_of(pool[list(dict.fromkeys(rows))], space)
+            [(alone, _)] = real(pool[rows[:3]][None], space, 2.0, cfg)
+            assert lower[a] == (alone if alone > np.max(norms) + 1e-12 else np.max(norms))
+            assert upper[a] == np.sum(norms)
+
     @pytest.mark.parametrize("space", [lp_space(1, 2), lp_space(math.inf, 2), schatten_space(1, 2, 2)])
     def test_one_to_eight_distinct_rows(self, monkeypatch, space):
         # sets of 7 and 8 rows start from prefix faces, sets of up to 6 from every face
