@@ -5,27 +5,22 @@ The p-th randomized moment of vectors x_1..x_N is
 (E || sum_j eps_j x_j ||^p)^(1/p) with independent uniform signs eps_j.
 N up to ``EnumConfig.exact_threshold`` is handled by exact enumeration over
 sign patterns (halved by the eps -> -eps symmetry); larger N falls back to
-counter-based Monte Carlo (``moment_from_matrix``).
-A sign table is copied in blocks from a small head, not computed entry by
-entry (see ``sign_patterns``), and the exact moment of N > 15 vectors
-walks it in aligned 2^14-row chunks of one buffer, rewriting only the
-columns past bit 14 per chunk: the sign patterns cost a copy, and the
-products and norms of the 2^(N-1) combinations are the work.  A Monte
-Carlo moment that would draw over ``MAX_MC_SIGN_ENTRIES`` signs is
-refused before it draws one (``mc_sign_entries`` prices it).
+counter-based Monte Carlo (``moment_from_matrix``).  A moment that would
+write more than ``MAX_MC_SIGN_ENTRIES`` signs is refused before it writes
+one (``exact_sign_entries`` and ``mc_sign_entries`` price them).  Every
+average over sign patterns is one kernel, ``_table_moments``, which holds
+one block of at most ``_ROW_BLOCK`` sign rows, whatever N.
 
 Searches use no Monte Carlo value.  A moment evaluator
 (``moment_evaluator``) also gives the gradient in every x_j; it is a
-closed form at exponent 2 on a Hilbert space and otherwise the table of
-every sign pattern, of at most ``_EXACT_ROWS`` (20) vectors, the most
-of which the two tables an R-bound search holds fit under
-``MAX_SIGN_TABLE_BYTES`` (``sign_table_bytes`` prices one).  So every
-searched ratio is exact and its best value is a lower bound.  Every
-ratio search is one ``maximize_ratio`` call, given a proved ceiling on
-the ratio: ``type_cotype_ceiling`` for type and cotype (n^(1-1/p) and
-n^(1/q)), and ``rbound``'s summability and Cauchy-Schwarz bounds for
-R-bounds.  A search that meets its ceiling
-stops every start that can no longer win (see ``optim``).
+closed form at exponent 2 on a Hilbert space and otherwise the kernel, of
+at most ``_EXACT_ROWS`` (20) vectors.  So every searched ratio is exact and
+its best value is a lower bound.  Every ratio search is one
+``maximize_ratio`` call, given a proved ceiling on the ratio:
+``type_cotype_ceiling`` for type and cotype (n^(1-1/p) and n^(1/q)), and
+``rbound``'s summability and Cauchy-Schwarz bounds for R-bounds.  A search
+that meets its ceiling stops every start that can no longer win (see
+``optim``).
 """
 
 from __future__ import annotations
@@ -42,22 +37,23 @@ from .spaces import Space, Vector, lp_space, norms_and_grads_of, norms_of
 EXACT = "exact"
 MONTE_CARLO = "monte_carlo"
 
-# the exact moment sums the sign table in aligned chunks of 2^_CHUNK_BITS rows
-_CHUNK_BITS = 14
-_CHUNK = 1 << _CHUNK_BITS
-# a sign table is copied from its first 2^_HEAD_BITS rows (all of them when shorter)
-_HEAD_BITS = 10
-# desk-scale cap on the sign tables a search holds (sign_table_bytes prices
-# one): 256 MiB, above the two 80 MiB tables of 20 vectors (_EXACT_ROWS)
-MAX_SIGN_TABLE_BYTES = 1 << 28
-# desk-scale cap on the signs the Monte Carlo moment draws (mc_sign_entries):
-# 2^30, about 20 s at 17-20 ns a sign (2-core machine); the default 100,000
-# samples fit up to 10,737 vectors
+# sign rows per Monte Carlo draw, at most per kernel product, and about per
+# line-search block of one start (ladder_rungs)
+_CHUNK = 1 << 14
+# desk-scale cap on the signs a moment of moment_from_matrix writes, drawn
+# (mc_sign_entries) or enumerated (exact_sign_entries): 2^30, about 20 s at
+# 17-20 ns a drawn sign (2-core machine); the default 100,000 samples fit up
+# to 10,737 vectors, and an exact moment fits up to 26
 MAX_MC_SIGN_ENTRIES = 1 << 30
-# sign-table rows multiplied at a time once a table has twice as many: a
-# 2^15-row product is memory-bound; 2^11 rows at a time took 1.5 ms against
-# 2.0-2.1 ms per tuple (lp1, 16 vectors of dimension 16, on a 2-core machine)
-_ROW_BLOCK = 1 << 11
+# the sign table is walked 2^_ROW_BITS rows at a time: a 2^15-row product is
+# memory-bound; 2^11 rows at a time took 1.5 ms against 2.0-2.1 ms per tuple
+# (lp1, 16 vectors of dimension 16, on a 2-core machine)
+_ROW_BITS = 11
+_ROW_BLOCK = 1 << _ROW_BITS
+# a search scores every sign pattern of at most this many vectors, for time:
+# an R-bound search of 20 rows of lp1^3 at p = 3 (rbound --restarts 8) took
+# about 18 s on a 2-core machine, and each further row doubles that
+_EXACT_ROWS = 20
 
 
 @dataclass(frozen=True)
@@ -104,55 +100,39 @@ class RatioEstimate:
     witness: list[Vector] = field(repr=False)
 
 
-@lru_cache(maxsize=32)
-def _full_patterns(n: int) -> np.ndarray:
-    pats = _pattern_rows(n, 0, 1 << (n - 1))
-    pats.setflags(write=False)
-    return pats
-
-
 def _bit_signs(index: np.ndarray, bits: int) -> np.ndarray:
     """1 - 2 * (bit j of each index) for j < ``bits``, one row per index."""
     return 1.0 - 2.0 * ((index[:, None] >> np.arange(bits)) & 1)
 
 
-def _pattern_rows(n: int, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo`` to ``hi`` of the sign table, from the blocks they touch."""
-    b = min(_HEAD_BITS, n - 1)
-    first, last = lo >> b, -(-hi >> b)
-    blocks = np.empty((last - first, 1 << b, n))
-    blocks[:, :, 0] = 1.0
-    blocks[:, :, 1 : b + 1] = _bit_signs(np.arange(1 << b), b)
-    blocks[:, :, b + 1 :] = _bit_signs(np.arange(first, last), n - 1 - b)[:, None, :]
-    start = lo - (first << b)
-    return blocks.reshape(-1, n)[start : start + hi - lo]
+@lru_cache(maxsize=64)
+def _sign_block(n: int) -> np.ndarray:
+    """The first block of ``_sign_blocks(n)``, read-only."""
+    rows = min(1 << (n - 1), _ROW_BLOCK)
+    block = np.empty((rows, n))
+    block[:, 0] = 1.0
+    block[:, 1:] = _bit_signs(np.arange(rows), n - 1)
+    block.setflags(write=False)
+    return block
 
 
-def sign_patterns(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Sign patterns of length n with the first sign fixed to +1.
+def _sign_blocks(n: int):
+    """The table of every sign pattern of n signs, in blocks of min(2^(n-1), _ROW_BLOCK) rows.
 
-    Rows ``lo`` to ``hi`` of the full (2^(n-1), n) table, whose row i is
-    +1 followed by 1 - 2 * (bit j of i) for j < n - 1; averaging over the
-    table equals averaging over the whole hypercube because the summand is
-    symmetric under eps -> -eps.  So, with a head of the first 2^b rows
-    (b = min(10, n - 1)), columns 1..b repeat the head every 2^b rows and
-    every later column is constant on each 2^b-row block: bit arithmetic
-    runs on the head and on one row per block, and the rest is block
-    copies.  Requires 0 <= lo <= hi; ``hi`` beyond the table is clamped to
-    its end.  Full tables for n <= 15 are cached read-only; no other table
-    is kept.
+    Row i of the table is +1 followed by 1 - 2 * (bit j of i) for j < n - 1;
+    averaging over its 2^(n-1) rows equals averaging over the whole
+    hypercube because the summand is symmetric under eps -> -eps.  The first
+    block is cached; the others are written in turn into one copy of it,
+    rewriting only the columns past bit _ROW_BITS that flip from one block
+    to the next.  So a block holds only until the next one is taken.
     """
-    if n < 1:
-        raise ValueError("need at least one sign")
-    m = 1 << (n - 1)
-    if hi is None:
-        hi = m
-    if not 0 <= lo <= hi:
-        raise ValueError(f"sign-table rows need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    lo, hi = min(lo, m), min(hi, m)
-    if lo == 0 and hi == m and n <= 15:
-        return _full_patterns(n)
-    return _pattern_rows(n, lo, hi)
+    yield _sign_block(n)
+    signs = _sign_block(n).copy() if n - 1 > _ROW_BITS else None
+    for b in range(1, 1 << max(0, n - 1 - _ROW_BITS)):
+        # from block b - 1 to block b the bits of b ^ (b - 1) flip, two on average
+        for col in range(_ROW_BITS + 1, _ROW_BITS + 1 + (b ^ (b - 1)).bit_length()):
+            signs[:, col] = -signs[0, col]
+        yield signs
 
 
 def _stack(vectors: list[Vector]) -> tuple[np.ndarray, Space]:
@@ -171,24 +151,24 @@ def moment_from_matrix(
 ) -> MomentEstimate:
     """Randomized p-th moment of the rows of ``vmat`` (coords in ``space``).
 
-    A Monte Carlo moment whose signs ``mc_sign_entries`` prices over
-    ``MAX_MC_SIGN_ENTRIES`` raises ``ValueError`` before it draws any.
+    A moment whose signs ``exact_sign_entries`` (exact) or
+    ``mc_sign_entries`` (Monte Carlo) prices over ``MAX_MC_SIGN_ENTRIES``
+    raises ``ValueError`` before it writes any.
     """
     if not (1 <= p < math.inf):
         raise ValueError("moment exponent must satisfy 1 <= p < inf")
     n = vmat.shape[0]
     if n <= cfg.exact_threshold:
-        total = 0.0
-        count = 1 << (n - 1)
-        # the cached table for n <= 15; past that, one buffer whose columns past
-        # bit 14 are rewritten per chunk, the only columns in which chunks differ
-        pats = sign_patterns(n, 0, _CHUNK)
-        for lo in range(0, count, _CHUNK):
-            if lo:
-                pats[:, _CHUNK_BITS + 1 :] = _bit_signs(np.array([lo >> _CHUNK_BITS]), n - 1 - _CHUNK_BITS)
-            combos = pats @ vmat
-            total += float(np.sum(norms_of(combos, space) ** p))
-        return MomentEstimate((total / count) ** (1.0 / p), EXACT, count, 0.0)
+        if exact_sign_entries(n) > MAX_MC_SIGN_ENTRIES:
+            fits = next(m for m in range(1, n) if exact_sign_entries(m + 1) > MAX_MC_SIGN_ENTRIES)
+            # the count as a power of two: its decimal digits could pass Python's limit
+            raise ValueError(
+                f"an exact moment of {n} vectors enumerates {n} x 2^{n - 1} signs, over the cap of "
+                f"{MAX_MC_SIGN_ENTRIES:,} (rademacher.MAX_MC_SIGN_ENTRIES); --exact-threshold {fits} fits"
+            )
+        # the kernel itself, not moment_evaluator: a Hilbert space at p = 2 enumerates too
+        value = float(_table_moments(n, space, p, vmat[None])[0])
+        return MomentEstimate(value, EXACT, 1 << (n - 1), 0.0)
 
     drawn = mc_sign_entries(n, cfg)
     if drawn > MAX_MC_SIGN_ENTRIES:
@@ -222,79 +202,69 @@ def rademacher_moment(vectors: list[Vector], p: float, cfg: EnumConfig) -> Momen
     return moment_from_matrix(vmat, space, p, cfg)
 
 
-def sign_table_bytes(n: int) -> int:
-    """Bytes of the float64 table of every sign pattern of n signs (``moment_evaluator``)."""
-    return 8 * n << (n - 1)
-
-
-# a search scores every sign pattern of at most this many vectors: the most
-# of which two tables fit under the cap, 20, since an R-bound search off
-# p = 2 holds one for its vector and one for its scalar moments
-_EXACT_ROWS = max(n for n in range(1, 64) if 2 * sign_table_bytes(n) <= MAX_SIGN_TABLE_BYTES)
-
-
 def ladder_rungs(n: int) -> int:
     """Line-search rungs to score per objective call over n-vector moments.
 
-    One rung costs one sign table of 2^(n-1) rows per restart, so a block
-    of ``_CHUNK >> (n - 1)`` rungs (at least one) keeps a call near one
-    chunk.
+    One rung costs the 2^(n-1) sign rows of n vectors per restart, so a
+    block of ``_CHUNK >> (n - 1)`` rungs (at least one) keeps a call near
+    _CHUNK rows.
     """
     return max(1, _CHUNK >> (n - 1))
 
 
-def _table_moments(table: np.ndarray, space: Space, p: float, vmats: np.ndarray, grad: bool = False):
-    """(mean over the table's rows of ||sign row @ vmat||^p)^(1/p) per tuple.
+def _tree_sum(parts: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of a (2^m, ...) stack by a balanced pairwise tree."""
+    while len(parts) > 1:
+        parts = parts[0::2] + parts[1::2]
+    return parts[0]
 
-    ``vmats`` is a (batch, n, dim) stack; tuples are taken in chunks so no
-    product holds more than max(P, _CHUNK) sign-pattern rows, and a table
-    of at least 2 * _ROW_BLOCK rows is multiplied _ROW_BLOCK rows at a time.
-    With ``grad`` the (batch, n, dim) gradients come too: in x_j the moment
-    M has M^(1-p) mean_s ||c_s||^(p-1) dN(c_s) s_j, summed over the same row
-    blocks, and 0 where M = 0.
+
+def _table_moments(n: int, space: Space, p: float, vmats: np.ndarray, grad: bool = False):
+    """(mean over the 2^(n-1) sign patterns s of ||s @ vmat||^p)^(1/p) per tuple.
+
+    ``vmats`` is a (batch, n, dim) stack.  The table of sign patterns is
+    never held: its blocks (``_sign_blocks``) are taken in turn.  A
+    tuple's block sums are added by a balanced pairwise tree: rows come in
+    powers of two, so that is the order ``np.add.reduce`` takes over the
+    whole row, bit for bit.  With ``grad`` the (batch, n, dim) gradients
+    come too: in x_j the moment M has M^(1-p) mean_s ||c_s||^(p-1) dN(c_s)
+    s_j, summed block after block, and 0 where M = 0.
     """
     vmats = np.asarray(vmats, dtype=float)
     batch, _, dim = vmats.shape
-    rows = table.shape[0]
+    rows = 1 << (n - 1)
+    block_rows = min(rows, _ROW_BLOCK)
+    # tuples per product: as many as _CHUNK rows of the whole table hold;
+    # 8 tuples to a 2^11-row block were up to 1.6x slower on lp3 (2-core machine)
     per = max(1, _CHUNK // rows)
-    block_rows = _ROW_BLOCK if rows >= 2 * _ROW_BLOCK else rows
-    moments = np.empty(batch)
+    sums = np.empty((rows // block_rows, batch))
     grads = np.zeros(vmats.shape) if grad else None
-    for lo in range(0, batch, per):
-        block = vmats[lo : lo + per]
-        parts = []
-        for r in range(0, rows, block_rows):
-            signs = table[r : r + block_rows]
-            combos = (signs @ block).reshape(-1, dim)
+    for b, signs in enumerate(_sign_blocks(n)):
+        for lo in range(0, batch, per):
+            part = vmats[lo : lo + per]
+            combos = (signs @ part).reshape(-1, dim)
             if grad:
                 norms, dnorms = norms_and_grads_of(combos, space)
                 weighted = (norms ** (p - 1))[:, None] * dnorms
-                grads[lo : lo + per] += signs.T @ weighted.reshape(block.shape[0], -1, dim)
+                grads[lo : lo + per] += signs.T @ weighted.reshape(part.shape[0], -1, dim)
             else:
                 norms = norms_of(combos, space)
-            parts.append(norms.reshape(block.shape[0], -1))
-        # a table of one row block (under 2 * _ROW_BLOCK rows) uses its norms as they come
-        vals = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        # the sum over the table divided by its length is np.mean, bit for bit
-        moments[lo : lo + per] = (np.add.reduce(vals**p, axis=1) / rows) ** (1.0 / p)
+            sums[b, lo : lo + per] = np.add.reduce(norms.reshape(part.shape[0], -1) ** p, axis=1)
+    moments = (_tree_sum(sums) / rows) ** (1.0 / p)
     if not grad:
         return moments
     scale = np.divide(1.0, rows * moments ** (p - 1), out=np.zeros(batch), where=moments > 0)
     return moments, grads * scale[:, None, None]
 
 
+def exact_sign_entries(n: int) -> int:
+    """Signs ``moment_from_matrix`` enumerates for the exact moment of n vectors: n 2^(n-1)."""
+    return n << (n - 1)
+
+
 def mc_sign_entries(n: int, cfg: EnumConfig) -> int:
     """Signs ``moment_from_matrix`` draws for the Monte Carlo moment of n vectors under ``cfg``."""
     return cfg.mc_samples * n
-
-
-def _over_cap_message(n: int) -> str:
-    """Why a moment evaluator of n vectors is refused."""
-    return (
-        f"an exact search of {n} vectors holds two sign tables of 2^{n - 1} rows of {n} signs, over the cap "
-        f"of {MAX_SIGN_TABLE_BYTES >> 20} MiB (rademacher.MAX_SIGN_TABLE_BYTES = {MAX_SIGN_TABLE_BYTES}); "
-        f"{_EXACT_ROWS} vectors fit"
-    )
 
 
 def hilbert_moment2(vmats: np.ndarray, grad: bool = False):
@@ -317,16 +287,17 @@ def moment_evaluator(n: int, space: Space, p: float):
     It maps a (batch, n, dim) stack of tuples to their (batch,) moments, and
     with ``grad`` to the moments and their (batch, n, dim) gradients.  At
     p = 2 on a Hilbert space it is ``hilbert_moment2``, at every n.
-    Otherwise it averages over the table of every sign pattern, built here;
-    past ``_EXACT_ROWS`` vectors the two tables of an R-bound search would
-    pass ``MAX_SIGN_TABLE_BYTES``, and ``ValueError`` is raised before
-    anything is allocated.
+    Otherwise it is ``_table_moments`` over every sign pattern, and past
+    ``_EXACT_ROWS`` vectors ``ValueError`` is raised.
     """
     if p == 2 and space.is_hilbert:
         return hilbert_moment2
     if n > _EXACT_ROWS:
-        raise ValueError(_over_cap_message(n))
-    return partial(_table_moments, sign_patterns(n), space, p)
+        raise ValueError(
+            f"an exact search of {n} vectors scores 2^{n - 1} sign patterns per tuple, over the most a search "
+            f"takes (rademacher._EXACT_ROWS); {_EXACT_ROWS} vectors fit"
+        )
+    return partial(_table_moments, n, space, p)
 
 
 def maximize_ratio(

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import optim
 from .rademacher import (
     _EXACT_ROWS,
     EnumConfig,
@@ -36,7 +37,6 @@ from .rademacher import (
     ladder_rungs,
     maximize_ratio,
     moment_evaluator,
-    sign_patterns,
 )
 from .spaces import Space, Vector, lp_space, norms_of
 
@@ -54,7 +54,7 @@ _ALL_FACES_ROWS = 6
 # default step 1e-3 builds about 12.6M points on 3 vectors, 302 MB, in 1.7 s
 # at a peak RSS of 323 MB; a step of 3e-4 would hold 3.4 GB of points
 MAX_GRID_POINTS = 1 << 24
-# points scored per pass over the sign patterns in rbound_certify_grid
+# points scored per moment call in rbound_certify_grid
 _GRID_CHUNK = 4096
 
 # sets searched in one ascent are capped so that the coefficient-times-row
@@ -125,6 +125,13 @@ def _ratio_ceiling(norms: np.ndarray, p: float) -> np.ndarray:
     return np.add.reduce(norms, axis=1)
 
 
+def _moment_pair(k: int, space: Space, p: float):
+    """Evaluators of the R_p ratio's sides at k coefficients: of (b, k, dim) rows lam_j y_j and of (b, k, 1) lam_j."""
+    # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
+    scalar = hilbert_moment2 if p == 2 else moment_evaluator(k, lp_space(1, 1), p)
+    return moment_evaluator(k, space, p), scalar
+
+
 def _sphere_lower(
     sets: np.ndarray, space: Space, p: float, cfg: EnumConfig
 ) -> list[tuple[float, np.ndarray]]:
@@ -145,9 +152,7 @@ def _sphere_lower(
     k = sets.shape[1]
     ceilings = _ratio_ceiling(norms_of(sets.reshape(-1, sets.shape[2]), space).reshape(sets.shape[:2]), p)
     extra = list(_face_starts(k))
-    vector_moments = moment_evaluator(k, space, p)
-    # over every sign pattern E|sum_j eps_j lam_j|^2 = ||lam||_2^2
-    scalar_moments = hilbert_moment2 if p == 2 else moment_evaluator(k, lp_space(1, 1), p)
+    vector_moments, scalar_moments = _moment_pair(k, space, p)
 
     def coefficients(lams: np.ndarray, group, grad):
         found = scalar_moments(lams[:, 0, :, None], grad)
@@ -434,22 +439,14 @@ def rbound_certify_grid(
     member_norms = norms_of(vmat, space)
     upper = float(np.sum(member_norms))
 
-    pats = sign_patterns(k)
-    count = pats.shape[0]
+    vector_moments, scalar_moments = _moment_pair(k, space, p)
     # the moments of each point depend on that point alone, so chunks of
-    # points give the bits of one pass; each is scored as it is generated,
-    # and only the best point so far is kept, as a copy
+    # points give the bits of one pass; each is scored as it is generated, by
+    # a search's evaluators, and only the best point so far is kept, as a copy
     value, best, num_top, den_low = -math.inf, None, -math.inf, math.inf
     for pts in _sphere_grid_chunks(k, grid_step):
-        num_p = np.zeros(pts.shape[0])
-        den_p = np.zeros(pts.shape[0])
-        for s in pats:
-            combos = (pts * s) @ vmat
-            num_p += norms_of(combos, space) ** p
-            den_p += np.abs(pts @ s) ** p
-        num = (num_p / count) ** (1.0 / p)
-        den = (den_p / count) ** (1.0 / p)
-        ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+        num, den = vector_moments(pts[:, :, None] * vmat), scalar_moments(pts[:, :, None])
+        ratio = optim.ratio_or_zero(num, den)
         i = int(np.argmax(ratio))
         if best is None:  # the first point, while no ratio beats -inf
             best = pts[0].copy()

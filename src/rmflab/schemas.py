@@ -241,9 +241,35 @@ def _json_path(keys) -> str:
     return "$" + "".join(f"[{k!r}]" if isinstance(k, str) else f"[{k}]" for k in keys)
 
 
+def _sized_arrays(obj, schema_name: str):
+    """(keys, array, length) of each array of a schema-valid document whose
+    length the document's own sizes fix: a vector has its space's dim, and
+    a level or a step function's values one entry per mass."""
+    space = obj.get("space")
+    dim = space and (space["dim"] if space["kind"] == "lp" else space["rows"] * space["cols"])
+    if schema_name == "vectorset":
+        yield from ((["vectors", i], v, dim) for i, v in enumerate(obj["vectors"]))
+    elif schema_name == "step_function":
+        yield ["values"], obj["values"], len(obj["masses"])
+        yield from ((["values", a], v, dim) for a, v in enumerate(obj["values"]))
+    elif schema_name in ("filtration", "martingale"):
+        filt, at = (obj, []) if schema_name == "filtration" else (obj["filtration"], ["filtration"])
+        atoms = len(filt["masses"])
+        yield from ((at + ["levels", j], labels, atoms) for j, labels in enumerate(filt["levels"]))
+        for j, level in enumerate(obj["levels"] if schema_name == "martingale" else ()):
+            yield ["levels", j], level, atoms
+            yield from ((["levels", j, a], v, dim) for a, v in enumerate(level))
+    elif schema_name == "concave_samples":
+        for part, points in (("samples", ("point",)), ("midpoints", ("a", "b"))):
+            for i, sample in enumerate(obj.get(part, ())):
+                yield from (([part, i, "set", j], v, dim) for j, v in enumerate(sample["set"]))
+                yield from (([part, i, key], sample[key], dim) for key in points)
+
+
 def validate(obj, schema_name: str, source: str = "<input>") -> None:
     """Raise ``SchemaViolation`` at the JSON path of the first schema error,
-    else of the first non-finite number."""
+    else of the first non-finite number, else of the first array whose
+    length disagrees with the document's own sizes (``_sized_arrays``)."""
     errors = sorted(_validator(schema_name).iter_errors(obj), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
@@ -256,3 +282,8 @@ def validate(obj, schema_name: str, source: str = "<input>") -> None:
         raise SchemaViolation(
             f"{source}: {schema_name} schema violated at {_json_path(keys)}: {value} is not a finite number"
         )
+    for keys, array, length in _sized_arrays(obj, schema_name):
+        if len(array) != length:
+            raise SchemaViolation(
+                f"{source}: {schema_name} schema violated at {_json_path(keys)}: has length {len(array)}, not {length}"
+            )

@@ -1,6 +1,7 @@
 """Reference predicates and input writers that tests share; the library does not need them."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -13,6 +14,16 @@ from rmflab.filtration import (
     filtration_to_json,
     haar_kind,
 )
+
+
+@lru_cache(maxsize=None)
+def sign_table(n):
+    """The whole (2^(n-1), n) table of sign patterns the moments average over,
+    read-only: row i is +1 followed by 1 - 2 * (bit j of i) for j < n - 1."""
+    bits = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    table = np.hstack([np.ones((1 << (n - 1), 1)), 1.0 - 2.0 * bits])
+    table.setflags(write=False)
+    return table
 
 
 def trivial_partition(space):

@@ -550,6 +550,34 @@ def test_mc_samples_over_cap_exit_before_any_sign_is_drawn(capsys, l1_basis_file
     assert peak < 4 << 20
 
 
+def test_exact_moment_over_cap_exits_before_any_sign_is_written(capsys, tmp_path):
+    # 40 vectors would enumerate 2^39 sign patterns, hours of work
+    path = tmp_path / "forty.json"
+    vectors = np.random.default_rng(40).standard_normal((40, 2)).tolist()
+    path.write_text(json.dumps({"space": {"kind": "lp", "p": 1, "dim": 2}, "vectors": vectors}))
+    start = time.perf_counter()
+    code, out, err, peak = _traced_run(
+        capsys, "randnorm", "--vectors", str(path), "--exact-threshold", "40", "--p", "3"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.rstrip().endswith(
+        "an exact moment of 40 vectors enumerates 40 x 2^39 signs, over the cap of 1,073,741,824 "
+        "(rademacher.MAX_MC_SIGN_ENTRIES); --exact-threshold 26 fits"
+    )
+    assert peak < 4 << 20
+
+
+def test_an_exact_moment_under_the_cap_stays_exact(capsys, tmp_path):
+    path = tmp_path / "twentythree.json"
+    vectors = np.random.default_rng(23).standard_normal((23, 2)).tolist()
+    path.write_text(json.dumps({"space": {"kind": "lp", "p": 1, "dim": 2}, "vectors": vectors}))
+    code, out, _ = run(capsys, "randnorm", "--vectors", str(path), "--exact-threshold", "23", "--p", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "exact" and payload["samples"] == 1 << 22
+
+
 @pytest.mark.parametrize("subcommand", ["gundy", "goodlambda", "weak-rmf"])
 def test_instances_over_cap_exit_before_any_instance_is_built(capsys, subcommand):
     code, out, err, peak = _traced_run(
@@ -635,7 +663,8 @@ class TestGundy:
             (_shift(0, "all"), 1, "numerical contract violated: martingale property fails between 0 and 1"),
             # labels are int64; 10^23 stops at the schema with its path
             (_relabel(5, 3, 10**23), 2, "schema violated at $['filtration']['levels'][5][3]"),
-            (_drop_label, 1, "numerical contract violated: label count must match atom count"),
+            # a row of labels short of the masses stops where the file is loaded, with its path
+            (_drop_label, 2, "schema violated at $['filtration']['levels'][2]: has length 15, not 16"),
             # atom 0 alone in level 0, while level 1 holds atoms 0-7 in one block
             (_relabel(0, 0, 1), 1, "numerical contract violated: each level must refine its predecessor"),
         ],
@@ -955,6 +984,79 @@ NON_FINITE_INPUTS = {
         "$['samples'][0]['point'][1]",
     ),
 }
+
+
+# each input holds one array whose length disagrees with the document's own
+# sizes, at the path given
+SHAPE_ERRORS = {
+    "rbound-short-vector": (
+        ["rbound", "--vectors", "{path}", "--seed", "1"],
+        {"space": {"kind": "lp", "p": 1, "dim": 2}, "vectors": [[1, 0], [1]]},
+        "$['vectors'][1]: has length 1, not 2",
+    ),
+    "randnorm-short-vector": (
+        ["randnorm", "--vectors", "{path}"],
+        {"space": {"kind": "schatten", "p": 1, "rows": 2, "cols": 2}, "vectors": [[1, 0, 0, 1], [1, 0, 0]]},
+        "$['vectors'][1]: has length 3, not 4",
+    ),
+    "function-values-per-mass": (
+        ["maximal", "--function", "{path}"],
+        {"space": {"kind": "lp", "p": 2, "dim": 1}, "masses": [0.25] * 4, "values": [[1], [2], [3]]},
+        "$['values']: has length 3, not 4",
+    ),
+    "martingale-labels-per-mass": (
+        ["gundy", "--martingale", "{path}"],
+        {
+            "space": {"kind": "lp", "p": 2, "dim": 1},
+            "filtration": {"masses": [0.5, 0.5], "levels": [[0, 0], [0, 1, 2]]},
+            "levels": [[[0.0], [0.0]], [[1.0], [-1.0]]],
+        },
+        "$['filtration']['levels'][1]: has length 3, not 2",
+    ),
+    "martingale-values-per-mass": (
+        ["gundy", "--martingale", "{path}"],
+        {
+            "space": {"kind": "lp", "p": 2, "dim": 1},
+            "filtration": {"masses": [0.5, 0.5], "levels": [[0, 0], [0, 1]]},
+            "levels": [[[0.0], [0.0]], [[1.0]]],
+        },
+        "$['levels'][1]: has length 1, not 2",
+    ),
+    "martingale-value-dim": (
+        ["gundy", "--martingale", "{path}"],
+        {
+            "space": {"kind": "lp", "p": 2, "dim": 1},
+            "filtration": {"masses": [0.5, 0.5], "levels": [[0, 0], [0, 1]]},
+            "levels": [[[0.0], [0.0]], [[1.0, 2.0], [-1.0]]],
+        },
+        "$['levels'][1][0]: has length 2, not 1",
+    ),
+    "concave-set-dim": (
+        ["concave", "--samples", "{path}", "--candidate", "zero"],
+        {"space": {"kind": "lp", "p": 2, "dim": 2}, "samples": [{"set": [[1, 0], [1, 0, 0]], "point": [0, 0]}]},
+        "$['samples'][0]['set'][1]: has length 3, not 2",
+    ),
+    "concave-midpoint-dim": (
+        ["concave", "--samples", "{path}", "--candidate", "zero"],
+        {
+            "space": {"kind": "lp", "p": 2, "dim": 2},
+            "samples": [],
+            "midpoints": [{"set": [[1, 0]], "a": [0, 0], "b": [1]}],
+        },
+        "$['midpoints'][0]['b']: has length 1, not 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_ERRORS))
+def test_a_shape_error_exits_2_at_its_path(capsys, tmp_path, case):
+    argv, doc, where = SHAPE_ERRORS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[str(path) if a == "{path}" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.endswith(f" schema violated at {where}\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -6,24 +7,24 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmflab import optim, rademacher
 from rmflab.rademacher import (
     EnumConfig,
+    exact_sign_entries,
     hilbert_moment2,
     moment_evaluator,
     MAX_MC_SIGN_ENTRIES,
-    MAX_SIGN_TABLE_BYTES,
     mc_sign_entries,
     moment_from_matrix,
     rademacher_moment,
-    sign_patterns,
-    sign_table_bytes,
     type_cotype_estimate,
 )
-from rmflab.spaces import Vector, hilbert_op_space, lp_space, norm, norms_of, schatten_space
+from rmflab.spaces import Vector, hilbert_op_space, lp_space, norm, norms_and_grads_of, norms_of, schatten_space
+
+from helpers import sign_table
 
 CFG = EnumConfig(seed=1)
 FAST = EnumConfig(seed=1, restarts=6)
@@ -32,28 +33,6 @@ FAST = EnumConfig(seed=1, restarts=6)
 def basis(space):
     d = space.total_dim
     return [Vector(np.eye(d)[j], space) for j in range(d)]
-
-
-def test_sign_patterns_shape_and_symmetry():
-    pats = sign_patterns(4)
-    assert pats.shape == (8, 4)
-    assert np.all(pats[:, 0] == 1.0)
-    # chunked generation agrees with the full table
-    np.testing.assert_array_equal(pats[3:6], sign_patterns(4, 3, 6))
-
-
-# hi defaults to the table's end, 8 rows at n = 4
-@pytest.mark.parametrize("lo,hi", [(-1, None), (-1, 4), (5, 4), (3, 2), (9, None)])
-def test_sign_patterns_need_lo_within_zero_and_hi(lo, hi):
-    with pytest.raises(ValueError, match="0 <= lo <= hi"):
-        sign_patterns(4, lo, hi)
-
-
-def test_sign_patterns_past_the_end_are_empty():
-    # a given hi is clamped to the table's end, and so is a lo past it
-    assert sign_patterns(4, 6, 100).shape == (2, 4)
-    assert sign_patterns(4, 8).shape == (0, 4)
-    assert sign_patterns(4, 9, 12).shape == (0, 4)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0])
@@ -67,14 +46,22 @@ def _reference_rows(n, rows):
     return np.array([[1.0] + [1.0 - 2 * ((i >> j) & 1) for j in range(n - 1)] for i in rows]).reshape(-1, n)
 
 
+def test_sign_patterns_shape_and_symmetry():
+    # 4 signs: one block of 8 rows led by +1; with their negations they are
+    # every pattern of the hypercube once
+    [pats] = rademacher._sign_blocks(4)
+    assert pats.shape == (8, 4) and np.all(pats[:, 0] == 1.0)
+    assert {tuple(r) for r in np.vstack([pats, -pats])} == set(itertools.product((1.0, -1.0), repeat=4))
+    # 2^14 rows of 15 signs are walked in 8 blocks of 2^11 rows
+    assert [len(b) for b in rademacher._sign_blocks(15)] == [rademacher._ROW_BLOCK] * 8
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_sign_patterns_match_python_int_reference(n):
     m = 1 << (n - 1)
-    full = sign_patterns(n)
-    assert full.shape == (m, n) and full.dtype == np.float64 and full.flags.c_contiguous
-    if n <= 15:
-        # cached, and read-only
-        assert sign_patterns(n) is full and not full.flags.writeable
+    head = rademacher._sign_block(n)
+    # the first block is cached, and read-only
+    assert rademacher._sign_block(n) is head and not head.flags.writeable
     # every row of a small table; of a larger one the first and last rows,
     # the rows around every power of two and a seeded sample
     rng = np.random.default_rng(n)
@@ -82,24 +69,22 @@ def test_sign_patterns_match_python_int_reference(n):
         np.arange(64), np.arange(m - 64, m), rng.integers(0, m, 256),
         *(np.arange((1 << k) - 2, (1 << k) + 2) for k in range(2, n - 1)),
     ]))
-    np.testing.assert_array_equal(full[rows], _reference_rows(n, rows.tolist()))
-    # column j + 1 is bit j of the row index: +1 on the first 2^j rows of every 2^(j + 1), -1 on the rest
-    for j in range(n - 1):
-        halves = full[:, j + 1].reshape(-1, 2, 1 << j)
-        assert (halves[:, 0] == 1.0).all() and (halves[:, 1] == -1.0).all()
-    # aligned chunks, unaligned ranges that cross block boundaries, an empty range at the end
-    chunk = rademacher._CHUNK
-    ranges = [(lo, lo + chunk) for lo in range(0, m, chunk)]
-    ranges += [(1000, 1100), (1023, 1025), (1, 3000), (chunk - 5, chunk + 7),
-               (3 * 1024 + 17, 5 * chunk + 3), (m - 3, m + 10), (m, m), (m, None)]
-    ranges += [tuple(sorted(rng.integers(0, m + 1, 2).tolist())) for _ in range(4)]
-    for lo, hi in ranges:
-        if not 0 <= lo <= m:
-            continue
-        part = sign_patterns(n, lo, hi)
-        want = full[lo:hi]
-        assert part.shape == want.shape and part.dtype == np.float64
-        np.testing.assert_array_equal(part, want)
+    # the reference table the kernel tests compare against
+    reference = sign_table(n) if n <= 15 else None
+    start = 0
+    for block in rademacher._sign_blocks(n):
+        assert block.shape == (len(head), n) and block.dtype == np.float64 and block.flags.c_contiguous
+        if start == 0:
+            assert block is head
+        # column j + 1 is bit j of the row index
+        index = start + np.arange(len(block))
+        np.testing.assert_array_equal(block[:, 1:], 1.0 - 2.0 * ((index[:, None] >> np.arange(n - 1)) & 1))
+        if reference is not None:
+            np.testing.assert_array_equal(block, reference[start : start + len(block)])
+        mine = rows[(rows >= start) & (rows < start + len(block))]
+        np.testing.assert_array_equal(block[mine - start], _reference_rows(n, mine.tolist()))
+        start += len(block)
+    assert start == m
 
 
 class TestMoment:
@@ -368,28 +353,80 @@ def test_moment_gradient_at_zero_is_zero_without_warning(p):
         assert not np.any(values) and not np.any(grads)
 
 
+def _full_table_moments(n, space, p, vmats, grad=False):
+    """Moments of a (batch, n, dim) stack over the whole reference table of n
+    signs, and with ``grad`` their gradients.
+
+    The sum of ||c||^p is one ``np.add.reduce`` over every row.  Products
+    and gradient sums are taken slice after slice of _ROW_BLOCK rows, as the
+    kernel takes them: BLAS may round one product over the whole table
+    otherwise.
+    """
+    table = sign_table(n)
+    rows, dim = len(table), space.total_dim
+    step = min(rows, rademacher._ROW_BLOCK)
+    combos = np.concatenate([table[r : r + step] @ vmats for r in range(0, rows, step)], axis=1)
+    if not grad:
+        norms = norms_of(combos.reshape(-1, dim), space)
+        return (np.add.reduce(norms.reshape(len(vmats), rows) ** p, axis=1) / rows) ** (1 / p)
+    norms, dnorms = norms_and_grads_of(combos.reshape(-1, dim), space)
+    moments = (np.add.reduce(norms.reshape(len(vmats), rows) ** p, axis=1) / rows) ** (1 / p)
+    weighted = ((norms ** (p - 1))[:, None] * dnorms).reshape(len(vmats), rows, dim)
+    grads = np.zeros(vmats.shape)
+    for r in range(0, rows, step):
+        grads += table[r : r + step].T @ weighted[:, r : r + step]
+    scale = np.divide(1.0, rows * moments ** (p - 1), out=np.zeros(len(vmats)), where=moments > 0)
+    return moments, grads * scale[:, None, None]
+
+
+_KERNEL_SPACES = [lp_space(1, 3), lp_space(3, 2), lp_space(math.inf, 3), schatten_space(1, 2, 2), schatten_space(1, 2, 3)]
+
+
 @pytest.mark.parametrize("n", [13, 14, 15, 16])
 @pytest.mark.parametrize(
     "space", [lp_space(1, 8), lp_space(3, 3), schatten_space(1, 2, 2)], ids=["lp1", "lp3", "schatten1"]
 )
-def test_row_blocked_product_matches_the_whole_table(monkeypatch, n, space):
-    # from 2^12 rows the table is multiplied 2^11 rows at a time; the values
-    # stay within 1e-15 (relative) of one whole-table product per tuple, and
-    # the gradients, summed over the blocks, near those of one block
-    table = rademacher.sign_patterns(n)
+def test_row_blocked_product_matches_the_whole_table(n, space):
+    # from 2^12 rows the table is walked 2^11 rows at a time; values and
+    # gradients are those of the whole table, bit for bit
     vmats = np.random.default_rng(n).standard_normal((3, n, space.total_dim))
-    whole = [
-        (np.add.reduce(norms_of((table @ v).reshape(-1, space.total_dim), space) ** 3.0) / len(table))
-        ** (1 / 3)
-        for v in vmats
-    ]
-    np.testing.assert_allclose(rademacher._table_moments(table, space, 3.0, vmats), whole, rtol=1e-15)
-    values, grads = rademacher._table_moments(table, space, 3.0, vmats, grad=True)
-    np.testing.assert_allclose(values, whole, rtol=1e-15)
-    assert grads.shape == vmats.shape
-    monkeypatch.setattr(rademacher, "_ROW_BLOCK", len(table))
-    _, whole_grads = rademacher._table_moments(table, space, 3.0, vmats, grad=True)
-    np.testing.assert_allclose(grads, whole_grads, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(rademacher._table_moments(n, space, 3.0, vmats), _full_table_moments(n, space, 3.0, vmats))
+    for got, want in zip(rademacher._table_moments(n, space, 3.0, vmats, grad=True),
+                         _full_table_moments(n, space, 3.0, vmats, grad=True)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=13, batch=8, space=_KERNEL_SPACES[0], p=3.0, seed=13)
+@example(n=16, batch=1, space=_KERNEL_SPACES[4], p=1.5, seed=16)
+@example(n=17, batch=30, space=_KERNEL_SPACES[1], p=1.0, seed=17)
+@given(
+    n=st.integers(1, 17),
+    batch=st.integers(1, 30),
+    space=st.sampled_from(_KERNEL_SPACES),
+    p=st.sampled_from([1.0, 1.5, 3.0]),
+    seed=st.integers(0, 9999),
+)
+def test_block_walk_is_the_full_table_bit_for_bit(n, batch, space, p, seed):
+    # the kernel never holds more than one 2^11-row block of signs; moments
+    # and gradients are those of the whole table, bit for bit
+    rows = 1 << (n - 1)
+    if rows * batch > 1 << 16:  # keeps an example near a tenth of a second
+        batch = max(1, (1 << 16) // rows)
+    vmats = np.random.default_rng(seed).standard_normal((batch, n, space.total_dim))
+    assert np.array_equal(rademacher._table_moments(n, space, p, vmats), _full_table_moments(n, space, p, vmats))
+    want, want_grads = _full_table_moments(n, space, p, vmats, grad=True)
+    got, grads = rademacher._table_moments(n, space, p, vmats, grad=True)
+    assert np.array_equal(got, want) and np.array_equal(grads, want_grads)
+
+
+@pytest.mark.parametrize("m", range(11, 21))
+def test_block_tree_is_one_add_reduce(m):
+    # rows of 2^m numbers summed in 2^11-number blocks, then by the kernel's
+    # pairwise tree, give the bits of one np.add.reduce over each row
+    x = np.random.default_rng(m).standard_normal((4, 1 << m)) ** 2
+    blocks = np.add.reduce(x.reshape(4, -1, rademacher._ROW_BLOCK), axis=2).T
+    np.testing.assert_array_equal(rademacher._tree_sum(blocks), np.add.reduce(x, axis=1))
 
 
 @pytest.mark.parametrize(
@@ -407,57 +444,78 @@ def test_hilbert_second_moment_is_exact(space):
     assert moment_evaluator(rademacher._EXACT_ROWS + 1, space, 2.0) is hilbert_moment2
 
 
-def test_one_evaluator_holds_one_sign_table():
-    # 18 vectors: a 2^17-row exact table of 18.9 MB, held once for values and gradients
+def test_an_evaluator_holds_no_sign_table():
+    # 20 vectors: the whole table of 2^19 rows would be 80 MiB; one call,
+    # with gradients, walks it in blocks of 2^11 rows
     space = lp_space(1, 2)
-    table_bytes = (1 << 17) * 18 * 8
+    vmats = np.random.default_rng(20).standard_normal((2, 20, 2))
     tracemalloc.start()
     try:
-        moments = moment_evaluator(18, space, 3.0)
-        held, _ = tracemalloc.get_traced_memory()
+        moments = moment_evaluator(20, space, 3.0)
+        values, grads = moments(vmats, grad=True)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table_bytes <= held < 1.5 * table_bytes
-    vmats = np.random.default_rng(18).standard_normal((2, 18, 2))
-    values, grads = moments(vmats, grad=True)
+    assert peak < 4 << 20
     assert np.array_equal(moments(vmats), values) and grads.shape == vmats.shape
-
-
-def test_sign_table_price_and_cap():
-    # 2^(n-1) n floats: 84 MB at 20 vectors, 168 MiB at 21, 7.0 GB at 26
-    assert sign_table_bytes(20) == 83_886_080
-    assert sign_table_bytes(21) == 168 << 20
-    assert sign_table_bytes(26) == 6_979_321_856
-    # an R-bound search holds two tables: 20 vectors are the most whose
-    # two tables fit, and the most a search takes
-    assert 2 * sign_table_bytes(20) <= MAX_SIGN_TABLE_BYTES < 2 * sign_table_bytes(21)
-    assert rademacher._EXACT_ROWS == 20
 
 
 @pytest.mark.parametrize("n", [21, 22, 64])
 def test_evaluator_past_the_exact_rows_raises_before_allocating(n):
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="over the cap of 256 MiB") as err:
+        with pytest.raises(ValueError) as err:
             moment_evaluator(n, lp_space(1, 2), 3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(err.value).endswith("; 20 vectors fit")
+    assert str(err.value) == (
+        f"an exact search of {n} vectors scores 2^{n - 1} sign patterns per tuple, over the most a search "
+        "takes (rademacher._EXACT_ROWS); 20 vectors fit"
+    )
     assert peak < 1 << 20
     # the Hilbert closed form at exponent 2 holds no table
     assert moment_evaluator(n, lp_space(2, 2), 2.0) is hilbert_moment2
 
 
+def test_sign_table_price_and_cap():
+    # the exact moment enumerates n 2^(n-1) signs: 26 vectors fit under the
+    # cap the Monte Carlo moment has, 27 do not
+    assert exact_sign_entries(20) == 10_485_760
+    assert exact_sign_entries(26) <= MAX_MC_SIGN_ENTRIES < exact_sign_entries(27)
+
+
 @settings(max_examples=300, deadline=None)
-@given(n=st.one_of(st.integers(1, 64), st.integers(1, 1 << 20)))
-def test_sign_table_remedy_sits_just_under_the_cap(n):
-    # prices only: no table is built
-    message = rademacher._over_cap_message(n)
-    assert message.startswith(f"an exact search of {n} vectors holds two sign tables of 2^{n - 1} rows of {n} signs")
-    fits = int(re.search(r"; (\d+) vectors fit$", message).group(1))
-    assert fits == rademacher._EXACT_ROWS
-    assert 2 * sign_table_bytes(fits) <= MAX_SIGN_TABLE_BYTES < 2 * sign_table_bytes(fits + 1)
+@given(n=st.integers(2, 1 << 16), cap=st.integers(1, 1 << 40))
+def test_sign_table_remedy_sits_just_under_the_cap(n, cap):
+    # prices only, at caps of every size: a refused exact moment names the
+    # largest threshold whose table fits, below n
+    if exact_sign_entries(n) <= cap:
+        return
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rademacher, "MAX_MC_SIGN_ENTRIES", cap)
+        with pytest.raises(ValueError) as err:
+            moment_from_matrix(np.ones((n, 1)), lp_space(1, 1), 2.0, EnumConfig(exact_threshold=n))
+    assert str(err.value).startswith(f"an exact moment of {n} vectors enumerates {n} x 2^{n - 1} signs, ")
+    fits = int(re.search(r"; --exact-threshold (\d+) fits$", str(err.value)).group(1))
+    assert fits < n and exact_sign_entries(fits) <= cap < exact_sign_entries(fits + 1)
+
+
+@pytest.mark.parametrize("n", [27, 40, 200])
+def test_exact_moment_over_the_cap_raises_before_enumerating(n):
+    cfg = EnumConfig(exact_threshold=n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            moment_from_matrix(np.ones((n, 2)), lp_space(1, 2), 3.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        f"an exact moment of {n} vectors enumerates {n} x 2^{n - 1} signs, over the cap of "
+        f"{MAX_MC_SIGN_ENTRIES:,} (rademacher.MAX_MC_SIGN_ENTRIES); --exact-threshold 26 fits"
+    )
+    assert peak < 1 << 20
 
 
 def test_monte_carlo_draw_price():
@@ -542,9 +600,12 @@ def _traced_peak(build):
 
 
 def test_sign_table_peak_memory():
-    table, peak = _traced_peak(lambda: sign_patterns(18))
-    assert table.nbytes == (1 << 17) * 18 * 8
-    assert peak < 2 * table.nbytes
+    # the 2^17-row table of 18 signs (18.9 MB) is walked in one block of 2^11 rows
+    rademacher._sign_block.cache_clear()
+    block_bytes = rademacher._ROW_BLOCK * 18 * 8
+    rows, peak = _traced_peak(lambda: sum(len(block) for block in rademacher._sign_blocks(18)))
+    assert rows == 1 << 17
+    assert peak < 4 * block_bytes
 
 
 def test_exact_moment_peak_memory():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmflab import rbound
-from rmflab.rademacher import EnumConfig, sign_patterns
+from helpers import sign_table
+from rmflab import optim, rbound
+from rmflab.rademacher import EnumConfig
 from rmflab.rbound import (
     HILBERT_EXACT,
     RBoundBracket,
@@ -243,7 +244,7 @@ def test_witness_names_the_member_of_each_stack_row(p):
     wit = br.witness
     assert wit.indices == (0, 1, 0, 1)
     rows = np.stack([vs[i].coords for i in wit.indices])
-    signs = sign_patterns(len(wit.indices))
+    signs = sign_table(len(wit.indices))
     num = np.mean(norms_of((signs * wit.coeffs) @ rows, space) ** p)
     den = np.mean(np.abs(signs @ wit.coeffs) ** p)
     assert (num / den) ** (1 / p) == pytest.approx(br.lower, abs=1e-12)
@@ -312,6 +313,20 @@ class TestGrid:
         opt = rbound_scalar(vs, 2, cfg=FAST)
         assert opt.lower >= grid.lower - 1e-3
         assert opt.lower <= grid.lower + (grid.sup_gap or 0) + 1e-9
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "space,k", [(lp_space(1, 2), 2), (lp_space(3, 3), 3), (lp_space(2, 2), 2), (schatten_space(1, 2, 2), 3)],
+        ids=["lp1", "lp3", "lp2", "schatten1"],
+    )
+    def test_grid_lower_is_the_search_ratio_at_its_witness(self, space, k, p):
+        # the grid scores its points with the evaluators an R-bound search
+        # ascends, so its lower is their ratio at the witness, bit for bit
+        vmat = np.random.default_rng(k).standard_normal((k, space.total_dim))
+        br = rbound_certify_grid([Vector(v, space) for v in vmat], p, grid_step=0.05)
+        vector_moments, scalar_moments = rbound._moment_pair(k, space, p)
+        lam = br.witness.coeffs[None, :, None]
+        assert br.lower == optim.ratio_or_zero(vector_moments(lam * vmat), scalar_moments(lam))[0]
 
     def test_too_many_vectors_rejected(self):
         with pytest.raises(ValueError):
