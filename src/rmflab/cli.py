@@ -49,12 +49,6 @@ _EXIT_CONTRACT = 1
 _EXIT_SCHEMA = 2
 
 
-def _parse_exponent(text):
-    if text == "inf":
-        return math.inf
-    return float(text)
-
-
 def _positive(text: str) -> float:
     """A finite number > 0; argparse names the flag of a bad one."""
     try:
@@ -83,6 +77,23 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _exponent(infinite: bool):
+    """Type of an exponent flag: a number >= 1, and also ``inf`` when
+    ``infinite``; argparse names the flag of a bad one."""
+    domain = "a number >= 1 or inf" if infinite else "a finite number >= 1"
+
+    def exponent(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (1 <= value < math.inf or infinite and value == math.inf):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {domain}")
+        return value
+
+    return exponent
 
 
 def _at_least(minimum: int):
@@ -213,10 +224,10 @@ def _maximal_rows(f, filt, cfg, truncation=None, norm_exponents=maximal_mod.DEFA
 
 def cmd_randnorm(args):
     vectors, _ = _vectors_from_file(args.vectors)
-    est = rademacher_moment(vectors, _parse_exponent(args.p), _cfg_from_args(args))
+    est = rademacher_moment(vectors, args.p, _cfg_from_args(args))
     return {
         "subcommand": "randnorm",
-        "p": _parse_exponent(args.p),
+        "p": args.p,
         "value": est.value,
         "mode": est.mode,
         "samples": est.samples,
@@ -226,7 +237,7 @@ def cmd_randnorm(args):
 
 def cmd_rbound(args):
     vectors, _ = _vectors_from_file(args.vectors)
-    p = _parse_exponent(args.p)
+    p = args.p
     if args.grid_step is not None:
         bracket = rbound_certify_grid(vectors, p, args.grid_step)
     else:
@@ -250,14 +261,14 @@ def cmd_typecotype(args):
     est = type_cotype_estimate(
         args.kind,
         space,
-        _parse_exponent(args.exponent),
+        args.exponent,
         args.count,
         _cfg_from_args(args),
     )
     return {
         "subcommand": "typecotype",
         "kind": args.kind,
-        "exponent": _parse_exponent(args.exponent),
+        "exponent": args.exponent,
         "count": args.count,
         "mode": est.mode,
         "value": est.value,
@@ -281,7 +292,7 @@ def cmd_maximal(args):
 def cmd_rmf_ratio(args):
     cfg = _cfg_from_args(args)
     f, filt = _function_from_args(args)
-    p = _parse_exponent(args.p)
+    p = args.p
     fnorm = maximal_mod.lp_norm(f, p, f.base)
     if fnorm == 0:
         raise ValueError("RMF ratio of the zero function is undefined")
@@ -430,7 +441,7 @@ def cmd_goodlambda(args):
 def cmd_weak_rmf(args):
     cfg = _cfg_from_args(args)
     family = _generated_family(args, _require_seed(args))
-    p = _parse_exponent(args.p)
+    p = args.p
     report = mart.weak_rmf_probe(family, cfg, p=p, beta=args.beta, delta=args.delta)
     return {
         "subcommand": "weak-rmf",
@@ -446,7 +457,7 @@ def cmd_concave(args):
     cfg = _cfg_from_args(args)
     obj = _load_json(args.samples, "concave_samples")
     space = space_from_json(obj["space"])
-    p = _parse_exponent(args.p)
+    p = args.p
 
     def vec(coords):
         return Vector(np.asarray(coords, dtype=float), space)
@@ -499,12 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("randnorm", help="randomized moment of a vector set")
     sp.add_argument("--vectors", required=True, help="vector-set JSON file")
-    sp.add_argument("--p", default="2")
+    sp.add_argument("--p", type=_exponent(infinite=False), default="2")
     _add_common(sp)
 
     sp = sub.add_parser("rbound", help="R-bound bracket of a vector set")
     sp.add_argument("--vectors", required=True)
-    sp.add_argument("--p", default="2")
+    sp.add_argument("--p", type=_exponent(infinite=False), default="2")
     sp.add_argument("--multiplicity", type=_at_least(1), default=1)
     sp.add_argument("--grid-step", type=_positive, default=None, dest="grid_step",
                     help="use the exhaustive grid oracle with this spacing")
@@ -513,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("typecotype", help="type/cotype constant estimate")
     sp.add_argument("--kind", choices=["type", "cotype"], required=True)
     sp.add_argument("--space", required=True, help="inline space JSON")
-    sp.add_argument("--exponent", required=True)
+    sp.add_argument("--exponent", type=_exponent(infinite=True), required=True)
     sp.add_argument("--count", type=_at_least(1), required=True, help="number of vectors")
     _add_common(sp)
 
@@ -525,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scale", type=_finite, default=1.0)
         sp.add_argument("--truncation", type=int, default=None)
         if name == "rmf-ratio":
-            sp.add_argument("--p", default="2")
+            sp.add_argument("--p", type=_exponent(infinite=True), default="2")
         _add_common(sp)
 
     sp = sub.add_parser(
@@ -570,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=_at_least(0), default=8)
     sp.add_argument("--space", default='{"kind":"lp","p":2,"dim":3}')
     sp.add_argument("--scale", type=_finite, default=1.0)
-    sp.add_argument("--p", default="2")
+    sp.add_argument("--p", type=_exponent(infinite=True), default="2")
     sp.add_argument("--beta", type=_finite, default=4.0)
     sp.add_argument("--delta", type=_finite, default=0.01)
     _add_common(sp)
@@ -578,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("concave", help="check a candidate majorant on samples")
     sp.add_argument("--samples", required=True, help="concave-samples JSON file")
     sp.add_argument("--candidate", choices=["zero", "penalty"], default="zero")
-    sp.add_argument("--p", default="2")
+    # the penalty R^p - C ||x||^p has no finite value at p = inf
+    sp.add_argument("--p", type=_exponent(infinite=False), default="2")
     sp.add_argument("--c", type=float, default=1.0)
     _add_common(sp)
 

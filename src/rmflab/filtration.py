@@ -764,7 +764,7 @@ def boolean_isomorphism(filt: Filtration) -> BooleanIsomorphism:
         raise ValueError("split mass ratios must be dyadic fractions")
     dyadic_levels = list(accumulate((q.denominator.bit_length() - 1 for q in ratios), initial=0))
     # every finite float is a dyadic rational: each atom fills whole cells
-    atom_exp = max(Fraction(m).denominator.bit_length() for m in np.unique(filt.space.masses)) - 1
+    atom_exp = max(Fraction(m).denominator.bit_length() for m in set(filt.space.masses.tolist())) - 1
     k_out = max(dyadic_levels[-1], atom_exp, 1)
     if k_out > MAX_GRID_EXPONENT:
         # the replayed splits commit one extra dyadic generation each, so

@@ -688,7 +688,7 @@ def _weak_ratio_of(x: SimpleMartingale, rstar: np.ndarray) -> float:
         raise ValueError("weak ratio of the zero martingale is undefined")
     masses = x.base.masses
     best = 0.0
-    for v in np.unique(rstar):
+    for v in set(rstar.tolist()):
         if v <= 0:
             continue
         best = max(best, v * float(np.sum(masses[rstar >= v])))

@@ -146,6 +146,12 @@ def _stack(vectors: list[Vector]) -> tuple[np.ndarray, Space]:
     return np.vstack([v.coords for v in vectors]), space
 
 
+def _require_exponent(p: float) -> None:
+    """Raise ``ValueError`` unless 1 <= p < inf, the exponents a moment takes."""
+    if not (1 <= p < math.inf):
+        raise ValueError("moment exponent must satisfy 1 <= p < inf")
+
+
 def moment_from_matrix(
     vmat: np.ndarray, space: Space, p: float, cfg: EnumConfig
 ) -> MomentEstimate:
@@ -155,8 +161,7 @@ def moment_from_matrix(
     ``mc_sign_entries`` (Monte Carlo) prices over ``MAX_MC_SIGN_ENTRIES``
     raises ``ValueError`` before it writes any.
     """
-    if not (1 <= p < math.inf):
-        raise ValueError("moment exponent must satisfy 1 <= p < inf")
+    _require_exponent(p)
     n = vmat.shape[0]
     if n <= cfg.exact_threshold:
         if exact_sign_entries(n) > MAX_MC_SIGN_ENTRIES:

@@ -32,6 +32,7 @@ from . import optim
 from .rademacher import (
     _EXACT_ROWS,
     EnumConfig,
+    _require_exponent,
     _stack,
     hilbert_moment2,
     ladder_rungs,
@@ -198,8 +199,10 @@ def rbound_scalar(
     bound is the best of the member norms (exact singleton ratios) and a
     search on the sphere of the first ``_EXACT_ROWS`` rows of the members
     tiled ``multiplicity`` times, round robin; a witness names the member
-    of each stack row.  The upper bound is the summability ceiling.
+    of each stack row.  The upper bound is the summability ceiling.  A
+    ``p`` outside [1, inf) raises ``ValueError``.
     """
+    _require_exponent(p)
     if cfg is None:
         cfg = EnumConfig()
     if multiplicity < 1:
@@ -234,8 +237,9 @@ def atomwise_rbound(
     distinct rows, and the upper side is the sum of the distinct norms.
     Equal row sets are searched once per call, and all sets of k searched
     rows are searched by one ``_sphere_lower`` call, one per k.  Atoms
-    outside ``atoms`` hold NaN.
+    outside ``atoms`` hold NaN.  A ``p`` outside [1, inf) raises ``ValueError``.
     """
+    _require_exponent(p)
     n_atoms = stack.shape[1]
     if space.is_hilbert and p == 2:
         # level by level, so no temporary the size of the stack is made
@@ -296,7 +300,7 @@ def _distinct_sets(stack: np.ndarray, space: Space, atoms=None):
         # row-wise reduction over the atoms of one row count (reduceat sums
         # in another order)
         peaks, totals = np.empty(idx.size), np.empty(idx.size)
-        for k in np.unique(counts).tolist():
+        for k in set(counts.tolist()):
             of_k = (counts == k).nonzero()[0]
             group = norms[starts[of_k, None] + np.arange(k)]
             peaks[of_k], totals[of_k] = np.maximum.reduce(group, axis=1), np.add.reduce(group, axis=1)
@@ -420,10 +424,12 @@ def rbound_certify_grid(
     Restricted to at most 3 members (sphere dimension <= 2).  Every grid
     point is feasible, so the reported lower bound is certified; the gap
     to the supremum over single selections of the full set is bounded by a
-    Lipschitz argument and reported in ``sup_gap``.  ``grid_step`` must be
-    a finite number > 0, and a grid that ``sphere_grid_points`` prices
-    over ``MAX_GRID_POINTS`` raises ``ValueError`` before it is built.
+    Lipschitz argument and reported in ``sup_gap``.  A ``grid_step`` that
+    is not a finite number > 0, a ``p`` outside [1, inf), and a grid that
+    ``sphere_grid_points`` prices over ``MAX_GRID_POINTS`` raise
+    ``ValueError`` before it is built.
     """
+    _require_exponent(p)
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError("grid_step must be a finite number > 0")
     vmat, space = _stack(vectors)

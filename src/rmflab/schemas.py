@@ -1,15 +1,16 @@
 """JSON schemas (draft 2020-12) for the file formats the CLI accepts.
 
 The same dictionaries are dumped verbatim under schema/v1/ in the
-repository; SCHEMA_VERSION names that directory.
+repository; SCHEMA_VERSION names that directory.  Documents are checked
+against them by a small interpreter of the keywords they use
+(``_KEYWORDS``), which reports jsonschema's first error in jsonschema's
+words; the tests hold it to jsonschema itself.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-
-import jsonschema
+import operator
 
 SCHEMA_VERSION = "v1"
 
@@ -215,10 +216,199 @@ class SchemaViolation(ValueError):
     """Input failed schema validation; message carries the JSON path."""
 
 
-@lru_cache(maxsize=None)
-def _validator(schema_name: str) -> jsonschema.Draft202012Validator:
-    """The validator of one schema, built on first use and kept."""
-    return jsonschema.Draft202012Validator(ALL_SCHEMAS[schema_name])
+# An error is (keys, message), its keys innermost first: each level a
+# document is descended through appends its key on the way out.  A check
+# returns the errors of one value, empty when it is valid.
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# draft 2020-12 types: an integer may be written 2.0, and a bool is
+# neither a number nor an integer
+_TYPES = {
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+
+
+def _under(key, errors):
+    for keys, _ in errors:
+        keys.append(key)
+    return errors
+
+
+def _unsupported(keyword: str, value):
+    return ValueError(f"schema keyword {keyword!r} with value {value!r} is not implemented")
+
+
+def _type(name, schema):
+    if not isinstance(name, str) or name not in _TYPES:
+        raise _unsupported("type", name)
+    is_type = _TYPES[name]
+    return lambda x: () if is_type(x) else [([], f"{x!r} is not of type {name!r}")]
+
+
+def _properties(properties, schema):
+    checks = [(key, _compile(sub)) for key, sub in properties.items()]
+
+    def check(x):
+        if not isinstance(x, dict):
+            return ()
+        errors = []
+        for key, sub in checks:
+            if key in x:
+                errors += _under(key, sub(x[key]))
+        return errors
+
+    return check
+
+
+def _required(names, schema):
+    def check(x):
+        if not isinstance(x, dict):
+            return ()
+        return [([], f"{k!r} is a required property") for k in names if k not in x]
+
+    return check
+
+
+def _additional_properties(allowed, schema):
+    if allowed is not False:
+        raise _unsupported("additionalProperties", allowed)
+    known = schema.get("properties", {})
+
+    def check(x):
+        extra = sorted((k for k in x if k not in known), key=str) if isinstance(x, dict) else ()
+        if not extra:
+            return ()
+        verb = "was" if len(extra) == 1 else "were"
+        return [([], f"Additional properties are not allowed ({', '.join(map(repr, extra))} {verb} unexpected)")]
+
+    return check
+
+
+def _items(sub, schema):
+    if not isinstance(sub, dict):
+        raise _unsupported("items", sub)
+    check_item = _compile(sub)
+
+    def check(x):
+        if not isinstance(x, list):
+            return ()
+        errors = []
+        for i, item in enumerate(x):
+            found = check_item(item)
+            if found:
+                errors += _under(i, found)
+        return errors
+
+    return check
+
+
+def _min_items(least, schema):
+    words = "should be non-empty" if least == 1 else "is too short"
+    return lambda x: [([], f"{x!r} {words}")] if isinstance(x, list) and len(x) < least else ()
+
+
+def _bound(fails, words: str):
+    """A numeric bound; it applies to numbers only."""
+
+    def make(limit, schema):
+        return lambda x: [([], f"{x!r} is {words} {limit!r}")] if _is_number(x) and fails(x, limit) else ()
+
+    return make
+
+
+def _strings(keyword: str, values: list):
+    """``values`` compared by ``==``, which is jsonschema's equality when one side is a string."""
+    if not all(isinstance(v, str) for v in values):
+        raise _unsupported(keyword, values)
+
+
+def _const(value, schema):
+    _strings("const", [value])
+    return lambda x: () if x == value else [([], f"{value!r} was expected")]
+
+
+def _enum(values, schema):
+    _strings("enum", values)
+    return lambda x: () if x in values else [([], f"{x!r} is not one of {values!r}")]
+
+
+def _one_of(subs, schema):
+    checks = [_compile(sub) for sub in subs]
+
+    def check(x):
+        valid = [sub for sub, c in zip(subs, checks) if not c(x)]
+        if not valid:
+            return [([], f"{x!r} is not valid under any of the given schemas")]
+        if len(valid) > 1:  # jsonschema names the first valid one last
+            shown = ", ".join(map(repr, valid[1:] + valid[:1]))
+            return [([], f"{x!r} is valid under each of {shown}")]
+        return ()
+
+    return check
+
+
+# keyword -> maker of its check from (value, enclosing schema)
+_KEYWORDS = {
+    "type": _type,
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "minItems": _min_items,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "const": _const,
+    "enum": _enum,
+    "oneOf": _one_of,
+}
+_ANNOTATIONS = frozenset({"$schema", "title"})
+
+
+def _compile(schema: dict):
+    """The check of ``schema``: its keywords' checks in the schema's order,
+    which is the order jsonschema reports their errors in.  A keyword
+    outside ``_KEYWORDS`` and ``_ANNOTATIONS`` raises ``ValueError``."""
+    checks = []
+    for keyword, value in schema.items():
+        if keyword in _ANNOTATIONS:
+            continue
+        if keyword not in _KEYWORDS:
+            raise _unsupported(keyword, value)
+        checks.append(_KEYWORDS[keyword](value, schema))
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        errors = []
+        for c in checks:
+            errors += c(x)
+        return errors
+
+    return check
+
+
+_CHECKS = {name: _compile(schema) for name, schema in ALL_SCHEMAS.items()}
+
+
+def _schema_error(obj, schema_name: str):
+    """(keys, message) of the first error of ``obj`` against the schema, or
+    None: jsonschema's errors, stably sorted by path, come first."""
+    errors = _CHECKS[schema_name](obj)
+    if not errors:
+        return None
+    keys, message = min(errors, key=lambda e: e[0][::-1])
+    return keys[::-1], message
 
 
 def _first_non_finite(obj):
@@ -270,12 +460,10 @@ def validate(obj, schema_name: str, source: str = "<input>") -> None:
     """Raise ``SchemaViolation`` at the JSON path of the first schema error,
     else of the first non-finite number, else of the first array whose
     length disagrees with the document's own sizes (``_sized_arrays``)."""
-    errors = sorted(_validator(schema_name).iter_errors(obj), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        raise SchemaViolation(
-            f"{source}: {schema_name} schema violated at {_json_path(err.absolute_path)}: {err.message}"
-        )
+    error = _schema_error(obj, schema_name)
+    if error is not None:
+        keys, message = error
+        raise SchemaViolation(f"{source}: {schema_name} schema violated at {_json_path(keys)}: {message}")
     found = _first_non_finite(obj)
     if found is not None:
         keys, value = found

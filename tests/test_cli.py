@@ -4,8 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -865,6 +869,52 @@ class TestFlagDomains:
         assert "argument --grid-step: " in err or "$['grid_step']" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "subcommand, flag, value, domain",
+        [
+            ("rbound", "--p", "inf", "a finite number >= 1"),
+            ("rbound", "--p", "abc", "a finite number >= 1"),
+            ("rbound", "--p", "0.5", "a finite number >= 1"),
+            ("rbound", "--p", "nan", "a finite number >= 1"),
+            ("randnorm", "--p", "inf", "a finite number >= 1"),
+            ("randnorm", "--p", "-inf", "a finite number >= 1"),
+            ("concave", "--p", "inf", "a finite number >= 1"),
+            ("rmf-ratio", "--p", "0.5", "a number >= 1 or inf"),
+            ("rmf-ratio", "--p", "nan", "a number >= 1 or inf"),
+            ("weak-rmf", "--p", "abc", "a number >= 1 or inf"),
+            ("typecotype", "--exponent", "0.9", "a number >= 1 or inf"),
+        ],
+    )
+    def test_exponent_outside_its_domain(self, capsys, tmp_path, l1_basis_file, samples_file,
+                                         subcommand, flag, value, domain):
+        argv = {
+            "rbound": ["--vectors", l1_basis_file],
+            "randnorm": ["--vectors", l1_basis_file],
+            "concave": ["--samples", samples_file],
+            "rmf-ratio": ["--space", L1_PLANE, "--grid-exponent", "2", "--seed", "1"],
+            "weak-rmf": ["--instances", "1", "--seed", "1"],
+            "typecotype": ["--kind", "cotype", "--space", L1_PLANE, "--count", "2", "--seed", "1"],
+        }[subcommand]
+        assert self.exit_code([subcommand, *argv, f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: '{value}' is not {domain}" in err
+        # the config schema refuses what is not a number >= 1 or "inf", the flag the rest
+        key = flag[2:]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value if value in ("inf", "abc") else float(value)}))
+        assert self.exit_code([subcommand, *argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err or f"$['{key}']" in err
+        assert "Traceback" not in err
+
+    def test_inf_exponent_where_it_is_in_the_domain(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": "inf"}))
+        argv = ["rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "2", "--seed", "1"]
+        for route in (["--p", "inf"], ["--config", str(cfg)]):
+            code, out, _ = run(capsys, *argv, *route)
+            assert code == 0 and json.loads(out)["p"] == "inf"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
     def test_tol_through_config(self, capsys, tmp_path, value):
         # json reads NaN, which the schema's exclusiveMinimum lets through
@@ -910,6 +960,26 @@ class TestFlagDomains:
 
 
 class TestSchemas:
+    @pytest.mark.parametrize(
+        "argv",
+        [None, ["rmf-ratio", "--space", L1_PLANE, "--grid-exponent", "3", "--seed", "1"], ["reduce", "--seed", "1"]],
+        ids=["import", "rmf-ratio", "reduce"],
+    )
+    def test_a_cold_process_loads_neither_jsonschema_nor_numpy_ma(self, tmp_path, argv):
+        script = (
+            "import sys\n"
+            "import rmflab.cli\n"
+            f"argv = {argv!r}\n"
+            "code = 0 if argv is None else rmflab.cli.main(argv + ['--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in ('jsonschema', 'numpy.ma') if m in sys.modules))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out.json")], env=env, capture_output=True, text=True
+        )
+        assert done.stdout == "0 []\n", done.stderr
+
     def test_schema_files_match_package(self):
         # the files under schema/ are the shipped copies of the package
         # schemas; they must never drift
@@ -922,28 +992,6 @@ class TestSchemas:
             path = root / f"{name}.schema.json"
             assert path.exists(), path
             assert json.loads(path.read_text()) == schema
-
-    def test_one_validator_per_schema(self, monkeypatch):
-        import jsonschema
-
-        from rmflab import schemas
-
-        built = []
-        real = jsonschema.Draft202012Validator
-
-        def counting(schema):
-            built.append(schema)
-            return real(schema)
-
-        monkeypatch.setattr(jsonschema, "Draft202012Validator", counting)
-        schemas._validator.cache_clear()
-        try:
-            schemas.validate({"kind": "lp", "p": 1, "dim": 2}, "space")
-            with pytest.raises(schemas.SchemaViolation, match=r"^<input>: space schema violated at \$: "):
-                schemas.validate({"kind": "lp", "p": 1, "dim": 0}, "space")
-        finally:
-            schemas._validator.cache_clear()
-        assert built == [schemas.SPACE_SCHEMA]
 
 
 # each input holds the number 12345.5 once, at the path given, where a

@@ -81,6 +81,18 @@ class TestScalar:
         with pytest.raises(ValueError):
             RBoundBracket(2.0, 1.0, None, "optimized", 2.0)
 
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan, -math.inf])
+    def test_exponent_outside_one_to_inf_raises(self, p):
+        vs = basis(lp_space(1, 2))
+        stack = np.stack([v.coords for v in vs])[:, None, :]
+        for call in (
+            lambda: rbound_scalar(vs, p, cfg=FAST),
+            lambda: atomwise_rbound(stack, lp_space(1, 2), FAST, p),
+            lambda: rbound_certify_grid(vs, p, grid_step=0.1),
+        ):
+            with pytest.raises(ValueError, match="1 <= p < inf"):
+                call()
+
 
 @settings(max_examples=25, deadline=None)
 @given(

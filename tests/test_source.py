@@ -24,6 +24,15 @@ def test_no_assert_statement(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_jsonschema_import(path):
+    """jsonschema is the tests' oracle for ``schemas``, not a dependency of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in modules if m.split(".")[0] == "jsonschema"], f"{path.name} imports jsonschema"
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 CRITERION = re.compile(r"acceptance\s+criterion\s+\d+", re.IGNORECASE)
 
